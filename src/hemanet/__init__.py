@@ -69,6 +69,7 @@ from .models import (
     build_model,
     build_narx,
     decode_subtype,
+    decode_subtypes,
     encode_target,
     encode_targets,
     output_width,
@@ -87,6 +88,7 @@ from .metrics import (
 from .pipeline import (
     DiagnosisResult,
     PatientReport,
+    check_threshold,
     classify,
     diagnose,
     emit_reports,

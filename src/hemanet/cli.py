@@ -19,6 +19,7 @@ from .metrics import EvalReport, compare_report
 from .models import build_model, encode_targets, output_width
 from .nncore import TrainConfig, TrainingDivergedError, gradient_check, train_loop
 from .pipeline import (
+    check_threshold,
     evaluate_classification,
     evaluate_diagnosis,
     run_pipeline,
@@ -271,7 +272,15 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _check_threshold_flag(args) -> None:
+    try:
+        check_threshold(args.threshold)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def cmd_eval(args) -> int:
+    _check_threshold_flag(args)
     records = load_csv(args.data)
     rows = []
     for path in args.model:
@@ -290,6 +299,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _check_threshold_flag(args)
     diag = load_model(args.diagnosis)
     clf = load_model(args.classify)
     records = load_unlabeled_csv(args.data)
@@ -363,6 +373,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _check_threshold_flag(args)
     records = load_csv(args.data)
     config = _config_from(args)
     report, curves = run_compare(

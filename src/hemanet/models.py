@@ -63,22 +63,31 @@ def encode_targets(labels, encoding: str) -> np.ndarray:
     return np.array([encode_target(label, encoding) for label in labels])
 
 
-def decode_subtype(output, encoding: str) -> AnemiaLabel:
-    """Map a classification-network output vector to a subtype.
+def decode_subtypes(outputs, encoding: str) -> list[AnemiaLabel]:
+    """Map each row of classification-network outputs to a subtype.
 
     onehot3 takes the argmax (ties go to the lowest class index); banded1
     picks the nearest band center.
     """
-    output = np.asarray(output, dtype=float)
+    outputs = np.asarray(outputs, dtype=float)
+    if encoding not in ("onehot3", "banded1"):
+        raise ValueError(f"cannot decode a subtype from encoding {encoding!r}")
+    width = output_width(encoding)
+    if outputs.ndim != 2 or outputs.shape[1] != width:
+        raise ValueError(
+            f"{encoding} output must have {width} component{'s' if width > 1 else ''}, "
+            f"got {outputs.shape[1:]}"
+        )
     if encoding == "onehot3":
-        if output.shape != (3,):
-            raise ValueError(f"onehot3 output must have 3 components, got {output.shape}")
-        return SUBTYPES[int(np.argmax(output))]
-    if encoding == "banded1":
-        if output.shape != (1,):
-            raise ValueError(f"banded1 output must have 1 component, got {output.shape}")
-        return SUBTYPES[int(np.argmin(np.abs(BAND_CENTERS - output[0])))]
-    raise ValueError(f"cannot decode a subtype from encoding {encoding!r}")
+        index = np.argmax(outputs, axis=1)
+    else:
+        index = np.argmin(np.abs(outputs - BAND_CENTERS), axis=1)
+    return [SUBTYPES[i] for i in index.tolist()]
+
+
+def decode_subtype(output, encoding: str) -> AnemiaLabel:
+    """Subtype of one output vector: decode_subtypes on a batch of one."""
+    return decode_subtypes(np.asarray(output, dtype=float)[None], encoding)[0]
 
 
 class FfnnModel:

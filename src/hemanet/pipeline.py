@@ -3,7 +3,9 @@ positives only, and report emission.
 
 Per-record failures are isolated into error entries so one bad row never
 kills a batch.  The classification network is never evaluated for a
-record diagnosed healthy.
+record diagnosed healthy.  Screening and evaluation run the networks
+through one batched helper, so they compute bit-identical raw outputs for
+the same rows.
 """
 from __future__ import annotations
 
@@ -21,17 +23,24 @@ from .metrics import (
     SUBTYPE_LABELS,
     ConfusionMatrix,
 )
-from .models import NarxModel, decode_subtype, encode_targets
+from .models import NarxModel, decode_subtypes, encode_targets
 from .preprocess import encode_batch
-from .records import AnemiaLabel, CbcRecord, check_record
+from .records import AnemiaLabel, check_record
 from .serialize import ModelBundle
 
 REPORT_FORMATS = ("text", "json", "csv")
 
+#: Rows per network call.  A whole-batch forward holds the (rows, hidden)
+#: activations and sigmoid's temporaries of every row at once; blocks of
+#: this size bound that memory while the per-call overhead stays negligible.
+FORWARD_BLOCK_ROWS = 1024
+
 
 @dataclass
 class DiagnosisResult:
-    verdict: int
+    """One record's diagnosis; verdict is None when the raw output is not finite."""
+
+    verdict: int | None
     raw: float
     threshold: float
 
@@ -48,23 +57,59 @@ class PatientReport:
     error: str | None = None
 
 
-def diagnose(diag: ModelBundle, record: CbcRecord, threshold: float = 0.5) -> DiagnosisResult:
-    """Binary anemic/healthy call; raw output at or above threshold is positive."""
+def check_threshold(threshold: float) -> None:
+    """Raise ValueError unless the decision threshold is finite and in [0, 1]."""
+    if not 0.0 <= threshold <= 1.0:  # NaN fails both comparisons
+        raise ValueError(f"threshold must be a finite number in [0, 1], got {threshold!r}")
+
+
+def diagnose(diag: ModelBundle, records, threshold: float = 0.5) -> list[DiagnosisResult]:
+    """Binary anemic/healthy calls for a batch of records, in input order.
+
+    Every record is validated first.  A raw output at or above threshold is
+    positive; a non-finite raw output gets no verdict.
+    """
+    records = list(records)
+    for record in records:
+        check_record(record)
+    raw, positive, finite = _diagnose(diag, records, threshold)
+    return [
+        DiagnosisResult(verdict=int(p) if f else None, raw=r, threshold=threshold)
+        for r, p, f in zip(raw, positive, finite)
+    ]
+
+
+def _diagnose(diag: ModelBundle, records, threshold: float):
+    """(raw, positive, finite) lists for already-validated records."""
     if diag.output_encoding != "binary1":
         raise ValueError("diagnosis requires a binary1 model")
-    check_record(record)
-    raw = float(diag.predict(record)[0])
-    return DiagnosisResult(verdict=1 if raw >= threshold else 0, raw=raw, threshold=threshold)
+    check_threshold(threshold)
+    raw = _bundle_outputs(diag, records)[:, 0]
+    return raw.tolist(), (raw >= threshold).tolist(), np.isfinite(raw).tolist()
 
 
-def classify(clf: ModelBundle, record: CbcRecord, diagnosis: DiagnosisResult):
-    """Subtype call for a diagnosed-positive record; returns (label, raw outputs)."""
-    if diagnosis.verdict != 1:
+def classify(clf: ModelBundle, records, diagnoses):
+    """Subtype calls for diagnosed-positive records; returns (labels, raw outputs).
+
+    ``diagnoses`` aligns with ``records``.  A row whose raw outputs are not
+    all finite gets the label None.
+    """
+    diagnoses = list(diagnoses)
+    if any(result.verdict != 1 for result in diagnoses):
         raise ValueError("classify called on a healthy verdict (pipeline contract violation)")
+    records = list(records)
+    if len(records) != len(diagnoses):
+        raise ValueError("diagnoses must align with records")
+    return _classify(clf, records)
+
+
+def _classify(clf: ModelBundle, records):
     if clf.output_encoding not in ("onehot3", "banded1"):
         raise ValueError("classification requires an onehot3 or banded1 model")
-    raw = clf.predict(record)
-    return decode_subtype(raw, clf.output_encoding), raw
+    raw = _bundle_outputs(clf, records)
+    labels = decode_subtypes(raw, clf.output_encoding)
+    finite = np.isfinite(raw).all(axis=1).tolist()
+    return [label if ok else None for label, ok in zip(labels, finite)], raw
 
 
 def run_pipeline(
@@ -75,27 +120,51 @@ def run_pipeline(
     ids=None,
     deterministic: bool = False,
 ) -> list[PatientReport]:
-    """Diagnose every record, classify positives, and report in input order."""
+    """Diagnose every record, classify positives, and report in input order.
+
+    Each record is validated on its own; an invalid one becomes an error
+    entry.  The valid records go through one diagnosis pass and the
+    positives through one classification pass.  A row whose raw output is
+    not finite becomes an error entry, never a verdict.
+    """
     _reject_stream_bundles(diag, clf)
+    check_threshold(threshold)
     ids = list(ids) if ids is not None else list(range(len(records)))
     if len(ids) != len(records):
         raise ValueError("ids must align with records")
     stamp = None if deterministic else _now()
     models = f"{diag.identity}|{clf.identity}"
-    reports = []
-    for pid, record in zip(ids, records):
-        report = PatientReport(patient_id=pid, models=models, timestamp=stamp)
+    reports = [PatientReport(patient_id=pid, models=models, timestamp=stamp) for pid in ids]
+    valid_reports, valid_records = [], []
+    for report, record in zip(reports, records):
         try:
-            result = diagnose(diag, record, threshold)
-            report.verdict = result.verdict
-            report.raw_diagnosis = result.raw
-            if result.verdict == 1:
-                subtype, raw = classify(clf, record, result)
-                report.subtype = subtype
-                report.raw_classify = [float(v) for v in raw]
+            check_record(record)
         except ValueError as exc:
             report.error = str(exc)
-        reports.append(report)
+        else:
+            valid_reports.append(report)
+            valid_records.append(record)
+
+    raw, positive, finite = _diagnose(diag, valid_records, threshold)
+    positive_reports, positive_records = [], []
+    for report, record, r, p, f in zip(valid_reports, valid_records, raw, positive, finite):
+        if not f:
+            report.error = "non-finite diagnosis output"
+            continue
+        report.verdict = int(p)
+        report.raw_diagnosis = r
+        if p:
+            positive_reports.append(report)
+            positive_records.append(record)
+
+    labels, raw = _classify(clf, positive_records)
+    for report, label, outputs in zip(positive_reports, labels, raw.tolist()):
+        if label is None:
+            report.verdict = report.raw_diagnosis = None
+            report.error = "non-finite classification output"
+        else:
+            report.subtype = label
+            report.raw_classify = outputs
     return reports
 
 
@@ -174,7 +243,11 @@ def _patient_doc(r: PatientReport) -> dict:
 
 
 def _bundle_outputs(bundle: ModelBundle, records, targets=None) -> np.ndarray:
-    """Raw network outputs for already-validated records, honoring NARX modes."""
+    """Raw network outputs for already-validated records, honoring NARX modes.
+
+    Rows go through the network FORWARD_BLOCK_ROWS at a time, except for a
+    stream-mode NARX, whose teacher-forced taps run along the whole stream.
+    """
     X = bundle.normalizer.apply(encode_batch(records, bundle.feature_spec))
     net = bundle.net
     if isinstance(net, NarxModel):
@@ -183,18 +256,24 @@ def _bundle_outputs(bundle: ModelBundle, records, targets=None) -> np.ndarray:
                 raise ValueError("stream-mode NARX evaluation needs labeled data")
             outputs, _ = net.predict_stream(X, targets)
             return outputs
-        return net.predict_record_batch(X)
-    return net.predict_batch(X)
+        forward = net.predict_record_batch
+    else:
+        forward = net.predict_batch
+    outputs = np.empty((len(X), net.out_dim))
+    for start in range(0, len(X), FORWARD_BLOCK_ROWS):
+        outputs[start:start + FORWARD_BLOCK_ROWS] = forward(X[start:start + FORWARD_BLOCK_ROWS])
+    return outputs
 
 
 def evaluate_diagnosis(diag: ModelBundle, labeled, threshold: float = 0.5) -> ConfusionMatrix:
     """2x2 confusion matrix of the binary stage over labeled records."""
     if diag.output_encoding != "binary1":
         raise ValueError("diagnosis evaluation requires a binary1 model")
+    check_threshold(threshold)
     targets = encode_targets([item.label for item in labeled], "binary1")
     outputs = _bundle_outputs(diag, labeled, targets)
     truths = [DIAGNOSIS_LABELS[int(item.label.is_anemic)] for item in labeled]
-    preds = [DIAGNOSIS_LABELS[int(out[0] >= threshold)] for out in outputs]
+    preds = [DIAGNOSIS_LABELS[p] for p in (outputs[:, 0] >= threshold).tolist()]
     return ConfusionMatrix.from_pairs(truths, preds, DIAGNOSIS_LABELS)
 
 
@@ -206,7 +285,7 @@ def evaluate_classification(clf: ModelBundle, labeled) -> ConfusionMatrix:
     targets = encode_targets([item.label for item in anemic], clf.output_encoding)
     outputs = _bundle_outputs(clf, anemic, targets)
     truths = [item.label.value for item in anemic]
-    preds = [decode_subtype(out, clf.output_encoding).value for out in outputs]
+    preds = [label.value for label in decode_subtypes(outputs, clf.output_encoding)]
     return ConfusionMatrix.from_pairs(truths, preds, SUBTYPE_LABELS)
 
 

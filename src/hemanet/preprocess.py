@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -45,18 +46,19 @@ def feature_spec(token: str) -> FeatureSpec:
 
 def encode(record: CbcRecord, spec: FeatureSpec = FULL9) -> np.ndarray:
     """Raw (unnormalized) feature vector; gender encoded male=0, female=1."""
-    values = []
-    for name in spec.names:
-        if name == "gender":
-            values.append(0.0 if record.gender is Gender.MALE else 1.0)
-        else:
-            values.append(float(getattr(record, name)))
-    return np.array(values, dtype=float)
+    return encode_batch([record], spec)[0]
 
 
 def encode_batch(records, spec: FeatureSpec = FULL9) -> np.ndarray:
-    rows = [encode(r.record if isinstance(r, LabeledRecord) else r, spec) for r in records]
-    return np.array(rows, dtype=float) if rows else np.zeros((0, len(spec)))
+    """(N, F) raw feature matrix of records or labeled records, built column by column."""
+    records = [r.record if isinstance(r, LabeledRecord) else r for r in records]
+    matrix = np.empty((len(records), len(spec)))
+    for column, name in enumerate(spec.names):
+        values = map(attrgetter(name), records)
+        if name == "gender":
+            values = (0.0 if g is Gender.MALE else 1.0 for g in values)
+        matrix[:, column] = np.fromiter(values, dtype=float, count=len(records))
+    return matrix
 
 
 @dataclass(frozen=True, eq=False)

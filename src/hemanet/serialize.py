@@ -20,7 +20,7 @@ from .models import (
     output_width,
 )
 from .nncore import LayerParams
-from .preprocess import FEATURE_PRESETS, FeatureSpec, Normalizer, encode
+from .preprocess import FEATURE_PRESETS, FeatureSpec, Normalizer
 
 FORMAT_VERSION = "1.0"
 _SUPPORTED_MAJOR = 1
@@ -61,17 +61,6 @@ class ModelBundle:
     @property
     def identity(self) -> str:
         return f"{self.family}:{self.source or '<memory>'}"
-
-    def encode_record(self, record) -> np.ndarray:
-        return self.normalizer.apply(encode(record, self.feature_spec))
-
-    def predict(self, record) -> np.ndarray:
-        """Raw network output for one independent record.
-
-        NARX nets compose their zero delay taps internally; stream-mode
-        NARX refuses (no per-record history exists).
-        """
-        return self.net.forward(self.encode_record(record))
 
 
 def _layer_doc(layer: LayerParams) -> dict:

@@ -1,13 +1,15 @@
 """CLI surface: subcommands, exit codes, and reproducibility."""
 import json
 
+import numpy as np
 import pytest
 
 from hemanet import cli
-from hemanet.dataio import load_csv
-from hemanet.nncore import TrainingDivergedError
+from hemanet.cli import fit_stage
+from hemanet.dataio import load_csv, save_unlabeled_csv
+from hemanet.nncore import TrainConfig, TrainingDivergedError
 from hemanet.records import AnemiaLabel, rule_label
-from hemanet.serialize import load_model
+from hemanet.serialize import load_model, save_model
 
 
 def synth_file(tmp_path, name="data.csv", n=100, mix="18,26,26,30", seed=5):
@@ -283,6 +285,51 @@ class TestPredict:
             "predict", "--diagnosis", str(diag), "--classify", str(clf),
             "--data", str(data), "--format", "yaml",
         ]) == 2
+
+
+class TestThresholdFlag:
+    BAD = ["nan", "inf", "7", "-0.5"]
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_predict_rejects(self, tmp_path, trained_models, capsys, value):
+        data, diag, clf = trained_models
+        assert cli.main([
+            "predict", "--diagnosis", str(diag), "--classify", str(clf),
+            "--data", str(data), "--threshold", value,
+        ]) == 2
+        assert "threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_eval_rejects(self, tmp_path, trained_models, value):
+        data, diag, _ = trained_models
+        assert cli.main(["eval", "-m", str(diag), "--data", str(data),
+                         "--threshold", value]) == 2
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_compare_rejects_before_training(self, tmp_path, trained_models, value):
+        data, _, _ = trained_models
+        assert cli.main(["compare", "--data", str(data), "--threshold", value]) == 2
+
+
+def test_predict_with_non_finite_model_reports_errors(tmp_path, trained_models):
+    data, _, clf = trained_models
+    records = load_csv(data)
+    config = TrainConfig(epochs=5, hidden_size=4)
+    bundle, _ = fit_stage(records, "elman", "diagnosis", config)
+    bundle.net.wh[0, 0] = np.nan
+    diag = tmp_path / "nan_diag.json"
+    save_model(bundle, diag)
+    unlabeled = tmp_path / "unlabeled.csv"
+    save_unlabeled_csv([item.record for item in records], unlabeled)
+    out = tmp_path / "report.json"
+    assert cli.main([
+        "predict", "--diagnosis", str(diag), "--classify", str(clf),
+        "--data", str(unlabeled), "--format", "json", "--deterministic", "-o", str(out),
+    ]) == 0
+    patients = json.loads(out.read_text())["patients"]
+    assert len(patients) == len(records)
+    assert all(p.get("error") == "non-finite diagnosis output" for p in patients)
+    assert not any("verdict" in p for p in patients)
 
 
 class TestGradcheck:

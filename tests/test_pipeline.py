@@ -6,8 +6,9 @@ import pytest
 
 from helpers import make_record
 from hemanet.cli import fit_stage
-from hemanet.metrics import accuracy
-from hemanet.models import build_narx
+from hemanet import pipeline
+from hemanet.metrics import DIAGNOSIS_LABELS, ConfusionMatrix, accuracy
+from hemanet.models import FAMILIES, build_elman, build_narx
 from hemanet.nncore import LayerParams, TrainConfig
 from hemanet.models import FfnnModel
 from hemanet.pipeline import (
@@ -20,7 +21,7 @@ from hemanet.pipeline import (
     evaluate_pipeline,
     run_pipeline,
 )
-from hemanet.preprocess import FULL9, Normalizer, split_dataset
+from hemanet.preprocess import FULL9, Normalizer, encode, encode_batch, split_dataset
 from hemanet.records import AnemiaLabel
 from hemanet.serialize import ModelBundle
 from hemanet.synth import synth_generate
@@ -62,94 +63,137 @@ def trained(dataset):
     return diag, clf, split
 
 
+def _count_forward_rows(bundle):
+    """Wrap the bundle's network forward; returns the list of row blocks it sees."""
+    seen = []
+    original = bundle.net.predict_batch
+
+    def counting_forward(X):
+        seen.append(np.array(X))
+        return original(X)
+
+    bundle.net.predict_batch = counting_forward
+    return seen
+
+
+def _hgb_gate_bundle(cutoff=12.5):
+    """Diagnosis net whose output is >= 0.5 exactly when hgb <= cutoff."""
+    hidden = np.zeros((1, 9))
+    hidden[0, 3] = -1.0  # hgb; the identity normalizer leaves it unscaled
+    net = FfnnModel(
+        LayerParams(hidden, np.array([cutoff])),
+        LayerParams(np.array([[20.0]]), np.array([-10.0])),
+    )
+    return ModelBundle(
+        family="ffnn", net=net, feature_spec=FULL9,
+        output_encoding="binary1", normalizer=_identity_normalizer(),
+    )
+
+
 class TestDiagnose:
     def test_boundary_raw_output_counts_positive(self):
         bundle = _constant_bundle([0.0])  # sigmoid(0) = 0.5 exactly
-        result = diagnose(bundle, make_record(), threshold=0.5)
+        [result] = diagnose(bundle, [make_record()], threshold=0.5)
         assert result.raw == 0.5
         assert result.verdict == 1
 
     def test_low_raw_output_is_healthy(self):
         bundle = _constant_bundle([-2.2])  # ~0.10
-        result = diagnose(bundle, make_record())
+        [result] = diagnose(bundle, [make_record()])
         assert result.raw < 0.5
         assert result.verdict == 0
 
     def test_threshold_monotonicity(self):
         bundle = _constant_bundle([0.4])
-        low = diagnose(bundle, make_record(), threshold=0.3)
-        high = diagnose(bundle, make_record(), threshold=0.9)
+        [low] = diagnose(bundle, [make_record()], threshold=0.3)
+        [high] = diagnose(bundle, [make_record()], threshold=0.9)
         assert high.verdict <= low.verdict
 
     def test_invalid_record_raises(self):
         bundle = _constant_bundle([0.0])
         with pytest.raises(ValueError, match="hgb"):
-            diagnose(bundle, make_record(hgb=-1.0))
+            diagnose(bundle, [make_record(hgb=-1.0)])
 
     def test_requires_binary_encoding(self):
         clf_bundle = _constant_bundle([0.0, 0.0, 0.0], out_dim=3, encoding="onehot3")
         with pytest.raises(ValueError, match="binary1"):
-            diagnose(clf_bundle, make_record())
+            diagnose(clf_bundle, [make_record()])
+
+    def test_batch_verdicts_follow_each_row(self):
+        results = diagnose(_hgb_gate_bundle(), [make_record(hgb=h) for h in (10.0, 14.0, 12.5)])
+        assert [r.verdict for r in results] == [1, 0, 1]
 
 
 class TestClassify:
     def test_argmax_subtype(self):
         bundle = _constant_bundle([2.0, -2.0, -2.0], out_dim=3, encoding="onehot3")
         positive = DiagnosisResult(verdict=1, raw=0.9, threshold=0.5)
-        label, raw = classify(bundle, make_record(), positive)
+        [label], raw = classify(bundle, [make_record()], [positive])
         assert label is AnemiaLabel.MICROCYTIC
-        assert raw.shape == (3,)
+        assert raw[0].shape == (3,)
 
     def test_banded_decoding(self):
         bundle = _constant_bundle([np.log(0.49 / 0.51)], encoding="banded1")
         positive = DiagnosisResult(verdict=1, raw=0.9, threshold=0.5)
-        label, raw = classify(bundle, make_record(), positive)
-        assert raw[0] == pytest.approx(0.49)
+        [label], raw = classify(bundle, [make_record()], [positive])
+        assert raw[0][0] == pytest.approx(0.49)
         assert label is AnemiaLabel.NORMOCYTIC
 
     def test_healthy_verdict_is_contract_violation(self):
         bundle = _constant_bundle([0.0, 0.0, 0.0], out_dim=3, encoding="onehot3")
         healthy = DiagnosisResult(verdict=0, raw=0.2, threshold=0.5)
         with pytest.raises(ValueError, match="healthy"):
-            classify(bundle, make_record(), healthy)
+            classify(bundle, [make_record()], [healthy])
 
     def test_requires_classification_encoding(self):
         bundle = _constant_bundle([0.0])
         positive = DiagnosisResult(verdict=1, raw=0.9, threshold=0.5)
         with pytest.raises(ValueError, match="onehot3 or banded1"):
-            classify(bundle, make_record(), positive)
+            classify(bundle, [make_record()], [positive])
 
 
 class TestRunPipeline:
     def test_classifier_never_runs_on_healthy_verdicts(self):
         diag = _constant_bundle([-3.0])  # everyone healthy
         clf = _constant_bundle([0.0, 0.0, 0.0], out_dim=3, encoding="onehot3")
-        calls = {"n": 0}
-        original = clf.predict
-
-        def counting_predict(record):
-            calls["n"] += 1
-            return original(record)
-
-        clf.predict = counting_predict
+        seen = _count_forward_rows(clf)
         reports = run_pipeline(diag, clf, [make_record() for _ in range(6)])
         assert all(r.verdict == 0 for r in reports)
-        assert calls["n"] == 0
+        assert sum(len(block) for block in seen) == 0
 
     def test_classifier_runs_once_per_positive(self):
         diag = _constant_bundle([3.0])  # everyone anemic
         clf = _constant_bundle([0.0, 1.0, 0.0], out_dim=3, encoding="onehot3")
-        calls = {"n": 0}
-        original = clf.predict
-
-        def counting_predict(record):
-            calls["n"] += 1
-            return original(record)
-
-        clf.predict = counting_predict
+        seen = _count_forward_rows(clf)
         reports = run_pipeline(diag, clf, [make_record() for _ in range(5)])
-        assert calls["n"] == 5
+        assert sum(len(block) for block in seen) == 5
         assert all(r.subtype is AnemiaLabel.NORMOCYTIC for r in reports)
+
+    def test_classifier_sees_exactly_the_positive_rows(self):
+        clf = _constant_bundle([0.0, 1.0, 0.0], out_dim=3, encoding="onehot3")
+        seen = _count_forward_rows(clf)
+        hgbs = [10.0, 14.0, -1.0, 11.0, 15.0, 12.0]  # -1 is invalid
+        records = [make_record(hgb=h, mcv=80.0 + i) for i, h in enumerate(hgbs)]
+        reports = run_pipeline(_hgb_gate_bundle(), clf, records)
+        assert [r.verdict for r in reports] == [1, 0, None, 1, 0, 1]
+        assert "hgb" in reports[2].error
+        positives = [records[i] for i in (0, 3, 5)]
+        np.testing.assert_array_equal(np.concatenate(seen), encode_batch(positives, FULL9))
+        assert [r.subtype for r in reports] == [AnemiaLabel.NORMOCYTIC, None, None,
+                                               AnemiaLabel.NORMOCYTIC, None,
+                                               AnemiaLabel.NORMOCYTIC]
+
+    def test_blocks_cover_every_row_in_order(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "FORWARD_BLOCK_ROWS", 2)
+        clf = _constant_bundle([0.0, 1.0, 0.0], out_dim=3, encoding="onehot3")
+        seen = _count_forward_rows(clf)
+        hgbs = [10.0, 11.0, 14.0, 12.0, 9.0, 15.0, 8.0]
+        records = [make_record(hgb=h) for h in hgbs]
+        reports = run_pipeline(_hgb_gate_bundle(), clf, records)
+        assert [r.verdict for r in reports] == [1, 1, 0, 1, 1, 0, 1]
+        assert [len(block) for block in seen] == [2, 2, 1]
+        positives = [r for r, h in zip(records, hgbs) if h <= 12.5]
+        np.testing.assert_array_equal(np.concatenate(seen), encode_batch(positives, FULL9))
 
     def test_order_and_length_preserved(self, trained):
         diag, clf, split = trained
@@ -187,6 +231,111 @@ class TestRunPipeline:
         clf = _constant_bundle([1.0, 0.0, 0.0], out_dim=3, encoding="onehot3")
         reports = run_pipeline(diag, clf, [make_record()], deterministic=True)
         assert reports[0].timestamp is None
+
+
+class TestNonFiniteOutputs:
+    def _nan_elman(self, encoding="binary1"):
+        net = build_elman(9, 4, 3 if encoding == "onehot3" else 1, seed=5)
+        net.wh[0, 0] = np.nan
+        return ModelBundle("elman", net, FULL9, encoding, _identity_normalizer())
+
+    def test_diagnose_gives_no_verdict(self):
+        [result] = diagnose(self._nan_elman(), [make_record()])
+        assert result.verdict is None
+
+    def test_nan_diagnosis_becomes_error_entries(self):
+        clf = _constant_bundle([0.0, 1.0, 0.0], out_dim=3, encoding="onehot3")
+        seen = _count_forward_rows(clf)
+        records = [make_record(), make_record(hgb=9.0), make_record(hgb=-1.0)]
+        reports = run_pipeline(self._nan_elman(), clf, records)
+        for report in reports[:2]:
+            assert report.error == "non-finite diagnosis output"
+            assert report.verdict is None and report.raw_diagnosis is None
+        assert "hgb" in reports[2].error
+        assert sum(len(block) for block in seen) == 0
+
+    def test_nan_classification_becomes_error_entry(self):
+        clf = self._nan_elman("onehot3")
+        [label], _ = classify(clf, [make_record()], [DiagnosisResult(1, 0.9, 0.5)])
+        assert label is None
+        reports = run_pipeline(_hgb_gate_bundle(), clf,
+                               [make_record(hgb=10.0), make_record(hgb=14.0)])
+        assert reports[0].error == "non-finite classification output"
+        assert reports[0].verdict is None and reports[0].subtype is None
+        assert reports[0].raw_diagnosis is None and reports[0].raw_classify is None
+        assert reports[1].verdict == 0 and reports[1].error is None
+
+
+class TestThreshold:
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.1, 7.0])
+    def test_out_of_range_threshold_rejected(self, threshold):
+        diag = _constant_bundle([0.0])
+        clf = _constant_bundle([0.0, 0.0, 0.0], out_dim=3, encoding="onehot3")
+        labeled = synth_generate(4, {AnemiaLabel.NON_ANEMIC: 4}, seed=41)
+        with pytest.raises(ValueError, match="threshold"):
+            run_pipeline(diag, clf, [make_record()], threshold=threshold)
+        with pytest.raises(ValueError, match="threshold"):
+            run_pipeline(diag, clf, [], threshold=threshold)
+        with pytest.raises(ValueError, match="threshold"):
+            evaluate_diagnosis(diag, labeled, threshold)
+
+    def test_interval_ends_accepted(self):
+        diag = _constant_bundle([0.0])  # raw 0.5
+        clf = _constant_bundle([0.0, 0.0, 0.0], out_dim=3, encoding="onehot3")
+        assert run_pipeline(diag, clf, [make_record()], threshold=0.0)[0].verdict == 1
+        assert run_pipeline(diag, clf, [make_record()], threshold=1.0)[0].verdict == 0
+
+
+@pytest.fixture(scope="module")
+def family_bundles(dataset):
+    config = TrainConfig(epochs=150, hidden_size=10, seed=33)
+    return {
+        family: tuple(fit_stage(dataset, family, stage, config)[0]
+                      for stage in ("diagnosis", "classify"))
+        for family in FAMILIES
+    }
+
+
+class TestPredictEvalAgreement:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_pipeline_matches_evaluation_bit_for_bit(self, monkeypatch, dataset,
+                                                     family_bundles, family):
+        diag, clf = family_bundles[family]
+        outputs, preds = [], []
+        bundle_outputs = pipeline._bundle_outputs
+
+        def recording_outputs(bundle, records, targets=None):
+            outputs.append(bundle_outputs(bundle, records, targets))
+            return outputs[-1]
+
+        class RecordingMatrix(ConfusionMatrix):
+            @classmethod
+            def from_pairs(cls, truths, predictions, labels):
+                preds.extend(predictions)
+                return super().from_pairs(truths, predictions, labels)
+
+        monkeypatch.setattr(pipeline, "_bundle_outputs", recording_outputs)
+        monkeypatch.setattr(pipeline, "ConfusionMatrix", RecordingMatrix)
+        evaluate_diagnosis(diag, dataset)
+        [eval_outputs] = outputs
+        reports = run_pipeline(diag, clf, [item.record for item in dataset], deterministic=True)
+        assert [r.raw_diagnosis for r in reports] == eval_outputs[:, 0].tolist()
+        assert [DIAGNOSIS_LABELS[r.verdict] for r in reports] == preds
+        assert set(preds) == set(DIAGNOSIS_LABELS)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_blocked_outputs_match_per_record_reference(self, monkeypatch, dataset,
+                                                        family_bundles, family):
+        monkeypatch.setattr(pipeline, "FORWARD_BLOCK_ROWS", 7)
+        for bundle in family_bundles[family]:
+            records = [item.record for item in dataset]
+            blocked = pipeline._bundle_outputs(bundle, records)
+            reference = np.array([
+                bundle.net.forward(bundle.normalizer.apply(encode(r, bundle.feature_spec)))
+                for r in records
+            ])
+            # Float64 rounding of dot products over at most 10 hidden units.
+            np.testing.assert_allclose(blocked, reference, rtol=0, atol=1e-13)
 
 
 class TestEmitReports:

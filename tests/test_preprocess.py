@@ -17,7 +17,7 @@ from hemanet.preprocess import (
     largest_remainder,
     split_dataset,
 )
-from hemanet.records import AnemiaLabel, Gender
+from hemanet.records import AnemiaLabel, Gender, LabeledRecord
 from hemanet.synth import synth_generate
 
 from helpers import make_record
@@ -224,3 +224,15 @@ def test_encode_batch_shape():
     records = synth_generate(12, _mix(12), seed=2)
     assert encode_batch(records, FULL9).shape == (12, 9)
     assert encode_batch([r.record for r in records], PAPER7).shape == (12, 7)
+
+
+def test_encode_batch_rows_follow_records():
+    records = [
+        make_record(gender=Gender.MALE, hgb=11.0),
+        LabeledRecord(make_record(age=70), AnemiaLabel.NON_ANEMIC),
+    ]
+    X = encode_batch(records, FULL9)
+    np.testing.assert_array_equal(X, [[40, 0.0, 4.5, 11.0, 40.0, 90.0, 30.0, 34.0, 7.0],
+                                      [70, 1.0, 4.5, 13.5, 40.0, 90.0, 30.0, 34.0, 7.0]])
+    assert X.dtype == np.float64 and X.flags.c_contiguous
+    assert encode_batch([], PAPER7).shape == (0, 7)

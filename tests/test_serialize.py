@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hemanet.models import build_elman, build_ffnn, build_narx, output_width
+from hemanet.pipeline import diagnose
 from hemanet.preprocess import FULL9, PAPER7, Normalizer
 from hemanet.serialize import (
     FORMAT_VERSION,
@@ -74,7 +75,8 @@ def test_bundle_predict_survives_round_trip(tmp_path):
     save_model(bundle, path)
     loaded = load_model(path)
     record = make_record()
-    np.testing.assert_array_equal(bundle.predict(record), loaded.predict(record))
+    [before], [after] = diagnose(bundle, [record]), diagnose(loaded, [record])
+    assert before.raw == after.raw
     assert loaded.source == str(path)
 
 
