@@ -47,6 +47,7 @@ from .preprocess import (
 from .nncore import (
     LayerParams,
     LossCurve,
+    NumericError,
     TrainConfig,
     TrainingDivergedError,
     backprop,
@@ -87,6 +88,7 @@ from .metrics import (
 )
 from .pipeline import (
     DiagnosisResult,
+    NonFiniteOutputError,
     PatientReport,
     check_threshold,
     classify,

@@ -17,7 +17,7 @@ import numpy as np
 from .dataio import CsvFormatError, load_csv, load_unlabeled_csv, save_csv
 from .metrics import EvalReport, compare_report
 from .models import build_model, encode_targets, output_width
-from .nncore import TrainConfig, TrainingDivergedError, gradient_check, train_loop
+from .nncore import NumericError, TrainConfig, gradient_check, train_loop
 from .pipeline import (
     check_threshold,
     evaluate_classification,
@@ -506,7 +506,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except TrainingDivergedError as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (CsvFormatError, ModelFormatError, ValidationError, OSError) as exc:

@@ -85,6 +85,21 @@ def decode_subtypes(outputs, encoding: str) -> list[AnemiaLabel]:
     return [SUBTYPES[i] for i in index.tolist()]
 
 
+def _same_shapes(current, arrays) -> list[np.ndarray]:
+    """``arrays`` as float arrays, checked against the shapes of ``current``.
+
+    Values are not checked: the trainer binds views whose finiteness it
+    checks itself.
+    """
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    if [a.shape for a in arrays] != [a.shape for a in current]:
+        raise ValueError(
+            f"parameter shapes {[a.shape for a in arrays]} do not match "
+            f"{[a.shape for a in current]}"
+        )
+    return arrays
+
+
 def decode_subtype(output, encoding: str) -> AnemiaLabel:
     """Subtype of one output vector: decode_subtypes on a batch of one."""
     return decode_subtypes(np.asarray(output, dtype=float)[None], encoding)[0]
@@ -132,8 +147,8 @@ class FfnnModel:
                 self.output.weights, self.output.biases]
 
     def set_param_arrays(self, arrays) -> None:
-        self.hidden = LayerParams(arrays[0], arrays[1])
-        self.output = LayerParams(arrays[2], arrays[3])
+        (self.hidden.weights, self.hidden.biases,
+         self.output.weights, self.output.biases) = _same_shapes(self.param_arrays(), arrays)
 
     def loss(self, x, target) -> float:
         return mse_loss(self.forward(x), target)
@@ -238,9 +253,7 @@ class ElmanModel:
         return [self.wx, self.wh, self.b1, self.w2, self.b2]
 
     def set_param_arrays(self, arrays) -> None:
-        self.wx, self.wh, self.b1, self.w2, self.b2 = [
-            np.asarray(a, dtype=float) for a in arrays
-        ]
+        self.wx, self.wh, self.b1, self.w2, self.b2 = _same_shapes(self.param_arrays(), arrays)
 
     def loss(self, x, target) -> float:
         return self.batch_loss(np.asarray(x, dtype=float)[None, :],
@@ -267,7 +280,7 @@ class ElmanModel:
             hiddens.append(context)
         Y = sigmoid(hiddens[-1] @ self.w2.T + self.b2)
         out = Y.shape[1]
-        loss = float(np.mean((Y - T) ** 2))
+        loss = float(((Y - T) ** 2).sum() / Y.size)
 
         d_out = 2.0 / (n * out) * (Y - T) * Y * (1.0 - Y)
         g_w2 = d_out.T @ hiddens[-1]

@@ -7,6 +7,7 @@ seeded generator each epoch.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,7 +123,7 @@ def batch_backprop(layers: list[LayerParams], X, T):
         acts.append(sigmoid(acts[-1] @ layer.weights.T + layer.biases))
     Y = acts[-1]
     n, out = Y.shape
-    loss = float(np.mean((Y - T) ** 2))
+    loss = float(((Y - T) ** 2).sum() / Y.size)
     delta = 2.0 / (n * out) * (Y - T) * Y * (1.0 - Y)
     grads = [None] * (2 * len(layers))
     for i in reversed(range(len(layers))):
@@ -133,14 +134,16 @@ def batch_backprop(layers: list[LayerParams], X, T):
     return loss, grads
 
 
-def sgd_momentum_step(params, grads, velocity, learning_rate: float, momentum: float):
-    """Classical momentum: v' = mu*v - eta*g ; w' = w + v'."""
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match param {p.shape}")
-    new_velocity = [momentum * v - learning_rate * g for v, g in zip(velocity, grads)]
-    new_params = [p + v for p, v in zip(params, new_velocity)]
-    return new_params, new_velocity
+def sgd_momentum_step(params, grad, velocity, learning_rate: float, momentum: float) -> None:
+    """Classical momentum, in place on flat vectors: v <- mu*v - eta*g ; w <- w + v."""
+    if grad.shape != params.shape or velocity.shape != params.shape:
+        raise ValueError(
+            f"gradient {grad.shape} and velocity {velocity.shape} must match "
+            f"parameters {params.shape}"
+        )
+    velocity *= momentum
+    velocity -= learning_rate * grad
+    params += velocity
 
 
 def gradient_check(model, sample, target, epsilon: float = 1e-5) -> float:
@@ -218,12 +221,29 @@ class LossCurve:
         return "\n".join(lines) + "\n"
 
 
-class TrainingDivergedError(RuntimeError):
-    """Training loss went non-finite."""
+class NumericError(RuntimeError):
+    """A computation produced non-finite numbers (CLI exit code 4)."""
 
-    def __init__(self, epoch: int):
+
+class TrainingDivergedError(NumericError):
+    """Training loss or parameters went non-finite."""
+
+    def __init__(self, epoch: int, what: str = "training loss"):
         self.epoch = epoch
-        super().__init__(f"non-finite training loss at epoch {epoch}")
+        super().__init__(f"non-finite {what} at epoch {epoch}")
+
+
+def _bind_flat(model) -> np.ndarray:
+    """Copy the model's parameters into one float64 vector and rebind the
+    model's arrays as views into it, so updating the vector updates the model."""
+    arrays = model.param_arrays()
+    flat = np.concatenate([a.ravel() for a in arrays], dtype=float)
+    views, start = [], 0
+    for a in arrays:
+        views.append(flat[start:start + a.size].reshape(a.shape))
+        start += a.size
+    model.set_param_arrays(views)
+    return flat
 
 
 def train_loop(model, train, validation=None, config: TrainConfig | None = None):
@@ -232,7 +252,9 @@ def train_loop(model, train, validation=None, config: TrainConfig | None = None)
     ``train`` and ``validation`` are (X, T) pairs of prepared sample and
     target matrices.  The recorded training loss is the loss the optimizer
     saw before each update; validation loss is evaluated after the epoch's
-    updates.
+    updates.  All parameters live in one flat vector, which every update
+    changes in place; a non-finite loss or parameter raises
+    TrainingDivergedError.
     """
     config = config or TrainConfig()
     X, T = train
@@ -244,34 +266,31 @@ def train_loop(model, train, validation=None, config: TrainConfig | None = None)
         val_x = np.atleast_2d(np.asarray(validation[0], dtype=float))
         val_t = np.atleast_2d(np.asarray(validation[1], dtype=float))
 
-    params = model.param_arrays()
-    velocity = [np.zeros_like(p) for p in params]
+    flat = _bind_flat(model)
+    velocity = np.zeros_like(flat)
+    grad = np.empty_like(flat)
+    lr, mu = config.learning_rate, config.momentum
     rng = np.random.default_rng(config.seed)
     curve = LossCurve(validation=[] if validation is not None else None)
     best_val = np.inf
     stale = 0
 
+    def update(x, t, epoch):
+        loss, grads = model.batch_loss_and_grads(x, t)
+        if not math.isfinite(loss):
+            raise TrainingDivergedError(epoch)
+        np.concatenate([g.ravel() for g in grads], out=grad)
+        sgd_momentum_step(flat, grad, velocity, lr, mu)
+        if not np.isfinite(flat).all():
+            raise TrainingDivergedError(epoch, "parameters")
+        return loss
+
     for epoch in range(1, config.epochs + 1):
         if config.update_mode == "full-batch":
-            loss, grads = model.batch_loss_and_grads(X, T)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(epoch)
-            params, velocity = sgd_momentum_step(
-                params, grads, velocity, config.learning_rate, config.momentum
-            )
-            model.set_param_arrays(params)
-            epoch_loss = loss
+            epoch_loss = update(X, T, epoch)
         else:
-            losses = []
-            for i in rng.permutation(len(X)):
-                loss, grads = model.batch_loss_and_grads(X[i : i + 1], T[i : i + 1])
-                if not np.isfinite(loss):
-                    raise TrainingDivergedError(epoch)
-                params, velocity = sgd_momentum_step(
-                    params, grads, velocity, config.learning_rate, config.momentum
-                )
-                model.set_param_arrays(params)
-                losses.append(loss)
+            losses = [update(X[i : i + 1], T[i : i + 1], epoch)
+                      for i in rng.permutation(len(X))]
             epoch_loss = float(np.mean(losses))
         curve.train.append(epoch_loss)
 

@@ -24,6 +24,7 @@ from .metrics import (
     ConfusionMatrix,
 )
 from .models import NarxModel, decode_subtypes, encode_targets
+from .nncore import NumericError
 from .preprocess import encode_batch
 from .records import AnemiaLabel, check_record
 from .serialize import ModelBundle
@@ -34,6 +35,10 @@ REPORT_FORMATS = ("text", "json", "csv")
 #: activations and sigmoid's temporaries of every row at once; blocks of
 #: this size bound that memory while the per-call overhead stays negligible.
 FORWARD_BLOCK_ROWS = 1024
+
+
+class NonFiniteOutputError(NumericError):
+    """A network produced a non-finite output where a verdict was due."""
 
 
 @dataclass
@@ -265,25 +270,42 @@ def _bundle_outputs(bundle: ModelBundle, records, targets=None) -> np.ndarray:
     return outputs
 
 
+def _finite_outputs(bundle: ModelBundle, records, targets) -> np.ndarray:
+    """_bundle_outputs, raising NonFiniteOutputError if any row is not finite."""
+    outputs = _bundle_outputs(bundle, records, targets)
+    bad = int(np.count_nonzero(~np.isfinite(outputs).all(axis=1)))
+    if bad:
+        raise NonFiniteOutputError(
+            f"model {bundle.identity} gave non-finite outputs on {bad} of {len(outputs)} rows"
+        )
+    return outputs
+
+
 def evaluate_diagnosis(diag: ModelBundle, labeled, threshold: float = 0.5) -> ConfusionMatrix:
-    """2x2 confusion matrix of the binary stage over labeled records."""
+    """2x2 confusion matrix of the binary stage over labeled records.
+
+    Raises NonFiniteOutputError if any raw output is not finite.
+    """
     if diag.output_encoding != "binary1":
         raise ValueError("diagnosis evaluation requires a binary1 model")
     check_threshold(threshold)
     targets = encode_targets([item.label for item in labeled], "binary1")
-    outputs = _bundle_outputs(diag, labeled, targets)
+    outputs = _finite_outputs(diag, labeled, targets)
     truths = [DIAGNOSIS_LABELS[int(item.label.is_anemic)] for item in labeled]
     preds = [DIAGNOSIS_LABELS[p] for p in (outputs[:, 0] >= threshold).tolist()]
     return ConfusionMatrix.from_pairs(truths, preds, DIAGNOSIS_LABELS)
 
 
 def evaluate_classification(clf: ModelBundle, labeled) -> ConfusionMatrix:
-    """3x3 confusion matrix of the subtype stage over the anemic records."""
+    """3x3 confusion matrix of the subtype stage over the anemic records.
+
+    Raises NonFiniteOutputError if any raw output is not finite.
+    """
     if clf.output_encoding not in ("onehot3", "banded1"):
         raise ValueError("classification evaluation requires an onehot3 or banded1 model")
     anemic = [item for item in labeled if item.label.is_anemic]
     targets = encode_targets([item.label for item in anemic], clf.output_encoding)
-    outputs = _bundle_outputs(clf, anemic, targets)
+    outputs = _finite_outputs(clf, anemic, targets)
     truths = [item.label.value for item in anemic]
     preds = [label.value for label in decode_subtypes(outputs, clf.output_encoding)]
     return ConfusionMatrix.from_pairs(truths, preds, SUBTYPE_LABELS)

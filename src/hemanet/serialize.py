@@ -67,9 +67,16 @@ def _layer_doc(layer: LayerParams) -> dict:
     return {"weights": layer.weights.tolist(), "biases": layer.biases.tolist()}
 
 
-def _layer_from_doc(doc) -> LayerParams:
-    return LayerParams(np.array(doc["weights"], dtype=float),
-                       np.array(doc["biases"], dtype=float))
+def _finite(value, what: str) -> np.ndarray:
+    array = np.array(value, dtype=float)
+    if not np.isfinite(array).all():
+        raise ModelFormatError(f"non-finite values in {what}")
+    return array
+
+
+def _layer_from_doc(doc, what: str) -> LayerParams:
+    return LayerParams(_finite(doc["weights"], f"{what} weights"),
+                       _finite(doc["biases"], f"{what} biases"))
 
 
 def bundle_to_doc(bundle: ModelBundle) -> dict:
@@ -113,6 +120,11 @@ def bundle_to_doc(bundle: ModelBundle) -> dict:
 
 
 def bundle_from_doc(doc: dict, source: str | None = None) -> ModelBundle:
+    """Rebuild a bundle from a model document.
+
+    Raises only ModelFormatError, whatever the document holds; every weight
+    and normalizer bound must be finite.
+    """
     try:
         version = str(doc["version"])
         family = doc["family"]
@@ -133,39 +145,41 @@ def bundle_from_doc(doc: dict, source: str | None = None) -> ModelBundle:
             f"{_SUPPORTED_MAJOR}; upgrade to read it"
         )
 
-    preset = spec_doc.get("preset")
-    if preset in FEATURE_PRESETS:
-        spec = FEATURE_PRESETS[preset]
-        if tuple(spec_doc["features"]) != spec.names:
-            raise ModelFormatError(f"feature list does not match preset {preset!r}")
-    else:
-        spec = FeatureSpec(tuple(spec_doc["features"]), preset=preset)
-
-    normalizer = Normalizer(
-        mins=np.array(norm_doc["mins"], dtype=float),
-        maxs=np.array(norm_doc["maxs"], dtype=float),
-    )
-    if len(layer_docs) != 2:
-        raise ModelFormatError(f"expected 2 layers, found {len(layer_docs)}")
-
     try:
+        preset = spec_doc.get("preset")
+        if preset in FEATURE_PRESETS:
+            spec = FEATURE_PRESETS[preset]
+            if tuple(spec_doc["features"]) != spec.names:
+                raise ModelFormatError(f"feature list does not match preset {preset!r}")
+        else:
+            spec = FeatureSpec(tuple(spec_doc["features"]), preset=preset)
+
+        normalizer = Normalizer(
+            mins=_finite(norm_doc["mins"], "normalizer mins"),
+            maxs=_finite(norm_doc["maxs"], "normalizer maxs"),
+        )
+        if len(layer_docs) != 2:
+            raise ModelFormatError(f"expected 2 layers, found {len(layer_docs)}")
+
         if family == "ffnn":
-            net = FfnnModel(_layer_from_doc(layer_docs[0]), _layer_from_doc(layer_docs[1]))
+            net = FfnnModel(_layer_from_doc(layer_docs[0], "hidden layer"),
+                            _layer_from_doc(layer_docs[1], "output layer"))
         elif family == "elman":
             recurrent = doc.get("recurrent") or {}
             net = ElmanModel(
-                wx=np.array(layer_docs[0]["weights"], dtype=float),
-                wh=np.array(recurrent["weights"], dtype=float),
-                b1=np.array(layer_docs[0]["biases"], dtype=float),
-                w2=np.array(layer_docs[1]["weights"], dtype=float),
-                b2=np.array(layer_docs[1]["biases"], dtype=float),
+                wx=_finite(layer_docs[0]["weights"], "hidden layer weights"),
+                wh=_finite(recurrent["weights"], "recurrent weights"),
+                b1=_finite(layer_docs[0]["biases"], "hidden layer biases"),
+                w2=_finite(layer_docs[1]["weights"], "output layer weights"),
+                b2=_finite(layer_docs[1]["biases"], "output layer biases"),
                 feature_count=len(spec),
                 mode=recurrent.get("mode", "single-step"),
-                context_init=float(recurrent.get("context_init", 0.5)),
+                context_init=float(_finite(recurrent.get("context_init", 0.5), "context_init")),
             )
         elif family == "narx":
             delays = doc.get("delays") or {}
-            core = FfnnModel(_layer_from_doc(layer_docs[0]), _layer_from_doc(layer_docs[1]))
+            core = FfnnModel(_layer_from_doc(layer_docs[0], "hidden layer"),
+                             _layer_from_doc(layer_docs[1], "output layer"))
             net = NarxModel(
                 core,
                 feature_count=len(spec),
@@ -175,12 +189,7 @@ def bundle_from_doc(doc: dict, source: str | None = None) -> ModelBundle:
             )
         else:
             raise ModelFormatError(f"unknown model family {family!r}")
-    except ModelFormatError:
-        raise
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ModelFormatError(f"inconsistent model file: {exc}") from None
 
-    try:
         return ModelBundle(
             family=family,
             net=net,
@@ -190,23 +199,30 @@ def bundle_from_doc(doc: dict, source: str | None = None) -> ModelBundle:
             train_meta=doc.get("train_meta") or {},
             source=source,
         )
-    except ValueError as exc:
+    except ModelFormatError:
+        raise
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"inconsistent model file: {exc}") from None
 
 
+def _reject_constant(token: str):
+    raise ModelFormatError(f"non-finite number {token} in model file")
+
+
 def save_model(bundle: ModelBundle, path) -> None:
-    doc = bundle_to_doc(bundle)
+    """Write the bundle as JSON; raises ValueError, writing nothing, if any
+    number in it is not finite."""
+    text = json.dumps(bundle_to_doc(bundle), indent=1, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
     bundle.source = str(path)
 
 
 def load_model(path) -> ModelBundle:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+            doc = json.load(fh, parse_constant=_reject_constant)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"{path}: not a valid model file ({exc})") from None
     if not isinstance(doc, dict):
         raise ModelFormatError(f"{path}: expected a JSON object")

@@ -7,9 +7,10 @@ import pytest
 from hemanet import cli
 from hemanet.cli import fit_stage
 from hemanet.dataio import load_csv, save_unlabeled_csv
+from hemanet.models import ElmanModel, FfnnModel, NarxModel
 from hemanet.nncore import TrainConfig, TrainingDivergedError
 from hemanet.records import AnemiaLabel, rule_label
-from hemanet.serialize import load_model, save_model
+from hemanet.serialize import bundle_to_doc, load_model, save_model
 
 
 def synth_file(tmp_path, name="data.csv", n=100, mix="18,26,26,30", seed=5):
@@ -311,25 +312,68 @@ class TestThresholdFlag:
         assert cli.main(["compare", "--data", str(data), "--threshold", value]) == 2
 
 
-def test_predict_with_non_finite_model_reports_errors(tmp_path, trained_models):
+def test_predict_with_non_finite_model_reports_errors(tmp_path, trained_models, capsys):
+    # The loader refuses a model file holding NaN, so predict stops with a
+    # data error before any verdict; in-memory non-finite outputs become
+    # error entries (tests/test_pipeline.py::TestNonFiniteOutputs).
     data, _, clf = trained_models
     records = load_csv(data)
     config = TrainConfig(epochs=5, hidden_size=4)
     bundle, _ = fit_stage(records, "elman", "diagnosis", config)
     bundle.net.wh[0, 0] = np.nan
     diag = tmp_path / "nan_diag.json"
-    save_model(bundle, diag)
+    diag.write_text(json.dumps(bundle_to_doc(bundle)))
     unlabeled = tmp_path / "unlabeled.csv"
     save_unlabeled_csv([item.record for item in records], unlabeled)
     out = tmp_path / "report.json"
+    capsys.readouterr()
     assert cli.main([
         "predict", "--diagnosis", str(diag), "--classify", str(clf),
         "--data", str(unlabeled), "--format", "json", "--deterministic", "-o", str(out),
-    ]) == 0
-    patients = json.loads(out.read_text())["patients"]
-    assert len(patients) == len(records)
-    assert all(p.get("error") == "non-finite diagnosis output" for p in patients)
-    assert not any("verdict" in p for p in patients)
+    ]) == 3
+    assert "non-finite number NaN" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_with_non_finite_outputs_is_numeric_failure(tmp_path, trained_models,
+                                                         monkeypatch, capsys):
+    data, _, _ = trained_models
+    records = load_csv(data)
+    bundle, _ = fit_stage(records, "elman", "diagnosis", TrainConfig(epochs=5, hidden_size=4))
+    path = tmp_path / "elman_diag.json"
+    save_model(bundle, path)
+
+    def load_with_nan(p):
+        loaded = load_model(p)
+        loaded.net.wh[0, 0] = np.nan
+        return loaded
+
+    monkeypatch.setattr(cli, "load_model", load_with_nan)
+    capsys.readouterr()
+    assert cli.main(["eval", "-m", str(path), "--data", str(data)]) == 4
+    err = capsys.readouterr().err
+    assert f"elman:{path}" in err and f"on {len(records)} of {len(records)} rows" in err
+
+
+@pytest.mark.parametrize("update_mode", ["full-batch", "per-sample"])
+@pytest.mark.parametrize("family", ["ffnn", "elman", "narx"])
+def test_train_parameter_divergence_is_numeric_failure(tmp_path, monkeypatch, capsys,
+                                                       family, update_mode):
+    # A finite loss with an infinite gradient: the parameters, not the loss,
+    # go non-finite, and no model file is written.
+    def inf_grads(self, X, T):
+        return 0.25, [np.full(p.shape, np.inf) for p in self.param_arrays()]
+
+    cls = {"ffnn": FfnnModel, "elman": ElmanModel, "narx": NarxModel}[family]
+    monkeypatch.setattr(cls, "batch_loss_and_grads", inf_grads)
+    data = synth_file(tmp_path, n=20, mix="4,4,4,8", seed=3)
+    out = tmp_path / "model.json"
+    assert cli.main([
+        "train", "--data", str(data), "--family", family, "--stage", "diagnosis",
+        "--epochs", "3", "--hidden", "4", "--update-mode", update_mode, "-o", str(out),
+    ]) == 4
+    assert "non-finite parameters at epoch 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestGradcheck:

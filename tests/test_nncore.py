@@ -19,7 +19,7 @@ from hemanet.nncore import (
     sigmoid_prime,
     train_loop,
 )
-from hemanet.models import build_ffnn
+from hemanet.models import build_ffnn, build_model
 
 
 class TestSigmoid:
@@ -206,30 +206,29 @@ class TestBackprop:
 
 class TestSgdMomentum:
     def test_zero_momentum_is_plain_gradient_descent(self):
-        params, vel = [np.array([1.0])], [np.array([0.0])]
-        new_params, new_vel = sgd_momentum_step(params, [np.array([0.5])], vel, 0.1, 0.0)
-        assert new_params[0][0] == pytest.approx(0.95)
+        params, vel = np.array([1.0]), np.array([0.0])
+        sgd_momentum_step(params, np.array([0.5]), vel, 0.1, 0.0)
+        assert params[0] == pytest.approx(0.95)
 
     def test_zero_gradient_zero_velocity_is_identity(self):
-        params = [np.array([1.0, -2.0])]
-        new_params, new_vel = sgd_momentum_step(
-            params, [np.zeros(2)], [np.zeros(2)], 0.1, 0.9
-        )
-        np.testing.assert_array_equal(new_params[0], params[0])
-        np.testing.assert_array_equal(new_vel[0], 0.0)
+        params = np.array([1.0, -2.0])
+        vel = np.zeros(2)
+        sgd_momentum_step(params, np.zeros(2), vel, 0.1, 0.9)
+        np.testing.assert_array_equal(params, [1.0, -2.0])
+        np.testing.assert_array_equal(vel, 0.0)
 
     def test_two_step_velocity_recurrence(self):
         # mu=0.9, eta=0.1, g=1: v1 = -0.1, v2 = 0.9*(-0.1) - 0.1 = -0.19
-        params, vel = [np.array([0.0])], [np.array([0.0])]
-        g = [np.array([1.0])]
-        params, vel = sgd_momentum_step(params, g, vel, 0.1, 0.9)
-        assert vel[0][0] == pytest.approx(-0.1)
-        params, vel = sgd_momentum_step(params, g, vel, 0.1, 0.9)
-        assert vel[0][0] == pytest.approx(-0.19)
+        params, vel = np.array([0.0]), np.array([0.0])
+        g = np.array([1.0])
+        sgd_momentum_step(params, g, vel, 0.1, 0.9)
+        assert vel[0] == pytest.approx(-0.1)
+        sgd_momentum_step(params, g, vel, 0.1, 0.9)
+        assert vel[0] == pytest.approx(-0.19)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            sgd_momentum_step([np.zeros(2)], [np.zeros(3)], [np.zeros(2)], 0.1, 0.9)
+            sgd_momentum_step(np.zeros(2), np.zeros(3), np.zeros(2), 0.1, 0.9)
 
 
 class _OneLayerModel:
@@ -367,6 +366,39 @@ class TestTrainLoop:
         for a, b in zip(net.param_arrays(), reference.param_arrays()):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("update_mode", ["full-batch", "per-sample"])
+    @pytest.mark.parametrize("family", ["ffnn", "elman", "narx"])
+    def test_momentum_identical_to_list_based_reference(self, family, update_mode):
+        # The flat in-place step does the same elementwise operations as the
+        # list-based mu*v - lr*g, p + v, so parameters and losses match bit for bit.
+        X, T = _toy_problem()
+        config = TrainConfig(epochs=8 if update_mode == "per-sample" else 40,
+                             momentum=0.9, update_mode=update_mode, seed=3)
+        net = build_model(family, 3, 5, 1, seed=4)
+        _, curve = train_loop(net, net.prepare_training(X, T), config=config)
+
+        reference = build_model(family, 3, 5, 1, seed=4)
+        Xp, Tp = reference.prepare_training(X, T)
+        lr, mu = config.learning_rate, config.momentum
+        velocity = [np.zeros_like(p) for p in reference.param_arrays()]
+        rng = np.random.default_rng(config.seed)
+        losses = []
+        for _ in range(config.epochs):
+            rows = ([slice(None)] if update_mode == "full-batch"
+                    else [slice(i, i + 1) for i in rng.permutation(len(Xp))])
+            epoch = []
+            for row in rows:
+                loss, grads = reference.batch_loss_and_grads(Xp[row], Tp[row])
+                velocity = [mu * v - lr * g for v, g in zip(velocity, grads)]
+                reference.set_param_arrays(
+                    [p + v for p, v in zip(reference.param_arrays(), velocity)]
+                )
+                epoch.append(loss)
+            losses.append(float(np.mean(epoch)))
+        np.testing.assert_array_equal(curve.train, losses)
+        for a, b in zip(net.param_arrays(), reference.param_arrays()):
+            np.testing.assert_array_equal(a, b)
+
     def test_validation_curve_and_patience(self):
         X, T = _toy_problem(1, n=60)
         net = build_ffnn(3, 6, 1, seed=4)
@@ -414,6 +446,22 @@ class TestTrainLoop:
             train_loop(net, (X, T), config=TrainConfig(epochs=10))
         assert exc.value.epoch == 1
         assert "epoch 1" in str(exc.value)
+
+    @pytest.mark.parametrize("update_mode", ["full-batch", "per-sample"])
+    @pytest.mark.parametrize("family", ["ffnn", "elman", "narx"])
+    def test_non_finite_parameters_abort(self, monkeypatch, family, update_mode):
+        # A finite loss with an infinite gradient drives a parameter to -inf.
+        def inf_grads(self, X, T):
+            return 0.25, [np.full(p.shape, np.inf) for p in self.param_arrays()]
+
+        net = build_model(family, 3, 4, 1, seed=1)
+        monkeypatch.setattr(type(net), "batch_loss_and_grads", inf_grads)
+        X, T = _toy_problem()
+        config = TrainConfig(epochs=3, update_mode=update_mode)
+        with pytest.raises(TrainingDivergedError) as exc:
+            train_loop(net, net.prepare_training(X, T), config=config)
+        assert exc.value.epoch == 1
+        assert "non-finite parameters at epoch 1" in str(exc.value)
 
     def test_curve_csv_format(self):
         X, T = _toy_problem()

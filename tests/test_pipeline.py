@@ -13,6 +13,7 @@ from hemanet.nncore import LayerParams, TrainConfig
 from hemanet.models import FfnnModel
 from hemanet.pipeline import (
     DiagnosisResult,
+    NonFiniteOutputError,
     classify,
     diagnose,
     emit_reports,
@@ -264,6 +265,17 @@ class TestNonFiniteOutputs:
         assert reports[0].verdict is None and reports[0].subtype is None
         assert reports[0].raw_diagnosis is None and reports[0].raw_classify is None
         assert reports[1].verdict == 0 and reports[1].error is None
+
+    def test_evaluation_refuses_non_finite_outputs(self):
+        # eval and compare must not score a NaN output as healthy.
+        labeled = synth_generate(12, {AnemiaLabel.MICROCYTIC: 5,
+                                      AnemiaLabel.NON_ANEMIC: 7}, seed=42)
+        with pytest.raises(NonFiniteOutputError,
+                           match=r"elman:<memory>.* on 12 of 12 rows"):
+            evaluate_diagnosis(self._nan_elman(), labeled)
+        with pytest.raises(NonFiniteOutputError,
+                           match=r"elman:<memory>.* on 5 of 5 rows"):
+            evaluate_classification(self._nan_elman("onehot3"), labeled)
 
 
 class TestThreshold:

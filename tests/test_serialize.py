@@ -11,6 +11,7 @@ from hemanet.serialize import (
     FORMAT_VERSION,
     ModelBundle,
     ModelFormatError,
+    bundle_from_doc,
     bundle_to_doc,
     load_model,
     save_model,
@@ -161,3 +162,88 @@ def test_paper7_spec_round_trip(tmp_path):
     path = tmp_path / "model.json"
     save_model(bundle, path)
     assert load_model(path).feature_spec is PAPER7
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_tokens_refused(tmp_path, token):
+    path = tmp_path / "model.json"
+    save_model(_bundle("ffnn"), path)
+    text = path.read_text().replace("-2.0", token, 1)
+    path.write_text(text)
+    with pytest.raises(ModelFormatError, match=f"non-finite number {token}"):
+        load_model(path)
+
+
+def _set_first(doc, keys, value):
+    for key in keys[:-1]:
+        doc = doc[key]
+    target = doc[keys[-1]]
+    while isinstance(target[0], list):
+        target = target[0]
+    target[0] = value
+
+
+@pytest.mark.parametrize(
+    "family,keys",
+    [
+        ("elman", ("layers", 0, "weights")),
+        ("elman", ("recurrent", "weights")),
+        ("elman", ("layers", 0, "biases")),
+        ("elman", ("layers", 1, "weights")),
+        ("elman", ("layers", 1, "biases")),
+        ("ffnn", ("layers", 0, "weights")),
+        ("narx", ("layers", 1, "biases")),
+        ("ffnn", ("normalizer", "mins")),
+        ("ffnn", ("normalizer", "maxs")),
+    ],
+)
+def test_non_finite_values_refused(tmp_path, family, keys):
+    # 1e400 is valid JSON that parses to inf; NaN reaches bundle_from_doc
+    # from documents built in memory.
+    path = tmp_path / "model.json"
+    for value in ("1e400", "-1e400"):
+        doc = bundle_to_doc(_bundle(family))
+        _set_first(doc, keys, "@")
+        path.write_text(json.dumps(doc).replace('"@"', value))
+        with pytest.raises(ModelFormatError, match="non-finite values"):
+            load_model(path)
+    doc = bundle_to_doc(_bundle(family))
+    _set_first(doc, keys, float("nan"))
+    with pytest.raises(ModelFormatError, match="non-finite values"):
+        bundle_from_doc(doc)
+
+
+def test_save_refuses_non_finite_parameters(tmp_path):
+    bundle = _bundle("elman")
+    bundle.net.wh[0, 0] = np.nan
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError, match="JSON compliant"):
+        save_model(bundle, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("feature_spec", "x"),
+        ("feature_spec", {"preset": ["full9"], "features": []}),
+        ("feature_spec", {"preset": None, "features": 7}),
+        ("normalizer", [1]),
+        ("normalizer", {"mins": "abc", "maxs": [1.0]}),
+        ("normalizer", {"mins": [[1.0], [2.0, 3.0]], "maxs": [1.0]}),
+        ("layers", [1, 2]),
+        ("layers", [{"weights": [[1.0]], "biases": [0.0]}, {}]),
+        ("layers", "ab"),
+        ("recurrent", [1]),
+        ("delays", {"exogenous": 10 ** 400}),
+        ("output_encoding", ["binary1"]),
+    ],
+)
+def test_malformed_documents_raise_model_format_error(tmp_path, field, value):
+    family = "elman" if field == "recurrent" else "narx" if field == "delays" else "ffnn"
+    doc = bundle_to_doc(_bundle(family))
+    doc[field] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError):
+        load_model(path)
