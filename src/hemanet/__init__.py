@@ -12,6 +12,7 @@ from .records import (
     DEFAULT_RANGES,
     SUBTYPES,
     AnemiaLabel,
+    CbcColumns,
     CbcRecord,
     Gender,
     LabeledRecord,
@@ -21,6 +22,7 @@ from .records import (
     check_record,
     rule_label,
     validate_record,
+    validate_records,
 )
 from .synth import synth_generate
 from .dataio import (

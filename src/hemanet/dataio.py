@@ -1,20 +1,33 @@
 """CSV persistence for labeled and unlabeled CBC panels.
 
 Schema: ``age,gender,rbc,hgb,hct,mcv,mch,mchc,wbc,label`` with a required
-header; unlabeled prediction files simply omit the label column.  Floats
-are written with 6 significant digits, so one save/load round trip fixes
-the precision and every later round trip is exact.
+header; unlabeled prediction files simply omit the label column.  Columns
+are found by header name, so their order is free and extra ones are
+ignored.  Floats are written with 6 significant digits, so one save/load
+round trip fixes the precision and every later round trip is exact.
 """
 from __future__ import annotations
 
 import csv
+from operator import itemgetter
 
-from .records import AnemiaLabel, CbcRecord, Gender, LabeledRecord
+import numpy as np
+
+from .records import (
+    ANALYTES,
+    AnemiaLabel,
+    CbcColumns,
+    CbcRecord,
+    LabeledRecord,
+    age_column,
+    validate_records,
+)
 
 COLUMNS = ("age", "gender", "rbc", "hgb", "hct", "mcv", "mch", "mchc", "wbc")
 LABEL_COLUMN = "label"
 
-_FLOAT_FIELDS = ("rbc", "hgb", "hct", "mcv", "mch", "mchc", "wbc")
+#: Invalid rows named in a load_csv error message; the count covers the rest.
+MAX_ROWS_SHOWN = 10
 
 
 class CsvFormatError(ValueError):
@@ -43,72 +56,97 @@ def save_unlabeled_csv(records: list[CbcRecord], path) -> None:
 
 def _record_row(record: CbcRecord) -> list[str]:
     row = [str(record.age), record.gender.value]
-    row += [_fmt(getattr(record, name)) for name in _FLOAT_FIELDS]
+    row += [_fmt(getattr(record, name)) for name in ANALYTES]
     return row
 
 
 def load_csv(path) -> list[LabeledRecord]:
-    """Load a labeled dataset; every row must carry a recognizable label."""
-    rows, fieldnames = _read_rows(path)
-    _require_columns(path, fieldnames, COLUMNS + (LABEL_COLUMN,))
-    out = []
-    for i, row in enumerate(rows, start=1):
-        record = _parse_record(path, i, row)
-        token = (row[LABEL_COLUMN] or "").strip().lower()
-        try:
-            label = AnemiaLabel(token)
-        except ValueError:
-            raise CsvFormatError(
-                f"{path}: row {i}, column 'label': unknown label {row[LABEL_COLUMN]!r}"
-            ) from None
-        out.append(LabeledRecord(record, label))
-    return out
+    """Load a labeled dataset; every row must carry a recognizable label.
+
+    Every row must also pass validate_records: a labeled set trains and
+    scores models, so an implausible row is refused, not skipped.
+    """
+    batch, labels = _read_columns(path, COLUMNS + (LABEL_COLUMN,))
+    invalid = [(row, v) for row, v in enumerate(validate_records(batch), start=1) if v]
+    if invalid:
+        shown = ", ".join(f"row {row} ({'; '.join(v)})" for row, v in invalid[:MAX_ROWS_SHOWN])
+        more = len(invalid) - MAX_ROWS_SHOWN
+        raise CsvFormatError(
+            f"{path}: {len(invalid)} invalid row(s): {shown}"
+            + (f", and {more} more" if more > 0 else "")
+        )
+    return [LabeledRecord(r, label) for r, label in zip(batch.records(), labels)]
 
 
-def load_unlabeled_csv(path) -> list[CbcRecord]:
-    rows, fieldnames = _read_rows(path)
-    _require_columns(path, fieldnames, COLUMNS)
-    return [_parse_record(path, i, row) for i, row in enumerate(rows, start=1)]
+def load_unlabeled_csv(path) -> CbcColumns:
+    """Load records for screening as columns; rows are not validated here."""
+    batch, _ = _read_columns(path, COLUMNS)
+    return batch
 
 
-def _read_rows(path):
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-        fieldnames = reader.fieldnames
-    if fieldnames is None:
+_GENDER_CODES = {"male": 0, "female": 1}
+_LABELS = {label.value: label for label in AnemiaLabel}
+
+
+def _gender_code(cell) -> int:
+    return _GENDER_CODES[(cell or "").strip().lower()]
+
+
+def _label(cell) -> AnemiaLabel:
+    return _LABELS[(cell or "").strip().lower()]
+
+
+#: How each cell is read.  A cell missing from a short row is None, so it
+#: fails like a bad token.
+_PARSE = {"age": int, "gender": _gender_code, **dict.fromkeys(ANALYTES, float),
+          LABEL_COLUMN: _label}
+
+
+def _read_columns(path, columns):
+    """(CbcColumns, labels or None) of a CSV file, columns looked up by header.
+
+    Blank lines are skipped and rows are numbered from 1 after the header.
+    Cells are parsed a whole column at a time; if any fails, the first bad
+    cell in row-then-column order is reported.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = [row for row in reader if row]
+    except csv.Error as exc:
+        raise CsvFormatError(f"{path}: {exc}") from None
+    if header is None:
         raise CsvFormatError(f"{path}: empty file, expected a header row")
-    return rows, tuple(fieldnames)
-
-
-def _require_columns(path, fieldnames, expected):
-    missing = [c for c in expected if c not in fieldnames]
+    missing = [c for c in columns if c not in header]
     if missing:
         raise CsvFormatError(f"{path}: missing column(s): {', '.join(missing)}")
-
-
-def _parse_record(path, row_num, row) -> CbcRecord:
-    def bad(column, value):
-        return CsvFormatError(
-            f"{path}: row {row_num}, column '{column}': cannot parse {value!r}"
-        )
-
-    raw_age = row["age"]
+    position = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
+    width = max(position[c] for c in columns) + 1
+    rows = [row if len(row) >= width else row + [None] * (width - len(row)) for row in rows]
     try:
-        age = int(raw_age)
-    except (TypeError, ValueError):
-        raise bad("age", raw_age) from None
+        parsed = {c: list(map(_PARSE[c], map(itemgetter(position[c]), rows))) for c in columns}
+    except (KeyError, TypeError, ValueError):
+        raise _first_bad_cell(path, rows, columns, position) from None
+    analytes = np.empty((len(rows), len(ANALYTES)))
+    for column, name in enumerate(ANALYTES):
+        analytes[:, column] = parsed[name]
+    batch = CbcColumns(
+        age_column(parsed["age"]), np.array(parsed["gender"], dtype=np.int8), analytes
+    )
+    return batch, parsed.get(LABEL_COLUMN)
 
-    token = (row["gender"] or "").strip().lower()
-    try:
-        gender = Gender(token)
-    except ValueError:
-        raise bad("gender", row["gender"]) from None
 
-    values = {}
-    for name in _FLOAT_FIELDS:
-        try:
-            values[name] = float(row[name])
-        except (TypeError, ValueError):
-            raise bad(name, row[name]) from None
-    return CbcRecord(age=age, gender=gender, **values)
+def _first_bad_cell(path, rows, columns, position) -> CsvFormatError:
+    """The error for the first cell, in row-then-column order, that fails to parse."""
+    for row_num, row in enumerate(rows, start=1):
+        for name in columns:
+            cell = row[position[name]]
+            try:
+                _PARSE[name](cell)
+            except (KeyError, TypeError, ValueError):
+                problem = "unknown label" if name == LABEL_COLUMN else "cannot parse"
+                return CsvFormatError(
+                    f"{path}: row {row_num}, column '{name}': {problem} {cell!r}"
+                )
+    raise AssertionError("a column failed to parse but no cell does")

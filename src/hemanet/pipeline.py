@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -26,7 +27,7 @@ from .metrics import (
 from .models import NarxModel, decode_subtypes, encode_targets
 from .nncore import NumericError
 from .preprocess import encode_batch
-from .records import AnemiaLabel, check_record
+from .records import AnemiaLabel, CbcColumns, ValidationError, validate_records
 from .serialize import ModelBundle
 
 REPORT_FORMATS = ("text", "json", "csv")
@@ -71,17 +72,25 @@ def check_threshold(threshold: float) -> None:
 def diagnose(diag: ModelBundle, records, threshold: float = 0.5) -> list[DiagnosisResult]:
     """Binary anemic/healthy calls for a batch of records, in input order.
 
-    Every record is validated first.  A raw output at or above threshold is
-    positive; a non-finite raw output gets no verdict.
+    Every record is validated first; the first invalid one raises
+    ValidationError.  A raw output at or above threshold is positive; a
+    non-finite raw output gets no verdict.
     """
-    records = list(records)
-    for record in records:
-        check_record(record)
+    records = _valid_columns(records)
     raw, positive, finite = _diagnose(diag, records, threshold)
     return [
         DiagnosisResult(verdict=int(p) if f else None, raw=r, threshold=threshold)
         for r, p, f in zip(raw, positive, finite)
     ]
+
+
+def _valid_columns(records) -> CbcColumns:
+    """The records as columns; raises ValidationError for the first invalid one."""
+    batch = CbcColumns.of(records)
+    for violations in validate_records(batch):
+        if violations:
+            raise ValidationError(violations)
+    return batch
 
 
 def _diagnose(diag: ModelBundle, records, threshold: float):
@@ -102,7 +111,7 @@ def classify(clf: ModelBundle, records, diagnoses):
     diagnoses = list(diagnoses)
     if any(result.verdict != 1 for result in diagnoses):
         raise ValueError("classify called on a healthy verdict (pipeline contract violation)")
-    records = list(records)
+    records = CbcColumns.of(records)
     if len(records) != len(diagnoses):
         raise ValueError("diagnoses must align with records")
     return _classify(clf, records)
@@ -127,50 +136,54 @@ def run_pipeline(
 ) -> list[PatientReport]:
     """Diagnose every record, classify positives, and report in input order.
 
-    Each record is validated on its own; an invalid one becomes an error
-    entry.  The valid records go through one diagnosis pass and the
+    Records come as CbcColumns or as a sequence of CbcRecord.  They are
+    validated together; an invalid one becomes an error entry naming its
+    violations.  The valid records go through one diagnosis pass and the
     positives through one classification pass.  A row whose raw output is
     not finite becomes an error entry, never a verdict.
     """
     _reject_stream_bundles(diag, clf)
     check_threshold(threshold)
-    ids = list(ids) if ids is not None else list(range(len(records)))
-    if len(ids) != len(records):
+    batch = CbcColumns.of(records)
+    ids = list(ids) if ids is not None else list(range(len(batch)))
+    if len(ids) != len(batch):
         raise ValueError("ids must align with records")
     stamp = None if deterministic else _now()
     models = f"{diag.identity}|{clf.identity}"
     reports = [PatientReport(patient_id=pid, models=models, timestamp=stamp) for pid in ids]
-    valid_reports, valid_records = [], []
-    for report, record in zip(reports, records):
-        try:
-            check_record(record)
-        except ValueError as exc:
-            report.error = str(exc)
+    valid = []
+    for row, violations in enumerate(validate_records(batch)):
+        if violations:
+            reports[row].error = "; ".join(violations)
         else:
-            valid_reports.append(report)
-            valid_records.append(record)
+            valid.append(row)
+    _screen(diag, clf, batch, reports, valid, threshold)
+    return reports
 
-    raw, positive, finite = _diagnose(diag, valid_records, threshold)
-    positive_reports, positive_records = [], []
-    for report, record, r, p, f in zip(valid_reports, valid_records, raw, positive, finite):
+
+def _screen(diag, clf, batch: CbcColumns, reports, rows, threshold: float) -> None:
+    """Fill reports[row] for the given already-valid rows of the batch."""
+    raw, positive, finite = _diagnose(diag, batch.take(rows), threshold)
+    positives = []
+    for row, r, p, f in zip(rows, raw, positive, finite):
+        report = reports[row]
         if not f:
             report.error = "non-finite diagnosis output"
             continue
         report.verdict = int(p)
         report.raw_diagnosis = r
         if p:
-            positive_reports.append(report)
-            positive_records.append(record)
+            positives.append(row)
 
-    labels, raw = _classify(clf, positive_records)
-    for report, label, outputs in zip(positive_reports, labels, raw.tolist()):
+    labels, raw = _classify(clf, batch.take(positives))
+    for row, label, outputs in zip(positives, labels, raw.tolist()):
+        report = reports[row]
         if label is None:
             report.verdict = report.raw_diagnosis = None
             report.error = "non-finite classification output"
         else:
             report.subtype = label
             report.raw_classify = outputs
-    return reports
 
 
 def _now() -> str:
@@ -207,24 +220,22 @@ def emit_reports(
             lines.append(_text_line(r))
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        doc = {
-            "meta": {
-                "model_files": [str(m) for m in model_files],
-                "threshold": threshold,
-                **({"created": created} if created else {}),
-            },
-            "patients": [_patient_doc(r) for r in reports],
+        meta = {
+            "model_files": [str(m) for m in model_files],
+            "threshold": threshold,
+            **({"created": created} if created else {}),
         }
-        return json.dumps(doc, indent=1) + "\n"
+        return _render_json(meta, reports)
     out = io.StringIO()
     writer = csv.writer(out)
-    writer.writerow(["id", "verdict", "subtype", "raw_diagnosis"])
+    writer.writerow(["id", "verdict", "subtype", "raw_diagnosis", "error"])
     for r in reports:
         writer.writerow([
             r.patient_id,
             "" if r.verdict is None else r.verdict,
             r.subtype.value if r.subtype is not None else "",
             "" if r.raw_diagnosis is None else repr(r.raw_diagnosis),
+            "" if r.error is None else r.error,
         ])
     return out.getvalue()
 
@@ -235,6 +246,52 @@ def _text_line(r: PatientReport) -> str:
     if r.verdict == 0:
         return f"#{r.patient_id}: NON-ANEMIC (p={r.raw_diagnosis:.2f})"
     return f"#{r.patient_id}: {r.subtype.value.upper()} (p={r.raw_diagnosis:.2f})"
+
+
+def _render_json(meta: dict, reports) -> str:
+    """json.dumps({"meta": meta, "patients": [...]}, indent=1) + "\n", byte for byte.
+
+    With indent set, json.dumps runs its pure-Python encoder.  Here each
+    patient is written from a fixed template, with the scalars encoded as
+    json encodes them; json.dumps writes only the meta block and any
+    patient holding a value of another type.
+    """
+    head = '{\n "meta": ' + json.dumps(meta, indent=1).replace("\n", "\n ")
+    if not reports:
+        return head + ',\n "patients": []\n}\n'
+    patients = ",\n".join([_patient_json(r) for r in reports])
+    return head + ',\n "patients": [\n' + patients + '\n ]\n}\n'
+
+
+_json_str = json.encoder.encode_basestring_ascii  # json.dumps' string encoder
+_JSON_IDS = {int: int.__repr__, str: _json_str}
+_JSON_LABELS = {label: _json_str(label.value) for label in AnemiaLabel}
+
+
+def _json_float(value) -> str | None:
+    """The text json writes for a finite float, else None."""
+    return float.__repr__(value) if type(value) is float and math.isfinite(value) else None
+
+
+def _patient_json(r: PatientReport) -> str:
+    """_patient_doc(r) as json.dumps(..., indent=1) writes it two levels deep."""
+    encode_id = _JSON_IDS.get(type(r.patient_id))
+    if encode_id is not None and (r.error is None or type(r.error) is str):
+        pid = encode_id(r.patient_id)
+        if r.error is not None:
+            return f'  {{\n   "id": {pid},\n   "error": {_json_str(r.error)}\n  }}'
+        diagnosis = _json_float(r.raw_diagnosis)
+        if diagnosis is not None and type(r.verdict) is int and r.verdict in (0, 1):
+            head = (f'  {{\n   "id": {pid},\n   "verdict": {r.verdict},\n   "raw": {{\n'
+                    f'    "diagnosis": {diagnosis}')
+            if r.verdict == 0:
+                return head + "\n   }\n  }"
+            raw = r.raw_classify
+            outputs = list(map(_json_float, raw)) if type(raw) is list else []
+            if type(r.subtype) is AnemiaLabel and outputs and None not in outputs:
+                return (head + ',\n    "classify": [\n     ' + ",\n     ".join(outputs)
+                        + '\n    ]\n   },\n   "subtype": ' + _JSON_LABELS[r.subtype] + "\n  }")
+    return "  " + json.dumps(_patient_doc(r), indent=1).replace("\n", "\n  ")
 
 
 def _patient_doc(r: PatientReport) -> dict:
@@ -317,15 +374,24 @@ def evaluate_pipeline(
     labeled,
     threshold: float = 0.5,
 ) -> ConfusionMatrix:
-    """4x4 confusion matrix of the gated two-stage flow."""
+    """4x4 confusion matrix of the gated two-stage flow.
+
+    An invalid record raises ValidationError; a non-finite network output
+    raises NonFiniteOutputError.
+    """
     _reject_stream_bundles(diag, clf)
-    reports = run_pipeline(
-        diag, clf, [item.record for item in labeled], threshold, deterministic=True
-    )
+    check_threshold(threshold)
+    batch = _valid_columns(labeled)
+    reports = [PatientReport(patient_id=row) for row in range(len(batch))]
+    _screen(diag, clf, batch, reports, range(len(batch)), threshold)
+    failed = sum(r.error is not None for r in reports)
+    if failed:
+        raise NonFiniteOutputError(
+            f"models {diag.identity}|{clf.identity} gave non-finite outputs on "
+            f"{failed} of {len(reports)} rows"
+        )
     truths, preds = [], []
     for item, report in zip(labeled, reports):
-        if report.error is not None:
-            raise ValueError(f"record {report.patient_id} failed validation: {report.error}")
         truths.append(item.label.value)
         if report.verdict == 0:
             preds.append(AnemiaLabel.NON_ANEMIC.value)

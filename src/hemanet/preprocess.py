@@ -2,11 +2,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
-from .records import AnemiaLabel, CbcRecord, Gender, LabeledRecord
+from .records import ANALYTES, AnemiaLabel, CbcColumns, CbcRecord
 
 _ALLOWED_FEATURES = ("age", "gender", "rbc", "hgb", "hct", "mcv", "mch", "mchc", "wbc")
 
@@ -50,14 +49,19 @@ def encode(record: CbcRecord, spec: FeatureSpec = FULL9) -> np.ndarray:
 
 
 def encode_batch(records, spec: FeatureSpec = FULL9) -> np.ndarray:
-    """(N, F) raw feature matrix of records or labeled records, built column by column."""
-    records = [r.record if isinstance(r, LabeledRecord) else r for r in records]
-    matrix = np.empty((len(records), len(spec)))
+    """(N, F) raw feature matrix of CbcColumns or of (labeled) records.
+
+    Gender is encoded male=0, female=1.
+    """
+    batch = CbcColumns.of(records)
+    matrix = np.empty((len(batch), len(spec)))
     for column, name in enumerate(spec.names):
-        values = map(attrgetter(name), records)
-        if name == "gender":
-            values = (0.0 if g is Gender.MALE else 1.0 for g in values)
-        matrix[:, column] = np.fromiter(values, dtype=float, count=len(records))
+        if name == "age":
+            matrix[:, column] = batch.age
+        elif name == "gender":
+            matrix[:, column] = batch.gender
+        else:
+            matrix[:, column] = batch.analytes[:, ANALYTES.index(name)]
     return matrix
 
 
@@ -106,6 +110,9 @@ def fit_normalizer(train_vectors) -> Normalizer:
     matrix = np.asarray(train_vectors, dtype=float)
     if matrix.size == 0:
         raise ValueError("cannot fit a normalizer on empty training data")
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=0))
+    if bad.size:
+        raise ValueError(f"cannot fit a normalizer: column {bad[0]} has a non-finite value")
     return Normalizer(mins=matrix.min(axis=0), maxs=matrix.max(axis=0))
 
 

@@ -12,6 +12,9 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
+from operator import attrgetter
+
+import numpy as np
 
 
 class Gender(Enum):
@@ -168,6 +171,116 @@ def check_record(record: CbcRecord, bounds: dict | None = None) -> None:
     violations = validate_record(record, bounds)
     if violations:
         raise ValidationError(violations)
+
+
+@dataclass(frozen=True, eq=False)
+class CbcColumns:
+    """A batch of CBC panels held as columns, the form screening works on.
+
+    ``age`` is an int64 array; it holds Python objects instead when an age
+    does not fit int64 or is not an int.  ``gender`` is 0 for male, 1 for
+    female and -1 for a value that is not a Gender.  ``analytes`` is an
+    (N, 7) float matrix in ANALYTES order, NaN where a value is neither
+    an int nor a float.  Only in-memory records carry these odd cases.
+    """
+
+    age: np.ndarray
+    gender: np.ndarray
+    analytes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.gender)
+
+    @classmethod
+    def of(cls, records) -> "CbcColumns":
+        """The columns themselves, or those of a sequence of (labeled) records."""
+        if isinstance(records, cls):
+            return records
+        records = [r.record if isinstance(r, LabeledRecord) else r for r in records]
+        n = len(records)
+        genders = [0 if g is Gender.MALE else 1 if g is Gender.FEMALE else -1
+                   for g in map(attrgetter("gender"), records)]
+        analytes = np.empty((n, len(ANALYTES)))
+        for column, name in enumerate(ANALYTES):
+            values = list(map(attrgetter(name), records))
+            if not set(map(type, values)) <= {float, int}:
+                values = [v if isinstance(v, (int, float)) else math.nan for v in values]
+            analytes[:, column] = np.fromiter(values, float, n)
+        ages = age_column([r.age for r in records])
+        return cls(ages, np.array(genders, dtype=np.int8), analytes)
+
+    def take(self, rows) -> "CbcColumns":
+        """The batch of the given row indices, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return CbcColumns(self.age[rows], self.gender[rows], self.analytes[rows])
+
+    def records(self) -> list[CbcRecord]:
+        """One CbcRecord per row; every gender code must be 0 or 1."""
+        genders = {0: Gender.MALE, 1: Gender.FEMALE}
+        return [
+            CbcRecord(age, genders[code], *values)
+            for age, code, values in zip(
+                self.age.tolist(), self.gender.tolist(), self.analytes.tolist()
+            )
+        ]
+
+
+def age_column(ages: list) -> np.ndarray:
+    """Ages as int64, or as Python objects when one is not an int or exceeds int64."""
+    if set(map(type, ages)) <= {int}:
+        try:
+            return np.array(ages, dtype=np.int64)
+        except OverflowError:
+            pass
+    return np.fromiter(ages, dtype=object, count=len(ages))
+
+
+# validate_record's checks as columns: each analyte's DEFAULT_BOUNDS range
+# (hct's is the open (0, 100)) and the message of each check, in its order.
+_LOW = np.array([DEFAULT_BOUNDS.get(n, (-np.inf, np.inf))[0] for n in ANALYTES])
+_HIGH = np.array([DEFAULT_BOUNDS.get(n, (-np.inf, np.inf))[1] for n in ANALYTES])
+_HCT = ANALYTES.index("hct")
+_MESSAGES = ["age must be an integer", "age out of [0, 120]", "gender must be male or female"]
+_MESSAGES += [
+    message
+    for name, low, high in zip(ANALYTES, _LOW, _HIGH)
+    for message in (
+        f"{name} must be finite",
+        f"{name} must be positive",
+        "hct out of (0, 100)" if name == "hct" else f"{name} out of [{low:g}, {high:g}]",
+    )
+]
+
+
+def validate_records(records) -> list[list[str]]:
+    """validate_record for every row of a batch, computed column by column.
+
+    Accepts CbcColumns or a sequence of (labeled) records and returns, per
+    row, its violation strings under DEFAULT_BOUNDS in a fixed order: age,
+    gender, then each analyte's finiteness, sign and range.
+    """
+    batch = CbcColumns.of(records)
+    age, values = batch.age, batch.analytes
+    if age.dtype == object:
+        is_int = np.array([isinstance(a, int) and not isinstance(a, bool) for a in age], bool)
+        in_range = np.array([ok and 0 <= a <= 120 for a, ok in zip(age, is_int)], bool)
+    else:
+        is_int = np.ones(len(age), bool)
+        in_range = (age >= 0) & (age <= 120)
+    inside = (_LOW <= values) & (values <= _HIGH)
+    inside[:, _HCT] = values[:, _HCT] < 100
+    finite = np.isfinite(values)
+    positive = finite & (values > 0)
+    analyte_faults = np.stack([~finite, finite & ~positive, positive & ~inside], axis=2)
+    faults = np.concatenate([
+        np.stack([~is_int, is_int & ~in_range, batch.gender < 0], axis=1),
+        analyte_faults.reshape(len(batch), 3 * len(ANALYTES)),
+    ], axis=1)
+    out = [[] for _ in range(len(batch))]
+    rows, checks = np.nonzero(faults)
+    for row, check in zip(rows.tolist(), checks.tolist()):
+        out[row].append(_MESSAGES[check])
+    return out
 
 
 def rule_label(

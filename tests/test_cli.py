@@ -1,15 +1,19 @@
 """CLI surface: subcommands, exit codes, and reproducibility."""
+import csv
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hemanet import cli
 from hemanet.cli import fit_stage
 from hemanet.dataio import load_csv, save_unlabeled_csv
 from hemanet.models import ElmanModel, FfnnModel, NarxModel
 from hemanet.nncore import TrainConfig, TrainingDivergedError
-from hemanet.records import AnemiaLabel, rule_label
+from hemanet.records import AnemiaLabel, CbcRecord, Gender, rule_label, validate_record
 from hemanet.serialize import bundle_to_doc, load_model, save_model
 
 
@@ -266,7 +270,7 @@ class TestPredict:
             "--data", str(unlabeled), "--format", "csv",
         ]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "id,verdict,subtype,raw_diagnosis"
+        assert lines[0] == "id,verdict,subtype,raw_diagnosis,error"
         assert len(lines) == 121
 
     def test_timestamp_present_without_deterministic(self, tmp_path, trained_models, capsys):
@@ -353,6 +357,121 @@ def test_eval_with_non_finite_outputs_is_numeric_failure(tmp_path, trained_model
     assert cli.main(["eval", "-m", str(path), "--data", str(data)]) == 4
     err = capsys.readouterr().err
     assert f"elman:{path}" in err and f"on {len(records)} of {len(records)} rows" in err
+
+
+def test_predict_csv_names_the_error(tmp_path, trained_models, capsys):
+    data, diag, clf = trained_models
+    unlabeled = tmp_path / "unlabeled.csv"
+    records = [item.record for item in load_csv(data)][:3]
+    records[1] = CbcRecord(**{**records[1].__dict__, "hgb": float("nan"), "age": 300})
+    save_unlabeled_csv(records, unlabeled)
+    capsys.readouterr()
+    assert cli.main(["predict", "--diagnosis", str(diag), "--classify", str(clf),
+                     "--data", str(unlabeled), "--format", "csv"]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert rows[0] == ["id", "verdict", "subtype", "raw_diagnosis", "error"]
+    assert rows[2] == ["1", "", "", "", "age out of [0, 120]; hgb must be finite"]
+    assert rows[1][4] == rows[3][4] == "" and rows[1][1] in ("0", "1")
+
+
+def _paper_mix_file(tmp_path, edit=None):
+    """synth -n 230 --seed 7 with the paper's class mix; ``edit`` = (row, column, cell)."""
+    path = synth_file(tmp_path, "paper.csv", n=230, mix="41,62,61,66", seed=7)
+    if edit is not None:
+        rows = list(csv.reader(path.read_text().splitlines()))
+        row, column, cell = edit
+        rows[row][rows[0].index(column)] = cell
+        path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("column,cell,violation", [
+    ("mcv", "1e9", "mcv out of [50, 150]"),
+    ("hgb", "nan", "hgb must be finite"),
+])
+def test_implausible_labeled_row_is_a_data_error(tmp_path, trained_models, capsys,
+                                                 column, cell, violation):
+    # Before labeled rows were validated, mcv=1e9 trained and compared with
+    # exit 0, and hgb=nan trained every epoch or exited 4.
+    _, diag, _ = trained_models
+    path = _paper_mix_file(tmp_path, (17, column, cell))
+    commands = [
+        ["train", "--data", str(path), "--family", "ffnn", "--stage", "diagnosis",
+         "--epochs", "3", "-o", str(tmp_path / "m.json")],
+        ["compare", "--data", str(path), "--epochs", "3"],
+        ["eval", "-m", str(diag), "--data", str(path)],
+    ]
+    capsys.readouterr()
+    for argv in commands:
+        assert cli.main(argv) == 3, argv[0]
+        assert f"1 invalid row(s): row 17 ({violation})" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+TOKENS = ["nan", "inf", "-inf", "1e308", "-5", "0", "", "4_2", "robot", "sideways",
+          "male", "microcytic", "60", "13.5"]
+
+
+def _expected_faults(row):
+    """(record cells unparsable, record invalid, labeled row refused) for one CSV row."""
+    try:
+        record = CbcRecord(int(row[0]), Gender(row[1].strip().lower()),
+                           *(float(cell) for cell in row[2:9]))
+    except ValueError:
+        return True, True, True
+    invalid = bool(validate_record(record))
+    label_fault = row[9].strip().lower() not in {label.value for label in AnemiaLabel}
+    return False, invalid, invalid or label_fault
+
+
+@pytest.fixture(scope="module")
+def small_models(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("small")
+    data = synth_file(tmp_path, n=24, mix="4,6,6,8", seed=21)
+    models = []
+    for stage in ("diagnosis", "classify"):
+        models.append(tmp_path / f"{stage}.json")
+        assert cli.main(["train", "--data", str(data), "--family", "elman", "--stage", stage,
+                         "--epochs", "20", "--hidden", "4", "-o", str(models[-1])]) == 0
+    return data, *models
+
+
+@given(row=st.integers(0, 23), column=st.integers(0, 9), token=st.sampled_from(TOKENS))
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_one_bad_cell_never_gives_a_verdict_or_a_traceback(tmp_path, small_models, capsys,
+                                                           row, column, token):
+    data, diag, clf = small_models
+    rows = list(csv.reader(data.read_text().splitlines()))
+    rows[row + 1][column] = token
+    path = tmp_path / "mutated.csv"
+    path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+    unparsable, invalid, refused = _expected_faults(rows[row + 1])
+    out = tmp_path / "out.json"
+
+    code = cli.main(["predict", "--diagnosis", str(diag), "--classify", str(clf),
+                     "--data", str(path), "--format", "json", "--deterministic",
+                     "-o", str(out)])
+    if unparsable:
+        assert code == 3
+    else:
+        assert code == 0
+        patients = json.loads(out.read_text())["patients"]
+        assert len(patients) == 24
+        for i, patient in enumerate(patients):
+            if i == row and invalid:
+                assert "verdict" not in patient and patient["error"]
+            else:
+                assert "error" not in patient
+                raw = [patient["raw"]["diagnosis"], *patient["raw"].get("classify", [])]
+                assert all(math.isfinite(v) for v in raw)
+
+    for argv in (["eval", "-m", str(diag), "-m", str(clf), "--data", str(path),
+                  "-o", str(tmp_path / "eval.txt")],
+                 ["train", "--data", str(path), "--family", "narx", "--stage", "classify",
+                  "--epochs", "3", "--hidden", "3", "-o", str(tmp_path / "m.json")]):
+        assert cli.main(argv) == (3 if refused else 0), argv[0]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("update_mode", ["full-batch", "per-sample"])

@@ -1,14 +1,21 @@
 """CSV schema, parse errors, and exact round trips."""
+import csv
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hemanet.dataio import (
+    COLUMNS,
+    LABEL_COLUMN,
+    MAX_ROWS_SHOWN,
     CsvFormatError,
     load_csv,
     load_unlabeled_csv,
     save_csv,
     save_unlabeled_csv,
 )
-from hemanet.records import AnemiaLabel
+from hemanet.records import AnemiaLabel, CbcRecord, Gender, LabeledRecord, validate_record
 from hemanet.synth import synth_generate
 
 HEADER = "age,gender,rbc,hgb,hct,mcv,mch,mchc,wbc,label"
@@ -83,7 +90,7 @@ def test_unlabeled_round_trip(tmp_path):
     path = tmp_path / "unlabeled.csv"
     save_unlabeled_csv(records, path)
     assert path.read_text().splitlines()[0] == ",".join(HEADER.split(",")[:-1])
-    assert load_unlabeled_csv(path) == records
+    assert load_unlabeled_csv(path).records() == records
 
 
 def test_labeled_file_loads_as_unlabeled(tmp_path):
@@ -91,7 +98,7 @@ def test_labeled_file_loads_as_unlabeled(tmp_path):
     records = synth_generate(5, {AnemiaLabel.NON_ANEMIC: 5}, seed=6)
     path = tmp_path / "labeled.csv"
     save_csv(records, path)
-    assert load_unlabeled_csv(path) == [item.record for item in records]
+    assert load_unlabeled_csv(path).records() == [item.record for item in records]
 
 
 def test_unlabeled_file_rejected_by_labeled_loader(tmp_path):
@@ -106,3 +113,189 @@ def test_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(CsvFormatError, match="header"):
         load_csv(path)
+
+
+def test_invalid_labeled_rows_are_refused_with_row_numbers(tmp_path):
+    path = tmp_path / "implausible.csv"
+    bad = "40,female,4.5,nan,40,90,30,34,7,microcytic"
+    path.write_text(f"{HEADER}\n{ROW},non_anemic\n{bad}\n\n{ROW},non_anemic\n"
+                    "300,male,4.5,13.5,40,1e9,30,34,7,non_anemic\n")
+    with pytest.raises(CsvFormatError) as exc:
+        load_csv(path)
+    assert str(exc.value) == (
+        f"{path}: 2 invalid row(s): row 2 (hgb must be finite), "
+        "row 4 (age out of [0, 120]; mcv out of [50, 150])"
+    )
+
+
+def test_invalid_row_list_is_capped(tmp_path):
+    path = tmp_path / "many.csv"
+    rows = "".join(f"{ROW},non_anemic\n-1,male,4.5,13.5,40,90,30,34,7,non_anemic\n"
+                   for _ in range(MAX_ROWS_SHOWN + 3))
+    path.write_text(f"{HEADER}\n{rows}")
+    message = str(pytest.raises(CsvFormatError, load_csv, path).value)
+    assert message.startswith(f"{path}: {MAX_ROWS_SHOWN + 3} invalid row(s): row 2 (age ")
+    assert message.count("row ") == MAX_ROWS_SHOWN
+    assert message.endswith(", and 3 more")
+
+
+def test_unlabeled_loader_keeps_invalid_rows(tmp_path):
+    path = tmp_path / "unlabeled.csv"
+    path.write_text(f"{HEADER}\n300,male,4.5,13.5,40,1e9,30,34,7,x\n")
+    [record] = load_unlabeled_csv(path).records()
+    assert record.age == 300 and record.mcv == 1e9
+
+
+def test_csv_syntax_error_is_a_format_error(tmp_path):
+    path = tmp_path / "huge_field.csv"
+    path.write_text(f"{HEADER}\n{'9' * (csv.field_size_limit() + 1)},female\n")
+    with pytest.raises(CsvFormatError, match="field larger than field limit"):
+        load_unlabeled_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# The row-at-a-time loader that the columnar one replaced, kept as the
+# reference for its parsing semantics.
+
+
+def reference_rows(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+        fieldnames = reader.fieldnames
+    if fieldnames is None:
+        raise CsvFormatError(f"{path}: empty file, expected a header row")
+    return rows, tuple(fieldnames)
+
+
+def reference_require(path, fieldnames, expected):
+    missing = [c for c in expected if c not in fieldnames]
+    if missing:
+        raise CsvFormatError(f"{path}: missing column(s): {', '.join(missing)}")
+
+
+def reference_record(path, row_num, row):
+    def bad(column, value):
+        return CsvFormatError(f"{path}: row {row_num}, column '{column}': cannot parse {value!r}")
+
+    try:
+        age = int(row["age"])
+    except (TypeError, ValueError):
+        raise bad("age", row["age"]) from None
+    try:
+        gender = Gender((row["gender"] or "").strip().lower())
+    except ValueError:
+        raise bad("gender", row["gender"]) from None
+    values = {}
+    for name in COLUMNS[2:]:
+        try:
+            values[name] = float(row[name])
+        except (TypeError, ValueError):
+            raise bad(name, row[name]) from None
+    return CbcRecord(age=age, gender=gender, **values)
+
+
+def reference_unlabeled(path):
+    rows, fieldnames = reference_rows(path)
+    reference_require(path, fieldnames, COLUMNS)
+    return [reference_record(path, i, row) for i, row in enumerate(rows, start=1)]
+
+
+def reference_labeled(path):
+    """The old load_csv, which did not validate rows."""
+    rows, fieldnames = reference_rows(path)
+    reference_require(path, fieldnames, COLUMNS + (LABEL_COLUMN,))
+    out = []
+    for i, row in enumerate(rows, start=1):
+        record = reference_record(path, i, row)
+        try:
+            label = AnemiaLabel((row[LABEL_COLUMN] or "").strip().lower())
+        except ValueError:
+            raise CsvFormatError(
+                f"{path}: row {i}, column 'label': unknown label {row[LABEL_COLUMN]!r}"
+            ) from None
+        out.append(LabeledRecord(record, label))
+    return out
+
+
+def outcome(load, path):
+    """The loaded records as reprs (so NaN cells compare equal), or the error text."""
+    try:
+        return [repr(item) for item in load(path)]
+    except CsvFormatError as exc:
+        return str(exc)
+
+
+TOKENS = ["", " ", "nan", "inf", "-inf", "1e308", "1e400", "-3", "0", "4_2", "1_3.5", "4.5.6",
+          "0x10", "42.0", "99999999999999999999999", "male", "Female ", " MALE", "robot",
+          "Microcytic", "non_anemic ", "sideways", "\t7"]
+
+
+@st.composite
+def mutated_csv(draw):
+    """A small valid labeled CSV with a few edits of the kinds real files show."""
+    header = list(COLUMNS) + [LABEL_COLUMN]
+    rows = [["40", "female", "4.5", "13.5", "40", "90", "30", "34", "7", "non_anemic"],
+            ["67", "male", "3.9", "10.1", "33", "72", "23", "29", "6.1", "microcytic"],
+            ["25", "female", "3.1", "9.4", "34", "110", "36", "37", "8", "macrocytic"]]
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["token", "pad", "short", "long", "reorder", "extra",
+                                     "blank", "duplicate", "drop"]))
+        if kind in ("token", "pad", "short", "long") and not rows:
+            continue
+        r = draw(st.integers(0, len(rows) - 1)) if rows else 0
+        if kind == "token":
+            c = draw(st.integers(0, len(rows[r]) - 1)) if rows[r] else 0
+            if rows[r]:
+                rows[r][c] = draw(st.sampled_from(TOKENS))
+        elif kind == "pad" and rows[r]:
+            c = draw(st.integers(0, len(rows[r]) - 1))
+            rows[r][c] = draw(st.sampled_from([" ", "  ", "\t"])) + rows[r][c] + " "
+        elif kind == "short":
+            rows[r] = rows[r][:draw(st.integers(1, max(1, len(rows[r]) - 1)))]
+        elif kind == "long":
+            rows[r] = rows[r] + draw(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=2))
+        elif kind == "reorder":
+            order = draw(st.permutations(range(len(header))))
+            header = [header[i] for i in order]
+            rows = [[row[i] for i in order if i < len(row)] if len(row) >= len(order)
+                    else row for row in rows]
+        elif kind == "extra":
+            header = header + ["note"]
+            rows = [row + ["x"] for row in rows]
+        elif kind == "blank":
+            rows.insert(draw(st.integers(0, len(rows))), [])
+        elif kind == "duplicate":
+            header = header + [draw(st.sampled_from(header))]
+            rows = [row + [draw(st.sampled_from(TOKENS))] for row in rows]
+        elif kind == "drop":
+            header = [h for h in header if h != draw(st.sampled_from(header))]
+    return "\n".join(",".join(row) for row in [header] + rows) + "\n"
+
+
+class TestColumnarLoaderMatchesRowParser:
+    @given(mutated_csv())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_unlabeled(self, tmp_path, text):
+        path = tmp_path / "mutated.csv"
+        path.write_text(text, encoding="utf-8")
+        expected = outcome(reference_unlabeled, path)
+        got = outcome(lambda p: load_unlabeled_csv(p).records(), path)
+        assert got == expected
+
+    @given(mutated_csv())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_labeled(self, tmp_path, text):
+        path = tmp_path / "mutated.csv"
+        path.write_text(text, encoding="utf-8")
+        expected = outcome(reference_labeled, path)
+        got = outcome(load_csv, path)
+        parsed = reference_labeled(path) if isinstance(expected, list) else []
+        invalid = [n for n, item in enumerate(parsed, start=1) if validate_record(item.record)]
+        if invalid:
+            # The reference parsed the file; load_csv also refuses implausible rows.
+            assert got.startswith(f"{path}: {len(invalid)} invalid row(s): row {invalid[0]} (")
+        else:
+            assert got == expected

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_record
 from hemanet.cli import fit_stage
@@ -14,6 +16,7 @@ from hemanet.models import FfnnModel
 from hemanet.pipeline import (
     DiagnosisResult,
     NonFiniteOutputError,
+    PatientReport,
     classify,
     diagnose,
     emit_reports,
@@ -23,7 +26,7 @@ from hemanet.pipeline import (
     run_pipeline,
 )
 from hemanet.preprocess import FULL9, Normalizer, encode, encode_batch, split_dataset
-from hemanet.records import AnemiaLabel
+from hemanet.records import SUBTYPES, AnemiaLabel, CbcColumns, ValidationError
 from hemanet.serialize import ModelBundle
 from hemanet.synth import synth_generate
 
@@ -227,6 +230,15 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match="stream"):
             run_pipeline(diag, clf, [make_record()])
 
+    def test_columns_and_record_lists_screen_alike(self, trained):
+        diag, clf, split = trained
+        records = [item.record for item in split.test]
+        records[3] = make_record(hgb=float("nan"), age=300)
+        from_list = run_pipeline(diag, clf, records, deterministic=True)
+        from_columns = run_pipeline(diag, clf, CbcColumns.of(records), deterministic=True)
+        assert from_columns == from_list
+        assert from_list[3].error == "age out of [0, 120]; hgb must be finite"
+
     def test_deterministic_mode_suppresses_timestamps(self):
         diag = _constant_bundle([3.0])
         clf = _constant_bundle([1.0, 0.0, 0.0], out_dim=3, encoding="onehot3")
@@ -265,6 +277,15 @@ class TestNonFiniteOutputs:
         assert reports[0].verdict is None and reports[0].subtype is None
         assert reports[0].raw_diagnosis is None and reports[0].raw_classify is None
         assert reports[1].verdict == 0 and reports[1].error is None
+
+    def test_pipeline_evaluation_refuses_non_finite_outputs(self):
+        labeled = synth_generate(12, {AnemiaLabel.MICROCYTIC: 5,
+                                      AnemiaLabel.NON_ANEMIC: 7}, seed=42)
+        clf = _constant_bundle([0.0, 1.0, 0.0], out_dim=3, encoding="onehot3")
+        with pytest.raises(NonFiniteOutputError, match=r"elman:<memory>.* on 12 of 12 rows"):
+            evaluate_pipeline(self._nan_elman(), clf, labeled)
+        with pytest.raises(NonFiniteOutputError, match=r" on 5 of 12 rows"):
+            evaluate_pipeline(_hgb_gate_bundle(), self._nan_elman("onehot3"), labeled)
 
     def test_evaluation_refuses_non_finite_outputs(self):
         # eval and compare must not score a NaN output as healthy.
@@ -386,10 +407,10 @@ class TestEmitReports:
 
     def test_csv_format(self):
         lines = emit_reports(self._reports(), "csv").splitlines()
-        assert lines[0] == "id,verdict,subtype,raw_diagnosis"
-        assert lines[1].startswith("0,0,,")
-        assert lines[2].startswith("1,1,microcytic,")
-        assert lines[3] == "2,,,"
+        assert lines[0] == "id,verdict,subtype,raw_diagnosis,error"
+        assert lines[1].startswith("0,0,,") and lines[1].endswith(",")
+        assert lines[2].startswith("1,1,microcytic,") and lines[2].endswith(",")
+        assert lines[3] == "2,,,,hgb must be positive"
 
     def test_empty_reports_keep_header(self):
         text = emit_reports([], "text", model_files=["m.json"], threshold=0.4)
@@ -412,6 +433,67 @@ class TestEmitReports:
         a = emit_reports(run_pipeline(diag, clf, records, deterministic=True), "json")
         b = emit_reports(run_pipeline(diag, clf, records, deterministic=True), "json")
         assert a == b
+
+
+def reference_json(reports, model_files, threshold, created):
+    """The report as json.dumps writes it with indent=1."""
+    def patient(r):
+        if r.error is not None:
+            return {"id": r.patient_id, "error": r.error}
+        doc = {"id": r.patient_id, "verdict": r.verdict, "raw": {"diagnosis": r.raw_diagnosis}}
+        if r.verdict == 1:
+            doc["subtype"] = r.subtype.value
+            doc["raw"]["classify"] = r.raw_classify
+        return doc
+
+    meta = {"model_files": [str(m) for m in model_files], "threshold": threshold,
+            **({"created": created} if created else {})}
+    return json.dumps({"meta": meta, "patients": [patient(r) for r in reports]}, indent=1) + "\n"
+
+
+ids = st.one_of(
+    st.integers(0, 10**5), st.integers(), st.integers(-2**70, 2**70), st.booleans(),
+    st.text(), st.just('q"uote\\ \x00\x1f\u00e9\u2028\U0001f600'), st.floats(), st.none(),
+)
+probabilities = st.one_of(st.floats(0.0, 1.0), st.floats(), st.integers(0, 1))
+
+
+@st.composite
+def patient_reports(draw):
+    pid = draw(ids)
+    kind = draw(st.sampled_from(["error", "healthy", "onehot3", "banded1", "odd"]))
+    if kind == "error":
+        return PatientReport(pid, error=draw(st.text()))
+    report = PatientReport(pid, verdict=0, raw_diagnosis=draw(probabilities))
+    if kind == "healthy":
+        return report
+    report.verdict = 1 if kind != "odd" else draw(st.sampled_from([None, True, 2, 1.0]))
+    report.subtype = draw(st.sampled_from(SUBTYPES))
+    width = 1 if kind == "banded1" else draw(st.sampled_from([3, 0]) if kind == "odd" else st.just(3))
+    report.raw_classify = draw(st.lists(probabilities, min_size=width, max_size=width))
+    return report
+
+
+class TestJsonWriter:
+    @given(st.lists(patient_reports(), max_size=8), st.floats(0.0, 1.0),
+           st.one_of(st.none(), st.just(""), st.text()),
+           st.lists(st.text(max_size=6), max_size=2))
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_equal_json_dumps_indent_1(self, reports, threshold, created, files):
+        expected = reference_json(reports, files, threshold, created)
+        assert emit_reports(reports, "json", files, threshold, created) == expected
+
+    def test_empty_report(self):
+        for created in (None, "2026-01-01T00:00:00+00:00"):
+            assert emit_reports([], "json", ["d.json"], 0.5, created) == reference_json(
+                [], ["d.json"], 0.5, created)
+
+    def test_pipeline_reports(self, trained):
+        diag, clf, split = trained
+        records = [item.record for item in split.test] + [make_record(hgb=-1.0)]
+        reports = run_pipeline(diag, clf, records, deterministic=True)
+        assert emit_reports(reports, "json", ["d", "c"], 0.5) == reference_json(
+            reports, ["d", "c"], 0.5, None)
 
 
 class TestEvaluation:

@@ -17,7 +17,7 @@ from hemanet.preprocess import (
     largest_remainder,
     split_dataset,
 )
-from hemanet.records import AnemiaLabel, Gender, LabeledRecord
+from hemanet.records import AnemiaLabel, CbcColumns, Gender, LabeledRecord
 from hemanet.synth import synth_generate
 
 from helpers import make_record
@@ -95,6 +95,11 @@ class TestNormalizer:
     def test_empty_fit_rejected(self):
         with pytest.raises(ValueError):
             fit_normalizer([])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_fit_rejected_naming_the_column(self, bad):
+        with pytest.raises(ValueError, match="column 2 has a non-finite value"):
+            fit_normalizer([[1.0, 2.0, 3.0], [1.0, 2.0, bad]])
 
     def test_length_mismatch_rejected(self):
         norm = fit_normalizer([[1.0, 2.0]])
@@ -224,6 +229,14 @@ def test_encode_batch_shape():
     records = synth_generate(12, _mix(12), seed=2)
     assert encode_batch(records, FULL9).shape == (12, 9)
     assert encode_batch([r.record for r in records], PAPER7).shape == (12, 7)
+
+
+def test_encode_batch_reads_columns_like_record_fields():
+    records = [r.record for r in synth_generate(12, _mix(12), seed=3)]
+    for spec in (FULL9, PAPER7):
+        expected = [[float(r.gender is Gender.FEMALE) if name == "gender" else getattr(r, name)
+                     for name in spec.names] for r in records]
+        np.testing.assert_array_equal(encode_batch(CbcColumns.of(records), spec), expected)
 
 
 def test_encode_batch_rows_follow_records():

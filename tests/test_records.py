@@ -1,18 +1,24 @@
 """Clinical rule, validation, and reference-range behavior."""
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_record
 from hemanet.records import (
+    ANALYTES,
+    DEFAULT_BOUNDS,
     DEFAULT_RANGES,
     AnemiaLabel,
+    CbcColumns,
     Gender,
+    LabeledRecord,
     ReferenceRanges,
     UnclassifiableError,
     ValidationError,
     rule_label,
     validate_record,
+    validate_records,
 )
 
 
@@ -153,3 +159,71 @@ class TestRuleProperties:
     def test_non_anemic_iff_hgb_at_or_above_threshold(self, rec):
         threshold = DEFAULT_RANGES.hgb_low(rec.gender)
         assert (rule_label(rec) is AnemiaLabel.NON_ANEMIC) == (rec.hgb >= threshold)
+
+
+# Values of every kind a CbcRecord can carry in memory.  Ints stay below
+# 1e300: beyond float range both validators raise OverflowError alike.
+odd_values = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.just(np.float32(4.5)),
+    st.just(np.int64(40)), st.just(Gender.MALE),
+)
+any_age = st.one_of(
+    st.integers(-5, 130), st.integers(-10**30, 10**30), st.floats(allow_nan=True),
+    odd_values,
+)
+any_gender = st.one_of(st.sampled_from(list(Gender)), odd_values)
+edges = sorted({0.0, 100.0} | {edge for pair in DEFAULT_BOUNDS.values() for edge in pair})
+any_analyte = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.floats(-5.0, 200.0),
+    st.sampled_from(edges), st.sampled_from(edges).map(lambda x: np.nextafter(x, -1.0)),
+    st.integers(-10**300, 10**300), st.builds(np.float64, st.floats(0.0, 200.0)),
+    odd_values,
+)
+any_records = st.lists(
+    st.builds(make_record, age=any_age, gender=any_gender,
+              **{name: any_analyte for name in ANALYTES}),
+    max_size=8,
+)
+
+
+class TestValidateRecords:
+    @given(any_records)
+    @settings(max_examples=40, deadline=None)
+    def test_same_strings_as_validate_record(self, records):
+        assert validate_records(records) == [validate_record(r) for r in records]
+
+    def test_every_bound_edge_and_its_neighbours(self):
+        values = [v for edge in edges for v in (np.nextafter(edge, -1.0), edge,
+                                                np.nextafter(edge, 1000.0))]
+        records = [make_record(**{name: float(v)}) for name in ANALYTES for v in values]
+        records += [make_record(age=a) for a in (-1, 0, 120, 121)]
+        assert validate_records(records) == [validate_record(r) for r in records]
+
+    def test_labeled_records_and_columns_validate_alike(self):
+        records = [make_record(), make_record(hgb=-1.0, age=300)]
+        labeled = [LabeledRecord(r, AnemiaLabel.NON_ANEMIC) for r in records]
+        expected = [[], ["age out of [0, 120]", "hgb must be positive"]]
+        assert validate_records(labeled) == expected
+        assert validate_records(CbcColumns.of(records)) == expected
+
+    def test_empty_batch(self):
+        assert validate_records([]) == []
+        assert len(CbcColumns.of([])) == 0
+
+
+class TestCbcColumns:
+    @given(st.lists(valid_records, max_size=8))
+    @settings(max_examples=25, deadline=None)
+    def test_records_round_trip(self, records):
+        assert CbcColumns.of(records).records() == records
+
+    def test_ages_beyond_int64_keep_their_value(self):
+        records = [make_record(age=10**30), make_record(age=-(2**63) - 1), make_record()]
+        batch = CbcColumns.of(records)
+        assert batch.records() == records
+        assert validate_records(batch) == [["age out of [0, 120]"]] * 2 + [[]]
+
+    def test_take_selects_rows_in_order(self):
+        records = [make_record(age=a) for a in (10, 20, 30)]
+        assert CbcColumns.of(records).take([2, 0]).records() == [records[2], records[0]]
+        assert len(CbcColumns.of(records).take([])) == 0
