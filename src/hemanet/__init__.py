@@ -10,6 +10,7 @@ from .records import (
     ANALYTES,
     DEFAULT_BOUNDS,
     DEFAULT_RANGES,
+    LABELS,
     SUBTYPES,
     AnemiaLabel,
     CbcColumns,
@@ -20,6 +21,8 @@ from .records import (
     UnclassifiableError,
     ValidationError,
     check_record,
+    check_records,
+    invalid_rows,
     rule_label,
     validate_record,
     validate_records,
@@ -72,10 +75,9 @@ from .models import (
     build_model,
     build_narx,
     decode_subtype,
-    decode_subtypes,
-    encode_target,
     encode_targets,
     output_width,
+    subtype_indices,
 )
 from .serialize import ModelBundle, ModelFormatError, load_model, save_model
 from .metrics import (

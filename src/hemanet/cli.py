@@ -36,6 +36,7 @@ from .preprocess import (
 from .records import (
     DEFAULT_RANGES,
     AnemiaLabel,
+    CbcColumns,
     ReferenceRanges,
     ValidationError,
 )
@@ -87,12 +88,12 @@ def fit_stage(
     """
     if stage == "diagnosis":
         encoding = "binary1"
-        subset = list(train_records)
+        subset = CbcColumns.of(train_records)
     elif stage == "classify":
         if encoding not in ("onehot3", "banded1"):
             raise UsageError(f"classification encoding must be onehot3 or banded1, got {encoding!r}")
-        subset = [r for r in train_records if r.label.is_anemic]
-        if not subset:
+        subset = CbcColumns.of(train_records).anemic()
+        if not len(subset):
             raise ValueError("no anemic records to train the classification stage on")
     else:
         raise UsageError(f"unknown stage {stage!r}")
@@ -101,7 +102,7 @@ def fit_stage(
     scaling = encode_batch(scaling_records, spec) if scaling_records is not None else raw
     normalizer = fit_normalizer(scaling)
     X = normalizer.apply(raw)
-    T = encode_targets([r.label for r in subset], encoding)
+    T = encode_targets(subset.label, encoding)
 
     kwargs = {}
     if family == "elman":
@@ -115,13 +116,12 @@ def fit_stage(
 
     validation = None
     if val_records:
-        val_subset = [
-            r for r in val_records if stage == "diagnosis" or r.label.is_anemic
-        ]
-        if val_subset:
+        val_subset = CbcColumns.of(val_records)
+        if stage == "classify":
+            val_subset = val_subset.anemic()
+        if len(val_subset):
             val_x = normalizer.apply(encode_batch(val_subset, spec))
-            val_t = encode_targets([r.label for r in val_subset], encoding)
-            validation = net.prepare_training(val_x, val_t)
+            validation = net.prepare_training(val_x, encode_targets(val_subset.label, encoding))
 
     net, curve = train_loop(net, net.prepare_training(X, T), validation, config)
     bundle = ModelBundle(

@@ -9,17 +9,19 @@ round trip fixes the precision and every later round trip is exact.
 from __future__ import annotations
 
 import csv
+from functools import lru_cache
 from operator import itemgetter
 
 import numpy as np
 
 from .records import (
     ANALYTES,
-    AnemiaLabel,
+    LABELS,
     CbcColumns,
     CbcRecord,
     LabeledRecord,
     age_column,
+    invalid_rows,
     validate_records,
 )
 
@@ -60,50 +62,52 @@ def _record_row(record: CbcRecord) -> list[str]:
     return row
 
 
-def load_csv(path) -> list[LabeledRecord]:
-    """Load a labeled dataset; every row must carry a recognizable label.
+def load_csv(path) -> CbcColumns:
+    """Load a labeled dataset as columns; every row must carry a recognizable label.
 
     Every row must also pass validate_records: a labeled set trains and
     scores models, so an implausible row is refused, not skipped.
     """
-    batch, labels = _read_columns(path, COLUMNS + (LABEL_COLUMN,))
-    invalid = [(row, v) for row, v in enumerate(validate_records(batch), start=1) if v]
-    if invalid:
-        shown = ", ".join(f"row {row} ({'; '.join(v)})" for row, v in invalid[:MAX_ROWS_SHOWN])
-        more = len(invalid) - MAX_ROWS_SHOWN
+    batch = _read_columns(path, COLUMNS + (LABEL_COLUMN,))
+    invalid = invalid_rows(batch)
+    if invalid.size:
+        shown = ", ".join(f"row {row + 1} ({'; '.join(v)})" for row, v in zip(
+            invalid.tolist(), validate_records(batch.take(invalid[:MAX_ROWS_SHOWN]))))
+        more = invalid.size - MAX_ROWS_SHOWN
         raise CsvFormatError(
-            f"{path}: {len(invalid)} invalid row(s): {shown}"
+            f"{path}: {invalid.size} invalid row(s): {shown}"
             + (f", and {more} more" if more > 0 else "")
         )
-    return [LabeledRecord(r, label) for r, label in zip(batch.records(), labels)]
+    return batch
 
 
 def load_unlabeled_csv(path) -> CbcColumns:
     """Load records for screening as columns; rows are not validated here."""
-    batch, _ = _read_columns(path, COLUMNS)
-    return batch
+    return _read_columns(path, COLUMNS)
 
 
 _GENDER_CODES = {"male": 0, "female": 1}
-_LABELS = {label.value: label for label in AnemiaLabel}
+_LABEL_CODES = {label.value: code for code, label in enumerate(LABELS)}
 
 
+@lru_cache(maxsize=64)  # a token column repeats a handful of distinct cells
 def _gender_code(cell) -> int:
     return _GENDER_CODES[(cell or "").strip().lower()]
 
 
-def _label(cell) -> AnemiaLabel:
-    return _LABELS[(cell or "").strip().lower()]
+@lru_cache(maxsize=64)
+def _label_code(cell) -> int:
+    return _LABEL_CODES[(cell or "").strip().lower()]
 
 
 #: How each cell is read.  A cell missing from a short row is None, so it
 #: fails like a bad token.
 _PARSE = {"age": int, "gender": _gender_code, **dict.fromkeys(ANALYTES, float),
-          LABEL_COLUMN: _label}
+          LABEL_COLUMN: _label_code}
 
 
 def _read_columns(path, columns):
-    """(CbcColumns, labels or None) of a CSV file, columns looked up by header.
+    """CbcColumns of a CSV file, columns looked up by header; labeled if asked for.
 
     Blank lines are skipped and rows are numbered from 1 after the header.
     Cells are parsed a whole column at a time; if any fails, the first bad
@@ -131,10 +135,11 @@ def _read_columns(path, columns):
     analytes = np.empty((len(rows), len(ANALYTES)))
     for column, name in enumerate(ANALYTES):
         analytes[:, column] = parsed[name]
-    batch = CbcColumns(
-        age_column(parsed["age"]), np.array(parsed["gender"], dtype=np.int8), analytes
+    labels = parsed.get(LABEL_COLUMN)
+    return CbcColumns(
+        age_column(parsed["age"]), np.array(parsed["gender"], dtype=np.int8), analytes,
+        None if labels is None else np.array(labels, dtype=np.int8),
     )
-    return batch, parsed.get(LABEL_COLUMN)
 
 
 def _first_bad_cell(path, rows, columns, position) -> CsvFormatError:

@@ -31,12 +31,21 @@ class ConfusionMatrix:
 
     @classmethod
     def from_pairs(cls, truths, predictions, labels) -> "ConfusionMatrix":
+        """Counts of (truth, prediction) label pairs; KeyError for an unknown label."""
         labels = tuple(labels)
         index = {label: i for i, label in enumerate(labels)}
-        counts = np.zeros((len(labels), len(labels)), dtype=int)
-        for truth, pred in zip(truths, predictions, strict=True):
-            counts[index[truth], index[pred]] += 1
-        return cls(labels, counts)
+        return cls.from_codes([index[t] for t in truths], [index[p] for p in predictions], labels)
+
+    @classmethod
+    def from_codes(cls, truths, predictions, labels) -> "ConfusionMatrix":
+        """Counts of (truth, prediction) pairs given as indices into ``labels``."""
+        k = len(labels)
+        truths, predictions = (np.asarray(a, dtype=np.intp).ravel() for a in (truths, predictions))
+        if len(truths) != len(predictions):
+            raise ValueError(f"{len(truths)} truths but {len(predictions)} predictions")
+        if ((truths < 0) | (truths >= k) | (predictions < 0) | (predictions >= k)).any():
+            raise ValueError(f"label codes must lie in [0, {k})")
+        return cls(labels, np.bincount(truths * k + predictions, minlength=k * k).reshape(k, k))
 
     @property
     def total(self) -> int:

@@ -44,27 +44,22 @@ def output_width(encoding: str) -> int:
     return 3 if encoding == "onehot3" else 1
 
 
-def encode_target(label: AnemiaLabel, encoding: str) -> np.ndarray:
+def encode_targets(codes, encoding: str) -> np.ndarray:
+    """(N, width) training targets of records.LABELS codes; onehot3 and
+    banded1 are defined for the anemic labels (codes 1-3) only."""
+    codes = np.asarray(codes, dtype=np.intp)
+    output_width(encoding)
     if encoding == "binary1":
-        return np.array([1.0 if label.is_anemic else 0.0])
-    if not label.is_anemic:
+        return (codes > 0).astype(float)[:, None]
+    if not codes.all():
         raise ValueError(f"{encoding} targets are defined for anemic labels only")
-    index = SUBTYPES.index(label)
     if encoding == "onehot3":
-        target = np.zeros(3)
-        target[index] = 1.0
-        return target
-    if encoding == "banded1":
-        return np.array([BAND_CENTERS[index]])
-    raise ValueError(f"unknown output encoding {encoding!r}")
+        return np.eye(3)[codes - 1]
+    return BAND_CENTERS[codes - 1][:, None]
 
 
-def encode_targets(labels, encoding: str) -> np.ndarray:
-    return np.array([encode_target(label, encoding) for label in labels])
-
-
-def decode_subtypes(outputs, encoding: str) -> list[AnemiaLabel]:
-    """Map each row of classification-network outputs to a subtype.
+def subtype_indices(outputs, encoding: str) -> np.ndarray:
+    """Index into SUBTYPES of each row of classification-network outputs.
 
     onehot3 takes the argmax (ties go to the lowest class index); banded1
     picks the nearest band center.
@@ -79,10 +74,8 @@ def decode_subtypes(outputs, encoding: str) -> list[AnemiaLabel]:
             f"got {outputs.shape[1:]}"
         )
     if encoding == "onehot3":
-        index = np.argmax(outputs, axis=1)
-    else:
-        index = np.argmin(np.abs(outputs - BAND_CENTERS), axis=1)
-    return [SUBTYPES[i] for i in index.tolist()]
+        return np.argmax(outputs, axis=1)
+    return np.argmin(np.abs(outputs - BAND_CENTERS), axis=1)
 
 
 def _same_shapes(current, arrays) -> list[np.ndarray]:
@@ -101,8 +94,8 @@ def _same_shapes(current, arrays) -> list[np.ndarray]:
 
 
 def decode_subtype(output, encoding: str) -> AnemiaLabel:
-    """Subtype of one output vector: decode_subtypes on a batch of one."""
-    return decode_subtypes(np.asarray(output, dtype=float)[None], encoding)[0]
+    """Subtype of one output vector: subtype_indices on a batch of one."""
+    return SUBTYPES[subtype_indices(np.asarray(output, dtype=float)[None], encoding)[0]]
 
 
 class FfnnModel:

@@ -24,10 +24,10 @@ from .metrics import (
     SUBTYPE_LABELS,
     ConfusionMatrix,
 )
-from .models import NarxModel, decode_subtypes, encode_targets
+from .models import NarxModel, encode_targets, subtype_indices
 from .nncore import NumericError
 from .preprocess import encode_batch
-from .records import AnemiaLabel, CbcColumns, ValidationError, validate_records
+from .records import SUBTYPES, AnemiaLabel, CbcColumns, check_records, validate_records
 from .serialize import ModelBundle
 
 REPORT_FORMATS = ("text", "json", "csv")
@@ -76,30 +76,21 @@ def diagnose(diag: ModelBundle, records, threshold: float = 0.5) -> list[Diagnos
     ValidationError.  A raw output at or above threshold is positive; a
     non-finite raw output gets no verdict.
     """
-    records = _valid_columns(records)
+    records = check_records(records)
     raw, positive, finite = _diagnose(diag, records, threshold)
     return [
         DiagnosisResult(verdict=int(p) if f else None, raw=r, threshold=threshold)
-        for r, p, f in zip(raw, positive, finite)
+        for r, p, f in zip(raw.tolist(), positive.tolist(), finite.tolist())
     ]
 
 
-def _valid_columns(records) -> CbcColumns:
-    """The records as columns; raises ValidationError for the first invalid one."""
-    batch = CbcColumns.of(records)
-    for violations in validate_records(batch):
-        if violations:
-            raise ValidationError(violations)
-    return batch
-
-
 def _diagnose(diag: ModelBundle, records, threshold: float):
-    """(raw, positive, finite) lists for already-validated records."""
+    """(raw, positive, finite) arrays for already-validated records."""
     if diag.output_encoding != "binary1":
         raise ValueError("diagnosis requires a binary1 model")
     check_threshold(threshold)
     raw = _bundle_outputs(diag, records)[:, 0]
-    return raw.tolist(), (raw >= threshold).tolist(), np.isfinite(raw).tolist()
+    return raw, raw >= threshold, np.isfinite(raw)
 
 
 def classify(clf: ModelBundle, records, diagnoses):
@@ -114,16 +105,16 @@ def classify(clf: ModelBundle, records, diagnoses):
     records = CbcColumns.of(records)
     if len(records) != len(diagnoses):
         raise ValueError("diagnoses must align with records")
-    return _classify(clf, records)
+    index, finite, raw = _classify(clf, records)
+    return [SUBTYPES[i] if ok else None for i, ok in zip(index.tolist(), finite.tolist())], raw
 
 
 def _classify(clf: ModelBundle, records):
+    """(SUBTYPES index, finite, raw outputs) arrays for already-validated records."""
     if clf.output_encoding not in ("onehot3", "banded1"):
         raise ValueError("classification requires an onehot3 or banded1 model")
     raw = _bundle_outputs(clf, records)
-    labels = decode_subtypes(raw, clf.output_encoding)
-    finite = np.isfinite(raw).all(axis=1).tolist()
-    return [label if ok else None for label, ok in zip(labels, finite)], raw
+    return subtype_indices(raw, clf.output_encoding), np.isfinite(raw).all(axis=1), raw
 
 
 def run_pipeline(
@@ -157,15 +148,9 @@ def run_pipeline(
             reports[row].error = "; ".join(violations)
         else:
             valid.append(row)
-    _screen(diag, clf, batch, reports, valid, threshold)
-    return reports
-
-
-def _screen(diag, clf, batch: CbcColumns, reports, rows, threshold: float) -> None:
-    """Fill reports[row] for the given already-valid rows of the batch."""
-    raw, positive, finite = _diagnose(diag, batch.take(rows), threshold)
+    raw, positive, finite = _diagnose(diag, batch.take(valid), threshold)
     positives = []
-    for row, r, p, f in zip(rows, raw, positive, finite):
+    for row, r, p, f in zip(valid, raw.tolist(), positive.tolist(), finite.tolist()):
         report = reports[row]
         if not f:
             report.error = "non-finite diagnosis output"
@@ -175,15 +160,16 @@ def _screen(diag, clf, batch: CbcColumns, reports, rows, threshold: float) -> No
         if p:
             positives.append(row)
 
-    labels, raw = _classify(clf, batch.take(positives))
-    for row, label, outputs in zip(positives, labels, raw.tolist()):
+    index, finite, raw = _classify(clf, batch.take(positives))
+    for row, i, ok, outputs in zip(positives, index.tolist(), finite.tolist(), raw.tolist()):
         report = reports[row]
-        if label is None:
+        if not ok:
             report.verdict = report.raw_diagnosis = None
             report.error = "non-finite classification output"
         else:
-            report.subtype = label
+            report.subtype = SUBTYPES[i]
             report.raw_classify = outputs
+    return reports
 
 
 def _now() -> str:
@@ -304,19 +290,21 @@ def _patient_doc(r: PatientReport) -> dict:
     return doc
 
 
-def _bundle_outputs(bundle: ModelBundle, records, targets=None) -> np.ndarray:
+def _bundle_outputs(bundle: ModelBundle, records) -> np.ndarray:
     """Raw network outputs for already-validated records, honoring NARX modes.
 
     Rows go through the network FORWARD_BLOCK_ROWS at a time, except for a
-    stream-mode NARX, whose teacher-forced taps run along the whole stream.
+    stream-mode NARX, whose taps run along the whole stream, teacher-forced
+    with the targets of the records' labels.
     """
     X = bundle.normalizer.apply(encode_batch(records, bundle.feature_spec))
     net = bundle.net
     if isinstance(net, NarxModel):
         if net.mode == "stream":
-            if targets is None:
+            labels = CbcColumns.of(records).label
+            if labels is None:
                 raise ValueError("stream-mode NARX evaluation needs labeled data")
-            outputs, _ = net.predict_stream(X, targets)
+            outputs, _ = net.predict_stream(X, encode_targets(labels, bundle.output_encoding))
             return outputs
         forward = net.predict_record_batch
     else:
@@ -327,45 +315,37 @@ def _bundle_outputs(bundle: ModelBundle, records, targets=None) -> np.ndarray:
     return outputs
 
 
-def _finite_outputs(bundle: ModelBundle, records, targets) -> np.ndarray:
-    """_bundle_outputs, raising NonFiniteOutputError if any row is not finite."""
-    outputs = _bundle_outputs(bundle, records, targets)
-    bad = int(np.count_nonzero(~np.isfinite(outputs).all(axis=1)))
+def _require_finite(models: str, finite: np.ndarray) -> None:
+    """Raise NonFiniteOutputError naming ``models`` unless every row is finite."""
+    bad = int(np.count_nonzero(~finite))
     if bad:
         raise NonFiniteOutputError(
-            f"model {bundle.identity} gave non-finite outputs on {bad} of {len(outputs)} rows"
+            f"{models} gave non-finite outputs on {bad} of {len(finite)} rows"
         )
-    return outputs
 
 
 def evaluate_diagnosis(diag: ModelBundle, labeled, threshold: float = 0.5) -> ConfusionMatrix:
     """2x2 confusion matrix of the binary stage over labeled records.
 
-    Raises NonFiniteOutputError if any raw output is not finite.
+    An invalid record raises ValidationError; a non-finite raw output
+    raises NonFiniteOutputError.
     """
-    if diag.output_encoding != "binary1":
-        raise ValueError("diagnosis evaluation requires a binary1 model")
-    check_threshold(threshold)
-    targets = encode_targets([item.label for item in labeled], "binary1")
-    outputs = _finite_outputs(diag, labeled, targets)
-    truths = [DIAGNOSIS_LABELS[int(item.label.is_anemic)] for item in labeled]
-    preds = [DIAGNOSIS_LABELS[p] for p in (outputs[:, 0] >= threshold).tolist()]
-    return ConfusionMatrix.from_pairs(truths, preds, DIAGNOSIS_LABELS)
+    batch = check_records(labeled)
+    _, positive, finite = _diagnose(diag, batch, threshold)
+    _require_finite(f"model {diag.identity}", finite)
+    return ConfusionMatrix.from_codes(batch.label > 0, positive, DIAGNOSIS_LABELS)
 
 
 def evaluate_classification(clf: ModelBundle, labeled) -> ConfusionMatrix:
     """3x3 confusion matrix of the subtype stage over the anemic records.
 
-    Raises NonFiniteOutputError if any raw output is not finite.
+    An invalid record raises ValidationError; a non-finite raw output
+    raises NonFiniteOutputError.
     """
-    if clf.output_encoding not in ("onehot3", "banded1"):
-        raise ValueError("classification evaluation requires an onehot3 or banded1 model")
-    anemic = [item for item in labeled if item.label.is_anemic]
-    targets = encode_targets([item.label for item in anemic], clf.output_encoding)
-    outputs = _finite_outputs(clf, anemic, targets)
-    truths = [item.label.value for item in anemic]
-    preds = [label.value for label in decode_subtypes(outputs, clf.output_encoding)]
-    return ConfusionMatrix.from_pairs(truths, preds, SUBTYPE_LABELS)
+    anemic = check_records(labeled).anemic()
+    index, finite, _ = _classify(clf, anemic)
+    _require_finite(f"model {clf.identity}", finite)
+    return ConfusionMatrix.from_codes(anemic.label - 1, index, SUBTYPE_LABELS)
 
 
 def evaluate_pipeline(
@@ -380,21 +360,12 @@ def evaluate_pipeline(
     raises NonFiniteOutputError.
     """
     _reject_stream_bundles(diag, clf)
-    check_threshold(threshold)
-    batch = _valid_columns(labeled)
-    reports = [PatientReport(patient_id=row) for row in range(len(batch))]
-    _screen(diag, clf, batch, reports, range(len(batch)), threshold)
-    failed = sum(r.error is not None for r in reports)
-    if failed:
-        raise NonFiniteOutputError(
-            f"models {diag.identity}|{clf.identity} gave non-finite outputs on "
-            f"{failed} of {len(reports)} rows"
-        )
-    truths, preds = [], []
-    for item, report in zip(labeled, reports):
-        truths.append(item.label.value)
-        if report.verdict == 0:
-            preds.append(AnemiaLabel.NON_ANEMIC.value)
-        else:
-            preds.append(report.subtype.value)
-    return ConfusionMatrix.from_pairs(truths, preds, FOURWAY_LABELS)
+    batch = check_records(labeled)
+    _, positive, finite = _diagnose(diag, batch, threshold)
+    positives = np.flatnonzero(positive & finite)
+    index, classified, _ = _classify(clf, batch.take(positives))
+    finite[positives] = classified
+    _require_finite(f"models {diag.identity}|{clf.identity}", finite)
+    predictions = np.zeros(len(batch), dtype=np.intp)
+    predictions[positives] = index + 1
+    return ConfusionMatrix.from_codes(batch.label, predictions, FOURWAY_LABELS)

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .records import ANALYTES, AnemiaLabel, CbcColumns, CbcRecord
+from .records import ANALYTES, LABELS, CbcColumns, CbcRecord
 
 _ALLOWED_FEATURES = ("age", "gender", "rbc", "hgb", "hct", "mcv", "mch", "mchc", "wbc")
 
@@ -145,9 +145,9 @@ SPLIT_PRESETS = {
 
 @dataclass
 class DatasetSplit:
-    train: list
-    test: list
-    validation: list
+    train: CbcColumns
+    test: CbcColumns
+    validation: CbcColumns
     fractions: tuple[float, float, float]
     seed: int
     stratified: bool = True
@@ -162,11 +162,12 @@ def split_dataset(
     seed: int = 0,
     stratified: bool = True,
 ) -> DatasetSplit:
-    """Deterministic (train, test, validation) partition.
+    """Deterministic (train, test, validation) partition of labeled records.
 
-    Sizes come from largest-remainder rounding of the fractions;
-    stratified mode applies the rounding class by class so per-class
-    counts stay within one record of exact proportionality.
+    Takes CbcColumns or a sequence of LabeledRecord and returns the parts
+    as CbcColumns.  Sizes come from largest-remainder rounding of the
+    fractions; stratified mode applies the rounding class by class so
+    per-class counts stay within one record of exact proportionality.
     """
     fractions = tuple(float(f) for f in fractions)
     if len(fractions) != 3:
@@ -178,35 +179,38 @@ def split_dataset(
     parts_in_use = sum(1 for f in fractions if f > 0)
     if parts_in_use == 0:
         raise ValueError("at least one fraction must be positive")
-    if len(records) < parts_in_use:
+    batch = CbcColumns.of(records)
+    if len(batch) < parts_in_use:
         raise ValueError(
-            f"cannot split {len(records)} record(s) into {parts_in_use} non-empty parts"
+            f"cannot split {len(batch)} record(s) into {parts_in_use} non-empty parts"
         )
 
     rng = np.random.default_rng(seed)
     buckets = ([], [], [])
 
     def assign(indices):
-        indices = [indices[i] for i in rng.permutation(len(indices))]
+        indices = indices[rng.permutation(len(indices))]
         sizes = largest_remainder(fractions, len(indices))
         cut1, cut2 = sizes[0], sizes[0] + sizes[1]
-        buckets[0].extend(indices[:cut1])
-        buckets[1].extend(indices[cut1:cut2])
-        buckets[2].extend(indices[cut2:])
+        buckets[0].append(indices[:cut1])
+        buckets[1].append(indices[cut1:cut2])
+        buckets[2].append(indices[cut2:])
 
     if stratified:
-        for label in AnemiaLabel:
-            members = [i for i, r in enumerate(records) if r.label is label]
-            if members:
+        if batch.label is None:
+            raise ValueError("a stratified split needs labeled records")
+        for code in range(len(LABELS)):
+            members = np.flatnonzero(batch.label == code)
+            if members.size:
                 assign(members)
     else:
-        assign(list(range(len(records))))
+        assign(np.arange(len(batch)))
 
     parts = []
     for bucket in buckets:
+        rows = np.concatenate(bucket)
         # Re-shuffle so stratified parts are not grouped by class.
-        order = rng.permutation(len(bucket))
-        parts.append([records[bucket[i]] for i in order])
+        parts.append(batch.take(rows[rng.permutation(len(rows))]))
     return DatasetSplit(
         train=parts[0],
         test=parts[1],

@@ -37,6 +37,10 @@ class AnemiaLabel(Enum):
 #: used by the classification output encodings.
 SUBTYPES = (AnemiaLabel.MICROCYTIC, AnemiaLabel.NORMOCYTIC, AnemiaLabel.MACROCYTIC)
 
+#: Label codes, as CbcColumns holds labels: code c stands for LABELS[c], so
+#: 0 is non-anemic and SUBTYPES[i] is code i + 1.
+LABELS = tuple(AnemiaLabel)
+
 ANALYTES = ("rbc", "hgb", "hct", "mcv", "mch", "mchc", "wbc")
 
 #: Plausibility gates: values outside these are data errors, not clinical findings.
@@ -182,20 +186,26 @@ class CbcColumns:
     female and -1 for a value that is not a Gender.  ``analytes`` is an
     (N, 7) float matrix in ANALYTES order, NaN where a value is neither
     an int nor a float.  Only in-memory records carry these odd cases.
+    ``label`` holds int8 LABELS codes, or is None for an unlabeled batch.
     """
 
     age: np.ndarray
     gender: np.ndarray
     analytes: np.ndarray
+    label: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.gender)
 
     @classmethod
     def of(cls, records) -> "CbcColumns":
-        """The columns themselves, or those of a sequence of (labeled) records."""
+        """The columns themselves, or those of a sequence of (labeled) records;
+        labeled when every item is a LabeledRecord."""
         if isinstance(records, cls):
             return records
+        records = list(records)
+        labeled = all(isinstance(r, LabeledRecord) for r in records)
+        labels = np.array([LABELS.index(r.label) for r in records], np.int8) if labeled else None
         records = [r.record if isinstance(r, LabeledRecord) else r for r in records]
         n = len(records)
         genders = [0 if g is Gender.MALE else 1 if g is Gender.FEMALE else -1
@@ -207,22 +217,31 @@ class CbcColumns:
                 values = [v if isinstance(v, (int, float)) else math.nan for v in values]
             analytes[:, column] = np.fromiter(values, float, n)
         ages = age_column([r.age for r in records])
-        return cls(ages, np.array(genders, dtype=np.int8), analytes)
+        return cls(ages, np.array(genders, dtype=np.int8), analytes, labels)
 
     def take(self, rows) -> "CbcColumns":
         """The batch of the given row indices, in that order."""
         rows = np.asarray(rows, dtype=np.intp)
-        return CbcColumns(self.age[rows], self.gender[rows], self.analytes[rows])
+        label = None if self.label is None else self.label[rows]
+        return CbcColumns(self.age[rows], self.gender[rows], self.analytes[rows], label)
 
-    def records(self) -> list[CbcRecord]:
-        """One CbcRecord per row; every gender code must be 0 or 1."""
+    def anemic(self) -> "CbcColumns":
+        """The rows of a labeled batch whose label is an anemia subtype, in order."""
+        return self.take(np.flatnonzero(self.label > 0))
+
+    def records(self) -> list:
+        """One CbcRecord per row (a LabeledRecord if the batch is labeled);
+        every gender code must be 0 or 1."""
         genders = {0: Gender.MALE, 1: Gender.FEMALE}
-        return [
+        records = [
             CbcRecord(age, genders[code], *values)
             for age, code, values in zip(
                 self.age.tolist(), self.gender.tolist(), self.analytes.tolist()
             )
         ]
+        if self.label is None:
+            return records
+        return [LabeledRecord(r, LABELS[code]) for r, code in zip(records, self.label.tolist())]
 
 
 def age_column(ages: list) -> np.ndarray:
@@ -260,6 +279,29 @@ def validate_records(records) -> list[list[str]]:
     gender, then each analyte's finiteness, sign and range.
     """
     batch = CbcColumns.of(records)
+    out = [[] for _ in range(len(batch))]
+    rows, checks = np.nonzero(_faults(batch))
+    for row, check in zip(rows.tolist(), checks.tolist()):
+        out[row].append(_MESSAGES[check])
+    return out
+
+
+def invalid_rows(records) -> np.ndarray:
+    """Indices of the rows validate_records finds violations in, without its lists."""
+    return np.flatnonzero(_faults(CbcColumns.of(records)).any(axis=1))
+
+
+def check_records(records) -> CbcColumns:
+    """The records as columns; raises ValidationError for the first invalid row."""
+    batch = CbcColumns.of(records)
+    bad = invalid_rows(batch)
+    if bad.size:
+        raise ValidationError(validate_records(batch.take(bad[:1]))[0])
+    return batch
+
+
+def _faults(batch: CbcColumns) -> np.ndarray:
+    """(N, 24) bool matrix: row r fails check c, in _MESSAGES order."""
     age, values = batch.age, batch.analytes
     if age.dtype == object:
         is_int = np.array([isinstance(a, int) and not isinstance(a, bool) for a in age], bool)
@@ -272,15 +314,10 @@ def validate_records(records) -> list[list[str]]:
     finite = np.isfinite(values)
     positive = finite & (values > 0)
     analyte_faults = np.stack([~finite, finite & ~positive, positive & ~inside], axis=2)
-    faults = np.concatenate([
+    return np.concatenate([
         np.stack([~is_int, is_int & ~in_range, batch.gender < 0], axis=1),
         analyte_faults.reshape(len(batch), 3 * len(ANALYTES)),
     ], axis=1)
-    out = [[] for _ in range(len(batch))]
-    rows, checks = np.nonzero(faults)
-    for row, check in zip(rows.tolist(), checks.tolist()):
-        out[row].append(_MESSAGES[check])
-    return out
 
 
 def rule_label(

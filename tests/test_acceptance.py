@@ -246,7 +246,7 @@ def test_criterion_9_split_arithmetic():
             (stratified.train, stratified.test, stratified.validation),
             stratified.fractions,
         ):
-            in_part = sum(1 for r in part if r.label is label)
+            in_part = sum(1 for r in part.records() if r.label is label)
             assert abs(in_part - fraction * class_total) <= 1.0 + 1e-9
 
     materials = split_dataset(

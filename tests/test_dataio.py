@@ -31,27 +31,27 @@ def test_round_trip_exact(tmp_path):
     }, seed=7)
     path = tmp_path / "data.csv"
     save_csv(records, path)
-    assert load_csv(path) == records
+    assert load_csv(path).records() == records
 
 
 def test_save_is_stable_after_one_round_trip(tmp_path):
     records = synth_generate(20, {AnemiaLabel.NON_ANEMIC: 20}, seed=2)
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     save_csv(records, first)
-    save_csv(load_csv(first), second)
+    save_csv(load_csv(first).records(), second)
     assert first.read_bytes() == second.read_bytes()
 
 
 def test_header_only_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text(HEADER + "\n")
-    assert load_csv(path) == []
+    assert load_csv(path).records() == []
 
 
 def test_label_tokens_are_case_insensitive(tmp_path):
     path = tmp_path / "mixed.csv"
     path.write_text(f"{HEADER}\n{ROW},Microcytic\n{ROW},MACROCYTIC\n{ROW},non_anemic\n")
-    labels = [item.label for item in load_csv(path)]
+    labels = [item.label for item in load_csv(path).records()]
     assert labels == [AnemiaLabel.MICROCYTIC, AnemiaLabel.MACROCYTIC, AnemiaLabel.NON_ANEMIC]
 
 
@@ -291,7 +291,7 @@ class TestColumnarLoaderMatchesRowParser:
         path = tmp_path / "mutated.csv"
         path.write_text(text, encoding="utf-8")
         expected = outcome(reference_labeled, path)
-        got = outcome(load_csv, path)
+        got = outcome(lambda p: load_csv(p).records(), path)
         parsed = reference_labeled(path) if isinstance(expected, list) else []
         invalid = [n for n, item in enumerate(parsed, start=1) if validate_record(item.record)]
         if invalid:

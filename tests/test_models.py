@@ -13,12 +13,16 @@ from hemanet.models import (
     build_model,
     build_narx,
     decode_subtype,
-    encode_target,
     encode_targets,
     output_width,
 )
 from hemanet.nncore import LayerParams, gradient_check
-from hemanet.records import AnemiaLabel
+from hemanet.records import LABELS, AnemiaLabel
+
+
+def encode_target(label, encoding):
+    """The target vector of one label."""
+    return encode_targets([LABELS.index(label)], encoding)[0]
 
 
 class TestEncodings:
@@ -41,7 +45,8 @@ class TestEncodings:
     def test_banded_targets(self):
         np.testing.assert_allclose(
             encode_targets(
-                [AnemiaLabel.MICROCYTIC, AnemiaLabel.NORMOCYTIC, AnemiaLabel.MACROCYTIC],
+                [LABELS.index(AnemiaLabel.MICROCYTIC), LABELS.index(AnemiaLabel.NORMOCYTIC),
+                 LABELS.index(AnemiaLabel.MACROCYTIC)],
                 "banded1",
             ).ravel(),
             BAND_CENTERS,

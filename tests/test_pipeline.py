@@ -201,7 +201,7 @@ class TestRunPipeline:
 
     def test_order_and_length_preserved(self, trained):
         diag, clf, split = trained
-        records = [item.record for item in split.test]
+        records = [item.record for item in split.test.records()]
         reports = run_pipeline(diag, clf, records, ids=range(len(records)))
         assert [r.patient_id for r in reports] == list(range(len(records)))
 
@@ -232,7 +232,7 @@ class TestRunPipeline:
 
     def test_columns_and_record_lists_screen_alike(self, trained):
         diag, clf, split = trained
-        records = [item.record for item in split.test]
+        records = [item.record for item in split.test.records()]
         records[3] = make_record(hgb=float("nan"), age=300)
         from_list = run_pipeline(diag, clf, records, deterministic=True)
         from_columns = run_pipeline(diag, clf, CbcColumns.of(records), deterministic=True)
@@ -337,15 +337,15 @@ class TestPredictEvalAgreement:
         outputs, preds = [], []
         bundle_outputs = pipeline._bundle_outputs
 
-        def recording_outputs(bundle, records, targets=None):
-            outputs.append(bundle_outputs(bundle, records, targets))
+        def recording_outputs(bundle, records):
+            outputs.append(bundle_outputs(bundle, records))
             return outputs[-1]
 
         class RecordingMatrix(ConfusionMatrix):
             @classmethod
-            def from_pairs(cls, truths, predictions, labels):
-                preds.extend(predictions)
-                return super().from_pairs(truths, predictions, labels)
+            def from_codes(cls, truths, predictions, labels):
+                preds.extend(labels[code] for code in np.asarray(predictions, int).tolist())
+                return super().from_codes(truths, predictions, labels)
 
         monkeypatch.setattr(pipeline, "_bundle_outputs", recording_outputs)
         monkeypatch.setattr(pipeline, "ConfusionMatrix", RecordingMatrix)
@@ -490,7 +490,7 @@ class TestJsonWriter:
 
     def test_pipeline_reports(self, trained):
         diag, clf, split = trained
-        records = [item.record for item in split.test] + [make_record(hgb=-1.0)]
+        records = [item.record for item in split.test.records()] + [make_record(hgb=-1.0)]
         reports = run_pipeline(diag, clf, records, deterministic=True)
         assert emit_reports(reports, "json", ["d", "c"], 0.5) == reference_json(
             reports, ["d", "c"], 0.5, None)
@@ -512,7 +512,7 @@ class TestEvaluation:
     def test_classification_matrix_covers_anemic_only(self, trained):
         _, clf, split = trained
         cm = evaluate_classification(clf, split.test)
-        assert cm.total == sum(1 for item in split.test if item.label.is_anemic)
+        assert cm.total == sum(1 for item in split.test.records() if item.label.is_anemic)
 
     def test_perfect_constant_predictor_on_uniform_data(self):
         records = synth_generate(10, {AnemiaLabel.NON_ANEMIC: 10}, seed=40)
@@ -524,10 +524,10 @@ class TestEvaluation:
         diag, clf, split = trained
         cm = evaluate_pipeline(diag, clf, split.test, threshold=0.5)
         reports = run_pipeline(
-            diag, clf, [item.record for item in split.test], deterministic=True
+            diag, clf, [item.record for item in split.test.records()], deterministic=True
         )
         correct = 0
-        for item, report in zip(split.test, reports):
+        for item, report in zip(split.test.records(), reports):
             predicted = (
                 AnemiaLabel.NON_ANEMIC if report.verdict == 0 else report.subtype
             )

@@ -164,7 +164,8 @@ class TestSplitDataset:
         split = split_dataset(records, SPLIT_PRESETS["paper-materials"], seed=3, stratified=True)
         assert split.sizes() == (147, 83, 0)
         train_counts = {
-            label: sum(1 for r in split.train if r.label is label) for label in AnemiaLabel
+            label: sum(1 for r in split.train.records() if r.label is label)
+            for label in AnemiaLabel
         }
         assert train_counts == {
             AnemiaLabel.MICROCYTIC: 26,
@@ -176,9 +177,9 @@ class TestSplitDataset:
     def test_is_a_partition(self):
         records = synth_generate(101, _mix(101), seed=3)
         split = split_dataset(records, seed=5)
-        combined = split.train + split.test + split.validation
-        assert len(combined) == len(records)
-        assert sorted(map(id, combined)) == sorted(map(id, records))
+        combined = [r for part in (split.train, split.test, split.validation)
+                    for r in part.records()]
+        assert sorted(map(repr, combined)) == sorted(map(repr, records))
 
     def test_stratified_per_class_deviation_at_most_one(self):
         records = synth_generate(230, _mix(), seed=0)
@@ -186,20 +187,21 @@ class TestSplitDataset:
         for label in AnemiaLabel:
             class_total = sum(1 for r in records if r.label is label)
             for part, fraction in zip((split.train, split.test, split.validation), split.fractions):
-                got = sum(1 for r in part if r.label is label)
+                got = sum(1 for r in part.records() if r.label is label)
                 assert abs(got - fraction * class_total) < 1.0 + 1e-9
 
     def test_same_seed_same_membership(self):
         records = synth_generate(60, _mix(60), seed=9)
         a = split_dataset(records, seed=4)
         b = split_dataset(records, seed=4)
-        assert a.train == b.train and a.test == b.test and a.validation == b.validation
+        for part in ("train", "test", "validation"):
+            assert getattr(a, part).records() == getattr(b, part).records()
 
     def test_different_seed_different_membership(self):
         records = synth_generate(60, _mix(60), seed=9)
         a = split_dataset(records, seed=4)
         b = split_dataset(records, seed=5)
-        assert a.train != b.train
+        assert a.train.records() != b.train.records()
 
     def test_fraction_validation(self):
         records = synth_generate(10, {AnemiaLabel.NON_ANEMIC: 10}, seed=0)

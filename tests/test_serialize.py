@@ -1,8 +1,11 @@
 """Model-file round trips and format guards."""
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hemanet.models import build_elman, build_ffnn, build_narx, output_width
 from hemanet.pipeline import diagnose
@@ -247,3 +250,134 @@ def test_malformed_documents_raise_model_format_error(tmp_path, field, value):
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError):
         load_model(path)
+
+
+# ---------------------------------------------------------------------------
+# one-field mutations of a valid model document, through the CLI
+
+
+@pytest.fixture(scope="module")
+def mutation_setup(tmp_path_factory):
+    """A 24-row labeled file, its unlabeled twin, and one document per family and stage."""
+    from hemanet.cli import fit_stage
+    from hemanet.dataio import save_csv, save_unlabeled_csv
+    from hemanet.nncore import TrainConfig
+    from hemanet.records import AnemiaLabel
+    from hemanet.synth import synth_generate
+
+    tmp_path = tmp_path_factory.mktemp("mutations")
+    labeled = synth_generate(24, {AnemiaLabel.MICROCYTIC: 4, AnemiaLabel.NORMOCYTIC: 6,
+                                  AnemiaLabel.MACROCYTIC: 6, AnemiaLabel.NON_ANEMIC: 8}, seed=23)
+    data, unlabeled = tmp_path / "data.csv", tmp_path / "unlabeled.csv"
+    save_csv(labeled, data)
+    save_unlabeled_csv([item.record for item in labeled], unlabeled)
+    config = TrainConfig(epochs=3, hidden_size=4, seed=23)
+    docs = {}
+    for family in ("ffnn", "elman", "narx"):
+        for stage in ("diagnosis", "classify"):
+            bundle, _ = fit_stage(labeled, family, stage, config)
+            docs[family, stage] = bundle_to_doc(bundle)
+    return data, unlabeled, docs
+
+
+def _paths(node, prefix=()):
+    """Key/index paths into a JSON document: every dict entry and layer, but
+    only the first element of a number list, so weights do not crowd out
+    the other fields."""
+    out = [prefix] if prefix else []
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list) and node and isinstance(node[0], dict):
+        children = enumerate(node)
+    else:
+        children = [(0, node[0])] if isinstance(node, list) and node else []
+    for key, child in children:
+        out += _paths(child, prefix + (key,))
+    return out
+
+
+def _mutate(doc, path, kind, value):
+    """Apply one mutation at ``path`` in place; returns the document."""
+    if kind == "family":
+        doc["family"] = value
+        return doc
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key, old = path[-1], parent[path[-1]]
+    if kind == "missing":
+        del parent[key]
+    elif kind == "type":
+        parent[key] = value
+    elif kind == "nan":
+        parent[key] = float("nan")
+    elif isinstance(old, list):  # shape
+        parent[key] = {0: old[:-1], 1: old + old[:1], 2: [old]}[value % 3]
+    else:
+        parent[key] = [old]
+    return doc
+
+
+def _all_finite(node) -> bool:
+    if isinstance(node, dict):
+        return all(_all_finite(v) for v in node.values())
+    if isinstance(node, list):
+        return all(_all_finite(v) for v in node)
+    return not isinstance(node, float) or math.isfinite(node)
+
+
+@st.composite
+def doc_mutations(draw, docs):
+    family, stage = draw(st.sampled_from(sorted(docs)))
+    doc = json.loads(json.dumps(docs[family, stage]))
+    kind = draw(st.sampled_from(["type", "nan", "shape", "missing", "family"]))
+    path = draw(st.sampled_from(_paths(doc)))
+    if kind == "family":
+        value = draw(st.sampled_from(["gru", "", "FFNN", 3, None,
+                                      *(f for f in ("ffnn", "elman", "narx") if f != family)]))
+    elif kind == "type":
+        value = draw(st.sampled_from(["x", "1.5", None, True, {}, [], 1.5, -3, [[1.0]]]))
+    else:
+        value = draw(st.integers(0, 2))
+    return family, stage, _mutate(doc, path, kind, value)
+
+
+class TestModelDocumentMutations:
+    """A model file with one field of the wrong type, NaN, the wrong shape,
+    missing, or an unknown family loads and gives finite outputs, or exits 3."""
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_predict_and_eval_exit_0_with_finite_outputs_or_3(self, tmp_path, mutation_setup,
+                                                             capsys, data):
+        from hemanet import cli
+
+        labeled, unlabeled, docs = mutation_setup
+        family, stage, doc = data.draw(doc_mutations(docs))
+        mutated = tmp_path / "mutated.json"
+        mutated.write_text(json.dumps(doc), encoding="utf-8")
+        other = tmp_path / "other.json"
+        other_stage = "classify" if stage == "diagnosis" else "diagnosis"
+        other.write_text(json.dumps(docs[family, other_stage]), encoding="utf-8")
+        diag, clf = (mutated, other) if stage == "diagnosis" else (other, mutated)
+
+        out = tmp_path / "predict.json"
+        out.unlink(missing_ok=True)
+        code = cli.main(["predict", "--diagnosis", str(diag), "--classify", str(clf),
+                         "--data", str(unlabeled), "--format", "json", "--deterministic",
+                         "-o", str(out)])
+        assert code in (0, 3), capsys.readouterr().err
+        if code == 0:
+            patients = json.loads(out.read_text())["patients"]
+            assert len(patients) == 24 and all("error" not in p for p in patients)
+            assert all(_all_finite(p["raw"]) for p in patients)
+
+        out = tmp_path / "eval.json"
+        out.unlink(missing_ok=True)
+        code = cli.main(["eval", "-m", str(mutated), "--data", str(labeled),
+                         "--format", "json", "-o", str(out)])
+        assert code in (0, 3), capsys.readouterr().err
+        if code == 0:
+            assert _all_finite(json.loads(out.read_text()))
+        capsys.readouterr()
