@@ -21,9 +21,13 @@ from .nncore import (
     backprop,
     batch_backprop,
     batch_forward,
+    dense_sigmoid,
     forward_dense,
     mse_loss,
+    output_delta,
     sigmoid,
+    sigmoid_inplace,
+    times_sigmoid_slope,
 )
 from .records import SUBTYPES, AnemiaLabel
 
@@ -93,6 +97,12 @@ def _same_shapes(current, arrays) -> list[np.ndarray]:
     return arrays
 
 
+def _batch_loss(model, X, T) -> float:
+    """Mean squared error of model.predict_batch(X) against T."""
+    Y = model.predict_batch(X)
+    return float(np.mean((Y - np.atleast_2d(T)) ** 2))
+
+
 def decode_subtype(output, encoding: str) -> AnemiaLabel:
     """Subtype of one output vector: subtype_indices on a batch of one."""
     return SUBTYPES[subtype_indices(np.asarray(output, dtype=float)[None], encoding)[0]]
@@ -149,9 +159,7 @@ class FfnnModel:
     def loss_and_grads(self, x, target):
         return backprop(self.layers, x, target)
 
-    def batch_loss(self, X, T) -> float:
-        Y = self.predict_batch(X)
-        return float(np.mean((Y - np.atleast_2d(T)) ** 2))
+    batch_loss = _batch_loss
 
     def batch_loss_and_grads(self, X, T):
         return batch_backprop(self.layers, X, T)
@@ -234,13 +242,19 @@ class ElmanModel:
         _, hiddens, _ = self.unroll(x)
         return sigmoid(self.w2 @ hiddens[-1] + self.b2)
 
-    def predict_batch(self, X) -> np.ndarray:
-        steps = self._as_steps(X)
-        n = steps.shape[0]
-        context = np.full((n, self.hidden_dim), self.context_init)
+    def _states(self, steps) -> list[np.ndarray]:
+        """The initial context and the hidden state after each step of a
+        (N, steps, step_dim) batch."""
+        states = [np.full((steps.shape[0], self.hidden_dim), self.context_init)]
         for t in range(steps.shape[1]):
-            context = sigmoid(steps[:, t, :] @ self.wx.T + context @ self.wh.T + self.b1)
-        return sigmoid(context @ self.w2.T + self.b2)
+            pre = steps[:, t, :] @ self.wx.T
+            pre += states[-1] @ self.wh.T
+            pre += self.b1
+            states.append(sigmoid_inplace(pre))
+        return states
+
+    def predict_batch(self, X) -> np.ndarray:
+        return dense_sigmoid(self._states(self._as_steps(X))[-1], self.w2, self.b2)
 
     def param_arrays(self) -> list[np.ndarray]:
         return [self.wx, self.wh, self.b1, self.w2, self.b2]
@@ -256,38 +270,28 @@ class ElmanModel:
         return self.batch_loss_and_grads(np.asarray(x, dtype=float)[None, :],
                                          np.asarray(target, dtype=float)[None, :])
 
-    def batch_loss(self, X, T) -> float:
-        Y = self.predict_batch(X)
-        return float(np.mean((Y - np.atleast_2d(T)) ** 2))
+    batch_loss = _batch_loss
 
     def batch_loss_and_grads(self, X, T):
         """Backpropagation through time across the sample's steps."""
         steps = self._as_steps(X)
-        T = np.atleast_2d(np.asarray(T, dtype=float))
-        n, n_steps, _ = steps.shape
-        context = np.full((n, self.hidden_dim), self.context_init)
-        hiddens, contexts = [], []
-        for t in range(n_steps):
-            contexts.append(context)
-            context = sigmoid(steps[:, t, :] @ self.wx.T + context @ self.wh.T + self.b1)
-            hiddens.append(context)
-        Y = sigmoid(hiddens[-1] @ self.w2.T + self.b2)
-        out = Y.shape[1]
-        loss = float(((Y - T) ** 2).sum() / Y.size)
-
-        d_out = 2.0 / (n * out) * (Y - T) * Y * (1.0 - Y)
-        g_w2 = d_out.T @ hiddens[-1]
+        states = self._states(steps)
+        Y = dense_sigmoid(states[-1], self.w2, self.b2)
+        loss, d_out = output_delta(Y, np.atleast_2d(np.asarray(T, dtype=float)))
+        g_w2 = d_out.T @ states[-1]
         g_b2 = d_out.sum(axis=0)
         d_hidden = d_out @ self.w2
         g_wx = np.zeros_like(self.wx)
         g_wh = np.zeros_like(self.wh)
         g_b1 = np.zeros_like(self.b1)
-        for t in reversed(range(n_steps)):
-            d_pre = d_hidden * hiddens[t] * (1.0 - hiddens[t])
+        # Step t overwrites states[t + 1], which no earlier step reads; step 0 sends no delta.
+        for t in reversed(range(steps.shape[1])):
+            d_pre = times_sigmoid_slope(d_hidden, states[t + 1])
             g_wx += d_pre.T @ steps[:, t, :]
-            g_wh += d_pre.T @ contexts[t]
+            g_wh += d_pre.T @ states[t]
             g_b1 += d_pre.sum(axis=0)
-            d_hidden = d_pre @ self.wh
+            if t:
+                d_hidden = d_pre @ self.wh
         return loss, [g_wx, g_wh, g_b1, g_w2, g_b2]
 
     def prepare_training(self, X, T):

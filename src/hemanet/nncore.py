@@ -13,12 +13,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def sigmoid_inplace(z: np.ndarray) -> np.ndarray:
+    """Logistic function of the float64 array ``z`` (at least 1-d), written over it.
+
+    Branch-free: with e = exp(-|z|), the numerator max(e, z >= 0) is exactly 1
+    where z >= 0 and e elsewhere, so every value, NaN too, is 1/(1+e) | e/(1+e).
+    Steps alternate between ``z`` and one temporary: numpy is slow to run an
+    operation into its own input when the array has a single element.
+    """
+    nonnegative = z >= 0
+    e = np.abs(z)
+    np.negative(e, out=z)
+    np.exp(z, out=e)
+    np.add(e, 1.0, out=z)
+    np.maximum(e, nonnegative, out=e)
+    return np.divide(e, z, out=z)
+
+
 def sigmoid(x):
-    """Logistic function, overflow-safe for any finite input."""
-    x = np.asarray(x, dtype=float)
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return out if out.shape else float(out)
+    """Logistic function of a copy of ``x``; a 0-d input gives a float."""
+    x = np.array(x, dtype=float)
+    return sigmoid_inplace(x) if x.shape else float(sigmoid_inplace(x[None])[0])
 
 
 def sigmoid_prime(x):
@@ -102,12 +117,38 @@ def backprop(layers: list[LayerParams], x, target):
     return loss, grads
 
 
+def dense_sigmoid(a, weights, biases) -> np.ndarray:
+    """sigmoid(a @ weights.T + biases) for a batch of rows, in one new array."""
+    z = a @ weights.T
+    z += biases
+    return sigmoid_inplace(z)
+
+
+def times_sigmoid_slope(delta, s) -> np.ndarray:
+    """delta * s * (1 - s), left to right, in place; s (spent) becomes 1 - s."""
+    delta *= s
+    np.subtract(1.0, s, out=s)
+    delta *= s
+    return delta
+
+
+def output_delta(Y, T):
+    """(mean squared error, its gradient at the output pre-activation)."""
+    residual = Y - T
+    return float((residual ** 2).sum() / Y.size), 2.0 / Y.size * residual * Y * (1.0 - Y)
+
+
+def _activations(layers: list[LayerParams], X) -> list[np.ndarray]:
+    """The batch and every layer's activation of it, input first."""
+    acts = [np.atleast_2d(np.asarray(X, dtype=float))]
+    for layer in layers:
+        acts.append(dense_sigmoid(acts[-1], layer.weights, layer.biases))
+    return acts
+
+
 def batch_forward(layers: list[LayerParams], X) -> np.ndarray:
     """Vectorized forward over a batch of row vectors."""
-    act = np.atleast_2d(np.asarray(X, dtype=float))
-    for layer in layers:
-        act = sigmoid(act @ layer.weights.T + layer.biases)
-    return act
+    return _activations(layers, X)[-1]
 
 
 def batch_backprop(layers: list[LayerParams], X, T):
@@ -116,21 +157,14 @@ def batch_backprop(layers: list[LayerParams], X, T):
     Matches the average of per-sample backprop results up to summation
     order.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    T = np.atleast_2d(np.asarray(T, dtype=float))
-    acts = [X]
-    for layer in layers:
-        acts.append(sigmoid(acts[-1] @ layer.weights.T + layer.biases))
-    Y = acts[-1]
-    n, out = Y.shape
-    loss = float(((Y - T) ** 2).sum() / Y.size)
-    delta = 2.0 / (n * out) * (Y - T) * Y * (1.0 - Y)
+    acts = _activations(layers, X)
+    loss, delta = output_delta(acts[-1], np.atleast_2d(np.asarray(T, dtype=float)))
     grads = [None] * (2 * len(layers))
     for i in reversed(range(len(layers))):
         grads[2 * i] = delta.T @ acts[i]
         grads[2 * i + 1] = delta.sum(axis=0)
         if i:
-            delta = (delta @ layers[i].weights) * acts[i] * (1.0 - acts[i])
+            delta = times_sigmoid_slope(delta @ layers[i].weights, acts[i])
     return loss, grads
 
 

@@ -33,8 +33,8 @@ from .serialize import ModelBundle
 REPORT_FORMATS = ("text", "json", "csv")
 
 #: Rows per network call.  A whole-batch forward holds the (rows, hidden)
-#: activations and sigmoid's temporaries of every row at once; blocks of
-#: this size bound that memory while the per-call overhead stays negligible.
+#: activations and the in-place sigmoid's numerators of every row at once;
+#: blocks of this size bound that memory while per-call overhead stays small.
 FORWARD_BLOCK_ROWS = 1024
 
 
