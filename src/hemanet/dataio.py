@@ -78,7 +78,7 @@ def load_csv(path) -> CbcColumns:
             f"{path}: {invalid.size} invalid row(s): {shown}"
             + (f", and {more} more" if more > 0 else "")
         )
-    return batch
+    return batch._mark_checked()
 
 
 def load_unlabeled_csv(path) -> CbcColumns:

@@ -2,9 +2,12 @@
 recurrent, and NARX with exogenous/output delay lines.
 
 All models share the duck interface the trainer and gradient checker use:
-param_arrays / set_param_arrays, loss, loss_and_grads, batch_loss,
-batch_loss_and_grads.  Samples passed to those methods are already in the
-model's prepared form (see prepare_training on each class).
+param_arrays / set_param_arrays, workspace, batch_loss and
+batch_loss_and_grads (plus the per-sample loss and loss_and_grads).  Samples
+passed to those methods are already in the model's prepared form (see
+prepare_training on each class).  The batch kernels take an optional
+nncore.Workspace from the model's workspace(rows, grad) and write into it;
+without one they build their own for the call.
 
 Elman and NARX are applied to independent patient records, so recurrent
 state never leaks between samples: the Elman context restarts from its
@@ -18,11 +21,14 @@ import numpy as np
 
 from .nncore import (
     LayerParams,
+    Workspace,
     backprop,
     batch_backprop,
     batch_forward,
     dense_sigmoid,
     forward_dense,
+    layer_workspace,
+    matmul_into,
     mse_loss,
     output_delta,
     sigmoid,
@@ -97,9 +103,9 @@ def _same_shapes(current, arrays) -> list[np.ndarray]:
     return arrays
 
 
-def _batch_loss(model, X, T) -> float:
+def _batch_loss(model, X, T, workspace: Workspace | None = None) -> float:
     """Mean squared error of model.predict_batch(X) against T."""
-    Y = model.predict_batch(X)
+    Y = model.predict_batch(X, workspace)
     return float(np.mean((Y - np.atleast_2d(T)) ** 2))
 
 
@@ -142,8 +148,11 @@ class FfnnModel:
         _, y = forward_dense(self.output, h)
         return y
 
-    def predict_batch(self, X) -> np.ndarray:
-        return batch_forward(self.layers, X)
+    def workspace(self, rows: int, grad=None) -> Workspace:
+        return layer_workspace(self.layers, rows, grad)
+
+    def predict_batch(self, X, workspace: Workspace | None = None) -> np.ndarray:
+        return batch_forward(self.layers, X, workspace)
 
     def param_arrays(self) -> list[np.ndarray]:
         return [self.hidden.weights, self.hidden.biases,
@@ -161,8 +170,8 @@ class FfnnModel:
 
     batch_loss = _batch_loss
 
-    def batch_loss_and_grads(self, X, T):
-        return batch_backprop(self.layers, X, T)
+    def batch_loss_and_grads(self, X, T, workspace: Workspace | None = None):
+        return batch_backprop(self.layers, X, T, workspace)
 
     def prepare_training(self, X, T):
         return np.atleast_2d(np.asarray(X, dtype=float)), np.atleast_2d(np.asarray(T, dtype=float))
@@ -242,19 +251,40 @@ class ElmanModel:
         _, hiddens, _ = self.unroll(x)
         return sigmoid(self.w2 @ hiddens[-1] + self.b2)
 
-    def _states(self, steps) -> list[np.ndarray]:
+    def workspace(self, rows: int, grad=None) -> Workspace:
+        """A Workspace whose acts are the context, the hidden state after each
+        step, and the output; the context is filled here, once."""
+        steps = 1 if self.mode == "single-step" else self.feature_count
+        workspace = Workspace(rows, [self.hidden_dim] * (steps + 1) + [self.out_dim],
+                              [a.shape for a in self.param_arrays()], grad)
+        workspace.acts[0].fill(self.context_init)
+        return workspace
+
+    def _states(self, steps, workspace: Workspace) -> list[np.ndarray]:
         """The initial context and the hidden state after each step of a
         (N, steps, step_dim) batch."""
-        states = [np.full((steps.shape[0], self.hidden_dim), self.context_init)]
+        n = steps.shape[0]
+        states = [buf[:n] for buf in workspace.acts[:-1]]
+        e, mask = workspace.scratch[0][:n], workspace.masks[0][:n]
         for t in range(steps.shape[1]):
-            pre = steps[:, t, :] @ self.wx.T
-            pre += states[-1] @ self.wh.T
+            pre = matmul_into(steps[:, t, :], self.wx.T, states[t + 1])
+            pre += matmul_into(states[t], self.wh.T, e)
             pre += self.b1
-            states.append(sigmoid_inplace(pre))
+            sigmoid_inplace(pre, e, mask)
         return states
 
-    def predict_batch(self, X) -> np.ndarray:
-        return dense_sigmoid(self._states(self._as_steps(X))[-1], self.w2, self.b2)
+    def _output(self, X, workspace: Workspace | None):
+        """(steps, states, output, workspace) of a batch."""
+        steps = self._as_steps(X)
+        n = steps.shape[0]
+        ws = workspace or self.workspace(n)
+        states = self._states(steps, ws)
+        Y = dense_sigmoid(states[-1], self.w2, self.b2,
+                          ws.acts[-1][:n], ws.scratch[-1][:n], ws.masks[-1][:n])
+        return steps, states, Y, ws
+
+    def predict_batch(self, X, workspace: Workspace | None = None) -> np.ndarray:
+        return self._output(X, workspace)[2]
 
     def param_arrays(self) -> list[np.ndarray]:
         return [self.wx, self.wh, self.b1, self.w2, self.b2]
@@ -272,27 +302,31 @@ class ElmanModel:
 
     batch_loss = _batch_loss
 
-    def batch_loss_and_grads(self, X, T):
+    def batch_loss_and_grads(self, X, T, workspace: Workspace | None = None):
         """Backpropagation through time across the sample's steps."""
-        steps = self._as_steps(X)
-        states = self._states(steps)
-        Y = dense_sigmoid(states[-1], self.w2, self.b2)
+        steps, states, Y, ws = self._output(X, workspace)
         loss, d_out = output_delta(Y, np.atleast_2d(np.asarray(T, dtype=float)))
-        g_w2 = d_out.T @ states[-1]
-        g_b2 = d_out.sum(axis=0)
-        d_hidden = d_out @ self.w2
-        g_wx = np.zeros_like(self.wx)
-        g_wh = np.zeros_like(self.wh)
-        g_b1 = np.zeros_like(self.b1)
-        # Step t overwrites states[t + 1], which no earlier step reads; step 0 sends no delta.
-        for t in reversed(range(steps.shape[1])):
+        g_wx, g_wh, g_b1, g_w2, g_b2 = ws.grads
+        matmul_into(d_out.T, states[-1], g_w2)
+        np.add.reduce(d_out, axis=0, out=g_b2)
+        d_hidden = matmul_into(d_out, self.w2, ws.scratch[0][:len(Y)])
+        # Step t overwrites states[t + 1], which no earlier step reads, and then
+        # holds the delta it sends back; step 0 sends none.
+        last = steps.shape[1] - 1
+        for t in reversed(range(last + 1)):
             d_pre = times_sigmoid_slope(d_hidden, states[t + 1])
-            g_wx += d_pre.T @ steps[:, t, :]
-            g_wh += d_pre.T @ states[t]
-            g_b1 += d_pre.sum(axis=0)
+            if t == last:
+                matmul_into(d_pre.T, steps[:, t, :], g_wx)
+                matmul_into(d_pre.T, states[t], g_wh)
+                np.add.reduce(d_pre, axis=0, out=g_b1)
+            else:
+                g_wx += d_pre.T @ steps[:, t, :]
+                g_wh += d_pre.T @ states[t]
+                g_b1 += d_pre.sum(axis=0)
             if t:
-                d_hidden = d_pre @ self.wh
-        return loss, [g_wx, g_wh, g_b1, g_w2, g_b2]
+                d_hidden = matmul_into(d_pre, self.wh, states[t + 1])
+        np.add(ws.grad, 0.0, out=ws.grad)
+        return loss, ws.grads
 
     def prepare_training(self, X, T):
         return np.atleast_2d(np.asarray(X, dtype=float)), np.atleast_2d(np.asarray(T, dtype=float))
@@ -405,11 +439,14 @@ class NarxModel:
     def loss_and_grads(self, composed, target):
         return self.core.loss_and_grads(composed, target)
 
-    def batch_loss(self, Xc, T) -> float:
-        return self.core.batch_loss(Xc, T)
+    def workspace(self, rows: int, grad=None) -> Workspace:
+        return self.core.workspace(rows, grad)
 
-    def batch_loss_and_grads(self, Xc, T):
-        return self.core.batch_loss_and_grads(Xc, T)
+    def batch_loss(self, Xc, T, workspace: Workspace | None = None) -> float:
+        return self.core.batch_loss(Xc, T, workspace)
+
+    def batch_loss_and_grads(self, Xc, T, workspace: Workspace | None = None):
+        return self.core.batch_loss_and_grads(Xc, T, workspace)
 
     def prepare_training(self, X, T):
         T = np.atleast_2d(np.asarray(T, dtype=float))

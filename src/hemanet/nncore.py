@@ -13,16 +13,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def sigmoid_inplace(z: np.ndarray) -> np.ndarray:
+def sigmoid_inplace(z: np.ndarray, e=None, nonnegative=None) -> np.ndarray:
     """Logistic function of the float64 array ``z`` (at least 1-d), written over it.
 
     Branch-free: with e = exp(-|z|), the numerator max(e, z >= 0) is exactly 1
     where z >= 0 and e elsewhere, so every value, NaN too, is 1/(1+e) | e/(1+e).
     Steps alternate between ``z`` and one temporary: numpy is slow to run an
-    operation into its own input when the array has a single element.
+    operation into its own input when the array has a single element.  ``e``
+    and ``nonnegative`` are float64 and bool scratch arrays of z's shape;
+    new ones are allocated when they are not given.
     """
-    nonnegative = z >= 0
-    e = np.abs(z)
+    nonnegative = np.greater_equal(z, 0.0, out=nonnegative)
+    e = np.abs(z, out=e)
     np.negative(e, out=z)
     np.exp(z, out=e)
     np.add(e, 1.0, out=z)
@@ -117,11 +119,76 @@ def backprop(layers: list[LayerParams], x, target):
     return loss, grads
 
 
-def dense_sigmoid(a, weights, biases) -> np.ndarray:
-    """sigmoid(a @ weights.T + biases) for a batch of rows, in one new array."""
-    z = a @ weights.T
+def matmul_into(a, b, out) -> np.ndarray:
+    """a @ b, written into ``out``.
+
+    With an inner dimension of 1 the product is an outer product, computed as
+    a broadcast multiply.  Its zeros keep their sign, where a BLAS product,
+    which accumulates from zero, gives +0.0: kernels add 0.0 to the
+    gradients they write this way.
+    """
+    if a.shape[-1] == 1:
+        return np.multiply(a, b, out=out)
+    return np.matmul(a, b, out=out)
+
+
+def param_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive pieces of the flat vector ``flat`` as views of the given
+    shapes, which must fill it exactly."""
+    sizes = [math.prod(shape) for shape in shapes]
+    if sum(sizes) != flat.size:
+        raise ValueError(f"shapes {list(shapes)} do not fill a vector of {flat.size}")
+    views, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return views
+
+
+class Workspace:
+    """Preallocated buffers for a model's batch kernels, for up to ``rows`` rows.
+
+    ``acts`` holds one (rows, width) float64 array per entry of ``widths``,
+    and ``scratch``/``masks`` a float64 and a bool array of the same shape
+    for each; every scratch array is a view of one buffer, and so is every
+    mask.  A batch of n rows uses the first n rows of each array.  A scratch
+    array holds the sigmoid's temporary, then the first backward delta;
+    ``spare`` (stacks of more than two layers only) holds every second delta
+    after it.  ``grads`` are views, in parameter order, into the flat
+    gradient vector ``grad`` (a new one when it is not given).
+
+    A kernel run under a workspace writes its activations, deltas and
+    gradients into it, so the arrays it returns are overwritten by the next
+    call under the same workspace.  Nothing is shared between workspaces.
+    """
+
+    def __init__(self, rows: int, widths, shapes, grad=None, spare: bool = False):
+        size = rows * max(widths)
+        self.acts = [np.empty((rows, width)) for width in widths]
+        self.scratch = self._views(np.empty(size), rows, widths)
+        self.masks = self._views(np.empty(size, dtype=bool), rows, widths)
+        self.spare = self._views(np.empty(size), rows, widths) if spare else None
+        self.grad = np.empty(sum(math.prod(s) for s in shapes)) if grad is None else grad
+        self.grads = param_views(self.grad, shapes)
+
+    @staticmethod
+    def _views(buffer, rows, widths):
+        return [buffer[:rows * width].reshape(rows, width) for width in widths]
+
+
+def layer_workspace(layers: list[LayerParams], rows: int, grad=None) -> Workspace:
+    """A Workspace for batch_forward and batch_backprop over ``layers``."""
+    return Workspace(rows, [layer.out_dim for layer in layers],
+                     [a.shape for layer in layers for a in (layer.weights, layer.biases)],
+                     grad, spare=len(layers) > 2)
+
+
+def dense_sigmoid(a, weights, biases, out, e, mask) -> np.ndarray:
+    """sigmoid(a @ weights.T + biases) for a batch of rows, written into ``out``
+    with the scratch arrays ``e`` and ``mask`` of its shape."""
+    z = matmul_into(a, weights.T, out)
     z += biases
-    return sigmoid_inplace(z)
+    return sigmoid_inplace(z, e, mask)
 
 
 def times_sigmoid_slope(delta, s) -> np.ndarray:
@@ -138,34 +205,41 @@ def output_delta(Y, T):
     return float((residual ** 2).sum() / Y.size), 2.0 / Y.size * residual * Y * (1.0 - Y)
 
 
-def _activations(layers: list[LayerParams], X) -> list[np.ndarray]:
-    """The batch and every layer's activation of it, input first."""
+def _activations(layers: list[LayerParams], X, workspace: Workspace | None):
+    """The batch and every layer's activation of it, input first, and the
+    workspace that holds them (a new one when none is given)."""
     acts = [np.atleast_2d(np.asarray(X, dtype=float))]
-    for layer in layers:
-        acts.append(dense_sigmoid(acts[-1], layer.weights, layer.biases))
-    return acts
+    n = len(acts[0])
+    ws = workspace or layer_workspace(layers, n)
+    for layer, out, e, mask in zip(layers, ws.acts, ws.scratch, ws.masks):
+        acts.append(dense_sigmoid(acts[-1], layer.weights, layer.biases,
+                                  out[:n], e[:n], mask[:n]))
+    return acts, ws
 
 
-def batch_forward(layers: list[LayerParams], X) -> np.ndarray:
+def batch_forward(layers: list[LayerParams], X, workspace: Workspace | None = None) -> np.ndarray:
     """Vectorized forward over a batch of row vectors."""
-    return _activations(layers, X)[-1]
+    return _activations(layers, X, workspace)[0][-1]
 
 
-def batch_backprop(layers: list[LayerParams], X, T):
+def batch_backprop(layers: list[LayerParams], X, T, workspace: Workspace | None = None):
     """Vectorized mean loss and mean gradients over a batch.
 
     Matches the average of per-sample backprop results up to summation
-    order.
+    order.  The gradients are the workspace's ``grads``.
     """
-    acts = _activations(layers, X)
+    acts, ws = _activations(layers, X, workspace)
     loss, delta = output_delta(acts[-1], np.atleast_2d(np.asarray(T, dtype=float)))
-    grads = [None] * (2 * len(layers))
+    n = len(acts[0])
+    deltas = (ws.scratch, ws.spare)
     for i in reversed(range(len(layers))):
-        grads[2 * i] = delta.T @ acts[i]
-        grads[2 * i + 1] = delta.sum(axis=0)
+        matmul_into(delta.T, acts[i], ws.grads[2 * i])
+        np.add.reduce(delta, axis=0, out=ws.grads[2 * i + 1])
         if i:
-            delta = times_sigmoid_slope(delta @ layers[i].weights, acts[i])
-    return loss, grads
+            out = deltas[(len(layers) - 1 - i) % 2][i - 1][:n]
+            delta = times_sigmoid_slope(matmul_into(delta, layers[i].weights, out), acts[i])
+    np.add(ws.grad, 0.0, out=ws.grad)
+    return loss, ws.grads
 
 
 def sgd_momentum_step(params, grad, velocity, learning_rate: float, momentum: float) -> None:
@@ -183,21 +257,24 @@ def sgd_momentum_step(params, grad, velocity, learning_rate: float, momentum: fl
 def gradient_check(model, sample, target, epsilon: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    ``model`` must expose param_arrays() (live arrays), loss(sample, target)
-    and loss_and_grads(sample, target).  Relative error per parameter is
-    |a - n| / max(|a|, |n|, 1e-8).
+    ``model`` must expose param_arrays() (live arrays), batch_loss(X, T) and
+    batch_loss_and_grads(X, T), the kernels training runs; the sample and its
+    target are checked as a batch of one row.  Relative error per parameter
+    is |a - n| / max(|a|, |n|, 1e-8).
     """
     if not 1e-7 <= epsilon <= 1e-3:
         raise ValueError("epsilon must lie in [1e-7, 1e-3]")
-    _, analytic = model.loss_and_grads(sample, target)
+    sample = np.asarray(sample, dtype=float)[None, :]
+    target = np.asarray(target, dtype=float)[None, :]
+    _, analytic = model.batch_loss_and_grads(sample, target)
     worst = 0.0
     for arr, grad in zip(model.param_arrays(), analytic):
         for idx in np.ndindex(arr.shape):
             original = arr[idx]
             arr[idx] = original + epsilon
-            plus = model.loss(sample, target)
+            plus = model.batch_loss(sample, target)
             arr[idx] = original - epsilon
-            minus = model.loss(sample, target)
+            minus = model.batch_loss(sample, target)
             arr[idx] = original
             numeric = (plus - minus) / (2.0 * epsilon)
             a = float(grad[idx])
@@ -272,11 +349,7 @@ def _bind_flat(model) -> np.ndarray:
     model's arrays as views into it, so updating the vector updates the model."""
     arrays = model.param_arrays()
     flat = np.concatenate([a.ravel() for a in arrays], dtype=float)
-    views, start = [], 0
-    for a in arrays:
-        views.append(flat[start:start + a.size].reshape(a.shape))
-        start += a.size
-    model.set_param_arrays(views)
+    model.set_param_arrays(param_views(flat, [a.shape for a in arrays]))
     return flat
 
 
@@ -288,7 +361,10 @@ def train_loop(model, train, validation=None, config: TrainConfig | None = None)
     saw before each update; validation loss is evaluated after the epoch's
     updates.  All parameters live in one flat vector, which every update
     changes in place; a non-finite loss or parameter raises
-    TrainingDivergedError.
+    TrainingDivergedError.  One workspace (``model.workspace``), sized for
+    the larger of the update batch and the validation set, holds every
+    update's and validation pass's arrays, and its gradient views write
+    into the flat gradient vector the optimizer reads.
     """
     config = config or TrainConfig()
     X, T = train
@@ -296,13 +372,16 @@ def train_loop(model, train, validation=None, config: TrainConfig | None = None)
     T = np.atleast_2d(np.asarray(T, dtype=float))
     if len(X) == 0:
         raise ValueError("training data is empty")
+    rows = len(X) if config.update_mode == "full-batch" else 1
     if validation is not None:
         val_x = np.atleast_2d(np.asarray(validation[0], dtype=float))
         val_t = np.atleast_2d(np.asarray(validation[1], dtype=float))
+        rows = max(rows, len(val_x))
 
     flat = _bind_flat(model)
     velocity = np.zeros_like(flat)
     grad = np.empty_like(flat)
+    workspace = model.workspace(rows, grad)
     lr, mu = config.learning_rate, config.momentum
     rng = np.random.default_rng(config.seed)
     curve = LossCurve(validation=[] if validation is not None else None)
@@ -310,10 +389,9 @@ def train_loop(model, train, validation=None, config: TrainConfig | None = None)
     stale = 0
 
     def update(x, t, epoch):
-        loss, grads = model.batch_loss_and_grads(x, t)
+        loss, _ = model.batch_loss_and_grads(x, t, workspace)
         if not math.isfinite(loss):
             raise TrainingDivergedError(epoch)
-        np.concatenate([g.ravel() for g in grads], out=grad)
         sgd_momentum_step(flat, grad, velocity, lr, mu)
         if not np.isfinite(flat).all():
             raise TrainingDivergedError(epoch, "parameters")
@@ -329,7 +407,7 @@ def train_loop(model, train, validation=None, config: TrainConfig | None = None)
         curve.train.append(epoch_loss)
 
         if validation is not None:
-            val_loss = model.batch_loss(val_x, val_t)
+            val_loss = model.batch_loss(val_x, val_t, workspace)
             curve.validation.append(val_loss)
             if config.patience is not None:
                 if val_loss < best_val:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from operator import attrgetter
 
@@ -193,6 +193,10 @@ class CbcColumns:
     gender: np.ndarray
     analytes: np.ndarray
     label: np.ndarray | None = None
+    # Set once every row has passed validate_records (in load_csv or
+    # check_records), so check_records does not run the checks again; take()
+    # passes it on.  The arrays are not changed after that.
+    _checked: bool = field(default=False, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.gender)
@@ -223,7 +227,12 @@ class CbcColumns:
         """The batch of the given row indices, in that order."""
         rows = np.asarray(rows, dtype=np.intp)
         label = None if self.label is None else self.label[rows]
-        return CbcColumns(self.age[rows], self.gender[rows], self.analytes[rows], label)
+        part = CbcColumns(self.age[rows], self.gender[rows], self.analytes[rows], label)
+        return part._mark_checked() if self._checked else part
+
+    def _mark_checked(self) -> "CbcColumns":
+        object.__setattr__(self, "_checked", True)
+        return self
 
     def anemic(self) -> "CbcColumns":
         """The rows of a labeled batch whose label is an anemia subtype, in order."""
@@ -292,12 +301,18 @@ def invalid_rows(records) -> np.ndarray:
 
 
 def check_records(records) -> CbcColumns:
-    """The records as columns; raises ValidationError for the first invalid row."""
+    """The records as columns; raises ValidationError for the first invalid row.
+
+    Columns that load_csv or an earlier check_records call validated are
+    returned without checking them again.
+    """
     batch = CbcColumns.of(records)
+    if batch._checked:
+        return batch
     bad = invalid_rows(batch)
     if bad.size:
         raise ValidationError(validate_records(batch.take(bad[:1]))[0])
-    return batch
+    return batch._mark_checked()
 
 
 def _faults(batch: CbcColumns) -> np.ndarray:

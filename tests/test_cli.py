@@ -480,8 +480,9 @@ def test_train_parameter_divergence_is_numeric_failure(tmp_path, monkeypatch, ca
                                                        family, update_mode):
     # A finite loss with an infinite gradient: the parameters, not the loss,
     # go non-finite, and no model file is written.
-    def inf_grads(self, X, T):
-        return 0.25, [np.full(p.shape, np.inf) for p in self.param_arrays()]
+    def inf_grads(self, X, T, workspace):
+        workspace.grad.fill(np.inf)
+        return 0.25, workspace.grads
 
     cls = {"ffnn": FfnnModel, "elman": ElmanModel, "narx": NarxModel}[family]
     monkeypatch.setattr(cls, "batch_loss_and_grads", inf_grads)

@@ -1,9 +1,12 @@
-"""The branch-free, in-place sigmoid kernels agree bit for bit with the
-two-branch code they replaced.
+"""The branch-free, in-place sigmoid kernels, and training runs on their
+preallocated workspace, agree bit for bit with the two-branch, allocating
+code they replaced.
 
 The replaced ``sigmoid``, ``batch_forward``, ``batch_backprop`` and Elman
 forward/BPTT are kept below as references.  Activations, losses and
-gradients must match them exactly (same bits; NaN at the same positions).
+gradients must match them exactly (same bits; NaN at the same positions),
+and so must the loss curves and parameters of ``train_loop`` against
+list-based momentum SGD over the references.
 """
 import numpy as np
 import pytest
@@ -11,8 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hemanet.models import build_elman, build_ffnn, build_narx
-from hemanet.nncore import LayerParams, batch_backprop, batch_forward, sigmoid
+from hemanet.models import build_elman, build_ffnn, build_model, build_narx, encode_targets
+from hemanet.nncore import (
+    LayerParams,
+    TrainConfig,
+    batch_backprop,
+    batch_forward,
+    sigmoid,
+    train_loop,
+)
 
 # Edge inputs overflow matmuls and subtract infinities, on both sides alike.
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -253,3 +263,76 @@ def test_deeper_stack_matches_reference():
     X, T = _data(rng, 64, 3, 1.0, False)
     assert_bitwise(batch_forward(layers, X), reference_batch_forward(layers, X))
     assert_same_result(batch_backprop(layers, X, T), reference_batch_backprop(layers, X, T))
+
+
+# ---------------------------------------------------------------------------
+# train_loop on its workspace
+
+
+def reference_kernels(model):
+    """(loss_and_grads, loss) of the reference kernels on a model's live weights."""
+    if model.family == "elman":
+        return (lambda X, T: reference_elman_bptt(model, X, T),
+                lambda X, T: reference_batch_loss(
+                    lambda x: reference_elman_predict(model, x), X, T))
+    dense = model.core if model.family == "narx" else model
+    return (lambda X, T: reference_batch_backprop(dense.layers, X, T),
+            lambda X, T: reference_batch_loss(
+                lambda x: reference_batch_forward(dense.layers, x), X, T))
+
+
+def reference_train(model, train, validation, config):
+    """train_loop's curves as list-based momentum SGD over the reference kernels."""
+    loss_and_grads, loss_of = reference_kernels(model)
+    (X, T), lr, mu = train, config.learning_rate, config.momentum
+    velocity = [np.zeros_like(p) for p in model.param_arrays()]
+    rng = np.random.default_rng(config.seed)
+    train_curve, validation_curve = [], []
+    for _ in range(config.epochs):
+        rows = ([slice(None)] if config.update_mode == "full-batch"
+                else [slice(i, i + 1) for i in rng.permutation(len(X))])
+        losses = []
+        for row in rows:
+            loss, grads = loss_and_grads(X[row], T[row])
+            velocity = [mu * v - lr * g for v, g in zip(velocity, grads)]
+            model.set_param_arrays([p + v for p, v in zip(model.param_arrays(), velocity)])
+            losses.append(loss)
+        train_curve.append(float(np.mean(losses)))
+        validation_curve.append(loss_of(*validation))
+    return train_curve, validation_curve
+
+
+SPECS = {
+    "ffnn": ("ffnn", {}),
+    "elman-single-step": ("elman", {"mode": "single-step"}),
+    "elman-feature-sequence": ("elman", {"mode": "feature-sequence"}),
+    "narx-per-record": ("narx", {}),
+    "narx-stream": ("narx", {"mode": "stream", "d_u": 1, "d_y": 2}),
+}
+
+
+@pytest.mark.parametrize("validation_rows", [7, 40])  # the training set has 24
+@pytest.mark.parametrize("encoding", ["binary1", "onehot3"])
+@pytest.mark.parametrize("update_mode", ["full-batch", "per-sample"])
+@pytest.mark.parametrize("spec", list(SPECS))
+@pytest.mark.parametrize("scale", [1.0, 30.0])
+def test_train_loop_matches_reference(spec, update_mode, encoding, validation_rows, scale):
+    family, kwargs = SPECS[spec]
+    out_dim = 3 if encoding == "onehot3" else 1
+    rng = np.random.default_rng(validation_rows + out_dim)
+    codes = rng.integers(0 if encoding == "binary1" else 1, 4, size=24 + validation_rows)
+    X = rng.normal(0.0, scale, size=(len(codes), FEATURES))
+    T = encode_targets(codes, encoding)
+    config = TrainConfig(epochs=3 if update_mode == "per-sample" else 25,
+                         update_mode=update_mode, seed=9)
+    nets = [_scaled(build_model(family, FEATURES, 20, out_dim, seed=3, **kwargs), scale)
+            for _ in range(2)]
+    train = nets[0].prepare_training(X[:24], T[:24])
+    validation = nets[0].prepare_training(X[24:], T[24:])
+
+    _, curve = train_loop(nets[0], train, validation, config)
+    train_curve, validation_curve = reference_train(nets[1], train, validation, config)
+    assert_bitwise(curve.train, train_curve)
+    assert_bitwise(curve.validation, validation_curve)
+    for got, want in zip(nets[0].param_arrays(), nets[1].param_arrays()):
+        assert_bitwise(got, want)

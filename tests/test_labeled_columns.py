@@ -391,6 +391,35 @@ class TestEvaluationValidates:
         assert evaluate_classification(_bundle("onehot3"), labeled).total == 1
         assert evaluate_pipeline(_bundle("binary1"), _bundle("onehot3"), labeled).total == 2
 
+    def test_loaded_batch_is_validated_once(self, monkeypatch, dataset, tmp_path):
+        # eval scores six models on one loaded batch; only load_csv checks it.
+        import hemanet.records
+
+        calls = []
+        faults = hemanet.records._faults
+        monkeypatch.setattr(hemanet.records, "_faults",
+                            lambda batch: calls.append(len(batch)) or faults(batch))
+        path = tmp_path / "data.csv"
+        save_csv(dataset, path)
+        batch = load_csv(path)
+        for _ in range(3):
+            evaluate_diagnosis(_bundle("binary1"), batch)
+            evaluate_classification(_bundle("onehot3"), batch)
+        evaluate_pipeline(_bundle("binary1"), _bundle("onehot3"), batch)
+        evaluate_diagnosis(_bundle("binary1"), split_dataset(batch, (0.5, 0.5, 0.0), seed=1).test)
+        assert calls == [len(dataset)]
+
+    def test_in_memory_columns_are_still_checked(self):
+        # Columns built in memory carry no mark: the invalid row still raises,
+        # and so does every part taken from them.
+        columns = CbcColumns.of(self._labeled())
+        for batch in (columns, columns.take([0, 2]), CbcColumns.of(self._labeled())):
+            with pytest.raises(ValidationError):
+                evaluate_diagnosis(_bundle("binary1"), batch)
+        valid = CbcColumns.of(self._labeled()[:2])
+        assert evaluate_diagnosis(_bundle("binary1"), valid).total == 2
+        assert evaluate_diagnosis(_bundle("binary1"), valid.take([1])).total == 1
+
 
 class TestEmptyConfusionMatrixExits:
     @pytest.fixture(scope="class")

@@ -1,5 +1,7 @@
 """Sigmoid, dense forward/backward, the optimizer, the gradient checker,
-and the training loop."""
+the training loop and its workspace."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -241,21 +243,21 @@ class _OneLayerModel:
     def param_arrays(self):
         return [self.w, self.b]
 
-    def _forward(self, x):
-        return sigmoid(self.w @ x + self.b)
+    def _forward(self, X):
+        return sigmoid(X @ self.w.T + self.b)
 
-    def loss(self, x, target):
-        return mse_loss(self._forward(x), target)
+    def batch_loss(self, X, T):
+        return mse_loss(self._forward(X), T)
 
-    def loss_and_grads(self, x, target):
-        y = self._forward(x)
-        delta = mse_grad(y, target) * y * (1 - y)
-        return mse_loss(y, target), [np.outer(delta, x), delta]
+    def batch_loss_and_grads(self, X, T):
+        y = self._forward(X)
+        delta = mse_grad(y, T) * y * (1 - y)
+        return mse_loss(y, T), [delta.T @ X, delta.sum(axis=0)]
 
 
 class _CorruptedModel(_OneLayerModel):
-    def loss_and_grads(self, x, target):
-        loss, (gw, gb) = super().loss_and_grads(x, target)
+    def batch_loss_and_grads(self, X, T):
+        loss, (gw, gb) = super().batch_loss_and_grads(X, T)
         gw = gw.copy()
         gw[0, 0] *= 2.0  # deliberately wrong
         return loss, [gw, gb]
@@ -451,8 +453,9 @@ class TestTrainLoop:
     @pytest.mark.parametrize("family", ["ffnn", "elman", "narx"])
     def test_non_finite_parameters_abort(self, monkeypatch, family, update_mode):
         # A finite loss with an infinite gradient drives a parameter to -inf.
-        def inf_grads(self, X, T):
-            return 0.25, [np.full(p.shape, np.inf) for p in self.param_arrays()]
+        def inf_grads(self, X, T, workspace):
+            workspace.grad.fill(np.inf)
+            return 0.25, workspace.grads
 
         net = build_model(family, 3, 4, 1, seed=1)
         monkeypatch.setattr(type(net), "batch_loss_and_grads", inf_grads)
@@ -471,3 +474,52 @@ class TestTrainLoop:
         assert lines[0] == "epoch,train_loss,val_loss"
         assert len(lines) == 4
         assert lines[1].startswith("1,")
+
+
+class TestWorkspace:
+    SPECS = [("ffnn", {}), ("elman", {}), ("elman", {"mode": "feature-sequence"}),
+             ("narx", {})]
+
+    @pytest.mark.parametrize("family,kwargs", SPECS)
+    def test_full_batch_epochs_allocate_no_batch_sized_block(self, family, kwargs):
+        # Once the first epoch has run, an epoch's update and validation pass
+        # write into the run's workspace: no block the size of one (rows x
+        # hidden) float64 array is live above what was live when epoch 2 began.
+        rows, hidden = 400, 50
+        rng = np.random.default_rng(0)
+        X, T = rng.normal(size=(rows + 100, 9)), rng.uniform(size=(rows + 100, 1))
+        net = build_model(family, 9, hidden, 1, seed=0, **kwargs)
+        train = net.prepare_training(X[:rows], T[:rows])
+        validation = net.prepare_training(X[rows:], T[rows:])
+        inner, calls, base = net.batch_loss_and_grads, [], []
+
+        def update(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                tracemalloc.reset_peak()
+                base.append(tracemalloc.get_traced_memory()[0])
+            return inner(*args)
+
+        net.batch_loss_and_grads = update
+        tracemalloc.start()
+        try:
+            train_loop(net, train, validation, TrainConfig(epochs=6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 6
+        assert peak - base[0] < rows * hidden * 8
+
+    @pytest.mark.parametrize("family", ["ffnn", "elman", "narx"])
+    def test_results_without_a_workspace_survive_later_calls(self, family):
+        rng = np.random.default_rng(1)
+        net = build_model(family, 9, 6, 3, seed=2)
+        predict = net.predict_record_batch if family == "narx" else net.predict_batch
+        X, T = net.prepare_training(rng.normal(size=(5, 9)), rng.uniform(size=(5, 3)))
+        Y = predict(X[:, :9])
+        _, grads = net.batch_loss_and_grads(X, T)
+        kept = [Y.copy()] + [g.copy() for g in grads]
+        predict(-X[:, :9])
+        net.batch_loss_and_grads(-X, 1.0 - T)
+        for now, before in zip([Y, *grads], kept):
+            np.testing.assert_array_equal(now, before)
