@@ -55,18 +55,14 @@ from .nncore import (
     NumericError,
     TrainConfig,
     TrainingDivergedError,
-    backprop,
-    forward_dense,
     gradient_check,
-    mse_grad,
-    mse_loss,
     sgd_momentum_step,
     sigmoid,
-    sigmoid_prime,
     train_loop,
 )
 from .models import (
     BAND_CENTERS,
+    FAMILIES,
     ElmanModel,
     FfnnModel,
     NarxModel,

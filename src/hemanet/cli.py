@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataio import CsvFormatError, load_csv, load_unlabeled_csv, save_csv
 from .metrics import EvalReport, compare_report
-from .models import build_model, encode_targets, output_width
+from .models import FAMILIES, build_model, encode_targets, output_width
 from .nncore import NumericError, TrainConfig, gradient_check, train_loop
 from .pipeline import (
     check_threshold,
@@ -56,10 +56,6 @@ MIX_ORDER = (
     AnemiaLabel.NON_ANEMIC,
 )
 
-# Reporting order for the three-family comparison.
-COMPARE_FAMILIES = ("ffnn", "narx", "elman")
-
-
 class UsageError(ValueError):
     """Semantically invalid flags (maps to exit code 2)."""
 
@@ -73,18 +69,15 @@ def fit_stage(
     encoding: str = "onehot3",
     val_records=None,
     scaling_records=None,
-    elman_mode: str = "single-step",
-    narx_mode: str = "per-record",
-    d_u: int = 0,
-    d_y: int = 1,
-    context_init: float = 0.5,
+    **options,
 ):
     """Train one stage model on labeled records; returns (bundle, curve).
 
     The diagnosis stage trains on everything with binary targets; the
     classification stage trains on the anemic subset only.  The normalizer
     is fitted on the stage's own training rows unless ``scaling_records``
-    overrides that (joint-scaling fidelity mode).
+    overrides that (joint-scaling fidelity mode).  ``options`` are the
+    family's (``FAMILIES[family].options``); a bad value raises UsageError.
     """
     if stage == "diagnosis":
         encoding = "binary1"
@@ -104,15 +97,11 @@ def fit_stage(
     X = normalizer.apply(raw)
     T = encode_targets(subset.label, encoding)
 
-    kwargs = {}
-    if family == "elman":
-        kwargs = {"mode": elman_mode, "context_init": context_init}
-    elif family == "narx":
-        kwargs = {"mode": narx_mode, "d_u": d_u, "d_y": d_y}
-    net = build_model(
-        family, len(spec), config.hidden_size, output_width(encoding),
-        seed=config.seed, **kwargs,
-    )
+    try:
+        net = build_model(family, len(spec), config.hidden_size, output_width(encoding),
+                          seed=config.seed, **options)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
     validation = None
     if val_records:
@@ -163,7 +152,7 @@ def run_compare(
     split = split_dataset(records, fractions, seed=seed, stratified=stratified)
     entries = []
     curves = {}
-    for family in COMPARE_FAMILIES:
+    for family in FAMILIES:
         bundle, curve = fit_stage(
             split.train,
             family,
@@ -235,6 +224,14 @@ def _config_from(args) -> TrainConfig:
         raise UsageError(str(exc)) from None
 
 
+def _family_options(args) -> dict:
+    """The options of ``--family`` that were given: ``--<family>-mode`` sets
+    its mode, and the flag named after each other option sets that one."""
+    given = {name: getattr(args, f"{args.family}_mode" if name == "mode" else name)
+             for name in FAMILIES[args.family].options}
+    return {name: value for name, value in given.items() if value is not None}
+
+
 def cmd_train(args) -> int:
     records = load_csv(args.data)
     config = _config_from(args)
@@ -255,11 +252,7 @@ def cmd_train(args) -> int:
         encoding=args.encoding,
         val_records=val_records,
         scaling_records=scaling_records,
-        elman_mode=args.elman_mode,
-        narx_mode=args.narx_mode,
-        d_u=args.du,
-        d_y=args.dy,
-        context_init=args.context_init,
+        **_family_options(args),
     )
     save_model(bundle, args.out)
     if args.curve:
@@ -321,43 +314,29 @@ def cmd_predict(args) -> int:
 
 
 def gradcheck_trial(family: str, mode: str | None, seed: int, epsilon: float) -> float:
-    """One random small-network gradient check; returns the max relative error."""
+    """Max relative error of one random small-network gradient check, on the
+    last row of a 3-row stream as training prepares it."""
     rng = np.random.default_rng(seed)
     features = int(rng.integers(3, 7))
     hidden = int(rng.integers(2, 9))
     out_dim = int(rng.integers(1, 4))
-    kwargs = {}
-    if family == "elman":
-        kwargs = {"mode": mode or "single-step"}
-    elif family == "narx":
-        kwargs = {"mode": mode or "per-record",
-                  "d_u": int(rng.integers(0, 3)), "d_y": int(rng.integers(1, 3))}
-    net = build_model(family, features, hidden, out_dim, seed=seed, **kwargs)
-
-    def draw(size):
-        # Keep inputs away from zero so no gradient is degenerately tiny.
-        return rng.uniform(0.1, 1.0, size=size) * rng.choice([-1.0, 1.0], size=size)
-
-    target = rng.uniform(0.1, 0.9, size=out_dim)
-    if family == "narx":
-        if net.mode == "stream":
-            stream_x = draw((3, features))
-            stream_t = rng.uniform(0.1, 0.9, size=(3, out_dim))
-            sample = net.compose_stream(stream_x, stream_t)[-1]
-            target = stream_t[-1]
-        else:
-            sample = net.compose_record(draw(features))
-    else:
-        sample = draw(features)
-    return gradient_check(net, sample, target, epsilon)
+    options = {"mode": mode} if mode else {}
+    # Integer options are delay orders: draw each between its default and 2.
+    options.update({name: int(rng.integers(default, 3))
+                    for name, default in FAMILIES[family].options.items()
+                    if type(default) is int})
+    net = build_model(family, features, hidden, out_dim, seed=seed, **options)
+    # Keep inputs away from zero so no gradient is degenerately tiny.
+    X = rng.uniform(0.1, 1.0, size=(3, features)) * rng.choice([-1.0, 1.0], size=(3, features))
+    inputs, targets = net.prepare_training(X, rng.uniform(0.1, 0.9, size=(3, out_dim)))
+    return gradient_check(net, inputs[-1], targets[-1], epsilon)
 
 
 def cmd_gradcheck(args) -> int:
-    if args.mode is not None:
-        valid = {"elman": ("single-step", "feature-sequence"),
-                 "narx": ("per-record", "stream")}.get(args.family, ())
-        if args.mode not in valid:
-            raise UsageError(f"mode {args.mode!r} is not valid for family {args.family!r}")
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    if args.mode is not None and args.mode not in FAMILIES[args.family].modes:
+        raise UsageError(f"mode {args.mode!r} is not valid for family {args.family!r}")
     try:
         errors = [
             gradcheck_trial(args.family, args.mode, args.seed + t, args.epsilon)
@@ -428,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one stage model")
     p.add_argument("--data", required=True)
-    p.add_argument("--family", choices=("ffnn", "elman", "narx"), required=True)
+    p.add_argument("--family", choices=tuple(FAMILIES), required=True)
     p.add_argument("--stage", choices=("diagnosis", "classify"), required=True)
     p.add_argument("--features", choices=("full9", "paper7"), default="full9")
     p.add_argument("--encoding", choices=("onehot3", "banded1"), default="onehot3",
@@ -439,13 +418,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fit the normalizer on all records, not just the training part")
     p.add_argument("--seed", type=int, default=0)
     _add_train_flags(p)
-    p.add_argument("--elman-mode", choices=("single-step", "feature-sequence"),
-                   default="single-step")
-    p.add_argument("--narx-mode", choices=("per-record", "stream"), default="per-record")
-    p.add_argument("--du", type=int, default=0, help="NARX exogenous delay order")
-    p.add_argument("--dy", type=int, default=1, help="NARX output delay order")
-    p.add_argument("--context-init", type=float, default=0.5,
-                   help="Elman initial context value per unit")
+    # Family options; one left out takes the family's default.
+    for family, spec in FAMILIES.items():
+        if spec.modes:
+            p.add_argument(f"--{family}-mode", choices=spec.modes,
+                           help=f"{family} mode (default {spec.options['mode']})")
+    p.add_argument("--du", dest="d_u", type=int, help="NARX exogenous delay order")
+    p.add_argument("--dy", dest="d_y", type=int, help="NARX output delay order")
+    p.add_argument("--context-init", type=float, help="Elman initial context value per unit")
     p.add_argument("--curve", default=None, help="write the loss curve CSV here")
     p.add_argument("-o", "--out", required=True, help="model file path")
     p.set_defaults(func=cmd_train)
@@ -470,9 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    p.add_argument("--family", choices=("ffnn", "elman", "narx"), required=True)
-    p.add_argument("--mode", default=None,
-                   help="elman: single-step|feature-sequence; narx: per-record|stream")
+    p.add_argument("--family", choices=tuple(FAMILIES), required=True)
+    p.add_argument("--mode", default=None, help="; ".join(
+        f"{family}: {'|'.join(spec.modes)}" for family, spec in FAMILIES.items() if spec.modes))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=float, default=1e-5)
     p.add_argument("--trials", type=int, default=5)

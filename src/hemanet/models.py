@@ -1,13 +1,16 @@
 """The three network families over the dense core: feedforward, Elman
 recurrent, and NARX with exogenous/output delay lines.
 
-All models share the duck interface the trainer and gradient checker use:
-param_arrays / set_param_arrays, workspace, batch_loss and
-batch_loss_and_grads (plus the per-sample loss and loss_and_grads).  Samples
-passed to those methods are already in the model's prepared form (see
-prepare_training on each class).  The batch kernels take an optional
-nncore.Workspace from the model's workspace(rows, grad) and write into it;
-without one they build their own for the call.
+All models share the duck interface the trainer, the gradient checker and
+the pipeline use: param_arrays / set_param_arrays, workspace, batch_loss,
+batch_loss_and_grads, predict_batch and its batch of one, forward.  The
+training methods take samples in the model's prepared form (see
+prepare_training and FAMILIES); predict_batch takes feature rows.  The
+batch kernels take an optional nncore.Workspace from the model's
+workspace(rows, grad) and write into it; without one they build their own
+for the call.  to_doc gives a network's model-document fields, and
+from_doc(doc, feature_count, read) rebuilds it, with read(value, what)
+turning each stored array into a float array or raising.
 
 Elman and NARX are applied to independent patient records, so recurrent
 state never leaks between samples: the Elman context restarts from its
@@ -17,29 +20,25 @@ NARX stream with teacher forcing) are first-class modes.
 """
 from __future__ import annotations
 
+import inspect
+import math
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from .nncore import (
     LayerParams,
     Workspace,
-    backprop,
     batch_backprop,
     batch_forward,
     dense_sigmoid,
-    forward_dense,
     layer_workspace,
     matmul_into,
-    mse_loss,
     output_delta,
-    sigmoid,
     sigmoid_inplace,
     times_sigmoid_slope,
 )
 from .records import SUBTYPES, AnemiaLabel
-
-FAMILIES = ("ffnn", "elman", "narx")
-ELMAN_MODES = ("single-step", "feature-sequence")
-NARX_MODES = ("per-record", "stream")
 
 # Output encodings.  Diagnosis uses a single thresholded sigmoid; the
 # classification stage defaults to one-hot over the three subtypes, with a
@@ -109,15 +108,40 @@ def _batch_loss(model, X, T, workspace: Workspace | None = None) -> float:
     return float(np.mean((Y - np.atleast_2d(T)) ** 2))
 
 
+def _forward(model, x) -> np.ndarray:
+    """Output of one feature vector: predict_batch on a batch of one."""
+    return model.predict_batch(np.asarray(x, dtype=float)[None])[0]
+
+
+def _prepare_training(model, X, T):
+    """(network inputs, targets) of feature rows and their targets, in the
+    form the training kernels take; FAMILIES says how inputs are made."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    T = np.atleast_2d(np.asarray(T, dtype=float))
+    return FAMILIES[model.family].inputs(model, X, T), T
+
+
 def decode_subtype(output, encoding: str) -> AnemiaLabel:
     """Subtype of one output vector: subtype_indices on a batch of one."""
     return SUBTYPES[subtype_indices(np.asarray(output, dtype=float)[None], encoding)[0]]
+
+
+def _layer_doc(weights, biases) -> dict:
+    return {"weights": weights.tolist(), "biases": biases.tolist()}
+
+
+def _layers_from_doc(doc, read) -> list[LayerParams]:
+    """The hidden and output layers of a model document, read with ``read``."""
+    return [LayerParams(read(layer["weights"], f"{what} weights"),
+                        read(layer["biases"], f"{what} biases"))
+            for layer, what in zip(doc["layers"], ("hidden layer", "output layer"))]
 
 
 class FfnnModel:
     """Input -> sigmoid hidden -> sigmoid output."""
 
     family = "ffnn"
+    serves_records = True
 
     def __init__(self, hidden: LayerParams, output: LayerParams):
         if output.in_dim != hidden.out_dim:
@@ -143,10 +167,7 @@ class FfnnModel:
     def layers(self) -> list[LayerParams]:
         return [self.hidden, self.output]
 
-    def forward(self, x) -> np.ndarray:
-        _, h = forward_dense(self.hidden, x)
-        _, y = forward_dense(self.output, h)
-        return y
+    forward = _forward
 
     def workspace(self, rows: int, grad=None) -> Workspace:
         return layer_workspace(self.layers, rows, grad)
@@ -162,19 +183,20 @@ class FfnnModel:
         (self.hidden.weights, self.hidden.biases,
          self.output.weights, self.output.biases) = _same_shapes(self.param_arrays(), arrays)
 
-    def loss(self, x, target) -> float:
-        return mse_loss(self.forward(x), target)
-
-    def loss_and_grads(self, x, target):
-        return backprop(self.layers, x, target)
-
     batch_loss = _batch_loss
 
     def batch_loss_and_grads(self, X, T, workspace: Workspace | None = None):
         return batch_backprop(self.layers, X, T, workspace)
 
-    def prepare_training(self, X, T):
-        return np.atleast_2d(np.asarray(X, dtype=float)), np.atleast_2d(np.asarray(T, dtype=float))
+    prepare_training = _prepare_training
+
+    def to_doc(self) -> dict:
+        return {"layers": [_layer_doc(layer.weights, layer.biases) for layer in self.layers],
+                "recurrent": {}, "delays": {}}
+
+    @classmethod
+    def from_doc(cls, doc, feature_count: int, read) -> FfnnModel:
+        return cls(*_layers_from_doc(doc, read))
 
 
 class ElmanModel:
@@ -188,11 +210,14 @@ class ElmanModel:
     """
 
     family = "elman"
+    serves_records = True
 
-    def __init__(self, wx, wh, b1, w2, b2, feature_count: int,
-                 mode: str = "single-step", context_init: float = 0.5):
-        if mode not in ELMAN_MODES:
-            raise ValueError(f"mode must be one of {ELMAN_MODES}")
+    def __init__(self, wx, wh, b1, w2, b2, feature_count: int, *,
+                 mode: str, context_init: float):
+        if mode not in FAMILIES[self.family].modes:
+            raise ValueError(f"mode must be one of {FAMILIES[self.family].modes}")
+        if not math.isfinite(context_init):
+            raise ValueError(f"context_init must be finite, got {context_init!r}")
         self.wx = np.asarray(wx, dtype=float)
         self.wh = np.asarray(wh, dtype=float)
         self.b1 = np.asarray(b1, dtype=float)
@@ -233,23 +258,7 @@ class ElmanModel:
             )
         return X[:, None, :] if self.mode == "single-step" else X[:, :, None]
 
-    def unroll(self, x):
-        """Per-step (pre_activation, hidden, previous_context) lists for one sample."""
-        steps = self._as_steps(np.asarray(x, dtype=float)[None, :])[0]
-        context = np.full(self.hidden_dim, self.context_init)
-        pres, hiddens, contexts = [], [], []
-        for step in steps:
-            pre = self.wx @ step + self.wh @ context + self.b1
-            hidden = sigmoid(pre)
-            pres.append(pre)
-            hiddens.append(hidden)
-            contexts.append(context)
-            context = hidden
-        return pres, hiddens, contexts
-
-    def forward(self, x) -> np.ndarray:
-        _, hiddens, _ = self.unroll(x)
-        return sigmoid(self.w2 @ hiddens[-1] + self.b2)
+    forward = _forward
 
     def workspace(self, rows: int, grad=None) -> Workspace:
         """A Workspace whose acts are the context, the hidden state after each
@@ -292,14 +301,6 @@ class ElmanModel:
     def set_param_arrays(self, arrays) -> None:
         self.wx, self.wh, self.b1, self.w2, self.b2 = _same_shapes(self.param_arrays(), arrays)
 
-    def loss(self, x, target) -> float:
-        return self.batch_loss(np.asarray(x, dtype=float)[None, :],
-                               np.asarray(target, dtype=float)[None, :])
-
-    def loss_and_grads(self, x, target):
-        return self.batch_loss_and_grads(np.asarray(x, dtype=float)[None, :],
-                                         np.asarray(target, dtype=float)[None, :])
-
     batch_loss = _batch_loss
 
     def batch_loss_and_grads(self, X, T, workspace: Workspace | None = None):
@@ -328,8 +329,37 @@ class ElmanModel:
         np.add(ws.grad, 0.0, out=ws.grad)
         return loss, ws.grads
 
-    def prepare_training(self, X, T):
-        return np.atleast_2d(np.asarray(X, dtype=float)), np.atleast_2d(np.asarray(T, dtype=float))
+    prepare_training = _prepare_training
+
+    def to_doc(self) -> dict:
+        return {
+            "layers": [_layer_doc(self.wx, self.b1), _layer_doc(self.w2, self.b2)],
+            "recurrent": {"weights": self.wh.tolist(), "context_init": self.context_init,
+                          "mode": self.mode},
+            "delays": {},
+        }
+
+    @classmethod
+    def from_doc(cls, doc, feature_count: int, read) -> ElmanModel:
+        hidden, output = _layers_from_doc(doc, read)
+        recurrent = doc.get("recurrent") or {}
+        default = FAMILIES[cls.family].options
+        return cls(
+            hidden.weights, read(recurrent["weights"], "recurrent weights"), hidden.biases,
+            output.weights, output.biases, feature_count,
+            mode=recurrent.get("mode", default["mode"]),
+            context_init=float(read(recurrent.get("context_init", default["context_init"]),
+                                    "context_init")),
+        )
+
+
+def _taps_width(feature_count: int, out_dim: int, d_u: int, d_y: int) -> int:
+    """Width of the NARX delay taps; raises ValueError on a bad delay order."""
+    if d_u < 0:
+        raise ValueError("exogenous delay order d_u must be >= 0")
+    if d_y < 1:
+        raise ValueError("output delay order d_y must be >= 1")
+    return feature_count * d_u + out_dim * d_y
 
 
 class NarxModel:
@@ -341,21 +371,17 @@ class NarxModel:
     zeroes every delay tap (records are independent patients); stream mode
     composes taps from the ordered history with teacher-forced targets, so
     each composed step trains like an independent dense sample.  Prediction
-    residuals (target minus output) are recorded whenever targets are
-    available, and are never fed back into the model.
+    residuals (target minus output) come back from predict_stream, and are
+    never fed back into the model.
     """
 
     family = "narx"
 
-    def __init__(self, core: FfnnModel, feature_count: int,
-                 d_u: int = 0, d_y: int = 1, mode: str = "per-record"):
-        if mode not in NARX_MODES:
-            raise ValueError(f"mode must be one of {NARX_MODES}")
-        if d_u < 0:
-            raise ValueError("exogenous delay order d_u must be >= 0")
-        if d_y < 1:
-            raise ValueError("output delay order d_y must be >= 1")
-        expected = feature_count * (1 + d_u) + core.out_dim * d_y
+    def __init__(self, core: FfnnModel, feature_count: int, *,
+                 d_u: int, d_y: int, mode: str):
+        if mode not in FAMILIES[self.family].modes:
+            raise ValueError(f"mode must be one of {FAMILIES[self.family].modes}")
+        expected = feature_count + _taps_width(feature_count, core.out_dim, d_u, d_y)
         if core.in_dim != expected:
             raise ValueError(
                 f"core input width {core.in_dim} != F*(1+d_u)+O*d_y = {expected}"
@@ -365,7 +391,12 @@ class NarxModel:
         self.d_u = int(d_u)
         self.d_y = int(d_y)
         self.mode = mode
-        self.last_residuals: np.ndarray | None = None
+
+    @property
+    def serves_records(self) -> bool:
+        """Whether predict_batch answers for independent records: stream mode
+        needs a labeled history instead."""
+        return self.mode == "per-record"
 
     @property
     def in_dim(self) -> int:
@@ -379,13 +410,9 @@ class NarxModel:
     def composed_dim(self) -> int:
         return self.core.in_dim
 
-    def compose_record(self, x) -> np.ndarray:
-        """Composed input for one independent record: all delay taps zero."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.feature_count,):
-            raise ValueError(f"expected {self.feature_count} features, got {x.shape}")
-        taps = np.zeros(self.composed_dim - self.feature_count)
-        return np.concatenate([x, taps])
+    def _zero_taps(self, X) -> np.ndarray:
+        """Composed inputs of independent records: every delay tap zero."""
+        return np.hstack([X, np.zeros((len(X), self.composed_dim - self.feature_count))])
 
     def compose_stream(self, X, T) -> np.ndarray:
         """Teacher-forced composition over an ordered labeled stream.
@@ -407,24 +434,23 @@ class NarxModel:
             rows.append(np.concatenate(parts))
         return np.array(rows) if rows else np.zeros((0, self.composed_dim))
 
-    def forward(self, x) -> np.ndarray:
-        """Per-record prediction; undefined for stream mode (no history)."""
-        if self.mode != "per-record":
-            raise ValueError("stream-mode NARX needs a labeled history; use predict_stream")
-        return self.core.forward(self.compose_record(x))
+    def composed_inputs(self, X, T) -> np.ndarray:
+        """The core's inputs for 2-d feature rows and their targets, per mode."""
+        return self.compose_stream(X, T) if self.mode == "stream" else self._zero_taps(X)
 
-    def predict_record_batch(self, X) -> np.ndarray:
+    forward = _forward
+
+    def predict_batch(self, X, workspace: Workspace | None = None) -> np.ndarray:
+        """Per-record predictions of feature rows; undefined for stream mode."""
+        if not self.serves_records:
+            raise ValueError("stream-mode NARX needs a labeled history; use predict_stream")
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        taps = np.zeros((len(X), self.composed_dim - self.feature_count))
-        return self.core.predict_batch(np.hstack([X, taps]))
+        return self.core.predict_batch(self._zero_taps(X), workspace)
 
     def predict_stream(self, X, T):
         """(outputs, residuals) over an ordered labeled stream."""
-        composed = self.compose_stream(X, T)
-        Y = self.core.predict_batch(composed)
-        residuals = np.atleast_2d(np.asarray(T, dtype=float)) - Y
-        self.last_residuals = residuals
-        return Y, residuals
+        Y = self.core.predict_batch(self.compose_stream(X, T))
+        return Y, np.atleast_2d(np.asarray(T, dtype=float)) - Y
 
     # Training interface: samples are composed vectors.
     def param_arrays(self) -> list[np.ndarray]:
@@ -432,12 +458,6 @@ class NarxModel:
 
     def set_param_arrays(self, arrays) -> None:
         self.core.set_param_arrays(arrays)
-
-    def loss(self, composed, target) -> float:
-        return self.core.loss(composed, target)
-
-    def loss_and_grads(self, composed, target):
-        return self.core.loss_and_grads(composed, target)
 
     def workspace(self, rows: int, grad=None) -> Workspace:
         return self.core.workspace(rows, grad)
@@ -448,13 +468,23 @@ class NarxModel:
     def batch_loss_and_grads(self, Xc, T, workspace: Workspace | None = None):
         return self.core.batch_loss_and_grads(Xc, T, workspace)
 
-    def prepare_training(self, X, T):
-        T = np.atleast_2d(np.asarray(T, dtype=float))
-        if self.mode == "per-record":
-            X = np.atleast_2d(np.asarray(X, dtype=float))
-            taps = np.zeros((len(X), self.composed_dim - self.feature_count))
-            return np.hstack([X, taps]), T
-        return self.compose_stream(X, T), T
+    prepare_training = _prepare_training
+
+    def to_doc(self) -> dict:
+        return {**self.core.to_doc(),
+                "delays": {"exogenous": self.d_u, "output": self.d_y, "mode": self.mode}}
+
+    @classmethod
+    def from_doc(cls, doc, feature_count: int, read) -> NarxModel:
+        delays = doc.get("delays") or {}
+        default = FAMILIES[cls.family].options
+        return cls(
+            FfnnModel.from_doc(doc, feature_count, read),
+            feature_count=feature_count,
+            d_u=int(delays.get("exogenous", default["d_u"])),
+            d_y=int(delays.get("output", default["d_y"])),
+            mode=delays.get("mode", default["mode"]),
+        )
 
 
 def _init_layer(rng, out_dim: int, in_dim: int) -> LayerParams:
@@ -471,7 +501,7 @@ def build_ffnn(feature_count: int, hidden_size: int, out_dim: int, seed: int = 0
     )
 
 
-def build_elman(feature_count: int, hidden_size: int, out_dim: int, seed: int = 0,
+def build_elman(feature_count: int, hidden_size: int, out_dim: int, seed: int = 0, *,
                 mode: str = "single-step", context_init: float = 0.5) -> ElmanModel:
     rng = np.random.default_rng(seed)
     step_dim = feature_count if mode == "single-step" else 1
@@ -484,19 +514,43 @@ def build_elman(feature_count: int, hidden_size: int, out_dim: int, seed: int = 
     )
 
 
-def build_narx(feature_count: int, hidden_size: int, out_dim: int, seed: int = 0,
+def build_narx(feature_count: int, hidden_size: int, out_dim: int, seed: int = 0, *,
                d_u: int = 0, d_y: int = 1, mode: str = "per-record") -> NarxModel:
-    width = feature_count * (1 + d_u) + out_dim * d_y
+    width = feature_count + _taps_width(feature_count, out_dim, d_u, d_y)
     core = build_ffnn(width, hidden_size, out_dim, seed=seed)
     return NarxModel(core, feature_count=feature_count, d_u=d_u, d_y=d_y, mode=mode)
 
 
+class Family(NamedTuple):
+    """One network family: its model class, its builder, the values of its
+    ``mode`` option, and how feature rows and their targets become network
+    inputs (``inputs(model, X, T)``, both 2-d; by default the rows as they are)."""
+
+    model: type
+    build: Callable
+    modes: tuple[str, ...] = ()
+    inputs: Callable = lambda model, X, T: X
+
+    @property
+    def options(self) -> dict:
+        """The family's options, the builder's keyword-only arguments, with
+        their defaults."""
+        return {p.name: p.default for p in inspect.signature(self.build).parameters.values()
+                if p.kind is p.KEYWORD_ONLY}
+
+
+#: Every family by name, in the order ``compare`` reports them.
+FAMILIES = {family.model.family: family for family in (
+    Family(FfnnModel, build_ffnn),
+    Family(NarxModel, build_narx, ("per-record", "stream"), NarxModel.composed_inputs),
+    Family(ElmanModel, build_elman, ("single-step", "feature-sequence")),
+)}
+
+
 def build_model(family: str, feature_count: int, hidden_size: int, out_dim: int,
-                seed: int = 0, **kwargs):
-    if family == "ffnn":
-        return build_ffnn(feature_count, hidden_size, out_dim, seed=seed, **kwargs)
-    if family == "elman":
-        return build_elman(feature_count, hidden_size, out_dim, seed=seed, **kwargs)
-    if family == "narx":
-        return build_narx(feature_count, hidden_size, out_dim, seed=seed, **kwargs)
-    raise ValueError(f"unknown model family {family!r}")
+                seed: int = 0, **options):
+    """A new network of ``family`` with the family's ``options``; raises
+    ValueError on an unknown family or a bad option value."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown model family {family!r}")
+    return FAMILIES[family].build(feature_count, hidden_size, out_dim, seed=seed, **options)

@@ -1,4 +1,5 @@
-"""Dense-network machinery: sigmoid layers, MSE, backprop, momentum SGD,
+"""Dense-network machinery: one batched kernel (sigmoid layers, MSE and
+backprop over a batch of rows; one sample is a batch of one), momentum SGD,
 finite-difference gradient checking, and the training loop.
 
 All math is float64.  Training is single-threaded and fully determined by
@@ -38,11 +39,6 @@ def sigmoid(x):
     return sigmoid_inplace(x) if x.shape else float(sigmoid_inplace(x[None])[0])
 
 
-def sigmoid_prime(x):
-    s = sigmoid(x)
-    return s * (1.0 - s)
-
-
 @dataclass
 class LayerParams:
     """One dense layer: weights (out_dim, in_dim) and biases (out_dim,)."""
@@ -70,53 +66,6 @@ class LayerParams:
     @property
     def in_dim(self) -> int:
         return self.weights.shape[1]
-
-
-def forward_dense(layer: LayerParams, x) -> tuple[np.ndarray, np.ndarray]:
-    """One layer forward; returns (pre_activation, activation)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (layer.in_dim,):
-        raise ValueError(f"input shape {x.shape} does not match in_dim {layer.in_dim}")
-    pre = layer.weights @ x + layer.biases
-    return pre, sigmoid(pre)
-
-
-def mse_loss(pred, target) -> float:
-    pred = np.asarray(pred, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    return float(np.mean((pred - target) ** 2))
-
-
-def mse_grad(pred, target) -> np.ndarray:
-    pred = np.asarray(pred, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    return 2.0 / pred.size * (pred - target)
-
-
-def backprop(layers: list[LayerParams], x, target):
-    """Exact reverse-mode gradients of mse_loss through sigmoid layers.
-
-    Returns (loss, grads) with grads as a flat list
-    [dW_0, db_0, dW_1, db_1, ...] matching the layer order.
-    """
-    pres, acts = [], [np.asarray(x, dtype=float)]
-    for layer in layers:
-        pre, act = forward_dense(layer, acts[-1])
-        pres.append(pre)
-        acts.append(act)
-    loss = mse_loss(acts[-1], target)
-    delta = mse_grad(acts[-1], target) * sigmoid_prime(pres[-1])
-    grads = [None] * (2 * len(layers))
-    for i in reversed(range(len(layers))):
-        grads[2 * i] = np.outer(delta, acts[i])
-        grads[2 * i + 1] = delta
-        if i:
-            delta = (layers[i].weights.T @ delta) * sigmoid_prime(pres[i - 1])
-    return loss, grads
 
 
 def matmul_into(a, b, out) -> np.ndarray:
@@ -200,7 +149,10 @@ def times_sigmoid_slope(delta, s) -> np.ndarray:
 
 
 def output_delta(Y, T):
-    """(mean squared error, its gradient at the output pre-activation)."""
+    """(mean squared error, its gradient at the output pre-activation) of
+    outputs Y against targets T of the same shape."""
+    if Y.shape != T.shape:
+        raise ValueError(f"targets of shape {T.shape} do not match outputs {Y.shape}")
     residual = Y - T
     return float((residual ** 2).sum() / Y.size), 2.0 / Y.size * residual * Y * (1.0 - Y)
 
@@ -225,8 +177,8 @@ def batch_forward(layers: list[LayerParams], X, workspace: Workspace | None = No
 def batch_backprop(layers: list[LayerParams], X, T, workspace: Workspace | None = None):
     """Vectorized mean loss and mean gradients over a batch.
 
-    Matches the average of per-sample backprop results up to summation
-    order.  The gradients are the workspace's ``grads``.
+    Matches the mean over its one-row batches up to summation order.  The
+    gradients are the workspace's ``grads``.
     """
     acts, ws = _activations(layers, X, workspace)
     loss, delta = output_delta(acts[-1], np.atleast_2d(np.asarray(T, dtype=float)))

@@ -24,7 +24,7 @@ from .metrics import (
     SUBTYPE_LABELS,
     ConfusionMatrix,
 )
-from .models import NarxModel, encode_targets, subtype_indices
+from .models import encode_targets, subtype_indices
 from .nncore import NumericError
 from .preprocess import encode_batch
 from .records import SUBTYPES, AnemiaLabel, CbcColumns, check_records, validate_records
@@ -178,7 +178,7 @@ def _now() -> str:
 
 def _reject_stream_bundles(*bundles: ModelBundle) -> None:
     for bundle in bundles:
-        if isinstance(bundle.net, NarxModel) and bundle.net.mode == "stream":
+        if not bundle.net.serves_records:
             raise ValueError(
                 "stream-mode NARX models need a labeled history and cannot "
                 "serve per-record predictions"
@@ -291,27 +291,25 @@ def _patient_doc(r: PatientReport) -> dict:
 
 
 def _bundle_outputs(bundle: ModelBundle, records) -> np.ndarray:
-    """Raw network outputs for already-validated records, honoring NARX modes.
+    """Raw network outputs for already-validated records.
 
-    Rows go through the network FORWARD_BLOCK_ROWS at a time, except for a
-    stream-mode NARX, whose taps run along the whole stream, teacher-forced
-    with the targets of the records' labels.
+    Rows go through the network's predict_batch FORWARD_BLOCK_ROWS at a
+    time.  A network that does not serve independent records (stream-mode
+    NARX) runs along the whole stream instead, teacher-forced with the
+    targets of the records' labels.
     """
     X = bundle.normalizer.apply(encode_batch(records, bundle.feature_spec))
     net = bundle.net
-    if isinstance(net, NarxModel):
-        if net.mode == "stream":
-            labels = CbcColumns.of(records).label
-            if labels is None:
-                raise ValueError("stream-mode NARX evaluation needs labeled data")
-            outputs, _ = net.predict_stream(X, encode_targets(labels, bundle.output_encoding))
-            return outputs
-        forward = net.predict_record_batch
-    else:
-        forward = net.predict_batch
+    if not net.serves_records:
+        labels = CbcColumns.of(records).label
+        if labels is None:
+            raise ValueError("stream-mode NARX evaluation needs labeled data")
+        outputs, _ = net.predict_stream(X, encode_targets(labels, bundle.output_encoding))
+        return outputs
     outputs = np.empty((len(X), net.out_dim))
     for start in range(0, len(X), FORWARD_BLOCK_ROWS):
-        outputs[start:start + FORWARD_BLOCK_ROWS] = forward(X[start:start + FORWARD_BLOCK_ROWS])
+        outputs[start:start + FORWARD_BLOCK_ROWS] = net.predict_batch(
+            X[start:start + FORWARD_BLOCK_ROWS])
     return outputs
 
 

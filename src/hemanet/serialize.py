@@ -12,14 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import (
-    ENCODINGS,
-    ElmanModel,
-    FfnnModel,
-    NarxModel,
-    output_width,
-)
-from .nncore import LayerParams
+from .models import ENCODINGS, FAMILIES, ElmanModel, FfnnModel, NarxModel, output_width
 from .preprocess import FEATURE_PRESETS, FeatureSpec, Normalizer
 
 FORMAT_VERSION = "1.0"
@@ -63,10 +56,6 @@ class ModelBundle:
         return f"{self.family}:{self.source or '<memory>'}"
 
 
-def _layer_doc(layer: LayerParams) -> dict:
-    return {"weights": layer.weights.tolist(), "biases": layer.biases.tolist()}
-
-
 def _finite(value, what: str) -> np.ndarray:
     array = np.array(value, dtype=float)
     if not np.isfinite(array).all():
@@ -74,32 +63,7 @@ def _finite(value, what: str) -> np.ndarray:
     return array
 
 
-def _layer_from_doc(doc, what: str) -> LayerParams:
-    return LayerParams(_finite(doc["weights"], f"{what} weights"),
-                       _finite(doc["biases"], f"{what} biases"))
-
-
 def bundle_to_doc(bundle: ModelBundle) -> dict:
-    net = bundle.net
-    recurrent: dict = {}
-    delays: dict = {}
-    if isinstance(net, FfnnModel):
-        layers = [_layer_doc(net.hidden), _layer_doc(net.output)]
-    elif isinstance(net, ElmanModel):
-        layers = [
-            {"weights": net.wx.tolist(), "biases": net.b1.tolist()},
-            {"weights": net.w2.tolist(), "biases": net.b2.tolist()},
-        ]
-        recurrent = {
-            "weights": net.wh.tolist(),
-            "context_init": net.context_init,
-            "mode": net.mode,
-        }
-    elif isinstance(net, NarxModel):
-        layers = [_layer_doc(net.core.hidden), _layer_doc(net.core.output)]
-        delays = {"exogenous": net.d_u, "output": net.d_y, "mode": net.mode}
-    else:
-        raise ValueError(f"cannot serialize model of type {type(net).__name__}")
     return {
         "version": FORMAT_VERSION,
         "family": bundle.family,
@@ -112,9 +76,7 @@ def bundle_to_doc(bundle: ModelBundle) -> dict:
             "mins": bundle.normalizer.mins.tolist(),
             "maxs": bundle.normalizer.maxs.tolist(),
         },
-        "layers": layers,
-        "recurrent": recurrent,
-        "delays": delays,
+        **bundle.net.to_doc(),
         "train_meta": bundle.train_meta,
     }
 
@@ -161,34 +123,9 @@ def bundle_from_doc(doc: dict, source: str | None = None) -> ModelBundle:
         if len(layer_docs) != 2:
             raise ModelFormatError(f"expected 2 layers, found {len(layer_docs)}")
 
-        if family == "ffnn":
-            net = FfnnModel(_layer_from_doc(layer_docs[0], "hidden layer"),
-                            _layer_from_doc(layer_docs[1], "output layer"))
-        elif family == "elman":
-            recurrent = doc.get("recurrent") or {}
-            net = ElmanModel(
-                wx=_finite(layer_docs[0]["weights"], "hidden layer weights"),
-                wh=_finite(recurrent["weights"], "recurrent weights"),
-                b1=_finite(layer_docs[0]["biases"], "hidden layer biases"),
-                w2=_finite(layer_docs[1]["weights"], "output layer weights"),
-                b2=_finite(layer_docs[1]["biases"], "output layer biases"),
-                feature_count=len(spec),
-                mode=recurrent.get("mode", "single-step"),
-                context_init=float(_finite(recurrent.get("context_init", 0.5), "context_init")),
-            )
-        elif family == "narx":
-            delays = doc.get("delays") or {}
-            core = FfnnModel(_layer_from_doc(layer_docs[0], "hidden layer"),
-                             _layer_from_doc(layer_docs[1], "output layer"))
-            net = NarxModel(
-                core,
-                feature_count=len(spec),
-                d_u=int(delays.get("exogenous", 0)),
-                d_y=int(delays.get("output", 1)),
-                mode=delays.get("mode", "per-record"),
-            )
-        else:
+        if family not in FAMILIES:
             raise ModelFormatError(f"unknown model family {family!r}")
+        net = FAMILIES[family].model.from_doc(doc, len(spec), _finite)
 
         return ModelBundle(
             family=family,

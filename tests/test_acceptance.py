@@ -76,7 +76,7 @@ def test_criterion_1_gradient_correctness():
                     sample = net.compose_stream(sx, st)[-1]
                     target = st[-1]
                 else:
-                    sample = net.compose_record(x)
+                    sample = net.prepare_training(x, target)[0][0]
             else:
                 sample = x
             err = gradient_check(net, sample, target, epsilon=1e-5)
@@ -140,23 +140,25 @@ def test_criterion_3_end_to_end_learning():
 def test_criterion_4_reduction_invariants():
     rng = np.random.default_rng(99)
 
-    elman = build_elman(6, 8, 2, seed=5, mode="single-step", context_init=0.0)
-    elman.wh[:] = 0.0
-    as_ffnn = FfnnModel(LayerParams(elman.wx.copy(), elman.b1.copy()),
+    # Default single-step Elman: the constant context folds into the hidden bias.
+    elman = build_elman(6, 8, 2, seed=5)
+    context = np.full(elman.hidden_dim, elman.context_init)
+    as_ffnn = FfnnModel(LayerParams(elman.wx.copy(), elman.b1 + elman.wh @ context),
                         LayerParams(elman.w2.copy(), elman.b2.copy()))
-    for _ in range(100):
-        x = rng.uniform(-1, 1, size=6)
-        assert np.max(np.abs(elman.forward(x) - as_ffnn.forward(x))) <= 1e-12
+    X = rng.uniform(-1, 1, size=(100, 6))
+    assert np.max(np.abs(elman.predict_batch(X) - as_ffnn.predict_batch(X))) <= 1e-12
 
+    # Per-record NARX: the core on zero taps, which get exactly zero gradient.
     narx = build_narx(6, 8, 2, seed=6, d_u=0, d_y=2, mode="per-record")
     core_net = FfnnModel(
         LayerParams(narx.core.hidden.weights.copy(), narx.core.hidden.biases.copy()),
         LayerParams(narx.core.output.weights.copy(), narx.core.output.biases.copy()),
     )
-    for _ in range(100):
-        x = rng.uniform(-1, 1, size=6)
-        padded = np.concatenate([x, np.zeros(4)])
-        assert np.max(np.abs(narx.forward(x) - core_net.forward(padded))) <= 1e-12
+    X = rng.uniform(-1, 1, size=(100, 6))
+    padded = np.hstack([X, np.zeros((100, 4))])
+    assert np.max(np.abs(narx.predict_batch(X) - core_net.predict_batch(padded))) <= 1e-12
+    _, grads = narx.batch_loss_and_grads(*narx.prepare_training(X, rng.uniform(size=(100, 2))))
+    assert not grads[0][:, 6:].any()
     print("\nACCEPTANCE 4 reduction-invariants: PASS")
 
 

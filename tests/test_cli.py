@@ -139,6 +139,21 @@ class TestTrain:
             "--epochs", "0", "-o", str(tmp_path / "m.json"),
         ]) == 2
 
+    @pytest.mark.parametrize("family,flags", [
+        ("narx", ["--du", "-1"]),
+        ("narx", ["--dy", "0"]),
+        ("elman", ["--context-init", "nan"]),
+    ])
+    def test_bad_family_options_are_usage_errors(self, tmp_path, capsys, family, flags):
+        data = synth_file(tmp_path)
+        out = tmp_path / "m.json"
+        assert cli.main([
+            "train", "--data", str(data), "--family", family, "--stage", "diagnosis",
+            "--epochs", "3", *flags, "-o", str(out),
+        ]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_identical_seeds_write_identical_model_files(self, tmp_path):
         data = synth_file(tmp_path)
         blobs = []
@@ -520,6 +535,11 @@ class TestGradcheck:
 
     def test_unknown_family(self):
         assert cli.main(["gradcheck", "--family", "lstm"]) == 2
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_no_trials_is_usage_error(self, trials, capsys):
+        assert cli.main(["gradcheck", "--family", "ffnn", "--trials", trials]) == 2
+        assert "--trials must be at least 1" in capsys.readouterr().err
 
 
 class TestCompare:

@@ -110,7 +110,7 @@ def reference_outputs(bundle, labeled, targets):
     if isinstance(net, NarxModel):
         if net.mode == "stream":
             return net.predict_stream(X, targets)[0]
-        return net.predict_record_batch(X)
+        return net.predict_batch(X)
     return net.predict_batch(X)
 
 
@@ -224,8 +224,8 @@ class TestEvaluationMatchesPerRowReference:
 
     @pytest.mark.parametrize("family,kwargs", [
         ("ffnn", {}), ("elman", {}), ("narx", {}),
-        ("elman", {"elman_mode": "feature-sequence"}),
-        ("narx", {"narx_mode": "stream", "d_u": 1, "d_y": 2}),
+        ("elman", {"mode": "feature-sequence"}),
+        ("narx", {"mode": "stream", "d_u": 1, "d_y": 2}),
     ])
     @pytest.mark.parametrize("encoding", ["onehot3", "banded1"])
     def test_trained_models_count_like_the_reference(self, dataset, family, kwargs, encoding):
@@ -237,7 +237,7 @@ class TestEvaluationMatchesPerRowReference:
                                           reference_evaluate_diagnosis(diag, dataset, threshold))
         np.testing.assert_array_equal(evaluate_classification(clf, dataset).counts,
                                       reference_evaluate_classification(clf, dataset))
-        if "narx_mode" not in kwargs:
+        if kwargs.get("mode") != "stream":
             np.testing.assert_array_equal(evaluate_pipeline(diag, clf, dataset).counts,
                                           reference_evaluate_pipeline(diag, clf, dataset))
 
@@ -426,7 +426,7 @@ class TestEmptyConfusionMatrixExits:
     def models(self, tmp_path_factory, dataset):
         tmp_path = tmp_path_factory.mktemp("edge")
         paths = {}
-        for family, kwargs in (("ffnn", {}), ("narx", {"narx_mode": "stream"})):
+        for family, kwargs in (("ffnn", {}), ("narx", {"mode": "stream"})):
             for stage in ("diagnosis", "classify"):
                 bundle, _ = fit_stage(dataset, family, stage,
                                       TrainConfig(epochs=5, hidden_size=4), **kwargs)

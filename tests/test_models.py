@@ -109,9 +109,17 @@ class TestFfnn:
 
 
 def _elman_as_ffnn(elman: ElmanModel) -> FfnnModel:
-    """The dense net an Elman reduces to when recurrence is disabled."""
-    return FfnnModel(LayerParams(elman.wx.copy(), elman.b1.copy()),
+    """The dense net a single-step Elman is: its constant context folds into
+    the hidden bias."""
+    bias = elman.b1 + elman.wh @ np.full(elman.hidden_dim, elman.context_init)
+    return FfnnModel(LayerParams(elman.wx.copy(), bias),
                      LayerParams(elman.w2.copy(), elman.b2.copy()))
+
+
+def _one_row_grads(model, x, t):
+    """Gradients of one sample: batch_loss_and_grads on a batch of one."""
+    return model.batch_loss_and_grads(np.asarray(x, dtype=float)[None],
+                                      np.asarray(t, dtype=float)[None])[1]
 
 
 class TestElman:
@@ -124,16 +132,25 @@ class TestElman:
             x = rng.uniform(-1, 1, size=5)
             np.testing.assert_allclose(elman.forward(x), ffnn.forward(x), atol=1e-12)
 
+    def test_default_single_step_equals_ffnn_with_context_in_bias(self):
+        # With the default context of 0.5 and non-zero recurrent weights, a
+        # single-step Elman is a dense net whose hidden bias is b1 + wh @ c0.
+        elman = build_elman(9, 50, 3, seed=4)
+        assert elman.context_init == 0.5 and np.abs(elman.wh).min() > 0.0
+        X = np.random.default_rng(5).uniform(-1, 1, size=(200, 9))
+        difference = np.abs(elman.predict_batch(X) - _elman_as_ffnn(elman).predict_batch(X))
+        assert difference.max() <= 1e-12
+
     def test_zero_context_zeroes_recurrent_gradient(self):
         elman = build_elman(4, 6, 1, seed=3, mode="single-step", context_init=0.0)
         x = np.random.default_rng(4).uniform(-1, 1, size=4)
-        _, grads = elman.loss_and_grads(x, np.array([0.8]))
+        grads = _one_row_grads(elman, x, [0.8])
         np.testing.assert_array_equal(grads[1], 0.0)  # d wh
 
     def test_default_context_makes_recurrent_weights_trainable(self):
         elman = build_elman(4, 6, 1, seed=3, mode="single-step")  # context_init=0.5
         x = np.random.default_rng(4).uniform(-1, 1, size=4)
-        _, grads = elman.loss_and_grads(x, np.array([0.8]))
+        grads = _one_row_grads(elman, x, [0.8])
         assert np.abs(grads[1]).max() > 0.0
 
     def test_non_recurrent_gradients_match_ffnn_when_reduced(self):
@@ -143,8 +160,8 @@ class TestElman:
         rng = np.random.default_rng(6)
         x = rng.uniform(-1, 1, size=4)
         t = rng.uniform(0.1, 0.9, size=2)
-        _, eg = elman.loss_and_grads(x, t)
-        _, fg = ffnn.loss_and_grads(x, t)
+        eg = _one_row_grads(elman, x, t)
+        fg = _one_row_grads(ffnn, x, t)
         np.testing.assert_allclose(eg[0], fg[0], atol=1e-12)  # wx vs hidden weights
         np.testing.assert_allclose(eg[2], fg[1], atol=1e-12)  # b1
         np.testing.assert_allclose(eg[3], fg[2], atol=1e-12)  # w2
@@ -152,8 +169,8 @@ class TestElman:
 
     def test_feature_sequence_runs_one_step_per_feature(self):
         elman = build_elman(9, 4, 1, seed=7, mode="feature-sequence")
-        pres, hiddens, contexts = elman.unroll(np.linspace(-1, 1, 9))
-        assert len(pres) == len(hiddens) == len(contexts) == 9
+        # The context, the hidden state after each of the 9 steps, the output.
+        assert [a.shape for a in elman.workspace(1).acts] == [(1, 4)] * 10 + [(1, 1)]
         assert elman.forward(np.linspace(-1, 1, 9)).shape == (1,)
 
     def test_feature_sequence_step_width_is_one(self):
@@ -228,7 +245,6 @@ class TestNarx:
         T = rng.uniform(0, 1, size=(5, 1))
         Y, residuals = narx.predict_stream(X, T)
         np.testing.assert_allclose(residuals, T - Y)
-        np.testing.assert_allclose(narx.last_residuals, residuals)
 
     @pytest.mark.parametrize("mode", ["per-record", "stream"])
     def test_gradient_check(self, mode):
@@ -236,9 +252,9 @@ class TestNarx:
         for seed in range(5):
             narx = build_narx(3, 5, 2, seed=seed, d_u=1, d_y=1, mode=mode)
             if mode == "per-record":
-                sample = narx.compose_record(
-                    rng.uniform(0.1, 1.0, size=3) * rng.choice([-1, 1], size=3))
+                x = rng.uniform(0.1, 1.0, size=3) * rng.choice([-1, 1], size=3)
                 target = rng.uniform(0.1, 0.9, size=2)
+                sample = narx.prepare_training(x, target)[0][0]
             else:
                 X = rng.uniform(0.1, 1.0, size=(3, 3)) * rng.choice([-1, 1], size=(3, 3))
                 T = rng.uniform(0.1, 0.9, size=(3, 2))
@@ -249,8 +265,8 @@ class TestNarx:
     def test_per_record_predictions_order_invariant(self):
         narx = build_narx(4, 5, 1, seed=18, mode="per-record")
         X = np.random.default_rng(19).uniform(-1, 1, size=(7, 4))
-        forward = narx.predict_record_batch(X)
-        backward = narx.predict_record_batch(X[::-1])
+        forward = narx.predict_batch(X)
+        backward = narx.predict_batch(X[::-1])
         np.testing.assert_array_equal(forward, backward[::-1])
 
     def test_delay_order_validation(self):
@@ -259,7 +275,7 @@ class TestNarx:
         with pytest.raises(ValueError):
             build_narx(3, 4, 1, d_y=0)
         with pytest.raises(ValueError):
-            NarxModel(build_ffnn(5, 4, 1), feature_count=3, d_u=0, d_y=1)
+            NarxModel(build_ffnn(5, 4, 1), feature_count=3, d_u=0, d_y=1, mode="per-record")
 
     def test_prepare_training_per_record_pads_zeros(self):
         narx = build_narx(3, 4, 1, d_u=1, d_y=1, mode="per-record")
@@ -268,6 +284,15 @@ class TestNarx:
         Xc, _ = narx.prepare_training(X, T)
         assert Xc.shape == (4, narx.composed_dim)
         np.testing.assert_array_equal(Xc[:, 3:], 0.0)
+
+    def test_per_record_zero_tap_weights_get_exactly_zero_gradient(self):
+        narx = build_narx(9, 12, 3, seed=20, d_u=1, d_y=2, mode="per-record")
+        rng = np.random.default_rng(21)
+        X, T = narx.prepare_training(rng.uniform(-1, 1, size=(30, 9)),
+                                     rng.uniform(0.1, 0.9, size=(30, 3)))
+        _, grads = narx.batch_loss_and_grads(X, T)
+        assert np.abs(grads[0][:, :9]).min() > 0.0
+        np.testing.assert_array_equal(grads[0][:, 9:], 0.0)
 
 
 def test_build_model_dispatch():

@@ -9,16 +9,13 @@ from hemanet.nncore import (
     LayerParams,
     TrainConfig,
     TrainingDivergedError,
-    backprop,
     batch_backprop,
     batch_forward,
-    forward_dense,
     gradient_check,
-    mse_grad,
-    mse_loss,
+    output_delta,
     sgd_momentum_step,
     sigmoid,
-    sigmoid_prime,
+    times_sigmoid_slope,
     train_loop,
 )
 from hemanet.models import build_ffnn, build_model
@@ -33,13 +30,14 @@ class TestSigmoid:
         np.testing.assert_allclose(sigmoid(x) + sigmoid(-x), 1.0, atol=1e-12)
 
     def test_prime_at_zero(self):
-        assert sigmoid_prime(0.0) == 0.25
+        assert times_sigmoid_slope(np.ones(1), sigmoid(np.zeros(1)))[0] == 0.25
 
     def test_prime_matches_central_difference(self):
         x = np.linspace(-8, 8, 200)
         h = 1e-6
         numeric = (sigmoid(x + h) - sigmoid(x - h)) / (2 * h)
-        np.testing.assert_allclose(sigmoid_prime(x), numeric, atol=1e-9)
+        np.testing.assert_allclose(times_sigmoid_slope(np.ones_like(x), sigmoid(x)), numeric,
+                                   atol=1e-9)
 
     def test_stable_to_700(self):
         # No overflow anywhere in [-700, 700]; everything stays finite.
@@ -48,7 +46,8 @@ class TestSigmoid:
                 s = sigmoid(x)
                 assert np.all(np.isfinite(s))
                 assert np.all((np.asarray(s) >= 0) & (np.asarray(s) <= 1))
-                assert np.all(np.isfinite(sigmoid_prime(x)))
+                s = np.atleast_1d(s)
+                assert np.all(np.isfinite(times_sigmoid_slope(np.ones_like(s), s.copy())))
 
     def test_strictly_inside_unit_interval_where_representable(self):
         # float64 saturates to exactly 0.0/1.0 past |x| ~ 36; inside that
@@ -62,29 +61,26 @@ class TestSigmoid:
         assert np.all(np.diff(sigmoid(x)) > 0)
 
 
-class TestForwardDense:
+class TestBatchForward:
     def test_zero_params_give_half(self):
         layer = LayerParams(np.zeros((3, 4)), np.zeros(3))
-        pre, act = forward_dense(layer, np.array([1.0, -2.0, 0.5, 3.0]))
-        np.testing.assert_array_equal(pre, 0.0)
+        act = batch_forward([layer], np.array([[1.0, -2.0, 0.5, 3.0]]))
         np.testing.assert_array_equal(act, 0.5)
 
     def test_unit_1x1_layer(self):
         layer = LayerParams(np.array([[1.0]]), np.array([0.0]))
-        pre, act = forward_dense(layer, np.array([0.0]))
-        assert pre[0] == 0.0 and act[0] == 0.5
+        assert batch_forward([layer], np.array([[0.0]]))[0, 0] == 0.5
 
     def test_activation_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(1)
         layer = LayerParams(rng.normal(size=(5, 3)), rng.normal(size=5))
-        for _ in range(20):
-            _, act = forward_dense(layer, rng.uniform(-2, 2, size=3))
-            assert np.all((act > 0) & (act < 1))
+        act = batch_forward([layer], rng.uniform(-2, 2, size=(20, 3)))
+        assert np.all((act > 0) & (act < 1))
 
     def test_dimension_mismatch(self):
         layer = LayerParams(np.zeros((2, 3)), np.zeros(2))
         with pytest.raises(ValueError):
-            forward_dense(layer, np.zeros(4))
+            batch_forward([layer], np.zeros((1, 4)))
 
     def test_layer_shape_validation(self):
         with pytest.raises(ValueError):
@@ -93,24 +89,30 @@ class TestForwardDense:
             LayerParams(np.array([[np.nan, 0.0]]), np.zeros(1))
 
 
-class TestMse:
+class TestOutputDelta:
     def test_zero_at_match(self):
-        assert mse_loss([0.3, 0.7], [0.3, 0.7]) == 0.0
+        Y = np.array([[0.3, 0.7]])
+        loss, delta = output_delta(Y, Y.copy())
+        assert loss == 0.0
+        np.testing.assert_array_equal(delta, 0.0)
 
     def test_known_value(self):
-        assert mse_loss([1.0, 0.0], [0.0, 0.0]) == 0.5
+        loss, delta = output_delta(np.array([[1.0, 0.5]]), np.array([[0.0, 0.0]]))
+        assert loss == 0.625
+        # d loss / d pre-activation = 2/size * (y - t) * y * (1 - y)
+        np.testing.assert_allclose(delta, [[0.0, 0.125]])
 
-    def test_gradient_zero_at_match(self):
-        np.testing.assert_array_equal(mse_grad([0.2, 0.9], [0.2, 0.9]), 0.0)
-
-    def test_gradient_value(self):
-        np.testing.assert_allclose(mse_grad([1.0, 0.0], [0.0, 0.0]), [1.0, 0.0])
-
-    def test_length_mismatch(self):
+    def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            mse_loss([1.0], [1.0, 2.0])
+            output_delta(np.array([[1.0]]), np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
-            mse_grad([1.0], [1.0, 2.0])
+            batch_backprop([LayerParams(np.zeros((1, 2)), np.zeros(1))],
+                           np.zeros((3, 2)), np.zeros((1, 3)))
+
+
+def _one_row_loss(layers, x, target):
+    Y = batch_forward(layers, x[None])
+    return float(np.mean((Y - target) ** 2))
 
 
 def _finite_difference_grads(layers, x, target, eps=1e-6):
@@ -122,20 +124,18 @@ def _finite_difference_grads(layers, x, target, eps=1e-6):
             for idx in np.ndindex(arr.shape):
                 original = arr[idx]
                 arr[idx] = original + eps
-                _, acts_p = _forward_all(layers, x)
+                plus = _one_row_loss(layers, x, target)
                 arr[idx] = original - eps
-                _, acts_m = _forward_all(layers, x)
+                minus = _one_row_loss(layers, x, target)
                 arr[idx] = original
-                g[idx] = (mse_loss(acts_p, target) - mse_loss(acts_m, target)) / (2 * eps)
+                g[idx] = (plus - minus) / (2 * eps)
             grads.append(g)
     return grads
 
 
-def _forward_all(layers, x):
-    act = np.asarray(x, dtype=float)
-    for layer in layers:
-        _, act = forward_dense(layer, act)
-    return None, act
+def _one_row_backprop(layers, x, target):
+    """(loss, gradients) of one sample: batch_backprop on a batch of one."""
+    return batch_backprop(layers, x[None], np.asarray(target)[None])
 
 
 class TestBackprop:
@@ -152,7 +152,7 @@ class TestBackprop:
         layers, rng = self._random_net(seed)
         x = rng.uniform(-1, 1, size=4)
         target = rng.uniform(0.1, 0.9, size=2)
-        _, analytic = backprop(layers, x, target)
+        _, analytic = _one_row_backprop(layers, x, target)
         numeric = _finite_difference_grads(layers, x, target)
         for a, n in zip(analytic, numeric):
             err = np.abs(a - n) / np.maximum.reduce([np.abs(a), np.abs(n), np.full_like(a, 1e-8)])
@@ -162,7 +162,7 @@ class TestBackprop:
         layers, rng = self._random_net(11, dims=(3, 4, 4, 1))
         x = rng.uniform(-1, 1, size=3)
         target = rng.uniform(0.1, 0.9, size=1)
-        _, analytic = backprop(layers, x, target)
+        _, analytic = _one_row_backprop(layers, x, target)
         numeric = _finite_difference_grads(layers, x, target)
         for a, n in zip(analytic, numeric):
             np.testing.assert_allclose(a, n, atol=1e-8)
@@ -170,8 +170,8 @@ class TestBackprop:
     def test_zero_gradients_at_zero_loss(self):
         layers, rng = self._random_net(3)
         x = rng.uniform(-1, 1, size=4)
-        _, pred = _forward_all(layers, x)
-        loss, grads = backprop(layers, x, pred)
+        pred = batch_forward(layers, x[None])[0].copy()
+        loss, grads = _one_row_backprop(layers, x, pred)
         assert loss == 0.0
         for g in grads:
             np.testing.assert_array_equal(g, 0.0)
@@ -182,9 +182,9 @@ class TestBackprop:
         layers, rng = self._random_net(7)
         x = rng.uniform(-1, 1, size=4)
         target = rng.uniform(0.1, 0.9, size=2)
-        _, pred = _forward_all(layers, x)
-        _, grads = backprop(layers, x, target)
-        _, doubled = backprop(layers, x, 2 * target - pred)
+        pred = batch_forward(layers, x[None])[0]
+        _, grads = _one_row_backprop(layers, x, target)
+        _, doubled = _one_row_backprop(layers, x, 2 * target - pred)
         for g, d in zip(grads, doubled):
             np.testing.assert_allclose(d, 2 * g, rtol=1e-12, atol=1e-15)
 
@@ -193,7 +193,7 @@ class TestBackprop:
         X = rng.uniform(-1, 1, size=(8, 4))
         T = rng.uniform(0.1, 0.9, size=(8, 2))
         batch_loss, batch_grads = batch_backprop(layers, X, T)
-        per = [backprop(layers, x, t) for x, t in zip(X, T)]
+        per = [_one_row_backprop(layers, x, t) for x, t in zip(X, T)]
         np.testing.assert_allclose(batch_loss, np.mean([p[0] for p in per]), rtol=1e-12)
         for i, bg in enumerate(batch_grads):
             mean_g = np.mean([p[1][i] for p in per], axis=0)
@@ -202,7 +202,7 @@ class TestBackprop:
     def test_batch_forward_matches_per_sample(self):
         layers, rng = self._random_net(13)
         X = rng.uniform(-1, 1, size=(6, 4))
-        stacked = np.array([_forward_all(layers, x)[1] for x in X])
+        stacked = np.array([batch_forward(layers, x[None])[0] for x in X])
         np.testing.assert_allclose(batch_forward(layers, X), stacked, rtol=1e-12)
 
 
@@ -247,12 +247,12 @@ class _OneLayerModel:
         return sigmoid(X @ self.w.T + self.b)
 
     def batch_loss(self, X, T):
-        return mse_loss(self._forward(X), T)
+        return float(np.mean((self._forward(X) - T) ** 2))
 
     def batch_loss_and_grads(self, X, T):
         y = self._forward(X)
-        delta = mse_grad(y, T) * y * (1 - y)
-        return mse_loss(y, T), [delta.T @ X, delta.sum(axis=0)]
+        delta = 2.0 / y.size * (y - T) * y * (1 - y)
+        return self.batch_loss(X, T), [delta.T @ X, delta.sum(axis=0)]
 
 
 class _CorruptedModel(_OneLayerModel):
@@ -429,9 +429,9 @@ class TestTrainLoop:
             LayerParams(np.array([[700.0, -700.0]]), np.zeros(1)),
         ]
         with np.errstate(all="raise"):
-            _, act = forward_dense(layers[0], np.array([1.0]))
+            act = batch_forward(layers[:1], np.array([[1.0]]))
             assert np.all(np.isfinite(act))
-            loss, grads = backprop(layers, np.array([1.0]), np.array([0.5]))
+            loss, grads = batch_backprop(layers, np.array([[1.0]]), np.array([[0.5]]))
             assert np.isfinite(loss)
             assert all(np.isfinite(g).all() for g in grads)
 
@@ -514,12 +514,11 @@ class TestWorkspace:
     def test_results_without_a_workspace_survive_later_calls(self, family):
         rng = np.random.default_rng(1)
         net = build_model(family, 9, 6, 3, seed=2)
-        predict = net.predict_record_batch if family == "narx" else net.predict_batch
         X, T = net.prepare_training(rng.normal(size=(5, 9)), rng.uniform(size=(5, 3)))
-        Y = predict(X[:, :9])
+        Y = net.predict_batch(X[:, :9])
         _, grads = net.batch_loss_and_grads(X, T)
         kept = [Y.copy()] + [g.copy() for g in grads]
-        predict(-X[:, :9])
+        net.predict_batch(-X[:, :9])
         net.batch_loss_and_grads(-X, 1.0 - T)
         for now, before in zip([Y, *grads], kept):
             np.testing.assert_array_equal(now, before)

@@ -538,6 +538,6 @@ class TestEvaluation:
         split = split_dataset(dataset, (0.6, 0.4, 0.0), seed=32)
         config = TrainConfig(epochs=200, hidden_size=12, seed=32)
         bundle, _ = fit_stage(split.train, "narx", "diagnosis", config,
-                              narx_mode="stream", d_u=1, d_y=1)
+                              mode="stream", d_u=1, d_y=1)
         cm = evaluate_diagnosis(bundle, split.test)
         assert cm.total == len(split.test)
