@@ -226,13 +226,18 @@ def _config_from(args) -> TrainConfig:
 
 def _family_options(args) -> dict:
     """The options of ``--family`` that were given: ``--<family>-mode`` sets
-    its mode, and the flag named after each other option sets that one."""
-    given = {name: getattr(args, f"{args.family}_mode" if name == "mode" else name)
-             for name in FAMILIES[args.family].options}
-    return {name: value for name, value in given.items() if value is not None}
+    its mode, and the flag named after each other option sets that one.
+    A flag of another family's option is a UsageError."""
+    given = {(family, name): value for family, spec in FAMILIES.items() for name in spec.options
+             if (value := getattr(args, f"{family}_mode" if name == "mode" else name)) is not None}
+    stray = [f"{family} option {name}" for family, name in given if family != args.family]
+    if stray:
+        raise UsageError(f"--family {args.family} takes no {', '.join(stray)}")
+    return {name: value for (_, name), value in given.items()}
 
 
 def cmd_train(args) -> int:
+    options = _family_options(args)
     records = load_csv(args.data)
     config = _config_from(args)
     spec = feature_spec(args.features)
@@ -252,7 +257,7 @@ def cmd_train(args) -> int:
         encoding=args.encoding,
         val_records=val_records,
         scaling_records=scaling_records,
-        **_family_options(args),
+        **options,
     )
     save_model(bundle, args.out)
     if args.curve:

@@ -9,7 +9,9 @@ round trip fixes the precision and every later round trip is exact.
 from __future__ import annotations
 
 import csv
+from collections import deque
 from functools import lru_cache
+from itertools import islice
 from operator import itemgetter
 
 import numpy as np
@@ -30,6 +32,10 @@ LABEL_COLUMN = "label"
 
 #: Invalid rows named in a load_csv error message; the count covers the rest.
 MAX_ROWS_SHOWN = 10
+
+#: Rows parsed per block.  Loading N rows holds the columns plus one block
+#: of row strings, not N rows of strings and a Python object per cell.
+READ_BLOCK_ROWS = 1024
 
 
 class CsvFormatError(ValueError):
@@ -110,41 +116,63 @@ def _read_columns(path, columns):
     """CbcColumns of a CSV file, columns looked up by header; labeled if asked for.
 
     Blank lines are skipped and rows are numbered from 1 after the header.
-    Cells are parsed a whole column at a time; if any fails, the first bad
-    cell in row-then-column order is reported.
+    Cells are parsed a column of READ_BLOCK_ROWS rows at a time; the first bad
+    cell in row-then-column order is reported once the whole file is read, so
+    a CSV syntax error anywhere in it wins.
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            rows = [row for row in reader if row]
+            if header is None:
+                raise CsvFormatError(f"{path}: empty file, expected a header row")
+            try:
+                blocks = _parse_blocks(path, header, filter(None, reader), columns)
+            except CsvFormatError:
+                deque(reader, maxlen=0)
+                raise
     except csv.Error as exc:
         raise CsvFormatError(f"{path}: {exc}") from None
-    if header is None:
-        raise CsvFormatError(f"{path}: empty file, expected a header row")
+    age, gender, analytes, labels = (
+        None if parts[0] is None else np.concatenate(parts) for parts in zip(*blocks))
+    return CbcColumns(age_column(age), gender, analytes, labels)
+
+
+def _parse_blocks(path, header, rows, columns) -> list[tuple]:
+    """(age, gender, analytes, label) arrays of an empty block, then of each
+    READ_BLOCK_ROWS of ``rows`` in turn."""
     missing = [c for c in columns if c not in header]
     if missing:
         raise CsvFormatError(f"{path}: missing column(s): {', '.join(missing)}")
     position = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
     width = max(position[c] for c in columns) + 1
-    rows = [row if len(row) >= width else row + [None] * (width - len(row)) for row in rows]
-    try:
-        parsed = {c: list(map(_PARSE[c], map(itemgetter(position[c]), rows))) for c in columns}
-    except (KeyError, TypeError, ValueError):
-        raise _first_bad_cell(path, rows, columns, position) from None
+    blocks, start = [_parse_block([], columns, position)], 1
+    while block := list(islice(rows, READ_BLOCK_ROWS)):
+        block = [row if len(row) >= width else row + [None] * (width - len(row)) for row in block]
+        try:
+            blocks.append(_parse_block(block, columns, position))
+        except (KeyError, TypeError, ValueError):
+            raise _first_bad_cell(path, block, columns, position, start) from None
+        start += len(block)
+    return blocks
+
+
+def _parse_block(rows, columns, position) -> tuple:
+    """(age, gender, analytes, label or None) arrays of padded rows; ages are Python ints."""
+    def cells(name, dtype):
+        parsed = map(_PARSE[name], map(itemgetter(position[name]), rows))
+        return np.fromiter(parsed, dtype, count=len(rows))
+
     analytes = np.empty((len(rows), len(ANALYTES)))
     for column, name in enumerate(ANALYTES):
-        analytes[:, column] = parsed[name]
-    labels = parsed.get(LABEL_COLUMN)
-    return CbcColumns(
-        age_column(parsed["age"]), np.array(parsed["gender"], dtype=np.int8), analytes,
-        None if labels is None else np.array(labels, dtype=np.int8),
-    )
+        analytes[:, column] = cells(name, float)
+    labels = cells(LABEL_COLUMN, np.int8) if LABEL_COLUMN in columns else None
+    return cells("age", object), cells("gender", np.int8), analytes, labels
 
 
-def _first_bad_cell(path, rows, columns, position) -> CsvFormatError:
-    """The error for the first cell, in row-then-column order, that fails to parse."""
-    for row_num, row in enumerate(rows, start=1):
+def _first_bad_cell(path, rows, columns, position, start) -> CsvFormatError:
+    """The error for the first cell, row then column, that fails; rows count from start."""
+    for row_num, row in enumerate(rows, start=start):
         for name in columns:
             cell = row[position[name]]
             try:

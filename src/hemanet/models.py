@@ -35,6 +35,7 @@ from .nncore import (
     layer_workspace,
     matmul_into,
     output_delta,
+    output_residual,
     sigmoid_inplace,
     times_sigmoid_slope,
 )
@@ -103,9 +104,9 @@ def _same_shapes(current, arrays) -> list[np.ndarray]:
 
 
 def _batch_loss(model, X, T, workspace: Workspace | None = None) -> float:
-    """Mean squared error of model.predict_batch(X) against T."""
+    """Mean squared error of model.predict_batch(X) against T of its shape."""
     Y = model.predict_batch(X, workspace)
-    return float(np.mean((Y - np.atleast_2d(T)) ** 2))
+    return float(np.mean(output_residual(Y, np.atleast_2d(T)) ** 2))
 
 
 def _forward(model, x) -> np.ndarray:

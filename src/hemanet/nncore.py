@@ -148,12 +148,17 @@ def times_sigmoid_slope(delta, s) -> np.ndarray:
     return delta
 
 
+def output_residual(Y, T) -> np.ndarray:
+    """Y - T for outputs Y and targets T; ValueError unless their shapes match."""
+    if Y.shape != T.shape:
+        raise ValueError(f"targets of shape {T.shape} do not match outputs {Y.shape}")
+    return Y - T
+
+
 def output_delta(Y, T):
     """(mean squared error, its gradient at the output pre-activation) of
     outputs Y against targets T of the same shape."""
-    if Y.shape != T.shape:
-        raise ValueError(f"targets of shape {T.shape} do not match outputs {Y.shape}")
-    residual = Y - T
+    residual = output_residual(Y, T)
     return float((residual ** 2).sum() / Y.size), 2.0 / Y.size * residual * Y * (1.0 - Y)
 
 

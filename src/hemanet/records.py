@@ -253,7 +253,7 @@ class CbcColumns:
         return [LabeledRecord(r, LABELS[code]) for r, code in zip(records, self.label.tolist())]
 
 
-def age_column(ages: list) -> np.ndarray:
+def age_column(ages) -> np.ndarray:
     """Ages as int64, or as Python objects when one is not an int or exceeds int64."""
     if set(map(type, ages)) <= {int}:
         try:

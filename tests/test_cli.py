@@ -139,19 +139,24 @@ class TestTrain:
             "--epochs", "0", "-o", str(tmp_path / "m.json"),
         ]) == 2
 
-    @pytest.mark.parametrize("family,flags", [
-        ("narx", ["--du", "-1"]),
-        ("narx", ["--dy", "0"]),
-        ("elman", ["--context-init", "nan"]),
-    ])
-    def test_bad_family_options_are_usage_errors(self, tmp_path, capsys, family, flags):
+    @pytest.mark.parametrize("family,flags,message", [
+        ("narx", ["--du", "-1"], "exogenous delay order d_u must be >= 0"),
+        ("narx", ["--dy", "0"], "output delay order d_y must be >= 1"),
+        ("elman", ["--context-init", "nan"], "context_init must be finite, got nan"),
+        # A flag of another family's option is refused, not ignored.
+        ("ffnn", ["--du", "1"], "--family ffnn takes no narx option d_u"),
+        ("elman", ["--narx-mode", "stream"], "--family elman takes no narx option mode"),
+        ("narx", ["--context-init", "0.3"], "--family narx takes no elman option context_init"),
+    ], ids=["narx-flags0", "narx-flags1", "elman-flags2", "ffnn-du", "elman-narx-mode",
+            "narx-context-init"])
+    def test_bad_family_options_are_usage_errors(self, tmp_path, capsys, family, flags, message):
         data = synth_file(tmp_path)
         out = tmp_path / "m.json"
         assert cli.main([
             "train", "--data", str(data), "--family", family, "--stage", "diagnosis",
             "--epochs", "3", *flags, "-o", str(out),
         ]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_identical_seeds_write_identical_model_files(self, tmp_path):

@@ -1,14 +1,18 @@
 """CSV schema, parse errors, and exact round trips."""
 import csv
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hemanet import dataio
 from hemanet.dataio import (
     COLUMNS,
     LABEL_COLUMN,
     MAX_ROWS_SHOWN,
+    READ_BLOCK_ROWS,
     CsvFormatError,
     load_csv,
     load_unlabeled_csv,
@@ -42,10 +46,17 @@ def test_save_is_stable_after_one_round_trip(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_header_only_file(tmp_path):
+def test_header_only_file(tmp_path, monkeypatch):
     path = tmp_path / "empty.csv"
-    path.write_text(HEADER + "\n")
-    assert load_csv(path).records() == []
+    path.write_text(HEADER + "\n\n")
+    for block in (1, READ_BLOCK_ROWS):
+        monkeypatch.setattr(dataio, "READ_BLOCK_ROWS", block)
+        batch = load_csv(path)
+        assert batch.records() == []
+        assert (batch.age.dtype, batch.gender.dtype, batch.label.dtype) == (
+            np.int64, np.int8, np.int8)
+        assert batch.analytes.shape == (0, len(COLUMNS) - 2)
+        assert load_unlabeled_csv(path).label is None
 
 
 def test_label_tokens_are_case_insensitive(tmp_path):
@@ -274,6 +285,10 @@ def mutated_csv(draw):
 
 
 class TestColumnarLoaderMatchesRowParser:
+    @pytest.fixture(autouse=True, params=[1, 3, READ_BLOCK_ROWS])
+    def block_rows(self, request, monkeypatch):
+        monkeypatch.setattr(dataio, "READ_BLOCK_ROWS", request.param)
+
     @given(mutated_csv())
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -299,3 +314,125 @@ class TestColumnarLoaderMatchesRowParser:
             assert got.startswith(f"{path}: {len(invalid)} invalid row(s): row {invalid[0]} (")
         else:
             assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# Block-wise parsing: results and errors must not depend on where blocks end.
+
+
+def varied_rows(n):
+    """n distinct valid labeled rows, so a dropped or repeated row shows."""
+    labels = ["non_anemic", "microcytic", "normocytic", "macrocytic"]
+    return [f"{18 + i % 80},{'male' if i % 3 else 'female'},{4 + i % 7 / 10:g},"
+            f"{12 + i % 11 / 10:g},40,90,30,34,{5 + i / 1000:g},{labels[i % 4]}"
+            for i in range(n)]
+
+
+def write_lines(tmp_path, lines):
+    path = tmp_path / "blocks.csv"
+    path.write_text("\n".join([HEADER] + lines) + "\n", encoding="utf-8")
+    return path
+
+
+def assert_matches_reference(path):
+    assert outcome(lambda p: load_csv(p).records(), path) == outcome(reference_labeled, path)
+    assert (outcome(lambda p: load_unlabeled_csv(p).records(), path)
+            == outcome(reference_unlabeled, path))
+
+
+class TestBlockBoundaries:
+    @pytest.mark.parametrize("block", [4, READ_BLOCK_ROWS])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, "2N+1"])
+    def test_row_counts_around_a_block(self, tmp_path, monkeypatch, block, extra):
+        monkeypatch.setattr(dataio, "READ_BLOCK_ROWS", block)
+        n = 2 * block + 1 if extra == "2N+1" else block + extra
+        path = write_lines(tmp_path, varied_rows(n))
+        assert len(load_csv(path)) == n
+        assert_matches_reference(path)
+
+    @pytest.mark.parametrize("blank_at", [2, 3, 4])
+    def test_blank_lines_beside_a_boundary(self, tmp_path, monkeypatch, blank_at):
+        # Blocks of 3 non-blank rows: a blank line before, at and after the first boundary.
+        monkeypatch.setattr(dataio, "READ_BLOCK_ROWS", 3)
+        lines = varied_rows(7)
+        lines[blank_at:blank_at] = ["", ""]
+        path = write_lines(tmp_path, lines)
+        assert len(load_csv(path)) == 7
+        assert_matches_reference(path)
+
+    def test_bad_cell_in_the_second_block_has_its_file_row_number(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataio, "READ_BLOCK_ROWS", 4)
+        lines = varied_rows(12)
+        lines[5] = lines[5].replace(",male,", ",robot,").replace(",female,", ",robot,")
+        lines[6] = lines[6].replace("40,90", "40,oops")
+        lines[3:3] = [""]
+        path = write_lines(tmp_path, lines)
+        with pytest.raises(CsvFormatError, match=r"row 6, column 'gender': cannot parse 'robot'"):
+            load_csv(path)
+        assert_matches_reference(path)
+
+    def test_csv_error_in_a_later_block_wins_over_a_bad_cell(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataio, "READ_BLOCK_ROWS", 2)
+        lines = varied_rows(8)
+        lines[0] = lines[0].replace("40,90", "40,oops")
+        lines[6] = "9" * (csv.field_size_limit() + 1) + ",female"
+        path = write_lines(tmp_path, lines)
+        for load in (load_csv, load_unlabeled_csv):
+            with pytest.raises(CsvFormatError, match="field larger than field limit"):
+                load(path)
+
+    def test_csv_error_wins_over_a_missing_column(self, tmp_path):
+        path = tmp_path / "no_label.csv"
+        path.write_text(f"{HEADER[:-6]}\n{ROW}\n{'9' * (csv.field_size_limit() + 1)}\n")
+        with pytest.raises(CsvFormatError, match="field larger than field limit"):
+            load_csv(path)
+
+    def test_one_overflowing_age_makes_the_whole_column_objects(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataio, "READ_BLOCK_ROWS", 2)
+        lines = varied_rows(5)
+        lines[3] = "99999999999999999999999" + lines[3][2:]
+        batch = load_unlabeled_csv(write_lines(tmp_path, lines))
+        assert batch.age.dtype == object
+        assert batch.age.tolist() == [18, 19, 20, 99999999999999999999999, 22]
+        assert load_unlabeled_csv(write_lines(tmp_path, varied_rows(5))).age.dtype == np.int64
+
+
+class TestLoaderMemory:
+    """load_csv holds the columns plus one block of row strings, not the file.
+
+    Joining the blocks briefly holds the columns twice, and the validity
+    checks hold bool matrices about the columns' size; both scale with N.
+    One block of strings is bounded at 1 KiB a row.  No timing is asserted.
+    """
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        base = synth_generate(400, {
+            AnemiaLabel.MICROCYTIC: 100, AnemiaLabel.NORMOCYTIC: 100,
+            AnemiaLabel.MACROCYTIC: 100, AnemiaLabel.NON_ANEMIC: 100,
+        }, seed=11)
+        paths = {}
+        for n in (20_000, 40_000):
+            paths[n] = tmp_path_factory.mktemp("memory") / f"rows_{n}.csv"
+            save_csv(base * (n // len(base)), paths[n])
+        return paths
+
+    @staticmethod
+    def traced_load(path):
+        load_csv(path)  # warm the parsers' caches outside the trace
+        tracemalloc.start()
+        try:
+            batch = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = batch.age.nbytes + batch.gender.nbytes + batch.analytes.nbytes
+        return peak, columns + batch.label.nbytes
+
+    def test_peak_is_the_columns_plus_one_block(self, files):
+        peak, columns = self.traced_load(files[20_000])
+        assert peak < 2.25 * columns + READ_BLOCK_ROWS * 1024
+
+    def test_peak_grows_with_the_columns_only(self, files):
+        small, large = self.traced_load(files[20_000]), self.traced_load(files[40_000])
+        assert large[0] - small[0] <= 2.25 * (large[1] - small[1])

@@ -301,3 +301,17 @@ def test_build_model_dispatch():
     assert isinstance(build_model("narx", 4, 5, 1), NarxModel)
     with pytest.raises(ValueError):
         build_model("lstm", 4, 5, 1)
+
+
+@pytest.mark.parametrize("family", ["ffnn", "elman", "narx"])
+def test_batch_loss_refuses_targets_of_another_shape(family):
+    net = build_model(family, 4, 3, 1, seed=0)
+    X = np.random.default_rng(0).normal(size=(5, 4))
+    T = np.full((5, 1), 0.25)
+    Xn, Tn = net.prepare_training(X, T)
+    assert net.batch_loss(Xn, Tn) == net.batch_loss_and_grads(Xn, Tn)[0]
+    message = r"targets of shape \(1, 5\) do not match outputs \(5, 1\)"
+    with pytest.raises(ValueError, match=message):
+        net.batch_loss(Xn, T[:, 0])
+    with pytest.raises(ValueError, match="do not match"):
+        net.batch_loss_and_grads(Xn, T[:, 0])

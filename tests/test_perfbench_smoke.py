@@ -1,10 +1,11 @@
-"""The benchmark harness still drives the CLI: a tiny screen run checks its outputs.
+"""The benchmark harness still drives the CLI: tiny screen and audit runs check their outputs.
 
-The harness checks one report entry per input row, exactly the injected
-implausible rows as errors, and byte-identical reruns.  Untraced and traced,
-the result must carry every metric BENCHMARK.json declares for that mode: a
-hook whose target is gone still lets the run exit 0, without its metrics.
-No timing is asserted.
+For screen the harness checks one report entry per input row, exactly the
+injected implausible rows as errors, and byte-identical reruns; for audit,
+one eval row per model file over the whole labeled set, which the CLI reads
+through load_csv.  Untraced and traced, the result must carry every metric
+BENCHMARK.json declares for that mode: a hook whose target is gone still lets
+the run exit 0, without its metrics.  No timing is asserted.
 """
 import json
 import subprocess
@@ -17,9 +18,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("trace,declared", [(0, "end_to_end"), (1, "per_layer")])
-def test_tiny_screen_run_is_correct(trace, declared):
+@pytest.mark.parametrize("workload", ["screen", "audit"])
+def test_tiny_run_is_correct(workload, trace, declared):
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--tiny", "--workload", "screen",
+        [sys.executable, "perfbench/run.py", "--tiny", "--workload", workload,
          "--seed", "3", "--seconds", "1", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
