@@ -11,7 +11,9 @@ returns the digest of every file they write:
   ``feature-sequence``, NARX ``stream --du 1 --dy 2``, ``banded1`` and
   ``paper7`` with ``--joint-scaling``;
 - one ``eval`` JSON of every model;
-- ``predict --deterministic`` in json, text and csv for each family;
+- ``predict --deterministic`` in json, text and csv for each family, on
+  ``synth1000.csv`` and on a copy with implausible cells injected
+  (``IMPLAUSIBLE``), so the error entries' bytes are pinned too;
 - ``compare`` (50 epochs) JSON and curves.
 
 ``tests/test_artifacts.py`` rebuilds the matrix and compares digests.  A
@@ -21,6 +23,7 @@ names each changed artifact, and why, in CHANGES.md.
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import os
@@ -36,18 +39,34 @@ MANIFEST = Path(__file__).parent / "data" / "artifacts.sha256"
 
 _TRAIN = ["--epochs", "30", "--split", "40-40-20", "--patience", "10"]
 
+#: (row, column, cell) overwritten in synth1000.csv to make implausible1000.csv.
+IMPLAUSIBLE = ((3, "hgb", "1.5"), (150, "mcv", "180"), (402, "age", "130"),
+               (655, "hgb", "nan"), (998, "wbc", "0.4"))
+
+
+def write_implausible(src="synth1000.csv", dst="implausible1000.csv") -> None:
+    """Copy ``src`` with the IMPLAUSIBLE cells; rows count from 0 after the header."""
+    with open(src, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    for row, column, cell in IMPLAUSIBLE:
+        rows[row][header.index(column)] = cell
+    with open(dst, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
 
 def _train(name, family, stage, *extra):
     return ["train", "--data", "synth230.csv", "--family", family, "--stage", stage,
             *_TRAIN, *extra, "--curve", f"{name}.curve.csv", "-o", f"{name}.model.json"]
 
 
-def commands() -> list[list[str]]:
-    """The matrix, in build order; every path is relative to the output directory."""
+def commands() -> list:
+    """The matrix, in build order: CLI argv lists, and callables that write an
+    input file.  Every path is relative to the output directory."""
     cmds = [
         ["synth", "-n", "230", "--mix", "41,62,61,66", "--seed", "3", "-o", "synth230.csv"],
         ["synth", "-n", "1000", "--mix", "178,270,265,287", "--seed", "4",
          "-o", "synth1000.csv"],
+        write_implausible,
     ]
     models = []
     for family in ("ffnn", "elman", "narx"):
@@ -66,12 +85,14 @@ def commands() -> list[list[str]]:
         models.append(name)
     cmds.append(["eval", *(arg for name in models for arg in ("-m", f"{name}.model.json")),
                  "--data", "synth1000.csv", "--format", "json", "-o", "eval.json"])
-    for family in ("ffnn", "elman", "narx"):
-        for fmt in ("json", "text", "csv"):
-            cmds.append(["predict", "--diagnosis", f"{family}_diagnosis_full-batch.model.json",
-                         "--classify", f"{family}_classify_full-batch.model.json",
-                         "--data", "synth1000.csv", "--deterministic", "--format", fmt,
-                         "-o", f"predict_{family}.{fmt}"])
+    for data, suffix in (("synth1000.csv", ""), ("implausible1000.csv", "_implausible")):
+        for family in ("ffnn", "elman", "narx"):
+            for fmt in ("json", "text", "csv"):
+                cmds.append(["predict",
+                             "--diagnosis", f"{family}_diagnosis_full-batch.model.json",
+                             "--classify", f"{family}_classify_full-batch.model.json",
+                             "--data", data, "--deterministic", "--format", fmt,
+                             "-o", f"predict_{family}{suffix}.{fmt}"])
     cmds.append(["compare", "--data", "synth1000.csv", "--epochs", "50", "--format", "json",
                  "--curves", "compare", "-o", "compare.json"])
     return cmds
@@ -85,10 +106,11 @@ def build(out_dir) -> dict[str, str]:
     os.chdir(out_dir)
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            for argv in commands():
-                code = cli.main(argv)
-                if code != 0:
-                    raise RuntimeError(f"hemanet {' '.join(argv)} exited {code}")
+            for step in commands():
+                if callable(step):
+                    step()
+                elif (code := cli.main(step)) != 0:
+                    raise RuntimeError(f"hemanet {' '.join(step)} exited {code}")
     finally:
         os.chdir(cwd)
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
