@@ -87,12 +87,10 @@ from .metrics import (
     precision_recall_f1,
 )
 from .pipeline import (
-    DiagnosisResult,
     NonFiniteOutputError,
     PatientReport,
+    Screening,
     check_threshold,
-    classify,
-    diagnose,
     emit_reports,
     evaluate_classification,
     evaluate_diagnosis,

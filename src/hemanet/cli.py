@@ -18,13 +18,8 @@ from .dataio import CsvFormatError, load_csv, load_unlabeled_csv, save_csv
 from .metrics import EvalReport, compare_report
 from .models import FAMILIES, build_model, encode_targets, output_width
 from .nncore import NumericError, TrainConfig, gradient_check, train_loop
-from .pipeline import (
-    check_threshold,
-    evaluate_classification,
-    evaluate_diagnosis,
-    run_pipeline,
-    emit_reports,
-)
+from .pipeline import (check_threshold, emit_reports, evaluate_classification,
+                       evaluate_diagnosis, run_pipeline)
 from .preprocess import (
     FULL9,
     SPLIT_PRESETS,
@@ -300,20 +295,10 @@ def cmd_predict(args) -> int:
     _check_threshold_flag(args)
     diag = load_model(args.diagnosis)
     clf = load_model(args.classify)
-    records = load_unlabeled_csv(args.data)
-    reports = run_pipeline(
-        diag, clf, records, threshold=args.threshold, deterministic=args.deterministic
-    )
-    created = None
-    if not args.deterministic:
-        created = reports[0].timestamp if reports else None
-    text = emit_reports(
-        reports,
-        fmt=args.format,
-        model_files=[args.diagnosis, args.classify],
-        threshold=args.threshold,
-        created=created,
-    )
+    screening = run_pipeline(diag, clf, load_unlabeled_csv(args.data), threshold=args.threshold,
+                             deterministic=args.deterministic)
+    text = emit_reports(screening, args.format, [args.diagnosis, args.classify], args.threshold,
+                        created=screening.timestamp)
     _write_or_print(text, args.out)
     return EXIT_OK
 

@@ -345,13 +345,16 @@ def train_loop(model, train, validation=None, config: TrainConfig | None = None)
     best_val = np.inf
     stale = 0
 
+    stepped = False
+
     def update(x, t, epoch):
+        nonlocal stepped
         loss, _ = model.batch_loss_and_grads(x, t, workspace)
-        if not math.isfinite(loss):
-            raise TrainingDivergedError(epoch)
+        if not math.isfinite(loss):  # an earlier step may have left non-finite parameters
+            broken = stepped and not np.isfinite(flat).all()
+            raise TrainingDivergedError(epoch, "parameters" if broken else "training loss")
         sgd_momentum_step(flat, grad, velocity, lr, mu)
-        if not np.isfinite(flat).all():
-            raise TrainingDivergedError(epoch, "parameters")
+        stepped = True
         return loss
 
     for epoch in range(1, config.epochs + 1):
@@ -361,6 +364,9 @@ def train_loop(model, train, validation=None, config: TrainConfig | None = None)
             losses = [update(X[i : i + 1], T[i : i + 1], epoch)
                       for i in rng.permutation(len(X))]
             epoch_loss = float(np.mean(losses))
+        # Once per epoch: a non-finite parameter never becomes finite again.
+        if not np.isfinite(flat).all():
+            raise TrainingDivergedError(epoch, "parameters")
         curve.train.append(epoch_loss)
 
         if validation is not None:

@@ -12,22 +12,19 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from operator import attrgetter
 
 import numpy as np
 
-from .metrics import (
-    DIAGNOSIS_LABELS,
-    FOURWAY_LABELS,
-    SUBTYPE_LABELS,
-    ConfusionMatrix,
-)
+from .metrics import DIAGNOSIS_LABELS, FOURWAY_LABELS, SUBTYPE_LABELS, ConfusionMatrix
 from .models import encode_targets, subtype_indices
 from .nncore import NumericError
 from .preprocess import encode_batch
-from .records import SUBTYPES, AnemiaLabel, CbcColumns, check_records, validate_records
+from .records import (SUBTYPES, AnemiaLabel, CbcColumns, check_records, invalid_rows,
+                      validate_records)
 from .serialize import ModelBundle
 
 REPORT_FORMATS = ("text", "json", "csv")
@@ -42,13 +39,8 @@ class NonFiniteOutputError(NumericError):
     """A network produced a non-finite output where a verdict was due."""
 
 
-@dataclass
-class DiagnosisResult:
-    """One record's diagnosis; verdict is None when the raw output is not finite."""
-
-    verdict: int | None
-    raw: float
-    threshold: float
+#: The verdict code of a failed row: invalid, or a non-finite network output.
+ERROR = -1
 
 
 @dataclass
@@ -63,25 +55,76 @@ class PatientReport:
     error: str | None = None
 
 
+@dataclass(eq=False)
+class Screening(Sequence):
+    """A screening run as columns, row i for input row i.
+
+    ``verdict`` holds int8 codes 0 (healthy), 1 (anemic) and ERROR, and
+    ``error`` the message of each failed row, None elsewhere.
+    ``raw_diagnosis`` and the (n, width) ``raw_classify`` hold NaN where a
+    row has no output; ``subtype`` holds SUBTYPES indices, read on the rows
+    neither failed nor healthy.  As a sequence it yields PatientReport rows,
+    built on demand.
+    """
+
+    ids: np.ndarray
+    verdict: np.ndarray
+    raw_diagnosis: np.ndarray
+    subtype: np.ndarray
+    raw_classify: np.ndarray | list
+    error: np.ndarray
+    models: str = ""
+    timestamp: str | None = None
+
+    @classmethod
+    def of(cls, reports) -> "Screening":
+        """The screening itself, or that of PatientReport rows: object columns,
+        so each value renders as json.dumps writes it, and the first row's models
+        and timestamp.  A row neither failed nor healthy needs a SUBTYPES subtype."""
+        if isinstance(reports, Screening):
+            return reports
+        reports = list(reports)
+        ids, verdict, raw_diagnosis, error = (
+            np.fromiter(map(attrgetter(name), reports), object, len(reports))
+            for name in ("patient_id", "verdict", "raw_diagnosis", "error"))
+        typed = (np.equal(error, None) & (verdict != 0)).tolist()
+        if any(t and r.subtype not in SUBTYPES for r, t in zip(reports, typed)):
+            raise ValueError("a report with a nonzero verdict needs an anemia subtype")
+        subtype = np.array([SUBTYPES.index(r.subtype) if t else 0
+                            for r, t in zip(reports, typed)], np.intp)
+        first = reports[0] if reports else PatientReport(None)
+        return cls(ids, verdict, raw_diagnosis, subtype, [r.raw_classify for r in reports],
+                   error, first.models, first.timestamp)
+
+    def __len__(self) -> int:
+        return len(self.verdict)
+
+    def __getitem__(self, row):
+        if isinstance(row, slice):
+            return [self[i] for i in range(len(self))[row]]
+        row = range(len(self))[row]
+        report = PatientReport(self.ids.item(row), models=self.models,
+                               timestamp=self.timestamp, error=self.error.item(row))
+        if report.error is None:
+            report.verdict = self.verdict.item(row)
+            report.raw_diagnosis = self.raw_diagnosis.item(row)
+            if report.verdict != 0:
+                report.subtype = SUBTYPES[self.subtype.item(row)]
+                outputs = self.raw_classify[row]
+                report.raw_classify = outputs.tolist() if type(outputs) is np.ndarray else outputs
+        return report
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (Screening, list)) else NotImplemented
+
+    def __add__(self, other) -> "Screening":
+        return Screening.of([*self, *other])
+
+
 def check_threshold(threshold: float) -> None:
     """Raise ValueError unless the decision threshold is finite and in [0, 1]."""
     if not 0.0 <= threshold <= 1.0:  # NaN fails both comparisons
         raise ValueError(f"threshold must be a finite number in [0, 1], got {threshold!r}")
-
-
-def diagnose(diag: ModelBundle, records, threshold: float = 0.5) -> list[DiagnosisResult]:
-    """Binary anemic/healthy calls for a batch of records, in input order.
-
-    Every record is validated first; the first invalid one raises
-    ValidationError.  A raw output at or above threshold is positive; a
-    non-finite raw output gets no verdict.
-    """
-    records = check_records(records)
-    raw, positive, finite = _diagnose(diag, records, threshold)
-    return [
-        DiagnosisResult(verdict=int(p) if f else None, raw=r, threshold=threshold)
-        for r, p, f in zip(raw.tolist(), positive.tolist(), finite.tolist())
-    ]
 
 
 def _diagnose(diag: ModelBundle, records, threshold: float):
@@ -93,22 +136,6 @@ def _diagnose(diag: ModelBundle, records, threshold: float):
     return raw, raw >= threshold, np.isfinite(raw)
 
 
-def classify(clf: ModelBundle, records, diagnoses):
-    """Subtype calls for diagnosed-positive records; returns (labels, raw outputs).
-
-    ``diagnoses`` aligns with ``records``.  A row whose raw outputs are not
-    all finite gets the label None.
-    """
-    diagnoses = list(diagnoses)
-    if any(result.verdict != 1 for result in diagnoses):
-        raise ValueError("classify called on a healthy verdict (pipeline contract violation)")
-    records = CbcColumns.of(records)
-    if len(records) != len(diagnoses):
-        raise ValueError("diagnoses must align with records")
-    index, finite, raw = _classify(clf, records)
-    return [SUBTYPES[i] if ok else None for i, ok in zip(index.tolist(), finite.tolist())], raw
-
-
 def _classify(clf: ModelBundle, records):
     """(SUBTYPES index, finite, raw outputs) arrays for already-validated records."""
     if clf.output_encoding not in ("onehot3", "banded1"):
@@ -118,176 +145,164 @@ def _classify(clf: ModelBundle, records):
 
 
 def run_pipeline(
-    diag: ModelBundle,
-    clf: ModelBundle,
-    records,
-    threshold: float = 0.5,
-    ids=None,
+    diag: ModelBundle, clf: ModelBundle, records, threshold: float = 0.5, ids=None,
     deterministic: bool = False,
-) -> list[PatientReport]:
+) -> Screening:
     """Diagnose every record, classify positives, and report in input order.
 
-    Records come as CbcColumns or as a sequence of CbcRecord.  They are
-    validated together; an invalid one becomes an error entry naming its
-    violations.  The valid records go through one diagnosis pass and the
-    positives through one classification pass.  A row whose raw output is
-    not finite becomes an error entry, never a verdict.
+    Records come as CbcColumns or as a sequence of CbcRecord; ids default to
+    the row numbers.  The valid records go through one diagnosis pass and
+    the positives through one classification pass.  An invalid record, or a
+    non-finite raw output, makes an error row, never a verdict.
     """
     _reject_stream_bundles(diag, clf)
-    check_threshold(threshold)
     batch = CbcColumns.of(records)
-    ids = list(ids) if ids is not None else list(range(len(batch)))
-    if len(ids) != len(batch):
+    n = len(batch)
+    ids = np.arange(n) if ids is None else np.fromiter(ids, object)
+    if len(ids) != n:
         raise ValueError("ids must align with records")
-    stamp = None if deterministic else _now()
-    models = f"{diag.identity}|{clf.identity}"
-    reports = [PatientReport(patient_id=pid, models=models, timestamp=stamp) for pid in ids]
-    valid = []
-    for row, violations in enumerate(validate_records(batch)):
-        if violations:
-            reports[row].error = "; ".join(violations)
-        else:
-            valid.append(row)
+    bad = invalid_rows(batch)
+    error = np.full(n, None, object)
+    error[bad] = list(map("; ".join, validate_records(batch.take(bad))))
+    valid = np.delete(np.arange(n), bad)
+    verdict, raw_diagnosis = np.full(n, ERROR, np.int8), np.full(n, np.nan)
+
     raw, positive, finite = _diagnose(diag, batch.take(valid), threshold)
-    positives = []
-    for row, r, p, f in zip(valid, raw.tolist(), positive.tolist(), finite.tolist()):
-        report = reports[row]
-        if not f:
-            report.error = "non-finite diagnosis output"
-            continue
-        report.verdict = int(p)
-        report.raw_diagnosis = r
-        if p:
-            positives.append(row)
+    error[valid[~finite]] = "non-finite diagnosis output"
+    verdict[valid[finite]], raw_diagnosis[valid[finite]] = positive[finite], raw[finite]
 
-    index, finite, raw = _classify(clf, batch.take(positives))
-    for row, i, ok, outputs in zip(positives, index.tolist(), finite.tolist(), raw.tolist()):
-        report = reports[row]
-        if not ok:
-            report.verdict = report.raw_diagnosis = None
-            report.error = "non-finite classification output"
-        else:
-            report.subtype = SUBTYPES[i]
-            report.raw_classify = outputs
-    return reports
-
-
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    positives = valid[positive & finite]
+    subtype = np.zeros(n, np.intp)
+    subtype[positives], finite, raw = _classify(clf, batch.take(positives))
+    lost = positives[~finite]
+    error[lost] = "non-finite classification output"
+    verdict[lost], raw_diagnosis[lost] = ERROR, np.nan
+    raw_classify = np.full((n, raw.shape[1]), np.nan)
+    raw_classify[positives[finite]] = raw[finite]
+    stamp = None if deterministic else datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return Screening(ids, verdict, raw_diagnosis, subtype, raw_classify, error,
+                     f"{diag.identity}|{clf.identity}", stamp)
 
 
 def _reject_stream_bundles(*bundles: ModelBundle) -> None:
-    for bundle in bundles:
-        if not bundle.net.serves_records:
-            raise ValueError(
-                "stream-mode NARX models need a labeled history and cannot "
-                "serve per-record predictions"
-            )
+    if not all(bundle.net.serves_records for bundle in bundles):
+        raise ValueError("stream-mode NARX models need a labeled history and cannot "
+                         "serve per-record predictions")
 
 
 def emit_reports(
-    reports: list[PatientReport],
-    fmt: str = "text",
-    model_files=(),
-    threshold: float = 0.5,
-    created: str | None = None,
+    reports, fmt: str = "text", model_files=(), threshold: float = 0.5, created: str | None = None
 ) -> str:
-    """Render patient reports as text, JSON, or CSV."""
+    """Render a Screening, or a sequence of PatientReport, as text, JSON, or CSV.
+
+    Each field is formatted a column at a time, each kind of row fills one
+    template, and the rows are joined once.
+    """
     if fmt not in REPORT_FORMATS:
         raise ValueError(f"unknown report format {fmt!r}")
-    if fmt == "text":
-        lines = ["# anemia screening report"]
-        if model_files:
-            lines.append(f"# models: {' '.join(str(m) for m in model_files)}")
-        lines.append(f"# threshold: {threshold:g}")
-        if created:
-            lines.append(f"# created: {created}")
-        for r in reports:
-            lines.append(_text_line(r))
-        return "\n".join(lines) + "\n"
+    s = Screening.of(reports)
     if fmt == "json":
-        meta = {
-            "model_files": [str(m) for m in model_files],
-            "threshold": threshold,
-            **({"created": created} if created else {}),
-        }
-        return _render_json(meta, reports)
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["id", "verdict", "subtype", "raw_diagnosis", "error"])
-    for r in reports:
-        writer.writerow([
-            r.patient_id,
-            "" if r.verdict is None else r.verdict,
-            r.subtype.value if r.subtype is not None else "",
-            "" if r.raw_diagnosis is None else repr(r.raw_diagnosis),
-            "" if r.error is None else r.error,
-        ])
-    return out.getvalue()
+        meta = {"model_files": [str(m) for m in model_files], "threshold": threshold,
+                **({"created": created} if created else {})}
+        return _render_json(meta, s)
+    if fmt == "csv":  # csv writes a float as its repr; here a column at a time
+        kind, (failed, _, _) = _kinds(s, s.verdict != 0)
+        raw = (np.fromiter(map(float.__repr__, s.raw_diagnosis.tolist()), object, len(s))
+               if s.raw_diagnosis.dtype == float else s.raw_diagnosis.astype(object))
+        verdict = s.verdict.astype(object)
+        verdict[failed] = raw[failed] = None  # written blank
+        subtype = _CSV_LABELS[np.where(kind == 2, s.subtype, len(SUBTYPES))]
+        out = io.StringIO()
+        writer = csv.writer(out)
+        writer.writerow(["id", "verdict", "subtype", "raw_diagnosis", "error"])
+        writer.writerows(zip(*(c.tolist() for c in (s.ids, verdict, subtype, raw, s.error))))
+        return out.getvalue()
+    lines = ["# anemia screening report"]
+    if model_files:
+        lines.append(f"# models: {' '.join(str(m) for m in model_files)}")
+    lines.append(f"# threshold: {threshold:g}")
+    if created:
+        lines.append(f"# created: {created}")
+    kind, (failed, healthy, typed) = _kinds(s, s.verdict != 0)
+    lines += _interleave(
+        kind,
+        _fill("#%s: ERROR (%s)", s.ids[failed].tolist(), s.error[failed].tolist()),
+        _fill("#%s: NON-ANEMIC (p=%.2f)", s.ids[healthy].tolist(),
+              s.raw_diagnosis[healthy].tolist()),
+        _fill("#%s: %s (p=%.2f)", s.ids[typed].tolist(),
+              map(_TEXT_LABELS.__getitem__, s.subtype[typed].tolist()),
+              s.raw_diagnosis[typed].tolist()),
+    )
+    return "\n".join(lines) + "\n"
 
 
-def _text_line(r: PatientReport) -> str:
-    if r.error is not None:
-        return f"#{r.patient_id}: ERROR ({r.error})"
-    if r.verdict == 0:
-        return f"#{r.patient_id}: NON-ANEMIC (p={r.raw_diagnosis:.2f})"
-    return f"#{r.patient_id}: {r.subtype.value.upper()} (p={r.raw_diagnosis:.2f})"
+def _kinds(s: Screening, flag: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(kind of each row, rows of each kind): 0 failed, 1 flag false, 2 flag true."""
+    kind = np.where(np.equal(s.error, None), 1 + flag.astype(np.int8), 0)
+    return kind, [np.flatnonzero(kind == k) for k in range(3)]
 
 
-def _render_json(meta: dict, reports) -> str:
-    """json.dumps({"meta": meta, "patients": [...]}, indent=1) + "\n", byte for byte.
+def _fill(template: str, *columns) -> list[str]:
+    return list(map(template.__mod__, zip(*columns)))
 
-    With indent set, json.dumps runs its pure-Python encoder.  Here each
-    patient is written from a fixed template, with the scalars encoded as
-    json encodes them; json.dumps writes only the meta block and any
-    patient holding a value of another type.
-    """
-    head = '{\n "meta": ' + json.dumps(meta, indent=1).replace("\n", "\n ")
-    if not reports:
-        return head + ',\n "patients": []\n}\n'
-    patients = ",\n".join([_patient_json(r) for r in reports])
-    return head + ',\n "patients": [\n' + patients + '\n ]\n}\n'
+
+def _interleave(kind: np.ndarray, *fragments: list[str]) -> list[str]:
+    """Row i's fragment, taken in order from fragments[kind[i]]."""
+    streams = [iter(f) for f in fragments]
+    return list(map(next, map(streams.__getitem__, kind.tolist())))
+
+
+_TEXT_LABELS = tuple(label.value.upper() for label in SUBTYPES)
+_CSV_LABELS = np.array([*(label.value for label in SUBTYPES), ""], dtype=object)
 
 
 _json_str = json.encoder.encode_basestring_ascii  # json.dumps' string encoder
-_JSON_IDS = {int: int.__repr__, str: _json_str}
-_JSON_LABELS = {label: _json_str(label.value) for label in AnemiaLabel}
+_JSON_LABELS = tuple(_json_str(label.value) for label in SUBTYPES)
+_JSON_ERROR = '  {\n   "id": %s,\n   "error": %s\n  }'
+_JSON_HEALTHY = '  {\n   "id": %s,\n   "verdict": %s,\n   "raw": {\n    "diagnosis": %s\n   }\n  }'
+_JSON_POSITIVE = ('  {\n   "id": %s,\n   "verdict": %s,\n   "raw": {\n    "diagnosis": %s,\n'
+                  '    "classify": %s\n   },\n   "subtype": %s\n  }')
 
 
-def _json_float(value) -> str | None:
-    """The text json writes for a finite float, else None."""
-    return float.__repr__(value) if type(value) is float and math.isfinite(value) else None
+def _render_json(meta: dict, s: Screening) -> str:
+    """json.dumps({"meta": meta, "patients": [...]}, indent=1) + "\n", byte for byte,
+    without json's pure-Python indent encoder: a template per kind of entry."""
+    head = '{\n "meta": ' + json.dumps(meta, indent=1).replace("\n", "\n ")
+    if not len(s):
+        return head + ',\n "patients": []\n}\n'
+    kind, (failed, other, positive) = _kinds(s, s.verdict == 1)
+    scored = [s.ids, s.verdict, s.raw_diagnosis]
+    patients = _interleave(
+        kind,
+        _fill(_JSON_ERROR, *(_json_texts(c[failed]) for c in (s.ids, s.error))),
+        _fill(_JSON_HEALTHY, *(_json_texts(c[other]) for c in scored)),
+        _fill(_JSON_POSITIVE, *(_json_texts(c[positive]) for c in scored),
+              _json_classify(s.raw_classify, positive),
+              map(_JSON_LABELS.__getitem__, s.subtype[positive].tolist())),
+    )
+    return head + ',\n "patients": [\n' + ",\n".join(patients) + '\n ]\n}\n'
 
 
-def _patient_json(r: PatientReport) -> str:
-    """_patient_doc(r) as json.dumps(..., indent=1) writes it two levels deep."""
-    encode_id = _JSON_IDS.get(type(r.patient_id))
-    if encode_id is not None and (r.error is None or type(r.error) is str):
-        pid = encode_id(r.patient_id)
-        if r.error is not None:
-            return f'  {{\n   "id": {pid},\n   "error": {_json_str(r.error)}\n  }}'
-        diagnosis = _json_float(r.raw_diagnosis)
-        if diagnosis is not None and type(r.verdict) is int and r.verdict in (0, 1):
-            head = (f'  {{\n   "id": {pid},\n   "verdict": {r.verdict},\n   "raw": {{\n'
-                    f'    "diagnosis": {diagnosis}')
-            if r.verdict == 0:
-                return head + "\n   }\n  }"
-            raw = r.raw_classify
-            outputs = list(map(_json_float, raw)) if type(raw) is list else []
-            if type(r.subtype) is AnemiaLabel and outputs and None not in outputs:
-                return (head + ',\n    "classify": [\n     ' + ",\n     ".join(outputs)
-                        + '\n    ]\n   },\n   "subtype": ' + _JSON_LABELS[r.subtype] + "\n  }")
-    return "  " + json.dumps(_patient_doc(r), indent=1).replace("\n", "\n  ")
+def _json_texts(column: np.ndarray) -> list[str]:
+    """json's text for each value: a column of ints, strings or finite floats
+    by its type's encoder, any other column value by value."""
+    values, kind = column.tolist(), column.dtype.kind
+    if kind == "O":
+        types = set(map(type, values))
+        kind = "i" if types <= {int} else "U" if types <= {str} else "O"
+    elif kind == "f" and not np.isfinite(column).all():
+        kind = "O"
+    encode = {"i": int.__repr__, "f": float.__repr__, "U": _json_str}.get(kind, json.dumps)
+    return list(map(encode, values))
 
 
-def _patient_doc(r: PatientReport) -> dict:
-    if r.error is not None:
-        return {"id": r.patient_id, "error": r.error}
-    doc = {"id": r.patient_id, "verdict": r.verdict, "raw": {"diagnosis": r.raw_diagnosis}}
-    if r.verdict == 1:
-        doc["subtype"] = r.subtype.value
-        doc["raw"]["classify"] = r.raw_classify
-    return doc
+def _json_classify(raw, rows: np.ndarray) -> list[str]:
+    """Each row's "classify" list as json.dumps writes it four levels deep."""
+    if isinstance(raw, np.ndarray) and raw.shape[1] and np.isfinite(raw[rows]).all():
+        template = "[\n     " + ",\n     ".join(["%s"] * raw.shape[1]) + "\n    ]"
+        return _fill(template, *map(_json_texts, raw[rows].T))
+    outputs = raw[rows].tolist() if isinstance(raw, np.ndarray) else map(raw.__getitem__, rows)
+    return [json.dumps(v, indent=1).replace("\n", "\n    ") for v in outputs]
 
 
 def _bundle_outputs(bundle: ModelBundle, records) -> np.ndarray:
@@ -318,8 +333,7 @@ def _require_finite(models: str, finite: np.ndarray) -> None:
     bad = int(np.count_nonzero(~finite))
     if bad:
         raise NonFiniteOutputError(
-            f"{models} gave non-finite outputs on {bad} of {len(finite)} rows"
-        )
+            f"{models} gave non-finite outputs on {bad} of {len(finite)} rows")
 
 
 def evaluate_diagnosis(diag: ModelBundle, labeled, threshold: float = 0.5) -> ConfusionMatrix:
@@ -347,10 +361,7 @@ def evaluate_classification(clf: ModelBundle, labeled) -> ConfusionMatrix:
 
 
 def evaluate_pipeline(
-    diag: ModelBundle,
-    clf: ModelBundle,
-    labeled,
-    threshold: float = 0.5,
+    diag: ModelBundle, clf: ModelBundle, labeled, threshold: float = 0.5
 ) -> ConfusionMatrix:
     """4x4 confusion matrix of the gated two-stage flow.
 

@@ -311,6 +311,29 @@ class TestPredict:
             "--data", str(data), "--format", "yaml",
         ]) == 2
 
+    @pytest.mark.parametrize("deterministic", [False, True])
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_header_only_input_keeps_the_created_stamp(self, tmp_path, trained_models, capsys,
+                                                       fmt, deterministic):
+        _, diag, clf = trained_models
+        empty = tmp_path / "empty.csv"
+        save_unlabeled_csv([], empty)
+        capsys.readouterr()
+        assert cli.main([
+            "predict", "--diagnosis", str(diag), "--classify", str(clf),
+            "--data", str(empty), "--format", fmt, *(["--deterministic"] * deterministic),
+        ]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            doc = json.loads(out)
+            assert doc["patients"] == []
+            assert ("created" in doc["meta"]) is not deterministic
+        elif fmt == "text":
+            created = [line for line in out.splitlines() if line.startswith("# created: ")]
+            assert len(created) == (0 if deterministic else 1)
+        else:  # the CSV report never carries a stamp
+            assert out.splitlines() == ["id,verdict,subtype,raw_diagnosis,error"]
+
 
 class TestThresholdFlag:
     BAD = ["nan", "inf", "7", "-0.5"]

@@ -466,6 +466,44 @@ class TestTrainLoop:
         assert exc.value.epoch == 1
         assert "non-finite parameters at epoch 1" in str(exc.value)
 
+    def test_non_finite_starting_parameters_name_the_loss(self):
+        X, T = _toy_problem()
+        net = build_ffnn(3, 4, 1, seed=5)
+        net.param_arrays()[0][0, 0] = np.nan
+        for update_mode in ("full-batch", "per-sample"):
+            with pytest.raises(TrainingDivergedError) as exc:
+                train_loop(net, (X, T), config=TrainConfig(epochs=3, update_mode=update_mode))
+            assert str(exc.value) == "non-finite training loss at epoch 1"
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("later", ["finite loss", "model loss"])
+    @pytest.mark.parametrize("family", ["ffnn", "elman", "narx"])
+    def test_parameters_going_non_finite_mid_epoch(self, monkeypatch, family, later):
+        # Update 47 (epoch 2, update 7 of 40) steps with infinite gradients.  The
+        # updates after it see a finite loss, or the model's own loss on the
+        # broken parameters; either way the error names the epoch it broke in.
+        net = build_model(family, 3, 4, 1, seed=1)
+        model_loss = type(net).batch_loss_and_grads
+        calls = []
+
+        def breaking(self, X, T, workspace):
+            calls.append(len(X))
+            if len(calls) > 47 and later == "finite loss":
+                return 0.25, workspace.grads
+            loss, grads = model_loss(self, X, T, workspace)
+            if len(calls) == 47:
+                workspace.grad.fill(np.inf)
+            return loss, grads
+
+        monkeypatch.setattr(type(net), "batch_loss_and_grads", breaking)
+        X, T = _toy_problem()
+        config = TrainConfig(epochs=4, update_mode="per-sample")
+        with pytest.raises(TrainingDivergedError) as exc:
+            train_loop(net, net.prepare_training(X, T), config=config)
+        assert exc.value.epoch == 2
+        assert str(exc.value) == "non-finite parameters at epoch 2"
+        assert 47 <= len(calls) <= 80
+
     def test_curve_csv_format(self):
         X, T = _toy_problem()
         net = build_ffnn(3, 4, 1, seed=6)

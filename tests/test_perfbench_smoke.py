@@ -5,7 +5,9 @@ injected implausible rows as errors, and byte-identical reruns; for audit,
 one eval row per model file over the whole labeled set, which the CLI reads
 through load_csv.  Untraced and traced, the result must carry every metric
 BENCHMARK.json declares for that mode: a hook whose target is gone still lets
-the run exit 0, without its metrics.  No timing is asserted.
+the run exit 0, without its metrics.  The traced screen run must count
+positives and report bytes: a counter that reads 0 on working code shows a
+hook that no longer understands what it wraps.  No timing is asserted.
 """
 import json
 import subprocess
@@ -32,3 +34,7 @@ def test_tiny_run_is_correct(workload, trace, declared):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     missing = [m["name"] for m in spec[declared] if m["name"] not in result["metrics"]]
     assert missing == [], done.stderr
+    if workload == "screen" and trace:
+        # The hooks read the screening as rows with a .verdict and the report as a str.
+        for counter in ("pipeline.positives", "pipeline.report_bytes"):
+            assert result["metrics"][counter]["value"] > 0, counter

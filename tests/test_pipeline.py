@@ -14,11 +14,9 @@ from hemanet.models import FAMILIES, build_elman, build_narx
 from hemanet.nncore import LayerParams, TrainConfig
 from hemanet.models import FfnnModel
 from hemanet.pipeline import (
-    DiagnosisResult,
     NonFiniteOutputError,
     PatientReport,
-    classify,
-    diagnose,
+    Screening,
     emit_reports,
     evaluate_classification,
     evaluate_diagnosis,
@@ -26,7 +24,7 @@ from hemanet.pipeline import (
     run_pipeline,
 )
 from hemanet.preprocess import FULL9, Normalizer, encode, encode_batch, split_dataset
-from hemanet.records import SUBTYPES, AnemiaLabel, CbcColumns, ValidationError
+from hemanet.records import SUBTYPES, AnemiaLabel, CbcColumns, LabeledRecord
 from hemanet.serialize import ModelBundle
 from hemanet.synth import synth_generate
 
@@ -94,66 +92,63 @@ def _hgb_gate_bundle(cutoff=12.5):
     )
 
 
-class TestDiagnose:
+def _onehot_bundle(outputs=(0.0, 0.0, 0.0)):
+    return _constant_bundle(list(outputs), out_dim=3, encoding="onehot3")
+
+
+class TestDiagnosisStage:
     def test_boundary_raw_output_counts_positive(self):
         bundle = _constant_bundle([0.0])  # sigmoid(0) = 0.5 exactly
-        [result] = diagnose(bundle, [make_record()], threshold=0.5)
-        assert result.raw == 0.5
-        assert result.verdict == 1
+        [report] = run_pipeline(bundle, _onehot_bundle(), [make_record()], threshold=0.5)
+        assert report.raw_diagnosis == 0.5
+        assert report.verdict == 1
 
     def test_low_raw_output_is_healthy(self):
         bundle = _constant_bundle([-2.2])  # ~0.10
-        [result] = diagnose(bundle, [make_record()])
-        assert result.raw < 0.5
-        assert result.verdict == 0
+        [report] = run_pipeline(bundle, _onehot_bundle(), [make_record()])
+        assert report.raw_diagnosis < 0.5
+        assert report.verdict == 0
 
     def test_threshold_monotonicity(self):
         bundle = _constant_bundle([0.4])
-        [low] = diagnose(bundle, [make_record()], threshold=0.3)
-        [high] = diagnose(bundle, [make_record()], threshold=0.9)
+        [low] = run_pipeline(bundle, _onehot_bundle(), [make_record()], threshold=0.3)
+        [high] = run_pipeline(bundle, _onehot_bundle(), [make_record()], threshold=0.9)
         assert high.verdict <= low.verdict
 
     def test_invalid_record_raises(self):
         bundle = _constant_bundle([0.0])
+        labeled = [LabeledRecord(make_record(hgb=-1.0), AnemiaLabel.NON_ANEMIC)]
         with pytest.raises(ValueError, match="hgb"):
-            diagnose(bundle, [make_record(hgb=-1.0)])
+            evaluate_diagnosis(bundle, labeled)
 
     def test_requires_binary_encoding(self):
-        clf_bundle = _constant_bundle([0.0, 0.0, 0.0], out_dim=3, encoding="onehot3")
+        clf_bundle = _onehot_bundle()
         with pytest.raises(ValueError, match="binary1"):
-            diagnose(clf_bundle, [make_record()])
+            run_pipeline(clf_bundle, clf_bundle, [make_record()])
 
     def test_batch_verdicts_follow_each_row(self):
-        results = diagnose(_hgb_gate_bundle(), [make_record(hgb=h) for h in (10.0, 14.0, 12.5)])
-        assert [r.verdict for r in results] == [1, 0, 1]
+        reports = run_pipeline(_hgb_gate_bundle(), _onehot_bundle(),
+                               [make_record(hgb=h) for h in (10.0, 14.0, 12.5)])
+        assert [r.verdict for r in reports] == [1, 0, 1]
 
 
-class TestClassify:
+class TestClassificationStage:
     def test_argmax_subtype(self):
-        bundle = _constant_bundle([2.0, -2.0, -2.0], out_dim=3, encoding="onehot3")
-        positive = DiagnosisResult(verdict=1, raw=0.9, threshold=0.5)
-        [label], raw = classify(bundle, [make_record()], [positive])
-        assert label is AnemiaLabel.MICROCYTIC
-        assert raw[0].shape == (3,)
+        bundle = _onehot_bundle([2.0, -2.0, -2.0])
+        [report] = run_pipeline(_constant_bundle([3.0]), bundle, [make_record()])
+        assert report.subtype is AnemiaLabel.MICROCYTIC
+        assert len(report.raw_classify) == 3
 
     def test_banded_decoding(self):
         bundle = _constant_bundle([np.log(0.49 / 0.51)], encoding="banded1")
-        positive = DiagnosisResult(verdict=1, raw=0.9, threshold=0.5)
-        [label], raw = classify(bundle, [make_record()], [positive])
-        assert raw[0][0] == pytest.approx(0.49)
-        assert label is AnemiaLabel.NORMOCYTIC
-
-    def test_healthy_verdict_is_contract_violation(self):
-        bundle = _constant_bundle([0.0, 0.0, 0.0], out_dim=3, encoding="onehot3")
-        healthy = DiagnosisResult(verdict=0, raw=0.2, threshold=0.5)
-        with pytest.raises(ValueError, match="healthy"):
-            classify(bundle, [make_record()], [healthy])
+        [report] = run_pipeline(_constant_bundle([3.0]), bundle, [make_record()])
+        assert report.raw_classify[0] == pytest.approx(0.49)
+        assert report.subtype is AnemiaLabel.NORMOCYTIC
 
     def test_requires_classification_encoding(self):
         bundle = _constant_bundle([0.0])
-        positive = DiagnosisResult(verdict=1, raw=0.9, threshold=0.5)
         with pytest.raises(ValueError, match="onehot3 or banded1"):
-            classify(bundle, [make_record()], [positive])
+            run_pipeline(_constant_bundle([3.0]), bundle, [make_record()])
 
 
 class TestRunPipeline:
@@ -246,15 +241,59 @@ class TestRunPipeline:
         assert reports[0].timestamp is None
 
 
+class TestScreening:
+    def _screening(self, **kwargs):
+        records = [make_record(hgb=h) for h in (10.0, 14.0, -1.0, 12.0)]
+        return run_pipeline(_hgb_gate_bundle(), _onehot_bundle([0.0, 1.0, 0.0]), records,
+                            **kwargs)
+
+    def test_columns(self):
+        screening = self._screening()
+        np.testing.assert_array_equal(screening.verdict, [1, 0, pipeline.ERROR, 1])
+        assert screening.verdict.dtype == np.int8
+        assert screening.raw_classify.shape == (4, 3)
+        assert np.isnan(screening.raw_classify[[1, 2]]).all()
+        assert screening.error.tolist() == [None, None, "hgb must be positive", None]
+        assert screening.ids.tolist() == [0, 1, 2, 3]
+
+    def test_rows_are_built_on_demand(self):
+        screening = self._screening(ids="abcd")
+        assert len(screening) == 4
+        assert screening[-1] == screening[3]
+        assert screening[1:3] == [screening[1], screening[2]]
+        assert list(screening) == [screening[i] for i in range(4)]
+        assert screening[2] == PatientReport("c", models=screening.models,
+                                             timestamp=screening.timestamp,
+                                             error="hgb must be positive")
+        assert screening[0].subtype is AnemiaLabel.NORMOCYTIC
+        with pytest.raises(IndexError):
+            screening[4]
+
+    def test_of_converts_rows_once(self):
+        screening = self._screening(deterministic=True)
+        assert Screening.of(screening) is screening
+        assert Screening.of(list(screening)) == screening
+        assert screening + screening == list(screening) * 2
+
+    def test_of_refuses_a_positive_row_without_subtype(self):
+        with pytest.raises(ValueError, match="subtype"):
+            Screening.of([PatientReport(0, verdict=1, raw_diagnosis=0.9)])
+
+    def test_empty_screening_carries_one_timestamp(self):
+        diag, clf = _constant_bundle([0.0]), _onehot_bundle()
+        assert run_pipeline(diag, clf, []).timestamp is not None
+        assert run_pipeline(diag, clf, [], deterministic=True).timestamp is None
+
+
 class TestNonFiniteOutputs:
     def _nan_elman(self, encoding="binary1"):
         net = build_elman(9, 4, 3 if encoding == "onehot3" else 1, seed=5)
         net.wh[0, 0] = np.nan
         return ModelBundle("elman", net, FULL9, encoding, _identity_normalizer())
 
-    def test_diagnose_gives_no_verdict(self):
-        [result] = diagnose(self._nan_elman(), [make_record()])
-        assert result.verdict is None
+    def test_nan_diagnosis_gives_no_verdict(self):
+        [report] = run_pipeline(self._nan_elman(), _onehot_bundle(), [make_record()])
+        assert report.verdict is None
 
     def test_nan_diagnosis_becomes_error_entries(self):
         clf = _constant_bundle([0.0, 1.0, 0.0], out_dim=3, encoding="onehot3")
@@ -269,14 +308,30 @@ class TestNonFiniteOutputs:
 
     def test_nan_classification_becomes_error_entry(self):
         clf = self._nan_elman("onehot3")
-        [label], _ = classify(clf, [make_record()], [DiagnosisResult(1, 0.9, 0.5)])
-        assert label is None
         reports = run_pipeline(_hgb_gate_bundle(), clf,
                                [make_record(hgb=10.0), make_record(hgb=14.0)])
         assert reports[0].error == "non-finite classification output"
         assert reports[0].verdict is None and reports[0].subtype is None
         assert reports[0].raw_diagnosis is None and reports[0].raw_classify is None
         assert reports[1].verdict == 0 and reports[1].error is None
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_screening_renders_as_its_rows(self, fmt):
+        # Both error kinds in one batch: invalid rows, and positives whose
+        # classification output is NaN; a clean classifier and string ids too.
+        records = [make_record(hgb=h) for h in (10.0, 14.0, -1.0, 11.0, 15.0, 9.0)]
+        records.append(make_record(hgb=float("nan"), age=300))
+        runs = [
+            run_pipeline(_hgb_gate_bundle(), self._nan_elman("onehot3"), records),
+            run_pipeline(self._nan_elman(), _onehot_bundle(), records),
+            run_pipeline(_hgb_gate_bundle(), _onehot_bundle([1.0, -1.0, 3.0]), records,
+                         ids=[f"p,{i}" for i in range(len(records))], deterministic=True),
+        ]
+        for screening in runs:
+            assert (emit_reports(screening, fmt, ["d", "c"], 0.5, screening.timestamp)
+                    == emit_reports([*screening], fmt, ["d", "c"], 0.5, screening.timestamp))
+        assert {r.error for r in runs[0]} >= {"non-finite classification output",
+                                              "hgb must be positive"}
 
     def test_pipeline_evaluation_refuses_non_finite_outputs(self):
         labeled = synth_generate(12, {AnemiaLabel.MICROCYTIC: 5,

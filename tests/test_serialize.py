@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hemanet.models import build_elman, build_ffnn, build_narx, output_width
-from hemanet.pipeline import diagnose
+from hemanet.pipeline import run_pipeline
 from hemanet.preprocess import FULL9, PAPER7, Normalizer
 from hemanet.serialize import (
     FORMAT_VERSION,
@@ -79,8 +79,9 @@ def test_bundle_predict_survives_round_trip(tmp_path):
     save_model(bundle, path)
     loaded = load_model(path)
     record = make_record()
-    [before], [after] = diagnose(bundle, [record]), diagnose(loaded, [record])
-    assert before.raw == after.raw
+    clf = _bundle("ffnn", encoding="onehot3")
+    [before], [after] = (run_pipeline(b, clf, [record]) for b in (bundle, loaded))
+    assert before.raw_diagnosis == after.raw_diagnosis
     assert loaded.source == str(path)
 
 
