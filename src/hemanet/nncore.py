@@ -344,7 +344,6 @@ def train_loop(model, train, validation=None, config: TrainConfig | None = None)
     curve = LossCurve(validation=[] if validation is not None else None)
     best_val = np.inf
     stale = 0
-
     stepped = False
 
     def update(x, t, epoch):
