@@ -15,6 +15,7 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import repeat
 from operator import attrgetter
 
 import numpy as np
@@ -59,12 +60,11 @@ class PatientReport:
 class Screening(Sequence):
     """A screening run as columns, row i for input row i.
 
-    ``verdict`` holds int8 codes 0 (healthy), 1 (anemic) and ERROR, and
-    ``error`` the message of each failed row, None elsewhere.
-    ``raw_diagnosis`` and the (n, width) ``raw_classify`` hold NaN where a
-    row has no output; ``subtype`` holds SUBTYPES indices, read on the rows
-    neither failed nor healthy.  As a sequence it yields PatientReport rows,
-    built on demand.
+    ``verdict`` holds int8 codes 0 (healthy), 1 (anemic) and ERROR; ``error``
+    the message of each failed row, None elsewhere.  ``raw_diagnosis`` and the
+    (n, width) ``raw_classify`` hold NaN where a row has no output; ``subtype``
+    holds SUBTYPES indices, read on rows neither failed nor healthy.  As a
+    sequence it yields PatientReport rows, built on demand.
     """
 
     ids: np.ndarray
@@ -212,8 +212,7 @@ def emit_reports(
         verdict = s.verdict.astype(object)
         verdict[failed] = raw[failed] = None  # written blank
         subtype = _CSV_LABELS[np.where(kind == 2, s.subtype, len(SUBTYPES))]
-        out = io.StringIO()
-        writer = csv.writer(out)
+        writer = csv.writer(out := io.StringIO())
         writer.writerow(["id", "verdict", "subtype", "raw_diagnosis", "error"])
         writer.writerows(zip(*(c.tolist() for c in (s.ids, verdict, subtype, raw, s.error))))
         return out.getvalue()
@@ -226,12 +225,12 @@ def emit_reports(
     kind, (failed, healthy, typed) = _kinds(s, s.verdict != 0)
     lines += _interleave(
         kind,
-        _fill("#%s: ERROR (%s)", s.ids[failed].tolist(), s.error[failed].tolist()),
-        _fill("#%s: NON-ANEMIC (p=%.2f)", s.ids[healthy].tolist(),
-              s.raw_diagnosis[healthy].tolist()),
-        _fill("#%s: %s (p=%.2f)", s.ids[typed].tolist(),
+        _fill("#%s: ERROR (%s)", map(str, s.ids[failed].tolist()), s.error[failed].tolist()),
+        _fill("#%s: NON-ANEMIC (p=%s)", map(str, s.ids[healthy].tolist()),
+              map("%.2f".__mod__, s.raw_diagnosis[healthy].tolist())),
+        _fill("#%s: %s (p=%s)", map(str, s.ids[typed].tolist()),
               map(_TEXT_LABELS.__getitem__, s.subtype[typed].tolist()),
-              s.raw_diagnosis[typed].tolist()),
+              map("%.2f".__mod__, s.raw_diagnosis[typed].tolist())),
     )
     return "\n".join(lines) + "\n"
 
@@ -243,7 +242,10 @@ def _kinds(s: Screening, flag: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]
 
 
 def _fill(template: str, *columns) -> list[str]:
-    return list(map(template.__mod__, zip(*columns)))
+    """Each row of the aligned string columns put in the %s slots of template."""
+    *parts, last = map(repeat, template.split("%s"))
+    pieces = [x for part, column in zip(parts, columns) for x in (part, column)]
+    return list(map("".join, zip(*pieces, last)))
 
 
 def _interleave(kind: np.ndarray, *fragments: list[str]) -> list[str]:
@@ -254,8 +256,6 @@ def _interleave(kind: np.ndarray, *fragments: list[str]) -> list[str]:
 
 _TEXT_LABELS = tuple(label.value.upper() for label in SUBTYPES)
 _CSV_LABELS = np.array([*(label.value for label in SUBTYPES), ""], dtype=object)
-
-
 _json_str = json.encoder.encode_basestring_ascii  # json.dumps' string encoder
 _JSON_LABELS = tuple(_json_str(label.value) for label in SUBTYPES)
 _JSON_ERROR = '  {\n   "id": %s,\n   "error": %s\n  }'
