@@ -298,7 +298,7 @@ def _json_texts(column: np.ndarray) -> list[str]:
 
 def _json_classify(raw, rows: np.ndarray) -> list[str]:
     """Each row's "classify" list as json.dumps writes it four levels deep."""
-    if isinstance(raw, np.ndarray) and raw.shape[1] and np.isfinite(raw[rows]).all():
+    if isinstance(raw, np.ndarray) and raw.shape[1]:
         template = "[\n     " + ",\n     ".join(["%s"] * raw.shape[1]) + "\n    ]"
         return _fill(template, *map(_json_texts, raw[rows].T))
     outputs = raw[rows].tolist() if isinstance(raw, np.ndarray) else map(raw.__getitem__, rows)

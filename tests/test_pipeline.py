@@ -96,7 +96,7 @@ def _onehot_bundle(outputs=(0.0, 0.0, 0.0)):
     return _constant_bundle(list(outputs), out_dim=3, encoding="onehot3")
 
 
-class TestDiagnosisStage:
+class TestDiagnose:
     def test_boundary_raw_output_counts_positive(self):
         bundle = _constant_bundle([0.0])  # sigmoid(0) = 0.5 exactly
         [report] = run_pipeline(bundle, _onehot_bundle(), [make_record()], threshold=0.5)
@@ -132,7 +132,7 @@ class TestDiagnosisStage:
         assert [r.verdict for r in reports] == [1, 0, 1]
 
 
-class TestClassificationStage:
+class TestClassify:
     def test_argmax_subtype(self):
         bundle = _onehot_bundle([2.0, -2.0, -2.0])
         [report] = run_pipeline(_constant_bundle([3.0]), bundle, [make_record()])
@@ -275,6 +275,14 @@ class TestScreening:
         assert Screening.of(list(screening)) == screening
         assert screening + screening == list(screening) * 2
 
+    def test_non_finite_float_columns_render_as_json_dumps(self):
+        screening = Screening(
+            ids=np.arange(3), verdict=np.array([0, 1, 1], np.int8),
+            raw_diagnosis=np.array([np.inf, 0.75, np.nan]), subtype=np.array([0, 1, 2]),
+            raw_classify=np.array([[np.nan] * 3, [0.1, np.nan, -np.inf], [0.2, 0.3, 0.5]]),
+            error=np.full(3, None, object))
+        assert emit_reports(screening, "json") == reference_json(screening, (), 0.5, None)
+
     def test_of_refuses_a_positive_row_without_subtype(self):
         with pytest.raises(ValueError, match="subtype"):
             Screening.of([PatientReport(0, verdict=1, raw_diagnosis=0.9)])
@@ -291,7 +299,7 @@ class TestNonFiniteOutputs:
         net.wh[0, 0] = np.nan
         return ModelBundle("elman", net, FULL9, encoding, _identity_normalizer())
 
-    def test_nan_diagnosis_gives_no_verdict(self):
+    def test_diagnose_gives_no_verdict(self):
         [report] = run_pipeline(self._nan_elman(), _onehot_bundle(), [make_record()])
         assert report.verdict is None
 
