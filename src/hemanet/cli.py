@@ -305,7 +305,7 @@ def cmd_predict(args) -> int:
 
 def gradcheck_trial(family: str, mode: str | None, seed: int, epsilon: float) -> float:
     """Max relative error of one random small-network gradient check, on the
-    last row of a 3-row stream as training prepares it."""
+    last of 3 random rows as training prepares them."""
     rng = np.random.default_rng(seed)
     features = int(rng.integers(3, 7))
     hidden = int(rng.integers(2, 9))

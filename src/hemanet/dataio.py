@@ -11,8 +11,7 @@ from __future__ import annotations
 import csv
 from collections import deque
 from functools import lru_cache
-from itertools import islice
-from operator import itemgetter
+from itertools import chain, islice
 
 import numpy as np
 
@@ -118,7 +117,7 @@ def _read_columns(path, columns):
     Blank lines are skipped and rows are numbered from 1 after the header.
     Cells are parsed a column of READ_BLOCK_ROWS rows at a time; the first bad
     cell in row-then-column order is reported once the whole file is read, so
-    a CSV syntax error anywhere in it wins.
+    a CSV syntax error or a byte that is not UTF-8 anywhere in it wins.
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -133,6 +132,9 @@ def _read_columns(path, columns):
                 raise
     except csv.Error as exc:
         raise CsvFormatError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason} "
+                             f"{exc.object[exc.start:exc.end]!r})") from None
     age, gender, analytes, labels = (
         None if parts[0] is None else np.concatenate(parts) for parts in zip(*blocks))
     return CbcColumns(age_column(age), gender, analytes, labels)
@@ -146,26 +148,30 @@ def _parse_blocks(path, header, rows, columns) -> list[tuple]:
         raise CsvFormatError(f"{path}: missing column(s): {', '.join(missing)}")
     position = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
     width = max(position[c] for c in columns) + 1
-    blocks, start = [_parse_block([], columns, position)], 1
+    blocks, start = [_parse_block([()] * width, columns, position)], 1
     while block := list(islice(rows, READ_BLOCK_ROWS)):
-        block = [row if len(row) >= width else row + [None] * (width - len(row)) for row in block]
+        if min(map(len, block)) < width:
+            block = [row + [None] * (width - len(row)) for row in block]
         try:
-            blocks.append(_parse_block(block, columns, position))
+            blocks.append(_parse_block(list(zip(*block)), columns, position))
         except (KeyError, TypeError, ValueError):
             raise _first_bad_cell(path, block, columns, position, start) from None
         start += len(block)
     return blocks
 
 
-def _parse_block(rows, columns, position) -> tuple:
-    """(age, gender, analytes, label or None) arrays of padded rows; ages are Python ints."""
-    def cells(name, dtype):
-        parsed = map(_PARSE[name], map(itemgetter(position[name]), rows))
-        return np.fromiter(parsed, dtype, count=len(rows))
+def _parse_block(table, columns, position) -> tuple:
+    """(age, gender, analytes, label or None) arrays of a block's cells, column
+    by column (``table[i]`` holds column i of the padded rows); ages are
+    Python ints."""
+    n = len(table[0])
 
-    analytes = np.empty((len(rows), len(ANALYTES)))
-    for column, name in enumerate(ANALYTES):
-        analytes[:, column] = cells(name, float)
+    def cells(name, dtype):
+        return np.fromiter(map(_PARSE[name], table[position[name]]), dtype, count=n)
+
+    analytes = np.fromiter(map(float, chain.from_iterable(table[position[name]]
+                                                          for name in ANALYTES)),
+                           float, count=n * len(ANALYTES)).reshape(len(ANALYTES), n).T
     labels = cells(LABEL_COLUMN, np.int8) if LABEL_COLUMN in columns else None
     return cells("age", object), cells("gender", np.int8), analytes, labels
 

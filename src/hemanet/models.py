@@ -5,18 +5,18 @@ All models share the duck interface the trainer, the gradient checker and
 the pipeline use: param_arrays / set_param_arrays, workspace, batch_loss,
 batch_loss_and_grads, predict_batch and its batch of one, forward.  The
 training methods take samples in the model's prepared form (see
-prepare_training and FAMILIES); predict_batch takes feature rows.  The
-batch kernels take an optional nncore.Workspace from the model's
-workspace(rows, grad) and write into it; without one they build their own
-for the call.  to_doc gives a network's model-document fields, and
+prepare_training; NARX's adds the zero delay taps); predict_batch takes
+feature rows.  The batch kernels take an optional nncore.Workspace from the
+model's workspace(rows, grad) and write into it; without one they build
+their own for the call.  to_doc gives a network's model-document fields, and
 from_doc(doc, feature_count, read) rebuilds it, with read(value, what)
 turning each stored array into a float array or raising.
 
 Elman and NARX are applied to independent patient records, so recurrent
 state never leaks between samples: the Elman context restarts from its
-configured initial value for every sample, and NARX per-record mode zeroes
-all delay taps.  Sequence-flavored alternatives (Elman feature-sequence,
-NARX stream with teacher forcing) are first-class modes.
+configured initial value for every sample, and NARX zeroes all delay taps.
+Elman's feature-sequence mode, which steps through one record's features,
+is the one sequence-flavored alternative.
 """
 from __future__ import annotations
 
@@ -116,10 +116,8 @@ def _forward(model, x) -> np.ndarray:
 
 def _prepare_training(model, X, T):
     """(network inputs, targets) of feature rows and their targets, in the
-    form the training kernels take; FAMILIES says how inputs are made."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    T = np.atleast_2d(np.asarray(T, dtype=float))
-    return FAMILIES[model.family].inputs(model, X, T), T
+    form the training kernels take: both as 2-d float arrays."""
+    return np.atleast_2d(np.asarray(X, dtype=float)), np.atleast_2d(np.asarray(T, dtype=float))
 
 
 def decode_subtype(output, encoding: str) -> AnemiaLabel:
@@ -142,7 +140,6 @@ class FfnnModel:
     """Input -> sigmoid hidden -> sigmoid output."""
 
     family = "ffnn"
-    serves_records = True
 
     def __init__(self, hidden: LayerParams, output: LayerParams):
         if output.in_dim != hidden.out_dim:
@@ -211,7 +208,6 @@ class ElmanModel:
     """
 
     family = "elman"
-    serves_records = True
 
     def __init__(self, wx, wh, b1, w2, b2, feature_count: int, *,
                  mode: str, context_init: float):
@@ -364,24 +360,18 @@ def _taps_width(feature_count: int, out_dim: int, d_u: int, d_y: int) -> int:
 
 
 class NarxModel:
-    """Autoregressive network over current features, delayed features, and
-    delayed outputs.
+    """Dense core over current features, delayed features, and delayed outputs.
 
-    The underlying dense core sees the composed vector
-    [x_t, x_{t-1}, ..., x_{t-du}, y_{t-1}, ..., y_{t-dy}].  per-record mode
-    zeroes every delay tap (records are independent patients); stream mode
-    composes taps from the ordered history with teacher-forced targets, so
-    each composed step trains like an independent dense sample.  Prediction
-    residuals (target minus output) come back from predict_stream, and are
-    never fed back into the model.
+    The core sees the composed vector
+    [x_t, x_{t-1}, ..., x_{t-du}, y_{t-1}, ..., y_{t-dy}].  Records are
+    independent patients, so every delay tap is zero: d_u and d_y set the
+    core's input width, and with it the initialisation's fan-in, and the tap
+    weights get exactly zero gradient.
     """
 
     family = "narx"
 
-    def __init__(self, core: FfnnModel, feature_count: int, *,
-                 d_u: int, d_y: int, mode: str):
-        if mode not in FAMILIES[self.family].modes:
-            raise ValueError(f"mode must be one of {FAMILIES[self.family].modes}")
+    def __init__(self, core: FfnnModel, feature_count: int, *, d_u: int, d_y: int):
         expected = feature_count + _taps_width(feature_count, core.out_dim, d_u, d_y)
         if core.in_dim != expected:
             raise ValueError(
@@ -391,13 +381,6 @@ class NarxModel:
         self.feature_count = int(feature_count)
         self.d_u = int(d_u)
         self.d_y = int(d_y)
-        self.mode = mode
-
-    @property
-    def serves_records(self) -> bool:
-        """Whether predict_batch answers for independent records: stream mode
-        needs a labeled history instead."""
-        return self.mode == "per-record"
 
     @property
     def in_dim(self) -> int:
@@ -415,43 +398,11 @@ class NarxModel:
         """Composed inputs of independent records: every delay tap zero."""
         return np.hstack([X, np.zeros((len(X), self.composed_dim - self.feature_count))])
 
-    def compose_stream(self, X, T) -> np.ndarray:
-        """Teacher-forced composition over an ordered labeled stream.
-
-        Delay taps before the start of the stream are zero; the output taps
-        carry the true targets of earlier steps, never model predictions.
-        """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        T = np.atleast_2d(np.asarray(T, dtype=float))
-        if len(X) != len(T):
-            raise ValueError("stream features and targets must align")
-        rows = []
-        for t in range(len(X)):
-            parts = [X[t]]
-            for k in range(1, self.d_u + 1):
-                parts.append(X[t - k] if t - k >= 0 else np.zeros(self.feature_count))
-            for k in range(1, self.d_y + 1):
-                parts.append(T[t - k] if t - k >= 0 else np.zeros(self.out_dim))
-            rows.append(np.concatenate(parts))
-        return np.array(rows) if rows else np.zeros((0, self.composed_dim))
-
-    def composed_inputs(self, X, T) -> np.ndarray:
-        """The core's inputs for 2-d feature rows and their targets, per mode."""
-        return self.compose_stream(X, T) if self.mode == "stream" else self._zero_taps(X)
-
     forward = _forward
 
     def predict_batch(self, X, workspace: Workspace | None = None) -> np.ndarray:
-        """Per-record predictions of feature rows; undefined for stream mode."""
-        if not self.serves_records:
-            raise ValueError("stream-mode NARX needs a labeled history; use predict_stream")
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return self.core.predict_batch(self._zero_taps(X), workspace)
-
-    def predict_stream(self, X, T):
-        """(outputs, residuals) over an ordered labeled stream."""
-        Y = self.core.predict_batch(self.compose_stream(X, T))
-        return Y, np.atleast_2d(np.asarray(T, dtype=float)) - Y
 
     # Training interface: samples are composed vectors.
     def param_arrays(self) -> list[np.ndarray]:
@@ -469,22 +420,26 @@ class NarxModel:
     def batch_loss_and_grads(self, Xc, T, workspace: Workspace | None = None):
         return self.core.batch_loss_and_grads(Xc, T, workspace)
 
-    prepare_training = _prepare_training
+    def prepare_training(self, X, T):
+        """(composed inputs, targets): the feature rows with zero delay taps."""
+        X, T = _prepare_training(self, X, T)
+        return self._zero_taps(X), T
 
     def to_doc(self) -> dict:
         return {**self.core.to_doc(),
-                "delays": {"exogenous": self.d_u, "output": self.d_y, "mode": self.mode}}
+                "delays": {"exogenous": self.d_u, "output": self.d_y, "mode": "per-record"}}
 
     @classmethod
     def from_doc(cls, doc, feature_count: int, read) -> NarxModel:
         delays = doc.get("delays") or {}
+        if delays.get("mode", "per-record") != "per-record":
+            raise ValueError(f"NARX delays.mode must be 'per-record', got {delays['mode']!r}")
         default = FAMILIES[cls.family].options
         return cls(
             FfnnModel.from_doc(doc, feature_count, read),
             feature_count=feature_count,
             d_u=int(delays.get("exogenous", default["d_u"])),
             d_y=int(delays.get("output", default["d_y"])),
-            mode=delays.get("mode", default["mode"]),
         )
 
 
@@ -516,21 +471,19 @@ def build_elman(feature_count: int, hidden_size: int, out_dim: int, seed: int = 
 
 
 def build_narx(feature_count: int, hidden_size: int, out_dim: int, seed: int = 0, *,
-               d_u: int = 0, d_y: int = 1, mode: str = "per-record") -> NarxModel:
+               d_u: int = 0, d_y: int = 1) -> NarxModel:
     width = feature_count + _taps_width(feature_count, out_dim, d_u, d_y)
     core = build_ffnn(width, hidden_size, out_dim, seed=seed)
-    return NarxModel(core, feature_count=feature_count, d_u=d_u, d_y=d_y, mode=mode)
+    return NarxModel(core, feature_count=feature_count, d_u=d_u, d_y=d_y)
 
 
 class Family(NamedTuple):
-    """One network family: its model class, its builder, the values of its
-    ``mode`` option, and how feature rows and their targets become network
-    inputs (``inputs(model, X, T)``, both 2-d; by default the rows as they are)."""
+    """One network family: its model class, its builder, and the values of
+    its ``mode`` option, if it has one."""
 
     model: type
     build: Callable
     modes: tuple[str, ...] = ()
-    inputs: Callable = lambda model, X, T: X
 
     @property
     def options(self) -> dict:
@@ -543,7 +496,7 @@ class Family(NamedTuple):
 #: Every family by name, in the order ``compare`` reports them.
 FAMILIES = {family.model.family: family for family in (
     Family(FfnnModel, build_ffnn),
-    Family(NarxModel, build_narx, ("per-record", "stream"), NarxModel.composed_inputs),
+    Family(NarxModel, build_narx),
     Family(ElmanModel, build_elman, ("single-step", "feature-sequence")),
 )}
 

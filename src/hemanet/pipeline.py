@@ -21,7 +21,7 @@ from operator import attrgetter
 import numpy as np
 
 from .metrics import DIAGNOSIS_LABELS, FOURWAY_LABELS, SUBTYPE_LABELS, ConfusionMatrix
-from .models import encode_targets, subtype_indices
+from .models import subtype_indices
 from .nncore import NumericError
 from .preprocess import encode_batch
 from .records import (SUBTYPES, AnemiaLabel, CbcColumns, check_records, invalid_rows,
@@ -155,7 +155,6 @@ def run_pipeline(
     the positives through one classification pass.  An invalid record, or a
     non-finite raw output, makes an error row, never a verdict.
     """
-    _reject_stream_bundles(diag, clf)
     batch = CbcColumns.of(records)
     n = len(batch)
     ids = np.arange(n) if ids is None else np.fromiter(ids, object)
@@ -182,12 +181,6 @@ def run_pipeline(
     stamp = None if deterministic else datetime.now(timezone.utc).isoformat(timespec="seconds")
     return Screening(ids, verdict, raw_diagnosis, subtype, raw_classify, error,
                      f"{diag.identity}|{clf.identity}", stamp)
-
-
-def _reject_stream_bundles(*bundles: ModelBundle) -> None:
-    if not all(bundle.net.serves_records for bundle in bundles):
-        raise ValueError("stream-mode NARX models need a labeled history and cannot "
-                         "serve per-record predictions")
 
 
 def emit_reports(
@@ -306,21 +299,10 @@ def _json_classify(raw, rows: np.ndarray) -> list[str]:
 
 
 def _bundle_outputs(bundle: ModelBundle, records) -> np.ndarray:
-    """Raw network outputs for already-validated records.
-
-    Rows go through the network's predict_batch FORWARD_BLOCK_ROWS at a
-    time.  A network that does not serve independent records (stream-mode
-    NARX) runs along the whole stream instead, teacher-forced with the
-    targets of the records' labels.
-    """
+    """Raw network outputs for already-validated records, through the
+    network's predict_batch FORWARD_BLOCK_ROWS rows at a time."""
     X = bundle.normalizer.apply(encode_batch(records, bundle.feature_spec))
     net = bundle.net
-    if not net.serves_records:
-        labels = CbcColumns.of(records).label
-        if labels is None:
-            raise ValueError("stream-mode NARX evaluation needs labeled data")
-        outputs, _ = net.predict_stream(X, encode_targets(labels, bundle.output_encoding))
-        return outputs
     outputs = np.empty((len(X), net.out_dim))
     for start in range(0, len(X), FORWARD_BLOCK_ROWS):
         outputs[start:start + FORWARD_BLOCK_ROWS] = net.predict_batch(
@@ -368,7 +350,6 @@ def evaluate_pipeline(
     An invalid record raises ValidationError; a non-finite network output
     raises NonFiniteOutputError.
     """
-    _reject_stream_bundles(diag, clf)
     batch = check_records(labeled)
     _, positive, finite = _diagnose(diag, batch, threshold)
     positives = np.flatnonzero(positive & finite)

@@ -95,10 +95,14 @@ class Normalizer:
         return values
 
     def apply(self, values) -> np.ndarray:
-        values = self._check(values)
         span = self.maxs - self.mins
-        safe = np.where(span > 0, span, 1.0)
-        return np.where(span > 0, 2.0 * (values - self.mins) / safe - 1.0, 0.0)
+        varies = span > 0
+        out = self._check(values) - self.mins  # the one temporary, updated in place
+        out *= 2.0
+        out /= np.where(varies, span, 1.0)
+        out -= 1.0
+        out[..., ~varies] = 0.0
+        return out
 
     def invert(self, normalized) -> np.ndarray:
         normalized = self._check(normalized)

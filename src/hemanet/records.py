@@ -109,16 +109,23 @@ class ReferenceRanges:
 
     @classmethod
     def from_json(cls, path) -> "ReferenceRanges":
-        """Load overrides from a JSON object keyed by field name."""
+        """Load overrides from a JSON object keyed by field name; any content
+        that cannot give valid ranges raises ValueError naming the path."""
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except (RecursionError, ValueError) as exc:  # deep nesting, huge ints, bad text
+                raise ValueError(f"{path}: not a valid JSON file ({exc})") from None
         if not isinstance(data, dict):
             raise ValueError(f"{path}: expected a JSON object of range overrides")
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(f"{path}: unknown range field(s): {', '.join(unknown)}")
-        return replace(cls(), **data)
+        try:
+            return replace(cls(), **data)
+        except (OverflowError, ValueError) as exc:  # an integer too large for a float
+            raise ValueError(f"{path}: {exc}") from None
 
 
 DEFAULT_RANGES = ReferenceRanges()

@@ -138,7 +138,8 @@ def bundle_from_doc(doc: dict, source: str | None = None) -> ModelBundle:
         )
     except ModelFormatError:
         raise
-    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, OverflowError, RecursionError, TypeError,
+            ValueError) as exc:
         raise ModelFormatError(f"inconsistent model file: {exc}") from None
 
 
@@ -156,10 +157,14 @@ def save_model(bundle: ModelBundle, path) -> None:
 
 
 def load_model(path) -> ModelBundle:
+    """The bundle of a model file; raises ModelFormatError on any content it
+    cannot use, and OSError if the file cannot be read."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, parse_constant=_reject_constant)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ModelFormatError:
+        raise
+    except (RecursionError, ValueError) as exc:  # deep nesting, huge ints, bad text
         raise ModelFormatError(f"{path}: not a valid model file ({exc})") from None
     if not isinstance(doc, dict):
         raise ModelFormatError(f"{path}: expected a JSON object")

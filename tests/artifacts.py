@@ -8,8 +8,7 @@ returns the digest of every file they write:
 - ``synth`` of 230 and 1 000 rows;
 - ``train`` of 3 families x 2 stages x 2 update modes (30 epochs,
   ``--split 40-40-20``, patience and a loss curve), plus Elman
-  ``feature-sequence``, NARX ``stream --du 1 --dy 2``, ``banded1`` and
-  ``paper7`` with ``--joint-scaling``;
+  ``feature-sequence``, ``banded1`` and ``paper7`` with ``--joint-scaling``;
 - one ``eval`` JSON of every model;
 - ``predict --deterministic`` in json, text and csv for each family, on
   ``synth1000.csv`` and on a copy with implausible cells injected
@@ -77,7 +76,6 @@ def commands() -> list:
                 models.append(name)
     for name, family, stage, *extra in (
         ("elman_sequence", "elman", "diagnosis", "--elman-mode", "feature-sequence"),
-        ("narx_stream", "narx", "diagnosis", "--narx-mode", "stream", "--du", "1", "--dy", "2"),
         ("ffnn_banded1", "ffnn", "classify", "--encoding", "banded1"),
         ("ffnn_paper7", "ffnn", "diagnosis", "--features", "paper7", "--joint-scaling"),
     ):

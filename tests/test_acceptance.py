@@ -50,8 +50,7 @@ def test_criterion_1_gradient_correctness():
         ("ffnn", {}),
         ("elman", {"mode": "single-step"}),
         ("elman", {"mode": "feature-sequence"}),
-        ("narx", {"mode": "per-record"}),
-        ("narx", {"mode": "stream"}),
+        ("narx", {}),
     ]
     worst_overall = 0.0
     for family, kwargs in setups:
@@ -70,13 +69,7 @@ def test_criterion_1_gradient_correctness():
             x = rng.uniform(0.1, 1.0, size=features) * signs
             target = rng.uniform(0.1, 0.9, size=out_dim)
             if family == "narx":
-                if extra["mode"] == "stream":
-                    sx = rng.uniform(0.1, 1.0, size=(3, features))
-                    st = rng.uniform(0.1, 0.9, size=(3, out_dim))
-                    sample = net.compose_stream(sx, st)[-1]
-                    target = st[-1]
-                else:
-                    sample = net.prepare_training(x, target)[0][0]
+                sample = net.prepare_training(x, target)[0][0]
             else:
                 sample = x
             err = gradient_check(net, sample, target, epsilon=1e-5)
@@ -149,7 +142,7 @@ def test_criterion_4_reduction_invariants():
     assert np.max(np.abs(elman.predict_batch(X) - as_ffnn.predict_batch(X))) <= 1e-12
 
     # Per-record NARX: the core on zero taps, which get exactly zero gradient.
-    narx = build_narx(6, 8, 2, seed=6, d_u=0, d_y=2, mode="per-record")
+    narx = build_narx(6, 8, 2, seed=6, d_u=0, d_y=2)
     core_net = FfnnModel(
         LayerParams(narx.core.hidden.weights.copy(), narx.core.hidden.biases.copy()),
         LayerParams(narx.core.output.weights.copy(), narx.core.output.biases.copy()),

@@ -145,9 +145,9 @@ class TestTrain:
         ("elman", ["--context-init", "nan"], "context_init must be finite, got nan"),
         # A flag of another family's option is refused, not ignored.
         ("ffnn", ["--du", "1"], "--family ffnn takes no narx option d_u"),
-        ("elman", ["--narx-mode", "stream"], "--family elman takes no narx option mode"),
+        ("narx", ["--elman-mode", "feature-sequence"], "--family narx takes no elman option mode"),
         ("narx", ["--context-init", "0.3"], "--family narx takes no elman option context_init"),
-    ], ids=["narx-flags0", "narx-flags1", "elman-flags2", "ffnn-du", "elman-narx-mode",
+    ], ids=["narx-flags0", "narx-flags1", "elman-flags2", "ffnn-du", "narx-elman-mode",
             "narx-context-init"])
     def test_bad_family_options_are_usage_errors(self, tmp_path, capsys, family, flags, message):
         data = synth_file(tmp_path)
@@ -157,6 +157,16 @@ class TestTrain:
             "--epochs", "3", *flags, "-o", str(out),
         ]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_narx_has_no_mode_flag(self, tmp_path, capsys):
+        data = synth_file(tmp_path)
+        out = tmp_path / "m.json"
+        assert cli.main([
+            "train", "--data", str(data), "--family", "narx", "--stage", "diagnosis",
+            "--epochs", "3", "--narx-mode", "stream", "-o", str(out),
+        ]) == 2
+        assert "unrecognized arguments: --narx-mode stream" in capsys.readouterr().err
         assert not out.exists()
 
     def test_identical_seeds_write_identical_model_files(self, tmp_path):
@@ -382,6 +392,80 @@ def test_predict_with_non_finite_model_reports_errors(tmp_path, trained_models, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_stream_mode_narx_model_file_is_a_data_error(tmp_path, trained_models, capsys,
+                                                      command):
+    data, _, clf = trained_models
+    records = load_csv(data)
+    unlabeled = tmp_path / "unlabeled.csv"
+    save_unlabeled_csv([item.record for item in records.records()], unlabeled)
+    bundle, _ = fit_stage(records, "narx", "diagnosis", TrainConfig(epochs=3, hidden_size=4),
+                          d_u=1, d_y=2)
+    doc = bundle_to_doc(bundle)
+    diag, out = tmp_path / "narx.json", tmp_path / "out.txt"
+    argv = (["predict", "--diagnosis", str(diag), "--classify", str(clf),
+             "--data", str(unlabeled)] if command == "predict"
+            else ["eval", "-m", str(diag), "--data", str(data)])
+    for mode, code in (("per-record", 0), ("stream", 3)):
+        doc["delays"]["mode"] = mode
+        diag.write_text(json.dumps(doc))
+        out.unlink(missing_ok=True)
+        capsys.readouterr()
+        assert cli.main([*argv, "-o", str(out)]) == code
+        assert out.exists() is (code == 0)
+    assert capsys.readouterr().err == (
+        "data error: inconsistent model file: "
+        "NARX delays.mode must be 'per-record', got 'stream'\n")
+
+
+class TestHostileFiles:
+    """Whatever bytes a model, ranges or data file holds, the CLI exits 3 with
+    one "data error" line that names the file, never a traceback."""
+
+    def _exits_3_naming(self, capsys, argv, path, what):
+        capsys.readouterr()
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: {what}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("content", ["[" * 200_000, None], ids=["nesting", "digits"])
+    def test_predict_model_file(self, tmp_path, trained_models, capsys, content):
+        data, diag, clf = trained_models
+        bad = tmp_path / "bad.json"
+        if content is None:  # a 5 000-digit integer in train_meta
+            doc = json.loads(diag.read_text())
+            text = json.dumps({**doc, "train_meta": {"seed": "@"}})
+            content = text.replace('"@"', "7" * 5000)
+        bad.write_text(content)
+        self._exits_3_naming(capsys, ["predict", "--diagnosis", str(bad), "--classify",
+                                      str(clf), "--data", str(data)],
+                             bad, "not a valid model file")
+
+    @pytest.mark.parametrize("content", ["[" * 200_000, '{"mcv_high": ' + "9" * 5000 + "}"],
+                             ids=["nesting", "digits"])
+    def test_synth_ranges_file(self, tmp_path, monkeypatch, capsys, content):
+        ranges = tmp_path / "ranges.json"
+        ranges.write_text(content)
+        monkeypatch.setenv("HEMANET_RANGES", str(ranges))
+        out = tmp_path / "out.csv"
+        self._exits_3_naming(capsys, ["synth", "-n", "4", "--mix", "1,1,1,1", "-o", str(out)],
+                             ranges, "not a valid JSON file")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "eval", "train"])
+    def test_non_utf8_data_file(self, tmp_path, trained_models, capsys, command):
+        data, diag, clf = trained_models
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(data.read_bytes().replace(b"female", b"f\xe9male", 1))
+        argv = {
+            "predict": ["predict", "--diagnosis", str(diag), "--classify", str(clf)],
+            "eval": ["eval", "-m", str(diag)],
+            "train": ["train", "--family", "ffnn", "--stage", "diagnosis",
+                      "-o", str(tmp_path / "m.json")],
+        }[command]
+        self._exits_3_naming(capsys, [*argv, "--data", str(bad)], bad, "not UTF-8 text")
+
+
 def test_eval_with_non_finite_outputs_is_numeric_failure(tmp_path, trained_models,
                                                          monkeypatch, capsys):
     data, _, _ = trained_models
@@ -547,7 +631,7 @@ class TestGradcheck:
 
     @pytest.mark.parametrize(
         "family,mode",
-        [("elman", "feature-sequence"), ("narx", "stream")],
+        [("elman", "feature-sequence")],
     )
     def test_alternate_modes_pass(self, family, mode, capsys):
         assert cli.main(["gradcheck", "--family", family, "--mode", mode,
@@ -560,6 +644,11 @@ class TestGradcheck:
 
     def test_invalid_mode_for_family(self, capsys):
         assert cli.main(["gradcheck", "--family", "ffnn", "--mode", "stream"]) == 2
+
+    @pytest.mark.parametrize("mode", ["per-record", "stream"])
+    def test_narx_takes_no_mode(self, capsys, mode):
+        assert cli.main(["gradcheck", "--family", "narx", "--mode", mode]) == 2
+        assert f"mode {mode!r} is not valid for family 'narx'" in capsys.readouterr().err
 
     def test_unknown_family(self):
         assert cli.main(["gradcheck", "--family", "lstm"]) == 2

@@ -164,6 +164,23 @@ def test_csv_syntax_error_is_a_format_error(tmp_path):
         load_unlabeled_csv(path)
 
 
+@pytest.mark.parametrize("loader", [load_csv, load_unlabeled_csv])
+@pytest.mark.parametrize("where", ["header", "first row", "last block"])
+def test_non_utf8_byte_is_a_format_error_naming_the_file(tmp_path, loader, where):
+    rows = [f"{ROW},normocytic"] * (READ_BLOCK_ROWS + 2)
+    header = HEADER
+    if where == "header":
+        header += ",note\udcff"
+    elif where == "first row":
+        rows[0] = rows[0].replace("female", "fem\udcffale")
+    else:
+        rows[-1] = rows[-1].replace("normocytic", "\udcff")
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("\n".join([header, *rows, ""]).encode("utf-8", "surrogateescape"))
+    with pytest.raises(CsvFormatError, match=f"^{path}: not UTF-8 text"):
+        loader(path)
+
+
 # ---------------------------------------------------------------------------
 # The row-at-a-time loader that the columnar one replaced, kept as the
 # reference for its parsing semantics.

@@ -180,8 +180,8 @@ def test_sigmoid_property(x):
 FEATURES = 9
 
 
-def _data(rng, rows, out_dim, scale, edges):
-    X = rng.normal(0.0, scale, size=(rows, FEATURES))
+def _data(rng, rows, out_dim, scale, edges, width=FEATURES):
+    X = rng.normal(0.0, scale, size=(rows, width))
     if edges:
         flat = X.ravel()
         flat[: len(EDGES)] = EDGES[: flat.size]
@@ -234,8 +234,9 @@ def test_elman_kernels_match_reference(rows, out_dim, mode, seed, scale, edges, 
 @pytest.mark.parametrize("rows", [1, 920])
 def test_narx_kernels_match_reference(rows):
     rng = np.random.default_rng(rows)
-    model = build_narx(FEATURES, 50, 3, seed=4, d_u=1, d_y=2, mode="stream")
-    X, T = model.prepare_training(*_data(rng, rows, 3, 1.0, False))
+    # Random inputs of the core's full width, taps included, so every weight counts.
+    model = build_narx(FEATURES, 50, 3, seed=4, d_u=1, d_y=2)
+    X, T = _data(rng, rows, 3, 1.0, False, width=model.composed_dim)
     layers = model.core.layers
     assert_same_result(model.batch_loss_and_grads(X, T),
                        reference_batch_backprop(layers, X, T))
@@ -307,7 +308,7 @@ SPECS = {
     "elman-single-step": ("elman", {"mode": "single-step"}),
     "elman-feature-sequence": ("elman", {"mode": "feature-sequence"}),
     "narx-per-record": ("narx", {}),
-    "narx-stream": ("narx", {"mode": "stream", "d_u": 1, "d_y": 2}),
+    "narx-delays": ("narx", {"d_u": 1, "d_y": 2}),
 }
 
 

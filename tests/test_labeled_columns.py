@@ -20,7 +20,7 @@ from hemanet.metrics import (
     SUBTYPE_LABELS,
     ConfusionMatrix,
 )
-from hemanet.models import BAND_CENTERS, FfnnModel, NarxModel, decode_subtype, encode_targets
+from hemanet.models import BAND_CENTERS, FfnnModel, decode_subtype, encode_targets
 from hemanet.nncore import LayerParams, TrainConfig
 from hemanet.pipeline import (
     evaluate_classification,
@@ -102,21 +102,15 @@ def reference_split(records, fractions, seed, stratified):
     return parts
 
 
-def reference_outputs(bundle, labeled, targets):
-    """The old pipeline._bundle_outputs, handed its stream targets."""
+def reference_outputs(bundle, labeled):
+    """The old pipeline._bundle_outputs."""
     X = bundle.normalizer.apply(encode_batch([item.record for item in labeled],
                                              bundle.feature_spec))
-    net = bundle.net
-    if isinstance(net, NarxModel):
-        if net.mode == "stream":
-            return net.predict_stream(X, targets)[0]
-        return net.predict_batch(X)
-    return net.predict_batch(X)
+    return bundle.net.predict_batch(X)
 
 
 def reference_evaluate_diagnosis(diag, labeled, threshold=0.5, outputs=reference_outputs):
-    targets = reference_encode_targets([item.label for item in labeled], "binary1")
-    raw = outputs(diag, labeled, targets)
+    raw = outputs(diag, labeled)
     truths = [DIAGNOSIS_LABELS[int(item.label.is_anemic)] for item in labeled]
     preds = [DIAGNOSIS_LABELS[p] for p in (raw[:, 0] >= threshold).tolist()]
     return reference_from_pairs(truths, preds, DIAGNOSIS_LABELS)
@@ -124,18 +118,17 @@ def reference_evaluate_diagnosis(diag, labeled, threshold=0.5, outputs=reference
 
 def reference_evaluate_classification(clf, labeled, outputs=reference_outputs):
     anemic = [item for item in labeled if item.label.is_anemic]
-    targets = reference_encode_targets([item.label for item in anemic], clf.output_encoding)
-    raw = outputs(clf, anemic, targets)
+    raw = outputs(clf, anemic)
     truths = [item.label.value for item in anemic]
     preds = [decode_subtype(row, clf.output_encoding).value for row in raw]
     return reference_from_pairs(truths, preds, SUBTYPE_LABELS)
 
 
 def reference_evaluate_pipeline(diag, clf, labeled, threshold=0.5, outputs=reference_outputs):
-    raw = outputs(diag, labeled, None)[:, 0]
+    raw = outputs(diag, labeled)[:, 0]
     positives = [item for item, r in zip(labeled, raw.tolist()) if r >= threshold]
     subtypes = iter(decode_subtype(row, clf.output_encoding).value
-                    for row in outputs(clf, positives, None))
+                    for row in outputs(clf, positives))
     preds = [next(subtypes) if r >= threshold else AnemiaLabel.NON_ANEMIC.value
              for r in raw.tolist()]
     return reference_from_pairs([item.label.value for item in labeled], preds, FOURWAY_LABELS)
@@ -176,7 +169,7 @@ def _table_outputs(table):
     def columnar(bundle, records):
         return table[CbcColumns.of(records).age][:, :width(bundle)]
 
-    def reference(bundle, labeled, targets):
+    def reference(bundle, labeled):
         return table[[item.record.age for item in labeled]][:, :width(bundle)]
 
     return columnar, reference
@@ -225,7 +218,7 @@ class TestEvaluationMatchesPerRowReference:
     @pytest.mark.parametrize("family,kwargs", [
         ("ffnn", {}), ("elman", {}), ("narx", {}),
         ("elman", {"mode": "feature-sequence"}),
-        ("narx", {"mode": "stream", "d_u": 1, "d_y": 2}),
+        ("narx", {"d_u": 1, "d_y": 2}),
     ])
     @pytest.mark.parametrize("encoding", ["onehot3", "banded1"])
     def test_trained_models_count_like_the_reference(self, dataset, family, kwargs, encoding):
@@ -237,9 +230,8 @@ class TestEvaluationMatchesPerRowReference:
                                           reference_evaluate_diagnosis(diag, dataset, threshold))
         np.testing.assert_array_equal(evaluate_classification(clf, dataset).counts,
                                       reference_evaluate_classification(clf, dataset))
-        if kwargs.get("mode") != "stream":
-            np.testing.assert_array_equal(evaluate_pipeline(diag, clf, dataset).counts,
-                                          reference_evaluate_pipeline(diag, clf, dataset))
+        np.testing.assert_array_equal(evaluate_pipeline(diag, clf, dataset).counts,
+                                      reference_evaluate_pipeline(diag, clf, dataset))
 
     def test_columns_and_record_lists_evaluate_alike(self, dataset, tmp_path):
         path = tmp_path / "data.csv"
@@ -426,7 +418,7 @@ class TestEmptyConfusionMatrixExits:
     def models(self, tmp_path_factory, dataset):
         tmp_path = tmp_path_factory.mktemp("edge")
         paths = {}
-        for family, kwargs in (("ffnn", {}), ("narx", {"mode": "stream"})):
+        for family, kwargs in (("ffnn", {}), ("narx", {})):
             for stage in ("diagnosis", "classify"):
                 bundle, _ = fit_stage(dataset, family, stage,
                                       TrainConfig(epochs=5, hidden_size=4), **kwargs)

@@ -201,7 +201,7 @@ class TestElman:
 class TestNarx:
     @pytest.mark.parametrize("d_y", [1, 2])
     def test_reduces_to_ffnn_with_zero_taps(self, d_y):
-        narx = build_narx(5, 6, 2, seed=11, d_u=0, d_y=d_y, mode="per-record")
+        narx = build_narx(5, 6, 2, seed=11, d_u=0, d_y=d_y)
         ffnn = FfnnModel(LayerParams(narx.core.hidden.weights.copy(),
                                      narx.core.hidden.biases.copy()),
                          LayerParams(narx.core.output.weights.copy(),
@@ -216,54 +216,24 @@ class TestNarx:
         narx = build_narx(5, 6, 2, d_u=3, d_y=2)
         assert narx.composed_dim == 5 * 4 + 2 * 2
 
-    def test_stream_composition_teacher_forces_targets(self):
-        narx = build_narx(3, 4, 1, seed=13, d_u=1, d_y=2, mode="stream")
-        rng = np.random.default_rng(14)
-        X = rng.uniform(-1, 1, size=(6, 3))
-        T = rng.uniform(0, 1, size=(6, 1))
-        composed = narx.compose_stream(X, T)
-        for t in range(6):
-            np.testing.assert_array_equal(composed[t, :3], X[t])
-            # exogenous tap: previous features, zero before the stream starts
-            expected_x = X[t - 1] if t >= 1 else np.zeros(3)
-            np.testing.assert_array_equal(composed[t, 3:6], expected_x)
-            # output taps carry true targets, not predictions
-            expected_y1 = T[t - 1] if t >= 1 else np.zeros(1)
-            expected_y2 = T[t - 2] if t >= 2 else np.zeros(1)
-            np.testing.assert_array_equal(composed[t, 6:7], expected_y1)
-            np.testing.assert_array_equal(composed[t, 7:8], expected_y2)
-
-    def test_forward_rejected_in_stream_mode(self):
-        narx = build_narx(3, 4, 1, mode="stream")
-        with pytest.raises(ValueError, match="stream"):
-            narx.forward(np.zeros(3))
-
-    def test_predict_stream_records_residuals(self):
-        narx = build_narx(3, 4, 1, seed=15, mode="stream")
-        rng = np.random.default_rng(16)
-        X = rng.uniform(-1, 1, size=(5, 3))
-        T = rng.uniform(0, 1, size=(5, 1))
-        Y, residuals = narx.predict_stream(X, T)
-        np.testing.assert_allclose(residuals, T - Y)
-
-    @pytest.mark.parametrize("mode", ["per-record", "stream"])
-    def test_gradient_check(self, mode):
+    @pytest.mark.parametrize("inputs", ["records", "full-width"])
+    def test_gradient_check(self, inputs):
+        # full-width: random values in the tap columns too, so the core's tap
+        # weights get gradient and are checked as well.
         rng = np.random.default_rng(17)
         for seed in range(5):
-            narx = build_narx(3, 5, 2, seed=seed, d_u=1, d_y=1, mode=mode)
-            if mode == "per-record":
+            narx = build_narx(3, 5, 2, seed=seed, d_u=1, d_y=1)
+            target = rng.uniform(0.1, 0.9, size=2)
+            if inputs == "records":
                 x = rng.uniform(0.1, 1.0, size=3) * rng.choice([-1, 1], size=3)
-                target = rng.uniform(0.1, 0.9, size=2)
                 sample = narx.prepare_training(x, target)[0][0]
             else:
-                X = rng.uniform(0.1, 1.0, size=(3, 3)) * rng.choice([-1, 1], size=(3, 3))
-                T = rng.uniform(0.1, 0.9, size=(3, 2))
-                sample = narx.compose_stream(X, T)[-1]
-                target = T[-1]
+                width = narx.composed_dim
+                sample = rng.uniform(0.1, 1.0, size=width) * rng.choice([-1, 1], size=width)
             assert gradient_check(narx, sample, target) < 1e-4
 
     def test_per_record_predictions_order_invariant(self):
-        narx = build_narx(4, 5, 1, seed=18, mode="per-record")
+        narx = build_narx(4, 5, 1, seed=18)
         X = np.random.default_rng(19).uniform(-1, 1, size=(7, 4))
         forward = narx.predict_batch(X)
         backward = narx.predict_batch(X[::-1])
@@ -275,10 +245,10 @@ class TestNarx:
         with pytest.raises(ValueError):
             build_narx(3, 4, 1, d_y=0)
         with pytest.raises(ValueError):
-            NarxModel(build_ffnn(5, 4, 1), feature_count=3, d_u=0, d_y=1, mode="per-record")
+            NarxModel(build_ffnn(5, 4, 1), feature_count=3, d_u=0, d_y=1)
 
     def test_prepare_training_per_record_pads_zeros(self):
-        narx = build_narx(3, 4, 1, d_u=1, d_y=1, mode="per-record")
+        narx = build_narx(3, 4, 1, d_u=1, d_y=1)
         X = np.ones((4, 3))
         T = np.zeros((4, 1))
         Xc, _ = narx.prepare_training(X, T)
@@ -286,7 +256,7 @@ class TestNarx:
         np.testing.assert_array_equal(Xc[:, 3:], 0.0)
 
     def test_per_record_zero_tap_weights_get_exactly_zero_gradient(self):
-        narx = build_narx(9, 12, 3, seed=20, d_u=1, d_y=2, mode="per-record")
+        narx = build_narx(9, 12, 3, seed=20, d_u=1, d_y=2)
         rng = np.random.default_rng(21)
         X, T = narx.prepare_training(rng.uniform(-1, 1, size=(30, 9)),
                                      rng.uniform(0.1, 0.9, size=(30, 3)))

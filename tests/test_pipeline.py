@@ -218,13 +218,6 @@ class TestRunPipeline:
             assert report.subtype is None
             assert report.raw_classify is None
 
-    def test_stream_mode_models_rejected(self):
-        narx = build_narx(9, 4, 1, mode="stream")
-        diag = ModelBundle("narx", narx, FULL9, "binary1", _identity_normalizer())
-        clf = _constant_bundle([0.0, 0.0, 0.0], out_dim=3, encoding="onehot3")
-        with pytest.raises(ValueError, match="stream"):
-            run_pipeline(diag, clf, [make_record()])
-
     def test_columns_and_record_lists_screen_alike(self, trained):
         diag, clf, split = trained
         records = [item.record for item in split.test.records()]
@@ -596,11 +589,3 @@ class TestEvaluation:
             )
             correct += predicted is item.label
         assert accuracy(cm) == correct / len(split.test)
-
-    def test_stream_narx_diagnosis_evaluation_uses_labels(self, dataset):
-        split = split_dataset(dataset, (0.6, 0.4, 0.0), seed=32)
-        config = TrainConfig(epochs=200, hidden_size=12, seed=32)
-        bundle, _ = fit_stage(split.train, "narx", "diagnosis", config,
-                              mode="stream", d_u=1, d_y=1)
-        cm = evaluate_diagnosis(bundle, split.test)
-        assert cm.total == len(split.test)

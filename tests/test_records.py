@@ -130,6 +130,23 @@ class TestReferenceRanges:
         assert ranges.mcv_high == 98
         assert ranges.mcv_low == 80.0  # untouched default
 
+    @pytest.mark.parametrize("content", [
+        "[" * 200_000,                        # deeper than the parser's recursion limit
+        '{"mcv_high": ' + "9" * 5000 + "}",   # beyond Python's int digit limit
+        '{"mcv_high": 1' + "0" * 400 + "}",   # an int too large for a float
+        b'{"mcv_high": 98\xff}',              # not UTF-8
+    ], ids=["nesting", "digits", "overflow", "bytes"])
+    def test_from_json_hostile_content_is_a_value_error_naming_the_path(self, tmp_path,
+                                                                      content):
+        path = tmp_path / "ranges.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        with pytest.raises(ValueError, match=f"^{path}: ") as info:
+            ReferenceRanges.from_json(path)
+        assert type(info.value) is ValueError
+
     def test_from_json_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "ranges.json"
         path.write_text('{"hgb_low": 11.5}')

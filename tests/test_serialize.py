@@ -1,6 +1,7 @@
 """Model-file round trips and format guards."""
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -47,8 +48,8 @@ def _bundle(family: str, encoding: str = "binary1", spec=FULL9, **kwargs) -> Mod
         ("ffnn", {}),
         ("elman", {"mode": "single-step", "context_init": 0.5}),
         ("elman", {"mode": "feature-sequence", "context_init": 0.0}),
-        ("narx", {"d_u": 2, "d_y": 2, "mode": "per-record"}),
-        ("narx", {"d_u": 0, "d_y": 1, "mode": "stream"}),
+        ("narx", {"d_u": 2, "d_y": 2}),
+        ("narx", {"d_u": 0, "d_y": 1}),
     ],
 )
 def test_round_trip_bit_identical_predictions(tmp_path, family, kwargs):
@@ -250,6 +251,66 @@ def test_malformed_documents_raise_model_format_error(tmp_path, field, value):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("mode", ["stream", "per_record", None])
+def test_narx_delay_mode_other_than_per_record_refused(tmp_path, mode):
+    doc = bundle_to_doc(_bundle("narx", d_u=1, d_y=2))
+    doc["delays"]["mode"] = mode
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="delays.mode must be 'per-record'"):
+        load_model(path)
+
+
+def test_narx_document_without_delay_mode_loads_per_record(tmp_path):
+    bundle = _bundle("narx", d_u=1, d_y=2)
+    doc = bundle_to_doc(bundle)
+    del doc["delays"]["mode"]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    loaded = load_model(path)
+    assert (loaded.net.d_u, loaded.net.d_y) == (1, 2)
+    assert bundle_to_doc(loaded) == bundle_to_doc(bundle)
+
+
+# ---------------------------------------------------------------------------
+# hostile bytes: whatever the file holds, load_model raises ModelFormatError
+
+
+def test_deeply_nested_file_refused(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("[" * 200_000)
+    with pytest.raises(ModelFormatError, match=f"{path}: not a valid model file"):
+        load_model(path)
+
+
+def test_integer_beyond_the_digit_limit_refused(tmp_path):
+    doc = bundle_to_doc(_bundle("ffnn"))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc).replace('"seed": 21', '"seed": ' + "7" * 5000))
+    with pytest.raises(ModelFormatError, match=f"{path}: not a valid model file"):
+        load_model(path)
+
+
+def test_nesting_just_inside_the_parser_limit_refused(tmp_path):
+    # Depths around the recursion limit: the JSON parser refuses the deepest,
+    # and the document reader must refuse the ones the parser still accepts.
+    path = tmp_path / "model.json"
+    doc = bundle_to_doc(_bundle("ffnn"))
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 150, limit + 10, 4):
+        doc["version"] = "@"
+        path.write_text(json.dumps(doc).replace('"@"', "[" * depth + "]" * depth))
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
+
+def test_non_utf8_file_refused(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(b'{"version": "1.0\xff"}')
+    with pytest.raises(ModelFormatError, match="not a valid model file"):
         load_model(path)
 
 
