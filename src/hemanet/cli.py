@@ -192,6 +192,8 @@ def cmd_synth(args) -> int:
         raise UsageError("--mix counts must be non-negative")
     if sum(counts) != args.count:
         raise UsageError(f"--mix sums to {sum(counts)}, expected n={args.count}")
+    if not 0 <= args.margin < 0.5:  # NaN fails both comparisons
+        raise UsageError(f"--margin must be in [0, 0.5), got {args.margin!r}")
     records = synth_generate(
         args.count,
         dict(zip(MIX_ORDER, counts)),

@@ -16,7 +16,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import repeat
-from operator import attrgetter
 
 import numpy as np
 
@@ -46,7 +45,7 @@ ERROR = -1
 
 @dataclass
 class PatientReport:
-    patient_id: object
+    patient_id: int | str
     verdict: int | None = None
     subtype: AnemiaLabel | None = None
     raw_diagnosis: float | None = None
@@ -60,41 +59,23 @@ class PatientReport:
 class Screening(Sequence):
     """A screening run as columns, row i for input row i.
 
-    ``verdict`` holds int8 codes 0 (healthy), 1 (anemic) and ERROR; ``error``
-    the message of each failed row, None elsewhere.  ``raw_diagnosis`` and the
-    (n, width) ``raw_classify`` hold NaN where a row has no output; ``subtype``
-    holds SUBTYPES indices, read on rows neither failed nor healthy.  As a
-    sequence it yields PatientReport rows, built on demand.
+    ``ids`` is an int64 array or an object array of str.  ``verdict`` holds
+    int8 codes 0 (healthy), 1 (anemic) and ERROR; ``error`` the message of
+    each failed row, None elsewhere.  ``raw_diagnosis`` and the (n, width)
+    ``raw_classify`` hold NaN where a row has no output; ``subtype`` holds
+    SUBTYPES indices, read on rows neither failed nor healthy.  Its rows, as
+    PatientReports built on demand, serve only the benchmark's positives counter
+    and the tests; they go when that counter reads ``verdict`` (ROADMAP item A).
     """
 
     ids: np.ndarray
     verdict: np.ndarray
     raw_diagnosis: np.ndarray
     subtype: np.ndarray
-    raw_classify: np.ndarray | list
+    raw_classify: np.ndarray
     error: np.ndarray
     models: str = ""
     timestamp: str | None = None
-
-    @classmethod
-    def of(cls, reports) -> "Screening":
-        """The screening itself, or that of PatientReport rows: object columns,
-        so each value renders as json.dumps writes it, and the first row's models
-        and timestamp.  A row neither failed nor healthy needs a SUBTYPES subtype."""
-        if isinstance(reports, Screening):
-            return reports
-        reports = list(reports)
-        ids, verdict, raw_diagnosis, error = (
-            np.fromiter(map(attrgetter(name), reports), object, len(reports))
-            for name in ("patient_id", "verdict", "raw_diagnosis", "error"))
-        typed = (np.equal(error, None) & (verdict != 0)).tolist()
-        if any(t and r.subtype not in SUBTYPES for r, t in zip(reports, typed)):
-            raise ValueError("a report with a nonzero verdict needs an anemia subtype")
-        subtype = np.array([SUBTYPES.index(r.subtype) if t else 0
-                            for r, t in zip(reports, typed)], np.intp)
-        first = reports[0] if reports else PatientReport(None)
-        return cls(ids, verdict, raw_diagnosis, subtype, [r.raw_classify for r in reports],
-                   error, first.models, first.timestamp)
 
     def __len__(self) -> int:
         return len(self.verdict)
@@ -110,15 +91,8 @@ class Screening(Sequence):
             report.raw_diagnosis = self.raw_diagnosis.item(row)
             if report.verdict != 0:
                 report.subtype = SUBTYPES[self.subtype.item(row)]
-                outputs = self.raw_classify[row]
-                report.raw_classify = outputs.tolist() if type(outputs) is np.ndarray else outputs
+                report.raw_classify = self.raw_classify[row].tolist()
         return report
-
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, (Screening, list)) else NotImplemented
-
-    def __add__(self, other) -> "Screening":
-        return Screening.of([*self, *other])
 
 
 def check_threshold(threshold: float) -> None:
@@ -150,16 +124,14 @@ def run_pipeline(
 ) -> Screening:
     """Diagnose every record, classify positives, and report in input order.
 
-    Records come as CbcColumns or as a sequence of CbcRecord; ids default to
-    the row numbers.  The valid records go through one diagnosis pass and
-    the positives through one classification pass.  An invalid record, or a
-    non-finite raw output, makes an error row, never a verdict.
+    Records come as CbcColumns or as a sequence of CbcRecord, ids as one int or
+    one str per record (the row numbers by default).  The valid records go
+    through one diagnosis pass and the positives through one classification
+    pass.  An invalid record, or a non-finite raw output, makes an error row.
     """
     batch = CbcColumns.of(records)
     n = len(batch)
-    ids = np.arange(n) if ids is None else np.fromiter(ids, object)
-    if len(ids) != n:
-        raise ValueError("ids must align with records")
+    ids = _id_column(ids, n)
     bad = invalid_rows(batch)
     error = np.full(n, None, object)
     error[bad] = list(map("; ".join, validate_records(batch.take(bad))))
@@ -183,25 +155,34 @@ def run_pipeline(
                      f"{diag.identity}|{clf.identity}", stamp)
 
 
-def emit_reports(
-    reports, fmt: str = "text", model_files=(), threshold: float = 0.5, created: str | None = None
-) -> str:
-    """Render a Screening, or a sequence of PatientReport, as text, JSON, or CSV.
+def _id_column(ids, n: int) -> np.ndarray:
+    """The ids as an int64 array or an object array of str, or ValueError."""
+    if ids is None:
+        return np.arange(n)
+    ids = list(ids)
+    types = set(map(type, ids))
+    ints = all(issubclass(t, (int, np.integer)) and t is not bool for t in types)
+    try:
+        if len(ids) == n and (ints or all(issubclass(t, str) for t in types)):
+            return np.array(ids, np.int64 if ints else object)
+    except OverflowError:
+        pass
+    raise ValueError(f"ids must be {n} ints within int64 or {n} strs, one per record")
 
-    Each field is formatted a column at a time, each kind of row fills one
-    template, and the rows are joined once.
-    """
+
+def emit_reports(s: Screening, fmt: str = "text", model_files=(), threshold: float = 0.5,
+                 created: str | None = None) -> str:
+    """Render the Screening s as text, JSON, or CSV: each field formatted a
+    column at a time, one template per kind of row, the rows joined once."""
     if fmt not in REPORT_FORMATS:
         raise ValueError(f"unknown report format {fmt!r}")
-    s = Screening.of(reports)
     if fmt == "json":
         meta = {"model_files": [str(m) for m in model_files], "threshold": threshold,
                 **({"created": created} if created else {})}
         return _render_json(meta, s)
     if fmt == "csv":  # csv writes a float as its repr; here a column at a time
         kind, (failed, _, _) = _kinds(s, s.verdict != 0)
-        raw = (np.fromiter(map(float.__repr__, s.raw_diagnosis.tolist()), object, len(s))
-               if s.raw_diagnosis.dtype == float else s.raw_diagnosis.astype(object))
+        raw = np.fromiter(map(float.__repr__, s.raw_diagnosis.tolist()), object, len(s))
         verdict = s.verdict.astype(object)
         verdict[failed] = raw[failed] = None  # written blank
         subtype = _CSV_LABELS[np.where(kind == 2, s.subtype, len(SUBTYPES))]
@@ -267,7 +248,7 @@ def _render_json(meta: dict, s: Screening) -> str:
     scored = [s.ids, s.verdict, s.raw_diagnosis]
     patients = _interleave(
         kind,
-        _fill(_JSON_ERROR, *(_json_texts(c[failed]) for c in (s.ids, s.error))),
+        _fill(_JSON_ERROR, _json_texts(s.ids[failed]), map(_json_str, s.error[failed].tolist())),
         _fill(_JSON_HEALTHY, *(_json_texts(c[other]) for c in scored)),
         _fill(_JSON_POSITIVE, *(_json_texts(c[positive]) for c in scored),
               _json_classify(s.raw_classify, positive),
@@ -277,25 +258,18 @@ def _render_json(meta: dict, s: Screening) -> str:
 
 
 def _json_texts(column: np.ndarray) -> list[str]:
-    """json's text for each value: a column of ints, strings or finite floats
-    by its type's encoder, any other column value by value."""
+    """json's text for each value of an int, str or float column: by its
+    type's encoder, or value by value where a float is not finite."""
     values, kind = column.tolist(), column.dtype.kind
-    if kind == "O":
-        types = set(map(type, values))
-        kind = "i" if types <= {int} else "U" if types <= {str} else "O"
-    elif kind == "f" and not np.isfinite(column).all():
-        kind = "O"
-    encode = {"i": int.__repr__, "f": float.__repr__, "U": _json_str}.get(kind, json.dumps)
-    return list(map(encode, values))
+    if kind == "f" and not np.isfinite(column).all():
+        return list(map(json.dumps, values))
+    return list(map({"i": int.__repr__, "f": float.__repr__}.get(kind, _json_str), values))
 
 
-def _json_classify(raw, rows: np.ndarray) -> list[str]:
+def _json_classify(raw: np.ndarray, rows: np.ndarray) -> list[str]:
     """Each row's "classify" list as json.dumps writes it four levels deep."""
-    if isinstance(raw, np.ndarray) and raw.shape[1]:
-        template = "[\n     " + ",\n     ".join(["%s"] * raw.shape[1]) + "\n    ]"
-        return _fill(template, *map(_json_texts, raw[rows].T))
-    outputs = raw[rows].tolist() if isinstance(raw, np.ndarray) else map(raw.__getitem__, rows)
-    return [json.dumps(v, indent=1).replace("\n", "\n    ") for v in outputs]
+    template = "[\n     " + ",\n     ".join(["%s"] * raw.shape[1]) + "\n    ]"
+    return _fill(template, *map(_json_texts, raw[rows].T))
 
 
 def _bundle_outputs(bundle: ModelBundle, records) -> np.ndarray:

@@ -149,9 +149,8 @@ class UnclassifiableError(ValueError):
     """Raised in strict mode when the three typing indices disagree."""
 
 
-def validate_record(record: CbcRecord, bounds: dict | None = None) -> list[str]:
-    """Return every violated bound (empty list means the record is valid)."""
-    bounds = DEFAULT_BOUNDS if bounds is None else bounds
+def validate_record(record: CbcRecord) -> list[str]:
+    """Return every violated DEFAULT_BOUNDS bound (empty list means the record is valid)."""
     violations = []
     if not isinstance(record.age, int) or isinstance(record.age, bool):
         violations.append("age must be an integer")
@@ -170,16 +169,16 @@ def validate_record(record: CbcRecord, bounds: dict | None = None) -> list[str]:
         if name == "hct":
             if not 0 < value < 100:
                 violations.append("hct out of (0, 100)")
-        elif name in bounds:
-            low, high = bounds[name]
+        elif name in DEFAULT_BOUNDS:
+            low, high = DEFAULT_BOUNDS[name]
             if not low <= value <= high:
                 violations.append(f"{name} out of [{low:g}, {high:g}]")
     return violations
 
 
-def check_record(record: CbcRecord, bounds: dict | None = None) -> None:
+def check_record(record: CbcRecord) -> None:
     """Raise ValidationError listing all violations if the record is invalid."""
-    violations = validate_record(record, bounds)
+    violations = validate_record(record)
     if violations:
         raise ValidationError(violations)
 
@@ -343,10 +342,7 @@ def _faults(batch: CbcColumns) -> np.ndarray:
 
 
 def rule_label(
-    record: CbcRecord,
-    ranges: ReferenceRanges = DEFAULT_RANGES,
-    bounds: dict | None = None,
-    strict: bool = False,
+    record: CbcRecord, ranges: ReferenceRanges = DEFAULT_RANGES, strict: bool = False
 ) -> AnemiaLabel:
     """Label a record with the clinical rule.
 
@@ -357,7 +353,7 @@ def rule_label(
     cell-size index) decides alone; with ``strict=True`` the mixed case
     raises UnclassifiableError instead.
     """
-    check_record(record, bounds)
+    check_record(record)
     if record.hgb >= ranges.hgb_low(record.gender):
         return AnemiaLabel.NON_ANEMIC
 

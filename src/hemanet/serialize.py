@@ -157,15 +157,15 @@ def save_model(bundle: ModelBundle, path) -> None:
 
 
 def load_model(path) -> ModelBundle:
-    """The bundle of a model file; raises ModelFormatError on any content it
-    cannot use, and OSError if the file cannot be read."""
+    """The bundle of a model file; raises ModelFormatError, its message led by
+    the path, on any content it cannot use, and OSError if the file cannot be read."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, parse_constant=_reject_constant)
-    except ModelFormatError:
-        raise
+        if not isinstance(doc, dict):
+            raise ModelFormatError("expected a JSON object")
+        return bundle_from_doc(doc, source=str(path))
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
     except (RecursionError, ValueError) as exc:  # deep nesting, huge ints, bad text
         raise ModelFormatError(f"{path}: not a valid model file ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ModelFormatError(f"{path}: expected a JSON object")
-    return bundle_from_doc(doc, source=str(path))

@@ -36,11 +36,11 @@ def _round6(value: float) -> float:
     return float(format(value, ".6g"))
 
 
-def _index_windows(ranges: ReferenceRanges, bounds: dict, margin: float) -> dict:
+def _index_windows(ranges: ReferenceRanges, margin: float) -> dict:
     """Per-analyte sampling windows for the low/within/high regions."""
     windows = {}
     for name in ("mcv", "mch", "mchc"):
-        plo, phi = bounds[name]
+        plo, phi = DEFAULT_BOUNDS[name]
         low, high = ranges.index_range(name)
         m = margin * (phi - plo)
         windows[name] = {
@@ -56,8 +56,8 @@ def _index_windows(ranges: ReferenceRanges, bounds: dict, margin: float) -> dict
     return windows
 
 
-def _hgb_window(ranges, bounds, margin, gender, healthy):
-    plo, phi = bounds["hgb"]
+def _hgb_window(ranges, margin, gender, healthy):
+    plo, phi = DEFAULT_BOUNDS["hgb"]
     threshold = ranges.hgb_low(gender)
     m = margin * (phi - plo)
     window = (threshold + m, phi) if healthy else (plo, threshold - m)
@@ -83,7 +83,6 @@ def synth_generate(
     ranges: ReferenceRanges = DEFAULT_RANGES,
     seed: int = 0,
     margin: float = 0.05,
-    bounds: dict | None = None,
 ) -> list[LabeledRecord]:
     """Generate exactly ``class_counts[label]`` records per class, shuffled.
 
@@ -91,7 +90,6 @@ def synth_generate(
     plausibility width; 0 disables the clearance (labels stay correct via
     rejection, but become sensitive to later perturbation).
     """
-    bounds = DEFAULT_BOUNDS if bounds is None else bounds
     counts = {label: int(class_counts.get(label, 0)) for label in AnemiaLabel}
     negative = [label.value for label, c in counts.items() if c < 0]
     if negative:
@@ -103,23 +101,23 @@ def synth_generate(
         raise ValueError("margin must be in [0, 0.5)")
 
     rng = np.random.default_rng(seed)
-    windows = _index_windows(ranges, bounds, margin)
+    windows = _index_windows(ranges, margin)
 
     out = []
     for label in AnemiaLabel:
         for _ in range(counts[label]):
-            out.append(_one_record(rng, label, ranges, bounds, margin, windows))
+            out.append(_one_record(rng, label, ranges, margin, windows))
     order = rng.permutation(len(out))
     return [out[i] for i in order]
 
 
-def _one_record(rng, label, ranges, bounds, margin, windows) -> LabeledRecord:
+def _one_record(rng, label, ranges, margin, windows) -> LabeledRecord:
     healthy = label is AnemiaLabel.NON_ANEMIC
     region = _REGION[label]
     for _ in range(_MAX_TRIES):
         gender = Gender.MALE if rng.integers(2) == 0 else Gender.FEMALE
         age = int(rng.integers(_AGE[0], _AGE[1] + 1))
-        hgb = rng.uniform(*_hgb_window(ranges, bounds, margin, gender, healthy))
+        hgb = rng.uniform(*_hgb_window(ranges, margin, gender, healthy))
         mcv = rng.uniform(*windows["mcv"][region])
         mch = rng.uniform(*windows["mch"][region])
         mchc = rng.uniform(*windows["mchc"][region])
@@ -137,6 +135,6 @@ def _one_record(rng, label, ranges, bounds, margin, windows) -> LabeledRecord:
             mchc=_round6(mchc),
             wbc=_round6(wbc),
         )
-        if rule_label(record, ranges, bounds) is label:
+        if rule_label(record, ranges) is label:
             return LabeledRecord(record, label)
     raise RuntimeError(f"could not sample a {label.value} record in {_MAX_TRIES} tries")

@@ -73,6 +73,23 @@ class TestSynth:
     def test_missing_output_flag(self):
         assert cli.main(["synth", "-n", "4", "--mix", "1,1,1,1"]) == 2
 
+    @pytest.mark.parametrize("margin", ["0.6", "nan"])
+    def test_margin_out_of_range_is_a_usage_error(self, tmp_path, capsys, margin):
+        out = tmp_path / "x.csv"
+        capsys.readouterr()
+        assert cli.main(["synth", "-n", "4", "--mix", "1,1,1,1", "--margin", margin,
+                         "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --margin must be in [0, 0.5), got {float(margin)!r}\n")
+        assert not out.exists()
+
+    def test_margin_leaving_no_window_is_a_data_error(self, tmp_path, capsys):
+        # In range for the flag, but too wide for the default reference ranges.
+        capsys.readouterr()
+        assert cli.main(["synth", "-n", "4", "--mix", "1,1,1,1", "--margin", "0.4",
+                         "-o", str(tmp_path / "x.csv")]) == 3
+        assert "leaves no" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_trains_and_saves(self, tmp_path, capsys):
@@ -414,7 +431,7 @@ def test_stream_mode_narx_model_file_is_a_data_error(tmp_path, trained_models, c
         assert cli.main([*argv, "-o", str(out)]) == code
         assert out.exists() is (code == 0)
     assert capsys.readouterr().err == (
-        "data error: inconsistent model file: "
+        f"data error: {diag}: inconsistent model file: "
         "NARX delays.mode must be 'per-record', got 'stream'\n")
 
 
@@ -440,6 +457,23 @@ class TestHostileFiles:
         self._exits_3_naming(capsys, ["predict", "--diagnosis", str(bad), "--classify",
                                       str(clf), "--data", str(data)],
                              bad, "not a valid model file")
+
+    @pytest.mark.parametrize("fault", ["stream", "nan"])
+    def test_eval_names_the_bad_model_file(self, tmp_path, trained_models, capsys, fault):
+        data, good, _ = trained_models
+        bundle, _ = fit_stage(load_csv(data), "narx", "diagnosis",
+                              TrainConfig(epochs=1, hidden_size=4), d_u=1, d_y=2)
+        doc = bundle_to_doc(bundle)
+        if fault == "stream":
+            doc["delays"]["mode"] = "stream"
+            text, what = json.dumps(doc), "inconsistent model file: NARX delays.mode"
+        else:
+            text = json.dumps({**doc, "train_meta": {"seed": "@"}}).replace('"@"', "NaN")
+            what = "non-finite number NaN in model file"
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        self._exits_3_naming(capsys, ["eval", "-m", str(good), "-m", str(bad),
+                                      "--data", str(data)], bad, what)
 
     @pytest.mark.parametrize("content", ["[" * 200_000, '{"mcv_high": ' + "9" * 5000 + "}"],
                              ids=["nesting", "digits"])

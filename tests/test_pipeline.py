@@ -1,4 +1,6 @@
 """Two-stage gating, report emission, and evaluation helpers."""
+import csv
+import io
 import json
 
 import numpy as np
@@ -94,6 +96,10 @@ def _hgb_gate_bundle(cutoff=12.5):
 
 def _onehot_bundle(outputs=(0.0, 0.0, 0.0)):
     return _constant_bundle(list(outputs), out_dim=3, encoding="onehot3")
+
+
+def _empty_screening():
+    return run_pipeline(_constant_bundle([0.0]), _onehot_bundle(), [], deterministic=True)
 
 
 class TestDiagnose:
@@ -224,7 +230,7 @@ class TestRunPipeline:
         records[3] = make_record(hgb=float("nan"), age=300)
         from_list = run_pipeline(diag, clf, records, deterministic=True)
         from_columns = run_pipeline(diag, clf, CbcColumns.of(records), deterministic=True)
-        assert from_columns == from_list
+        assert list(from_columns) == list(from_list)
         assert from_list[3].error == "age out of [0, 120]; hgb must be finite"
 
     def test_deterministic_mode_suppresses_timestamps(self):
@@ -232,6 +238,22 @@ class TestRunPipeline:
         clf = _constant_bundle([1.0, 0.0, 0.0], out_dim=3, encoding="onehot3")
         reports = run_pipeline(diag, clf, [make_record()], deterministic=True)
         assert reports[0].timestamp is None
+
+    @pytest.mark.parametrize("ids", [[0.0, 1.0], [True, False], [None, 1], [0, "b"],
+                                     [2**63, 0], [0], [0, 1, 2]],
+                             ids=["float", "bool", "none", "mixed", "past-int64", "short", "long"])
+    def test_ids_other_than_ints_or_strs_per_record_are_refused(self, ids):
+        with pytest.raises(ValueError, match="ids must be 2 ints"):
+            run_pipeline(_constant_bundle([0.0]), _onehot_bundle(),
+                         [make_record(), make_record()], ids=ids)
+
+    def test_ids_keep_their_values(self):
+        diag, clf, records = _constant_bundle([0.0]), _onehot_bundle(), [make_record()] * 2
+        extremes = run_pipeline(diag, clf, records, ids=np.array([-2**63, 2**63 - 1]))
+        assert extremes.ids.dtype == np.int64
+        assert extremes.ids.tolist() == [-2**63, 2**63 - 1]
+        names = run_pipeline(diag, clf, records, ids=iter(["a\x00", "\u00e9"]))
+        assert names.ids.tolist() == ["a\x00", "\u00e9"]
 
 
 class TestScreening:
@@ -262,12 +284,6 @@ class TestScreening:
         with pytest.raises(IndexError):
             screening[4]
 
-    def test_of_converts_rows_once(self):
-        screening = self._screening(deterministic=True)
-        assert Screening.of(screening) is screening
-        assert Screening.of(list(screening)) == screening
-        assert screening + screening == list(screening) * 2
-
     def test_non_finite_float_columns_render_as_json_dumps(self):
         screening = Screening(
             ids=np.arange(3), verdict=np.array([0, 1, 1], np.int8),
@@ -275,10 +291,6 @@ class TestScreening:
             raw_classify=np.array([[np.nan] * 3, [0.1, np.nan, -np.inf], [0.2, 0.3, 0.5]]),
             error=np.full(3, None, object))
         assert emit_reports(screening, "json") == reference_json(screening, (), 0.5, None)
-
-    def test_of_refuses_a_positive_row_without_subtype(self):
-        with pytest.raises(ValueError, match="subtype"):
-            Screening.of([PatientReport(0, verdict=1, raw_diagnosis=0.9)])
 
     def test_empty_screening_carries_one_timestamp(self):
         diag, clf = _constant_bundle([0.0]), _onehot_bundle()
@@ -330,7 +342,7 @@ class TestNonFiniteOutputs:
         ]
         for screening in runs:
             assert (emit_reports(screening, fmt, ["d", "c"], 0.5, screening.timestamp)
-                    == emit_reports([*screening], fmt, ["d", "c"], 0.5, screening.timestamp))
+                    == REFERENCES[fmt](list(screening), ["d", "c"], 0.5, screening.timestamp))
         assert {r.error for r in runs[0]} >= {"non-finite classification output",
                                               "hgb must be positive"}
 
@@ -429,13 +441,9 @@ class TestPredictEvalAgreement:
 
 class TestEmitReports:
     def _reports(self):
-        diag = _constant_bundle([-2.2])
         clf = _constant_bundle([2.0, -1.0, -1.0], out_dim=3, encoding="onehot3")
-        healthy = run_pipeline(diag, clf, [make_record()], deterministic=True)
-        diag2 = _constant_bundle([2.2])
-        anemic = run_pipeline(diag2, clf, [make_record()], ids=[1], deterministic=True)
-        bad = run_pipeline(diag, clf, [make_record(hgb=-1.0)], ids=[2], deterministic=True)
-        return healthy + anemic + bad
+        records = [make_record(hgb=12.95), make_record(hgb=12.05), make_record(hgb=-1.0)]
+        return run_pipeline(_hgb_gate_bundle(), clf, records, ids=[0, 1, 2], deterministic=True)
 
     def test_text_format(self):
         text = emit_reports(self._reports(), "text", model_files=["d.json", "c.json"])
@@ -469,18 +477,19 @@ class TestEmitReports:
         assert lines[3] == "2,,,,hgb must be positive"
 
     def test_empty_reports_keep_header(self):
-        text = emit_reports([], "text", model_files=["m.json"], threshold=0.4)
+        text = emit_reports(_empty_screening(), "text", model_files=["m.json"], threshold=0.4)
         assert "# threshold: 0.4" in text
-        doc = json.loads(emit_reports([], "json"))
+        doc = json.loads(emit_reports(_empty_screening(), "json"))
         assert doc["patients"] == []
 
     def test_created_included_when_given(self):
-        doc = json.loads(emit_reports([], "json", created="2026-01-01T00:00:00+00:00"))
+        doc = json.loads(emit_reports(_empty_screening(), "json",
+                                      created="2026-01-01T00:00:00+00:00"))
         assert doc["meta"]["created"] == "2026-01-01T00:00:00+00:00"
 
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="format"):
-            emit_reports([], "xml")
+            emit_reports(_empty_screening(), "xml")
 
     def test_identical_runs_render_identically(self):
         diag = _constant_bundle([1.0])
@@ -507,42 +516,74 @@ def reference_json(reports, model_files, threshold, created):
     return json.dumps({"meta": meta, "patients": [patient(r) for r in reports]}, indent=1) + "\n"
 
 
-ids = st.one_of(
-    st.integers(0, 10**5), st.integers(), st.integers(-2**70, 2**70), st.booleans(),
-    st.text(), st.just('q"uote\\ \x00\x1f\u00e9\u2028\U0001f600'), st.floats(), st.none(),
-)
-probabilities = st.one_of(st.floats(0.0, 1.0), st.floats(), st.integers(0, 1))
+def reference_text(reports, model_files, threshold, created):
+    """The text report, one line per row."""
+    lines = ["# anemia screening report"]
+    if model_files:
+        lines.append(f"# models: {' '.join(str(m) for m in model_files)}")
+    lines.append(f"# threshold: {threshold:g}")
+    if created:
+        lines.append(f"# created: {created}")
+    for r in reports:
+        if r.error is not None:
+            lines.append(f"#{r.patient_id}: ERROR ({r.error})")
+        else:
+            label = "NON-ANEMIC" if r.verdict == 0 else r.subtype.value.upper()
+            lines.append(f"#{r.patient_id}: {label} (p={r.raw_diagnosis:.2f})")
+    return "\n".join(lines) + "\n"
+
+
+def reference_csv(reports, model_files, threshold, created):
+    """The CSV report, one csv.writer row per row; it carries no metadata."""
+    writer = csv.writer(out := io.StringIO())
+    writer.writerow(["id", "verdict", "subtype", "raw_diagnosis", "error"])
+    for r in reports:
+        writer.writerow([r.patient_id, r.verdict, None if r.subtype is None else r.subtype.value,
+                         None if r.raw_diagnosis is None else repr(r.raw_diagnosis), r.error])
+    return out.getvalue()
+
+
+REFERENCES = {"json": reference_json, "text": reference_text, "csv": reference_csv}
+
+int_ids = st.one_of(st.sampled_from([-2**63, 2**63 - 1]), st.integers(-2**63, 2**63 - 1))
+str_ids = st.one_of(st.text(), st.just('q"uote\\ \x00\x1f\u00e9\u2028\U0001f600'))
+outputs = st.one_of(st.floats(0.0, 1.0), st.floats())
 
 
 @st.composite
-def patient_reports(draw):
-    pid = draw(ids)
-    kind = draw(st.sampled_from(["error", "healthy", "onehot3", "banded1", "odd"]))
-    if kind == "error":
-        return PatientReport(pid, error=draw(st.text()))
-    report = PatientReport(pid, verdict=0, raw_diagnosis=draw(probabilities))
-    if kind == "healthy":
-        return report
-    report.verdict = 1 if kind != "odd" else draw(st.sampled_from([None, True, 2, 1.0]))
-    report.subtype = draw(st.sampled_from(SUBTYPES))
-    width = 1 if kind == "banded1" else draw(st.sampled_from([3, 0]) if kind == "odd" else st.just(3))
-    report.raw_classify = draw(st.lists(probabilities, min_size=width, max_size=width))
-    return report
+def screenings(draw):
+    """A Screening with error, healthy and positive rows in any order, int64
+    or str ids, and a classify width of 1 or 3."""
+    extra = draw(st.lists(st.sampled_from([pipeline.ERROR, 0, 1]), max_size=6))
+    verdict = np.array(draw(st.permutations([pipeline.ERROR, 0, 1, *extra])), np.int8)
+    n, width, ints = len(verdict), draw(st.sampled_from([1, 3])), draw(st.booleans())
+
+    def column(values, size=n):
+        return draw(st.lists(values, min_size=size, max_size=size))
+
+    return Screening(
+        ids=np.array(column(int_ids if ints else str_ids), np.int64 if ints else object),
+        verdict=verdict,
+        raw_diagnosis=np.array(column(outputs), float),
+        subtype=np.array(column(st.integers(0, len(SUBTYPES) - 1)), np.intp),
+        raw_classify=np.array(column(outputs, n * width), float).reshape(n, width),
+        error=np.array([draw(st.text()) if v == pipeline.ERROR else None for v in verdict.tolist()],
+                       object),
+    )
 
 
 class TestJsonWriter:
-    @given(st.lists(patient_reports(), max_size=8), st.floats(0.0, 1.0),
-           st.one_of(st.none(), st.just(""), st.text()),
+    @given(screenings(), st.floats(0.0, 1.0), st.one_of(st.none(), st.just(""), st.text()),
            st.lists(st.text(max_size=6), max_size=2))
     @settings(max_examples=60, deadline=None)
-    def test_bytes_equal_json_dumps_indent_1(self, reports, threshold, created, files):
-        expected = reference_json(reports, files, threshold, created)
-        assert emit_reports(reports, "json", files, threshold, created) == expected
+    def test_bytes_equal_json_dumps_indent_1(self, screening, threshold, created, files):
+        expected = reference_json(screening, files, threshold, created)
+        assert emit_reports(screening, "json", files, threshold, created) == expected
 
     def test_empty_report(self):
         for created in (None, "2026-01-01T00:00:00+00:00"):
-            assert emit_reports([], "json", ["d.json"], 0.5, created) == reference_json(
-                [], ["d.json"], 0.5, created)
+            assert emit_reports(_empty_screening(), "json", ["d.json"], 0.5,
+                                created) == reference_json([], ["d.json"], 0.5, created)
 
     def test_pipeline_reports(self, trained):
         diag, clf, split = trained

@@ -108,10 +108,6 @@ class TestValidateRecord:
         assert validate_record(make_record(rbc=0.5)) == ["rbc out of [1, 8]"]
         assert validate_record(make_record(wbc=60.0)) == ["wbc out of [1, 50]"]
 
-    def test_custom_bounds(self):
-        bounds = {"rbc": (4.0, 5.0)}
-        assert validate_record(make_record(rbc=3.5), bounds) == ["rbc out of [4, 5]"]
-
 
 class TestReferenceRanges:
     def test_low_must_be_below_high(self):
