@@ -8,8 +8,11 @@ training methods take samples in the model's prepared form (see
 prepare_training; NARX's adds the zero delay taps); predict_batch takes
 feature rows.  The batch kernels take an optional nncore.Workspace from the
 model's workspace(rows, grad) and write into it; without one they build
-their own for the call.  to_doc gives a network's model-document fields, and
-from_doc(doc, feature_count, read) rebuilds it, with read(value, what)
+their own for the call.  A workspace binds the family's kernel
+(nncore.Kernel) once per row count: FFNN and NARX run the dense stack's,
+Elman its own forward pass and BPTT, and each reads the model's current
+parameters on every call.  to_doc gives a network's model-document fields,
+and from_doc(doc, feature_count, read) rebuilds it, with read(value, what)
 turning each stored array into a float array or raising.
 
 Elman and NARX are applied to independent patient records, so recurrent
@@ -27,16 +30,19 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .nncore import (
+    Kernel,
     LayerParams,
+    ZERO,
     Workspace,
+    as_rows,
     batch_backprop,
     batch_forward,
-    dense_sigmoid,
     layer_workspace,
-    matmul_into,
     output_delta,
     output_residual,
+    product_of,
     sigmoid_inplace,
+    sigmoid_layer,
     times_sigmoid_slope,
 )
 from .records import SUBTYPES, AnemiaLabel
@@ -117,7 +123,7 @@ def _forward(model, x) -> np.ndarray:
 def _prepare_training(model, X, T):
     """(network inputs, targets) of feature rows and their targets, in the
     form the training kernels take: both as 2-d float arrays."""
-    return np.atleast_2d(np.asarray(X, dtype=float)), np.atleast_2d(np.asarray(T, dtype=float))
+    return as_rows(X), as_rows(T)
 
 
 def decode_subtype(output, encoding: str) -> AnemiaLabel:
@@ -171,7 +177,7 @@ class FfnnModel:
         return layer_workspace(self.layers, rows, grad)
 
     def predict_batch(self, X, workspace: Workspace | None = None) -> np.ndarray:
-        return batch_forward(self.layers, X, workspace)
+        return batch_forward(self.layers, as_rows(X), workspace)
 
     def param_arrays(self) -> list[np.ndarray]:
         return [self.hidden.weights, self.hidden.biases,
@@ -248,7 +254,7 @@ class ElmanModel:
 
     def _as_steps(self, X) -> np.ndarray:
         """(N, F) batch -> (N, steps, step_dim) per the sequence mode."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = as_rows(X)
         if X.shape[1] != self.feature_count:
             raise ValueError(
                 f"expected {self.feature_count} features per sample, got {X.shape[1]}"
@@ -262,35 +268,20 @@ class ElmanModel:
         step, and the output; the context is filled here, once."""
         steps = 1 if self.mode == "single-step" else self.feature_count
         workspace = Workspace(rows, [self.hidden_dim] * (steps + 1) + [self.out_dim],
-                              [a.shape for a in self.param_arrays()], grad)
+                              [a.shape for a in self.param_arrays()], _bind_elman, grad)
         workspace.acts[0].fill(self.context_init)
         return workspace
 
-    def _states(self, steps, workspace: Workspace) -> list[np.ndarray]:
-        """The initial context and the hidden state after each step of a
-        (N, steps, step_dim) batch."""
-        n = steps.shape[0]
-        states = [buf[:n] for buf in workspace.acts[:-1]]
-        e, mask = workspace.scratch[0][:n], workspace.masks[0][:n]
-        for t in range(steps.shape[1]):
-            pre = matmul_into(steps[:, t, :], self.wx.T, states[t + 1])
-            pre += matmul_into(states[t], self.wh.T, e)
-            pre += self.b1
-            sigmoid_inplace(pre, e, mask)
-        return states
-
-    def _output(self, X, workspace: Workspace | None):
-        """(steps, states, output, workspace) of a batch."""
+    def _kernel(self, X, workspace: Workspace | None):
+        """(steps, kernel) of a batch: its (N, steps, step_dim) view and the
+        kernel over its N rows, under ``workspace`` or a new one."""
         steps = self._as_steps(X)
-        n = steps.shape[0]
-        ws = workspace or self.workspace(n)
-        states = self._states(steps, ws)
-        Y = dense_sigmoid(states[-1], self.w2, self.b2,
-                          ws.acts[-1][:n], ws.scratch[-1][:n], ws.masks[-1][:n])
-        return steps, states, Y, ws
+        n = len(steps)
+        return steps, (workspace or self.workspace(n)).kernel(n)
 
     def predict_batch(self, X, workspace: Workspace | None = None) -> np.ndarray:
-        return self._output(X, workspace)[2]
+        steps, kernel = self._kernel(X, workspace)
+        return kernel.forward(self, steps)
 
     def param_arrays(self) -> list[np.ndarray]:
         return [self.wx, self.wh, self.b1, self.w2, self.b2]
@@ -302,29 +293,8 @@ class ElmanModel:
 
     def batch_loss_and_grads(self, X, T, workspace: Workspace | None = None):
         """Backpropagation through time across the sample's steps."""
-        steps, states, Y, ws = self._output(X, workspace)
-        loss, d_out = output_delta(Y, np.atleast_2d(np.asarray(T, dtype=float)))
-        g_wx, g_wh, g_b1, g_w2, g_b2 = ws.grads
-        matmul_into(d_out.T, states[-1], g_w2)
-        np.add.reduce(d_out, axis=0, out=g_b2)
-        d_hidden = matmul_into(d_out, self.w2, ws.scratch[0][:len(Y)])
-        # Step t overwrites states[t + 1], which no earlier step reads, and then
-        # holds the delta it sends back; step 0 sends none.
-        last = steps.shape[1] - 1
-        for t in reversed(range(last + 1)):
-            d_pre = times_sigmoid_slope(d_hidden, states[t + 1])
-            if t == last:
-                matmul_into(d_pre.T, steps[:, t, :], g_wx)
-                matmul_into(d_pre.T, states[t], g_wh)
-                np.add.reduce(d_pre, axis=0, out=g_b1)
-            else:
-                g_wx += d_pre.T @ steps[:, t, :]
-                g_wh += d_pre.T @ states[t]
-                g_b1 += d_pre.sum(axis=0)
-            if t:
-                d_hidden = matmul_into(d_pre, self.wh, states[t + 1])
-        np.add(ws.grad, 0.0, out=ws.grad)
-        return loss, ws.grads
+        steps, kernel = self._kernel(X, workspace)
+        return kernel.backprop(self, steps, T)
 
     prepare_training = _prepare_training
 
@@ -348,6 +318,61 @@ class ElmanModel:
             context_init=float(read(recurrent.get("context_init", default["context_init"]),
                                     "context_init")),
         )
+
+
+def _bind_elman(ws: Workspace, n: int) -> Kernel:
+    """Elman's Kernel over the first n rows of ``ws``, whose ``params`` is the
+    model and whose X is a batch's (n, steps, step_dim) view."""
+    states = [a[:n] for a in ws.acts[:-1]]  # the context, then each step's state
+    grad, grads = ws.grad, ws.grads
+    g_wx, g_wh, g_b1, g_w2, g_b2 = grads
+    hidden, out = g_w2.shape[1], g_w2.shape[0]
+    e, mask = ws.scratch[0][:n], ws.masks[0][:n]
+    Y, residual, square = ws.acts[-1][:n], ws.residual[:n], ws.square[:n]
+    output = sigmoid_layer(hidden, Y, ws.scratch[-1][:n], ws.masks[-1][:n], square)
+    input_product, state_product = product_of(g_wx.shape[1]), product_of(hidden)
+    weight_product, delta_product = product_of(n), product_of(out)
+    # Step t spends states[t + 1], which no earlier step reads, and then holds
+    # the delta it sends back; step 0 sends none.  The last step receives
+    # the output's delta in ``e``.
+    last = len(states) - 2
+    backward = []
+    for t in reversed(range(last + 1)):
+        d = e if t == last else states[t + 2]
+        backward.append((t, states[t], states[t + 1], d, d.T))
+
+    def forward(model, steps):
+        wx_t, wh_t = model.wx.T, model.wh.T
+        for t in range(last + 1):
+            pre = input_product(steps[:, t, :], wx_t, out=states[t + 1])
+            pre += state_product(states[t], wh_t, out=e)
+            pre += model.b1
+            sigmoid_inplace(pre, e, mask)
+        product, pre, _, e_out, mask_out, f = output
+        product(states[-1], model.w2.T, out=pre)
+        return sigmoid_inplace(np.add(pre, model.b2, out=Y), e_out, mask_out, f)
+
+    def backprop(model, steps, T):
+        loss = output_delta(forward(model, steps), T, residual, square)[0]
+        weight_product(Y.T, states[-1], out=g_w2)
+        np.add.reduce(Y, axis=0, out=g_b2)
+        delta_product(Y, model.w2, out=e)
+        for t, state, spent, d, d_t in backward:
+            times_sigmoid_slope(d, spent)
+            if t == last:
+                weight_product(d_t, steps[:, t, :], out=g_wx)
+                weight_product(d_t, state, out=g_wh)
+                np.add.reduce(d, axis=0, out=g_b1)
+            else:
+                np.add(g_wx, d_t @ steps[:, t, :], out=g_wx)
+                np.add(g_wh, d_t @ state, out=g_wh)
+                np.add(g_b1, d.sum(axis=0), out=g_b1)
+            if t:
+                state_product(d, model.wh, out=spent)
+        np.add(grad, ZERO, out=grad)
+        return loss, grads
+
+    return Kernel(forward, backprop)
 
 
 def _taps_width(feature_count: int, out_dim: int, d_u: int, d_y: int) -> int:
@@ -401,7 +426,7 @@ class NarxModel:
     forward = _forward
 
     def predict_batch(self, X, workspace: Workspace | None = None) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = as_rows(X)
         return self.core.predict_batch(self._zero_taps(X), workspace)
 
     # Training interface: samples are composed vectors.
@@ -418,7 +443,7 @@ class NarxModel:
         return self.core.batch_loss(Xc, T, workspace)
 
     def batch_loss_and_grads(self, Xc, T, workspace: Workspace | None = None):
-        return self.core.batch_loss_and_grads(Xc, T, workspace)
+        return batch_backprop(self.core.layers, Xc, T, workspace)
 
     def prepare_training(self, X, T):
         """(composed inputs, targets): the feature rows with zero delay taps."""

@@ -274,13 +274,15 @@ def _json_classify(raw: np.ndarray, rows: np.ndarray) -> list[str]:
 
 def _bundle_outputs(bundle: ModelBundle, records) -> np.ndarray:
     """Raw network outputs for already-validated records, through the
-    network's predict_batch FORWARD_BLOCK_ROWS rows at a time."""
+    network's predict_batch FORWARD_BLOCK_ROWS rows at a time, every block
+    under one workspace, which binds the kernel once per block size."""
     X = bundle.normalizer.apply(encode_batch(records, bundle.feature_spec))
     net = bundle.net
     outputs = np.empty((len(X), net.out_dim))
+    workspace = net.workspace(min(len(X), FORWARD_BLOCK_ROWS))
     for start in range(0, len(X), FORWARD_BLOCK_ROWS):
         outputs[start:start + FORWARD_BLOCK_ROWS] = net.predict_batch(
-            X[start:start + FORWARD_BLOCK_ROWS])
+            X[start:start + FORWARD_BLOCK_ROWS], workspace)
     return outputs
 
 

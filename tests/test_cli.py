@@ -176,6 +176,18 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize("lr", ["inf", "nan", "0"])
+    def test_learning_rate_must_be_finite_and_positive(self, tmp_path, capsys, command, lr):
+        data = synth_file(tmp_path)
+        out = tmp_path / "m.json"
+        stage = ["--family", "ffnn", "--stage", "diagnosis", "-o", str(out)]
+        assert cli.main([command, "--data", str(data), "--epochs", "3", "--lr", lr,
+                         *(stage if command == "train" else [])]) == 2
+        assert capsys.readouterr().err == (
+            f"error: learning_rate must be finite and positive, got {float(lr)!r}\n")
+        assert not out.exists()
+
     def test_narx_has_no_mode_flag(self, tmp_path, capsys):
         data = synth_file(tmp_path)
         out = tmp_path / "m.json"

@@ -12,6 +12,7 @@ from hemanet.nncore import (
     batch_backprop,
     batch_forward,
     gradient_check,
+    layer_workspace,
     output_delta,
     sgd_momentum_step,
     sigmoid,
@@ -304,6 +305,8 @@ class TestTrainConfig:
         [
             {"epochs": 0},
             {"learning_rate": 0.0},
+            {"learning_rate": float("inf")},
+            {"learning_rate": float("nan")},
             {"momentum": 1.0},
             {"momentum": -0.1},
             {"hidden_size": 0},
@@ -560,3 +563,56 @@ class TestWorkspace:
         net.batch_loss_and_grads(-X, 1.0 - T)
         for now, before in zip([Y, *grads], kept):
             np.testing.assert_array_equal(now, before)
+
+    @staticmethod
+    def _bits(arrays):
+        return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+    @pytest.mark.parametrize("spec", ["ffnn", "narx", "elman-single-step",
+                                      "elman-feature-sequence", "dense-3-layer"])
+    def test_reused_workspace_matches_fresh_ones(self, spec):
+        # One workspace serves 1, k and 1 rows again, and then parameters that
+        # set_param_arrays rebound: every loss, gradient and output matches a
+        # call on a fresh workspace bit for bit, and forward passes leave the
+        # gradients of the call before them alone.
+        rng = np.random.default_rng(3)
+        k = 7
+        X, T = rng.normal(size=(k, 9)), rng.uniform(size=(k, 3))
+        if spec == "dense-3-layer":
+            layers = [LayerParams(rng.normal(size=(o, i)), rng.normal(size=o))
+                      for i, o in ((9, 6), (6, 5), (5, 3))]
+
+            def loss_and_grads(X, T, *ws):
+                return batch_backprop(layers, X, T, *ws)
+
+            def outputs(X, *ws):
+                return batch_forward(layers, X, *ws)
+
+            def rebind(scale):
+                for layer in layers:
+                    layer.weights, layer.biases = layer.weights * scale, layer.biases * scale
+
+            workspace = layer_workspace(layers, k)
+            assert workspace.spare is not None
+        else:
+            family, _, mode = spec.partition("-")
+            net = build_model(family, 9, 6, 3, seed=4, **({"mode": mode} if mode else {}))
+            X, T = net.prepare_training(X, T)
+            loss_and_grads, outputs = net.batch_loss_and_grads, net.predict_batch
+            if family == "narx":
+                outputs = net.core.predict_batch
+
+            def rebind(scale):
+                net.set_param_arrays([a * scale for a in net.param_arrays()])
+
+            workspace = net.workspace(k)
+        for n, scale in ((1, 1.0), (k, 1.0), (1, 1.0), (1, 1.5), (k, 1.0)):
+            if scale != 1.0:
+                rebind(scale)
+            loss, grads = loss_and_grads(X[:n], T[:n], workspace)
+            kept = self._bits(grads)
+            fresh_loss, fresh_grads = loss_and_grads(X[:n], T[:n])
+            assert self._bits([loss]) == self._bits([fresh_loss])
+            assert kept == self._bits(fresh_grads)
+            assert self._bits([outputs(X[:n], workspace)]) == self._bits([outputs(X[:n])])
+            assert self._bits(grads) == kept

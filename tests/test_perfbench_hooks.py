@@ -14,6 +14,7 @@ import pytest
 import hemanet.cli  # noqa: F401  (loads every module the CLI hooks patch)
 import hemanet.synth  # noqa: F401
 from hemanet.models import build_model
+from hemanet.nncore import TrainConfig, train_loop
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from tracing import CLI_HOOKS, SYNTH_HOOKS, Tracer, _macs_per_row  # noqa: E402
@@ -46,3 +47,23 @@ def test_flops_counted_for_each_family(tracer, family):
     assert tracer.counters["nncore.flops"] == (3 + 1) * 4 * macs
     assert tracer.stats["models.batch_loss_and_grads"].calls == 1
     assert tracer.stats["models.batch_loss"].calls == 1
+
+
+@pytest.mark.parametrize("family", ["ffnn", "elman", "narx"])
+def test_per_sample_training_keeps_hook_counts(tracer, family):
+    # Each one-row update is one batch_loss_and_grads call and one optimizer
+    # step; each epoch adds one validation pass over its rows.
+    rows, epochs, val_rows = 6, 3, 4
+    model = build_model(family, 9, 5, 3, seed=1)
+    rng = np.random.default_rng(3)
+    X, T = rng.uniform(-1, 1, size=(rows + val_rows, 9)), rng.uniform(size=(rows + val_rows, 3))
+    train = model.prepare_training(X[:rows], T[:rows])
+    validation = model.prepare_training(X[rows:], T[rows:])
+    train_loop(model, train, validation, TrainConfig(epochs=epochs, update_mode="per-sample"))
+    updates, macs = rows * epochs, _macs_per_row(model)
+    assert tracer.absent == []
+    assert tracer.stats["models.batch_loss_and_grads"].calls == updates
+    assert tracer.stats["nncore.sgd_momentum_step"].calls == updates
+    assert tracer.stats["models.batch_loss"].calls == epochs
+    assert tracer.counters["nncore.rows_forwarded"] == updates + val_rows * epochs
+    assert tracer.counters["nncore.flops"] == (3 * updates + val_rows * epochs) * macs

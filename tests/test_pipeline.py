@@ -72,9 +72,9 @@ def _count_forward_rows(bundle):
     seen = []
     original = bundle.net.predict_batch
 
-    def counting_forward(X):
+    def counting_forward(X, workspace=None):
         seen.append(np.array(X))
-        return original(X)
+        return original(X, workspace)
 
     bundle.net.predict_batch = counting_forward
     return seen
