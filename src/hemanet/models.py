@@ -7,13 +7,15 @@ batch_loss_and_grads, predict_batch and its batch of one, forward.  The
 training methods take samples in the model's prepared form (see
 prepare_training; NARX's adds the zero delay taps); predict_batch takes
 feature rows.  The batch kernels take an optional nncore.Workspace from the
-model's workspace(rows, grad) and write into it; without one they build
-their own for the call.  A workspace binds the family's kernel
-(nncore.Kernel) once per row count: FFNN and NARX run the dense stack's,
-Elman its own forward pass and BPTT, and each reads the model's current
-parameters on every call.  to_doc gives a network's model-document fields,
-and from_doc(doc, feature_count, read) rebuilds it, with read(value, what)
-turning each stored array into a float array or raising.
+model's workspace(rows) and write into it; without one they build their
+own for the call.  Every family runs nncore's one kernel, which a
+workspace binds once per row count and which reads the model's current
+parameter arrays on every call: FFNN's (wx, b1, w2, b2) in one step,
+Elman's (wx, wh, b1, w2, b2) in one step or one per feature, and NARX
+through its FFNN core.  FFNN and Elman share the bodies of those methods.
+to_doc gives a network's model-document fields, and from_doc(doc,
+feature_count, read) rebuilds it, with read(value, what) turning each
+stored array into a float array or raising.
 
 Elman and NARX are applied to independent patient records, so recurrent
 state never leaks between samples: the Elman context restarts from its
@@ -29,22 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .nncore import (
-    Kernel,
-    LayerParams,
-    ZERO,
-    Workspace,
-    as_rows,
-    batch_backprop,
-    batch_forward,
-    layer_workspace,
-    output_delta,
-    output_residual,
-    product_of,
-    sigmoid_inplace,
-    sigmoid_layer,
-    times_sigmoid_slope,
-)
+from .nncore import LayerParams, Workspace, as_rows, output_residual
 from .records import SUBTYPES, AnemiaLabel
 
 # Output encodings.  Diagnosis uses a single thresholded sigmoid; the
@@ -109,6 +96,28 @@ def _same_shapes(current, arrays) -> list[np.ndarray]:
     return arrays
 
 
+def _workspace(model, rows: int) -> Workspace:
+    """A Workspace for the model's kernel, for up to ``rows`` rows."""
+    return Workspace(rows, [a.shape for a in model.param_arrays()], model.steps,
+                     model.context_init)
+
+
+def _predict_batch(model, X, workspace: Workspace | None = None) -> np.ndarray:
+    """Outputs of the feature rows X, under ``workspace`` or a new one."""
+    X = as_rows(X)
+    n = len(X)
+    return (workspace or model.workspace(n)).kernel(n).forward(model.param_arrays(), X)
+
+
+def _batch_loss_and_grads(model, X, T, workspace: Workspace | None = None):
+    """(mean squared error, gradients in parameter order) of the 2-d float64
+    inputs X against targets T of the output's shape, under ``workspace``
+    or a new one; the gradients are the workspace's ``grads``.  Matches the
+    mean over its one-row batches up to summation order."""
+    n = len(X)
+    return (workspace or model.workspace(n)).kernel(n).backprop(model.param_arrays(), X, T)
+
+
 def _batch_loss(model, X, T, workspace: Workspace | None = None) -> float:
     """Mean squared error of model.predict_batch(X) against T of its shape."""
     Y = model.predict_batch(X, workspace)
@@ -143,9 +152,11 @@ def _layers_from_doc(doc, read) -> list[LayerParams]:
 
 
 class FfnnModel:
-    """Input -> sigmoid hidden -> sigmoid output."""
+    """Input -> sigmoid hidden -> sigmoid output: the kernel's net in one
+    step, with no recurrent state."""
 
     family = "ffnn"
+    steps, context_init = 1, None
 
     def __init__(self, hidden: LayerParams, output: LayerParams):
         if output.in_dim != hidden.out_dim:
@@ -167,17 +178,9 @@ class FfnnModel:
     def out_dim(self) -> int:
         return self.output.out_dim
 
-    @property
-    def layers(self) -> list[LayerParams]:
-        return [self.hidden, self.output]
-
     forward = _forward
-
-    def workspace(self, rows: int, grad=None) -> Workspace:
-        return layer_workspace(self.layers, rows, grad)
-
-    def predict_batch(self, X, workspace: Workspace | None = None) -> np.ndarray:
-        return batch_forward(self.layers, as_rows(X), workspace)
+    workspace = _workspace
+    predict_batch = _predict_batch
 
     def param_arrays(self) -> list[np.ndarray]:
         return [self.hidden.weights, self.hidden.biases,
@@ -188,14 +191,12 @@ class FfnnModel:
          self.output.weights, self.output.biases) = _same_shapes(self.param_arrays(), arrays)
 
     batch_loss = _batch_loss
-
-    def batch_loss_and_grads(self, X, T, workspace: Workspace | None = None):
-        return batch_backprop(self.layers, X, T, workspace)
-
+    batch_loss_and_grads = _batch_loss_and_grads
     prepare_training = _prepare_training
 
     def to_doc(self) -> dict:
-        return {"layers": [_layer_doc(layer.weights, layer.biases) for layer in self.layers],
+        return {"layers": [_layer_doc(layer.weights, layer.biases)
+                           for layer in (self.hidden, self.output)],
                 "recurrent": {}, "delays": {}}
 
     @classmethod
@@ -252,6 +253,10 @@ class ElmanModel:
     def out_dim(self) -> int:
         return self.w2.shape[0]
 
+    @property
+    def steps(self) -> int:
+        return 1 if self.mode == "single-step" else self.feature_count
+
     def _as_steps(self, X) -> np.ndarray:
         """(N, F) batch -> (N, steps, step_dim) per the sequence mode."""
         X = as_rows(X)
@@ -262,26 +267,8 @@ class ElmanModel:
         return X[:, None, :] if self.mode == "single-step" else X[:, :, None]
 
     forward = _forward
-
-    def workspace(self, rows: int, grad=None) -> Workspace:
-        """A Workspace whose acts are the context, the hidden state after each
-        step, and the output; the context is filled here, once."""
-        steps = 1 if self.mode == "single-step" else self.feature_count
-        workspace = Workspace(rows, [self.hidden_dim] * (steps + 1) + [self.out_dim],
-                              [a.shape for a in self.param_arrays()], _bind_elman, grad)
-        workspace.acts[0].fill(self.context_init)
-        return workspace
-
-    def _kernel(self, X, workspace: Workspace | None):
-        """(steps, kernel) of a batch: its (N, steps, step_dim) view and the
-        kernel over its N rows, under ``workspace`` or a new one."""
-        steps = self._as_steps(X)
-        n = len(steps)
-        return steps, (workspace or self.workspace(n)).kernel(n)
-
-    def predict_batch(self, X, workspace: Workspace | None = None) -> np.ndarray:
-        steps, kernel = self._kernel(X, workspace)
-        return kernel.forward(self, steps)
+    workspace = _workspace
+    predict_batch = _predict_batch
 
     def param_arrays(self) -> list[np.ndarray]:
         return [self.wx, self.wh, self.b1, self.w2, self.b2]
@@ -290,12 +277,7 @@ class ElmanModel:
         self.wx, self.wh, self.b1, self.w2, self.b2 = _same_shapes(self.param_arrays(), arrays)
 
     batch_loss = _batch_loss
-
-    def batch_loss_and_grads(self, X, T, workspace: Workspace | None = None):
-        """Backpropagation through time across the sample's steps."""
-        steps, kernel = self._kernel(X, workspace)
-        return kernel.backprop(self, steps, T)
-
+    batch_loss_and_grads = _batch_loss_and_grads  # backpropagation through time
     prepare_training = _prepare_training
 
     def to_doc(self) -> dict:
@@ -318,61 +300,6 @@ class ElmanModel:
             context_init=float(read(recurrent.get("context_init", default["context_init"]),
                                     "context_init")),
         )
-
-
-def _bind_elman(ws: Workspace, n: int) -> Kernel:
-    """Elman's Kernel over the first n rows of ``ws``, whose ``params`` is the
-    model and whose X is a batch's (n, steps, step_dim) view."""
-    states = [a[:n] for a in ws.acts[:-1]]  # the context, then each step's state
-    grad, grads = ws.grad, ws.grads
-    g_wx, g_wh, g_b1, g_w2, g_b2 = grads
-    hidden, out = g_w2.shape[1], g_w2.shape[0]
-    e, mask = ws.scratch[0][:n], ws.masks[0][:n]
-    Y, residual, square = ws.acts[-1][:n], ws.residual[:n], ws.square[:n]
-    output = sigmoid_layer(hidden, Y, ws.scratch[-1][:n], ws.masks[-1][:n], square)
-    input_product, state_product = product_of(g_wx.shape[1]), product_of(hidden)
-    weight_product, delta_product = product_of(n), product_of(out)
-    # Step t spends states[t + 1], which no earlier step reads, and then holds
-    # the delta it sends back; step 0 sends none.  The last step receives
-    # the output's delta in ``e``.
-    last = len(states) - 2
-    backward = []
-    for t in reversed(range(last + 1)):
-        d = e if t == last else states[t + 2]
-        backward.append((t, states[t], states[t + 1], d, d.T))
-
-    def forward(model, steps):
-        wx_t, wh_t = model.wx.T, model.wh.T
-        for t in range(last + 1):
-            pre = input_product(steps[:, t, :], wx_t, out=states[t + 1])
-            pre += state_product(states[t], wh_t, out=e)
-            pre += model.b1
-            sigmoid_inplace(pre, e, mask)
-        product, pre, _, e_out, mask_out, f = output
-        product(states[-1], model.w2.T, out=pre)
-        return sigmoid_inplace(np.add(pre, model.b2, out=Y), e_out, mask_out, f)
-
-    def backprop(model, steps, T):
-        loss = output_delta(forward(model, steps), T, residual, square)[0]
-        weight_product(Y.T, states[-1], out=g_w2)
-        np.add.reduce(Y, axis=0, out=g_b2)
-        delta_product(Y, model.w2, out=e)
-        for t, state, spent, d, d_t in backward:
-            times_sigmoid_slope(d, spent)
-            if t == last:
-                weight_product(d_t, steps[:, t, :], out=g_wx)
-                weight_product(d_t, state, out=g_wh)
-                np.add.reduce(d, axis=0, out=g_b1)
-            else:
-                np.add(g_wx, d_t @ steps[:, t, :], out=g_wx)
-                np.add(g_wh, d_t @ state, out=g_wh)
-                np.add(g_b1, d.sum(axis=0), out=g_b1)
-            if t:
-                state_product(d, model.wh, out=spent)
-        np.add(grad, ZERO, out=grad)
-        return loss, grads
-
-    return Kernel(forward, backprop)
 
 
 def _taps_width(feature_count: int, out_dim: int, d_u: int, d_y: int) -> int:
@@ -436,14 +363,14 @@ class NarxModel:
     def set_param_arrays(self, arrays) -> None:
         self.core.set_param_arrays(arrays)
 
-    def workspace(self, rows: int, grad=None) -> Workspace:
-        return self.core.workspace(rows, grad)
+    def workspace(self, rows: int) -> Workspace:
+        return self.core.workspace(rows)
 
     def batch_loss(self, Xc, T, workspace: Workspace | None = None) -> float:
         return self.core.batch_loss(Xc, T, workspace)
 
     def batch_loss_and_grads(self, Xc, T, workspace: Workspace | None = None):
-        return batch_backprop(self.core.layers, Xc, T, workspace)
+        return _batch_loss_and_grads(self.core, Xc, T, workspace)
 
     def prepare_training(self, X, T):
         """(composed inputs, targets): the feature rows with zero delay taps."""

@@ -1,8 +1,14 @@
-"""Dense-network machinery: one batched kernel (sigmoid layers, MSE and
-backprop over a batch of rows; one sample is a batch of one), momentum SGD,
+"""Network machinery: one batched kernel (a sigmoid hidden layer run over
+the steps of each row, then a sigmoid output layer, with MSE and backprop
+over a batch of rows; one sample is a batch of one), momentum SGD,
 finite-difference gradient checking, and the training loop.
 
-A Workspace holds a kernel's buffers and binds the kernel to them once per
+The kernel serves every family.  FFNN is (wx, b1, w2, b2), one step over
+all features.  Elman is (wx, wh, b1, w2, b2): each step also reads the
+previous hidden state, a constant context at step 0, and there is one step,
+or one per feature.  NARX is FFNN on its zero-tapped input.
+
+A Workspace holds the kernel's buffers and binds the kernel to them once per
 row count: the views it writes, its product choices and its output-delta
 buffers are made on the first call with n rows, so that a later call, a
 one-row training update above all, runs only its ufuncs.
@@ -113,50 +119,56 @@ def param_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
 
 
 class Kernel(NamedTuple):
-    """A model's kernel bound to a workspace's first n rows: forward(params,
-    X) gives the outputs, backprop(params, X, T) the mean squared error and
-    the workspace's grads; ``params`` are the layers (dense) or the model."""
+    """The kernel bound to a workspace's first n rows: forward(params, X)
+    gives the outputs, backprop(params, X, T) the mean squared error and the
+    workspace's grads."""
 
     forward: Callable
     backprop: Callable
 
 
 class Workspace:
-    """Preallocated buffers for a model's batch kernel, for up to ``rows`` rows,
-    and the kernel bound to them once per row count.
+    """Preallocated buffers for the batch kernel of a net whose parameters
+    have ``shapes``, for up to ``rows`` rows, and the kernel bound to them
+    once per row count.
 
-    ``acts`` holds one (rows, width) float64 array per entry of ``widths``,
-    and ``scratch``/``masks`` a float64 and a bool array of the same shape
-    for each; every scratch array is a view of one buffer, and so is every
-    mask.  A batch of n rows uses the first n rows of each array.  A scratch
-    array holds the sigmoid's temporary, then the first backward delta;
-    ``spare`` (stacks of more than two layers only) holds every second delta
-    after it.  ``residual`` and ``square`` are two (rows, widths[-1])
+    The net runs a sigmoid hidden layer over ``steps`` steps of each row,
+    then a sigmoid output layer.  Its parameters are (wx, b1, w2, b2), or
+    (wx, wh, b1, w2, b2) when each step also reads the previous hidden state
+    through wh; step 0 reads the constant ``context``.
+
+    ``acts`` holds (rows, width) float64 arrays: with wh the context, filled
+    here, then each step's state, then the output.  ``scratch``/``masks``
+    are a float64 and a bool array of the hidden and of the output width,
+    views of one buffer each: the sigmoids' temporary, then the last step's
+    backward delta.  ``residual`` and ``square`` are two (rows, outputs)
     arrays of their own for the output delta, which is written over the
-    output.  ``grads`` are views, in parameter order, into the flat
-    gradient vector ``grad`` (a new one when it is not given).
+    output.  ``grads`` are views, in parameter order, into the flat gradient
+    vector ``grad``.  A batch of n rows uses the first n rows of each array.
 
-    ``kernel(n)`` is the Kernel that ``bind(workspace, n)`` builds on the
-    first call with n, with every view and shape-dependent choice made, and
-    later calls reuse.  It holds buffers, not parameters, so it stays valid
-    when they change or are rebound.
+    ``kernel(n)`` is the Kernel bound on the first call with n, with every
+    view and shape-dependent choice made, and later calls reuse.  It holds
+    buffers, not parameters, so it stays valid when they change or are
+    rebound.
 
     A kernel run under a workspace writes its activations, deltas and
     gradients into it, so the arrays it returns are overwritten by the next
     call under the same workspace.  Nothing is shared between workspaces.
     """
 
-    def __init__(self, rows: int, widths, shapes, bind, grad=None, spare: bool = False):
-        size = rows * max(widths)
-        self.acts = [np.empty((rows, width)) for width in widths]
-        self.scratch = self._views(np.empty(size), rows, widths)
-        self.masks = self._views(np.empty(size, dtype=bool), rows, widths)
-        self.spare = self._views(np.empty(size), rows, widths) if spare else None
-        self.residual = np.empty((rows, widths[-1]))
-        self.square = np.empty((rows, widths[-1]))
-        self.grad = np.empty(sum(math.prod(s) for s in shapes)) if grad is None else grad
+    def __init__(self, rows: int, shapes, steps: int = 1, context: float = 0.0):
+        (out, hidden), recurrent = shapes[-2], len(shapes) == 5
+        self.acts = [np.empty((rows, hidden)) for _ in range(recurrent + steps)]
+        if recurrent:
+            self.acts[0].fill(context)
+        self.acts.append(np.empty((rows, out)))
+        size = rows * max(hidden, out)
+        self.scratch = self._views(np.empty(size), rows, (hidden, out))
+        self.masks = self._views(np.empty(size, dtype=bool), rows, (hidden, out))
+        self.residual = np.empty((rows, out))
+        self.square = np.empty((rows, out))
+        self.grad = np.empty(sum(math.prod(s) for s in shapes))
         self.grads = param_views(self.grad, shapes)
-        self._bind = bind
         self._kernels: dict[int, Kernel] = {}
 
     @staticmethod
@@ -167,69 +179,89 @@ class Workspace:
         """The kernel over the first n rows, bound on the first call with n."""
         kernel = self._kernels.get(n)
         if kernel is None:
-            kernel = self._kernels[n] = self._bind(self, n)
+            kernel = self._kernels[n] = _bind(self, n)
         return kernel
 
 
-def sigmoid_layer(in_dim: int, out, e, mask, free=None) -> tuple:
-    """(product, pre, out, e, mask, f) of a sigmoid layer with ``in_dim``
-    inputs: a kernel runs product(a, weights.T, out=pre), adds the biases
-    into ``out`` and takes the sigmoid there with scratch e, mask and f.
-    A one-element output takes pre = e and f = ``free`` (an array of its
-    shape the forward pass leaves alone); any other, pre = f = out."""
-    if out.size == 1 and free is not None:
-        return product_of(in_dim), e, out, e, mask, free
-    return product_of(in_dim), out, out, e, mask, out
+def _bind(ws: Workspace, n: int) -> Kernel:
+    """The Kernel over the first n rows of ``ws``.  Its ``params`` are the
+    net's (wx, b1, w2, b2) or (wx, wh, b1, w2, b2), and step t of a row of X
+    reads the row's t-th run of wx.shape[1] columns (all of X in one step).
 
+    Every choice is made here: whether a step reads the state before it (a
+    net with wh, params[1]), which columns it reads, and where each delta
+    goes.  The bodies loop over what was chosen and do not branch on it.
+    """
+    grad, grads = ws.grad, ws.grads
+    g_wx, g_b1, g_w2, g_b2 = grads[0], grads[-3], grads[-2], grads[-1]
+    recurrent = grads[1:-3]  # [wh's gradient] for a net with wh, else []
+    (out, hidden), width = g_w2.shape, g_wx.shape[1]
+    states = [a[:n] for a in ws.acts[:-1]]  # with wh, the context first
+    hs = states[len(recurrent):]  # each step's state
+    last, columns = len(hs) - 1, width * len(hs)
+    Y, residual, square = ws.acts[-1][:n], ws.residual[:n], ws.square[:n]
+    e, e_out = ws.scratch[0][:n], ws.scratch[1][:n]
+    mask, mask_out = ws.masks[0][:n], ws.masks[1][:n]
+    # A one-element output takes its product in e_out and the sigmoid's
+    # third buffer in the output delta's square, which is free until then,
+    # so that no step runs into its own input; any other, Y itself.
+    pre_out, f_out = (e_out, square) if Y.size == 1 else (Y, Y)
+    input_product, hidden_product = product_of(width), product_of(hidden)
+    weight_product, delta_product = product_of(n), product_of(out)
+    Y_t, h_last = Y.T, hs[-1]
+    cols = ([None] if len(hs) == 1 else
+            [(slice(None), slice(t * width, (t + 1) * width)) for t in range(len(hs))])
+    # Step t reads, with wh, the state before it: the context at step 0.
+    reads = [(states[t],) if recurrent else () for t in range(len(hs))]
+    steps = list(zip(cols, hs, reads))
+    # Backward, from the last step: step t spends its own state, which no
+    # earlier step reads, and then (with wh, after step 0) holds the delta
+    # it sends back; the last step receives the output's delta in e and
+    # writes the hidden gradients, and each earlier one adds to them.
+    backward = []
+    for t in reversed(range(len(hs))):
+        d = e if t == last else hs[t + 1]
+        sends = (hs[t],) if recurrent and t else ()
+        backward.append((cols[t], hs[t], d, d.T, tuple(zip(reads[t], recurrent)), sends,
+                         t == last))
 
-def _bind_layers(ws: Workspace, n: int) -> Kernel:
-    """The dense stack's Kernel over the first n rows of ``ws``, whose
-    ``params`` are the stack's layers."""
-    acts = [a[:n] for a in ws.acts]
-    grad, grads, residual, square = ws.grad, ws.grads, ws.residual[:n], ws.square[:n]
-    weight_grads = grads[::2]
-    # The output delta's arrays are free during the forward pass.
-    frees = [None] * (len(acts) - 1) + [square]
-    steps = [sigmoid_layer(g_w.shape[1], out, e[:n], mask[:n], free)
-             for g_w, out, e, mask, free in zip(weight_grads, acts, ws.scratch, ws.masks, frees)]
-    weight_product = product_of(n)
-    # Deltas from the output layer down: the output delta is written over
-    # the output, and layer i - 1's into the scratch of layer i - 1 or,
-    # every second layer, its spare, so a product never writes into its input.
-    deltas = [acts[-1]]
-    for i in reversed(range(1, len(acts))):
-        deltas.append((ws.scratch, ws.spare)[(len(acts) - 1 - i) % 2][i - 1][:n])
-    hidden = [(deltas[k], deltas[k].T, weight_grads[i], grads[2 * i + 1], acts[i - 1],
-               product_of(weight_grads[i].shape[0]), deltas[k + 1])
-              for k, i in enumerate(reversed(range(1, len(acts))))]
-    delta, delta_t = deltas[-1], deltas[-1].T
+    def forward(params, X):
+        if X.shape[1] != columns:
+            raise ValueError(f"expected {columns} features per sample, got {X.shape[1]}")
+        wx_t, b1 = params[0].T, params[-3]
+        for x, h, prevs in steps:
+            pre = input_product(X if x is None else X[x], wx_t, out=h)
+            for prev in prevs:
+                pre += hidden_product(prev, params[1].T, out=e)
+            pre += b1
+            sigmoid_inplace(pre, e, mask)
+        hidden_product(h_last, params[-2].T, out=pre_out)
+        return sigmoid_inplace(np.add(pre_out, params[-1], out=Y), e_out, mask_out, f_out)
 
-    def forward(layers, X):
-        a = X
-        for layer, (product, pre, out, e, mask, f) in zip(layers, steps):
-            product(a, layer.weights.T, out=pre)
-            a = sigmoid_inplace(np.add(pre, layer.biases, out=out), e, mask, f)
-        return a
-
-    def backprop(layers, X, T):
-        loss = output_delta(forward(layers, X), T, residual, square)[0]
-        for layer, (d, d_t, g_w, g_b, a, product, below) in zip(layers[:0:-1], hidden):
-            weight_product(d_t, a, out=g_w)
-            np.add.reduce(d, axis=0, out=g_b)
-            times_sigmoid_slope(product(d, layer.weights, out=below), a)
-        weight_product(delta_t, X, out=grads[0])
-        np.add.reduce(delta, axis=0, out=grads[1])
+    def backprop(params, X, T):
+        loss = output_delta(forward(params, X), T, residual, square)[0]
+        weight_product(Y_t, h_last, out=g_w2)
+        np.add.reduce(Y, axis=0, out=g_b2)
+        delta_product(Y, params[-2], out=e)
+        for x, spent, d, d_t, links, sends, writes in backward:
+            times_sigmoid_slope(d, spent)
+            x = X if x is None else X[x]
+            if writes:
+                weight_product(d_t, x, out=g_wx)
+                for prev, g in links:
+                    weight_product(d_t, prev, out=g)
+                np.add.reduce(d, axis=0, out=g_b1)
+            else:
+                np.add(g_wx, d_t @ x, out=g_wx)
+                for prev, g in links:
+                    np.add(g, d_t @ prev, out=g)
+                np.add(g_b1, d.sum(axis=0), out=g_b1)
+            for into in sends:
+                hidden_product(d, params[1], out=into)
         np.add(grad, ZERO, out=grad)
         return loss, grads
 
     return Kernel(forward, backprop)
-
-
-def layer_workspace(layers: list[LayerParams], rows: int, grad=None) -> Workspace:
-    """A Workspace for batch_forward and batch_backprop over ``layers``."""
-    return Workspace(rows, [layer.out_dim for layer in layers],
-                     [a.shape for layer in layers for a in (layer.weights, layer.biases)],
-                     _bind_layers, grad, spare=len(layers) > 2)
 
 
 def times_sigmoid_slope(delta, s) -> np.ndarray:
@@ -263,23 +295,6 @@ def output_delta(Y, T, residual=None, square=None):
     np.multiply(square, Y, out=residual)
     np.subtract(ONE, Y, out=square)
     return loss, np.multiply(residual, square, out=Y)
-
-
-def batch_forward(layers: list[LayerParams], X, workspace: Workspace | None = None) -> np.ndarray:
-    """Vectorized forward over a batch of row vectors, the 2-d float64 array X."""
-    n = len(X)
-    return (workspace or layer_workspace(layers, n)).kernel(n).forward(layers, X)
-
-
-def batch_backprop(layers: list[LayerParams], X, T, workspace: Workspace | None = None):
-    """Vectorized mean loss and mean gradients over a batch: 2-d float64
-    inputs X and targets T of the output's shape.
-
-    Matches the mean over its one-row batches up to summation order.  The
-    gradients are the workspace's ``grads``.
-    """
-    n = len(X)
-    return (workspace or layer_workspace(layers, n)).kernel(n).backprop(layers, X, T)
 
 
 def sgd_momentum_step(params, grad, velocity, learning_rate: float, momentum: float,
@@ -414,9 +429,9 @@ def train_loop(model, train, validation=None, config: TrainConfig | None = None)
     changes in place; a non-finite loss or parameter raises
     TrainingDivergedError.  One workspace (``model.workspace``), sized for
     the larger of the update batch and the validation set, holds every
-    update's and validation pass's arrays, and its gradient views write
-    into the flat gradient vector the optimizer reads; the optimizer's
-    step vector, like the workspace, is allocated once per run.
+    update's and validation pass's arrays and the flat gradient vector
+    (``workspace.grad``) the optimizer reads; the optimizer's step vector,
+    like the workspace, is allocated once per run.
     """
     config = config or TrainConfig()
     X, T = train
@@ -432,9 +447,9 @@ def train_loop(model, train, validation=None, config: TrainConfig | None = None)
 
     flat = _bind_flat(model)
     velocity = np.zeros_like(flat)
-    grad = np.empty_like(flat)
     step = np.empty_like(flat)
-    workspace = model.workspace(rows, grad)
+    workspace = model.workspace(rows)
+    grad = workspace.grad
     loss_and_grads = model.batch_loss_and_grads
     lr, mu = np.array(config.learning_rate), np.array(config.momentum)  # 0-d, as ONE is
     rng = np.random.default_rng(config.seed)

@@ -2,7 +2,7 @@
 preallocated workspace, agree bit for bit with the two-branch, allocating
 code they replaced.
 
-The replaced ``sigmoid``, ``batch_forward``, ``batch_backprop`` and Elman
+The replaced ``sigmoid``, dense-stack forward and backprop, and Elman
 forward/BPTT are kept below as references.  Activations, losses and
 gradients must match them exactly (same bits; NaN at the same positions),
 and so must the loss curves and parameters of ``train_loop`` against
@@ -15,14 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hemanet.models import build_elman, build_ffnn, build_model, build_narx, encode_targets
-from hemanet.nncore import (
-    LayerParams,
-    TrainConfig,
-    batch_backprop,
-    batch_forward,
-    sigmoid,
-    train_loop,
-)
+from hemanet.nncore import TrainConfig, sigmoid, train_loop
 
 # Edge inputs overflow matmuls and subtract infinities, on both sides alike.
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -204,14 +197,11 @@ def test_ffnn_kernels_match_reference(rows, out_dim, seed, scale, edges):
     rng = np.random.default_rng(seed)
     model = _scaled(build_ffnn(FEATURES, 50, out_dim, seed=seed % 1000), scale)
     X, T = _data(rng, rows, out_dim, scale, edges)
-    assert_bitwise(batch_forward(model.layers, X), reference_batch_forward(model.layers, X))
-    assert_bitwise(model.predict_batch(X), reference_batch_forward(model.layers, X))
-    assert_same_result(batch_backprop(model.layers, X, T),
-                       reference_batch_backprop(model.layers, X, T))
-    assert_same_result(model.batch_loss_and_grads(X, T),
-                       reference_batch_backprop(model.layers, X, T))
+    layers = [model.hidden, model.output]
+    assert_bitwise(model.predict_batch(X), reference_batch_forward(layers, X))
+    assert_same_result(model.batch_loss_and_grads(X, T), reference_batch_backprop(layers, X, T))
     assert_bitwise(model.batch_loss(X, T),
-                   reference_batch_loss(lambda x: reference_batch_forward(model.layers, x), X, T))
+                   reference_batch_loss(lambda x: reference_batch_forward(layers, x), X, T))
 
 
 @pytest.mark.parametrize("rows", [1, 920])
@@ -237,7 +227,7 @@ def test_narx_kernels_match_reference(rows):
     # Random inputs of the core's full width, taps included, so every weight counts.
     model = build_narx(FEATURES, 50, 3, seed=4, d_u=1, d_y=2)
     X, T = _data(rng, rows, 3, 1.0, False, width=model.composed_dim)
-    layers = model.core.layers
+    layers = [model.core.hidden, model.core.output]
     assert_same_result(model.batch_loss_and_grads(X, T),
                        reference_batch_backprop(layers, X, T))
     assert_bitwise(model.core.predict_batch(X), reference_batch_forward(layers, X))
@@ -256,16 +246,6 @@ def test_kernels_leave_inputs_and_parameters_alone():
             assert_bitwise(now, before)
 
 
-def test_deeper_stack_matches_reference():
-    # batch_backprop takes any number of layers; three exercise two hidden deltas.
-    rng = np.random.default_rng(8)
-    layers = [LayerParams(rng.normal(size=(o, i)), rng.normal(size=o))
-              for i, o in ((FEATURES, 12), (12, 7), (7, 3))]
-    X, T = _data(rng, 64, 3, 1.0, False)
-    assert_bitwise(batch_forward(layers, X), reference_batch_forward(layers, X))
-    assert_same_result(batch_backprop(layers, X, T), reference_batch_backprop(layers, X, T))
-
-
 # ---------------------------------------------------------------------------
 # train_loop on its workspace
 
@@ -277,9 +257,10 @@ def reference_kernels(model):
                 lambda X, T: reference_batch_loss(
                     lambda x: reference_elman_predict(model, x), X, T))
     dense = model.core if model.family == "narx" else model
-    return (lambda X, T: reference_batch_backprop(dense.layers, X, T),
+    layers = [dense.hidden, dense.output]
+    return (lambda X, T: reference_batch_backprop(layers, X, T),
             lambda X, T: reference_batch_loss(
-                lambda x: reference_batch_forward(dense.layers, x), X, T))
+                lambda x: reference_batch_forward(layers, x), X, T))
 
 
 def reference_train(model, train, validation, config):

@@ -132,6 +132,26 @@ class TestElman:
             x = rng.uniform(-1, 1, size=5)
             np.testing.assert_allclose(elman.forward(x), ffnn.forward(x), atol=1e-12)
 
+    @pytest.mark.parametrize("rows", [1, 40])
+    @pytest.mark.parametrize("out_dim", [1, 3])
+    def test_ffnn_is_single_step_elman_with_zero_recurrent_weights(self, rows, out_dim):
+        # Bit for bit: the kernel adds the recurrent term context @ wh.T,
+        # exactly +0.0 here, only for the net that has wh.
+        rng = np.random.default_rng(rows + out_dim)
+        ffnn = build_ffnn(9, 20, out_dim, seed=rows)
+        ffnn.set_param_arrays([rng.normal(size=a.shape) for a in ffnn.param_arrays()])
+        wx, b1, w2, b2 = (a.copy() for a in ffnn.param_arrays())
+        elman = ElmanModel(wx, np.zeros((20, 20)), b1, w2, b2, 9, mode="single-step",
+                           context_init=0.5)
+        X, T = rng.normal(size=(rows, 9)), rng.uniform(size=(rows, out_dim))
+        assert ffnn.predict_batch(X).tobytes() == elman.predict_batch(X).tobytes()
+        assert ffnn.batch_loss(X, T) == elman.batch_loss(X, T)
+        loss, grads = ffnn.batch_loss_and_grads(X, T)
+        elman_loss, (g_wx, _, g_b1, g_w2, g_b2) = elman.batch_loss_and_grads(X, T)
+        assert np.float64(loss).tobytes() == np.float64(elman_loss).tobytes()
+        for got, want in zip(grads, (g_wx, g_b1, g_w2, g_b2)):
+            assert got.tobytes() == want.tobytes()
+
     def test_default_single_step_equals_ffnn_with_context_in_bias(self):
         # With the default context of 0.5 and non-zero recurrent weights, a
         # single-step Elman is a dense net whose hidden bias is b1 + wh @ c0.

@@ -9,17 +9,14 @@ from hemanet.nncore import (
     LayerParams,
     TrainConfig,
     TrainingDivergedError,
-    batch_backprop,
-    batch_forward,
     gradient_check,
-    layer_workspace,
     output_delta,
     sgd_momentum_step,
     sigmoid,
     times_sigmoid_slope,
     train_loop,
 )
-from hemanet.models import build_ffnn, build_model
+from hemanet.models import FfnnModel, build_ffnn, build_model
 
 
 class TestSigmoid:
@@ -62,26 +59,41 @@ class TestSigmoid:
         assert np.all(np.diff(sigmoid(x)) > 0)
 
 
+def _net(*layers) -> FfnnModel:
+    """A two-layer FFNN of (weights, biases) pairs."""
+    return FfnnModel(*(LayerParams(w, b) for w, b in layers))
+
+
 class TestBatchForward:
     def test_zero_params_give_half(self):
-        layer = LayerParams(np.zeros((3, 4)), np.zeros(3))
-        act = batch_forward([layer], np.array([[1.0, -2.0, 0.5, 3.0]]))
+        net = _net((np.zeros((3, 4)), np.zeros(3)), (np.zeros((2, 3)), np.zeros(2)))
+        act = net.predict_batch(np.array([[1.0, -2.0, 0.5, 3.0]]))
         np.testing.assert_array_equal(act, 0.5)
 
     def test_unit_1x1_layer(self):
-        layer = LayerParams(np.array([[1.0]]), np.array([0.0]))
-        assert batch_forward([layer], np.array([[0.0]]))[0, 0] == 0.5
+        # sigmoid(0) = 0.5 in the hidden unit, and 0.5 * 1 - 0.5 = 0 at the output.
+        net = _net(([[1.0]], [0.0]), ([[1.0]], [-0.5]))
+        assert net.predict_batch(np.array([[0.0]]))[0, 0] == 0.5
 
     def test_activation_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(1)
-        layer = LayerParams(rng.normal(size=(5, 3)), rng.normal(size=5))
-        act = batch_forward([layer], rng.uniform(-2, 2, size=(20, 3)))
+        net = _net((rng.normal(size=(5, 3)), rng.normal(size=5)),
+                   (rng.normal(size=(4, 5)), rng.normal(size=4)))
+        act = net.predict_batch(rng.uniform(-2, 2, size=(20, 3)))
         assert np.all((act > 0) & (act < 1))
 
     def test_dimension_mismatch(self):
-        layer = LayerParams(np.zeros((2, 3)), np.zeros(2))
+        net = _net((np.zeros((2, 3)), np.zeros(2)), (np.zeros((1, 2)), np.zeros(1)))
         with pytest.raises(ValueError):
-            batch_forward([layer], np.zeros((1, 4)))
+            net.predict_batch(np.zeros((1, 4)))
+
+    def test_one_input_net_refuses_a_row_as_wide_as_its_hidden_layer(self):
+        # Its input product is a broadcast multiply, which would take the row.
+        net = _net((np.zeros((2, 1)), np.zeros(2)), (np.zeros((1, 2)), np.zeros(1)))
+        with pytest.raises(ValueError, match="expected 1 features per sample, got 2"):
+            net.predict_batch(np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="expected 1 features per sample, got 2"):
+            net.batch_loss_and_grads(np.zeros((1, 2)), np.zeros((1, 1)))
 
     def test_layer_shape_validation(self):
         with pytest.raises(ValueError):
@@ -107,72 +119,60 @@ class TestOutputDelta:
         with pytest.raises(ValueError):
             output_delta(np.array([[1.0]]), np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
-            batch_backprop([LayerParams(np.zeros((1, 2)), np.zeros(1))],
-                           np.zeros((3, 2)), np.zeros((1, 3)))
+            _net((np.zeros((1, 2)), np.zeros(1)), (np.zeros((1, 1)), np.zeros(1))
+                 ).batch_loss_and_grads(np.zeros((3, 2)), np.zeros((1, 3)))
 
 
-def _one_row_loss(layers, x, target):
-    Y = batch_forward(layers, x[None])
+def _one_row_loss(net, x, target):
+    Y = net.predict_batch(x[None])
     return float(np.mean((Y - target) ** 2))
 
 
-def _finite_difference_grads(layers, x, target, eps=1e-6):
+def _finite_difference_grads(net, x, target, eps=1e-6):
     """Independent oracle: central differences on every parameter."""
     grads = []
-    for layer in layers:
-        for arr in (layer.weights, layer.biases):
-            g = np.zeros_like(arr)
-            for idx in np.ndindex(arr.shape):
-                original = arr[idx]
-                arr[idx] = original + eps
-                plus = _one_row_loss(layers, x, target)
-                arr[idx] = original - eps
-                minus = _one_row_loss(layers, x, target)
-                arr[idx] = original
-                g[idx] = (plus - minus) / (2 * eps)
-            grads.append(g)
+    for arr in net.param_arrays():
+        g = np.zeros_like(arr)
+        for idx in np.ndindex(arr.shape):
+            original = arr[idx]
+            arr[idx] = original + eps
+            plus = _one_row_loss(net, x, target)
+            arr[idx] = original - eps
+            minus = _one_row_loss(net, x, target)
+            arr[idx] = original
+            g[idx] = (plus - minus) / (2 * eps)
+        grads.append(g)
     return grads
 
 
-def _one_row_backprop(layers, x, target):
-    """(loss, gradients) of one sample: batch_backprop on a batch of one."""
-    return batch_backprop(layers, x[None], np.asarray(target)[None])
+def _one_row_backprop(net, x, target):
+    """(loss, gradients) of one sample: batch_loss_and_grads on a batch of one."""
+    return net.batch_loss_and_grads(x[None], np.asarray(target)[None])
 
 
 class TestBackprop:
     def _random_net(self, seed, dims=(4, 6, 2)):
         rng = np.random.default_rng(seed)
-        layers = []
-        for i in range(len(dims) - 1):
-            layers.append(LayerParams(rng.normal(scale=0.8, size=(dims[i + 1], dims[i])),
-                                      rng.normal(scale=0.2, size=dims[i + 1])))
-        return layers, rng
+        layers = [(rng.normal(scale=0.8, size=(dims[i + 1], dims[i])),
+                   rng.normal(scale=0.2, size=dims[i + 1])) for i in range(2)]
+        return _net(*layers), rng
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_finite_differences(self, seed):
-        layers, rng = self._random_net(seed)
+        net, rng = self._random_net(seed)
         x = rng.uniform(-1, 1, size=4)
         target = rng.uniform(0.1, 0.9, size=2)
-        _, analytic = _one_row_backprop(layers, x, target)
-        numeric = _finite_difference_grads(layers, x, target)
+        _, analytic = _one_row_backprop(net, x, target)
+        numeric = _finite_difference_grads(net, x, target)
         for a, n in zip(analytic, numeric):
             err = np.abs(a - n) / np.maximum.reduce([np.abs(a), np.abs(n), np.full_like(a, 1e-8)])
             assert err.max() < 1e-4
 
-    def test_three_layer_depth(self):
-        layers, rng = self._random_net(11, dims=(3, 4, 4, 1))
-        x = rng.uniform(-1, 1, size=3)
-        target = rng.uniform(0.1, 0.9, size=1)
-        _, analytic = _one_row_backprop(layers, x, target)
-        numeric = _finite_difference_grads(layers, x, target)
-        for a, n in zip(analytic, numeric):
-            np.testing.assert_allclose(a, n, atol=1e-8)
-
     def test_zero_gradients_at_zero_loss(self):
-        layers, rng = self._random_net(3)
+        net, rng = self._random_net(3)
         x = rng.uniform(-1, 1, size=4)
-        pred = batch_forward(layers, x[None])[0].copy()
-        loss, grads = _one_row_backprop(layers, x, pred)
+        pred = net.predict_batch(x[None])[0].copy()
+        loss, grads = _one_row_backprop(net, x, pred)
         assert loss == 0.0
         for g in grads:
             np.testing.assert_array_equal(g, 0.0)
@@ -180,31 +180,31 @@ class TestBackprop:
     def test_doubling_residual_doubles_every_gradient(self):
         # Backprop is linear in the output residual: moving the target to
         # 2t - y doubles (y - t) and therefore every gradient.
-        layers, rng = self._random_net(7)
+        net, rng = self._random_net(7)
         x = rng.uniform(-1, 1, size=4)
         target = rng.uniform(0.1, 0.9, size=2)
-        pred = batch_forward(layers, x[None])[0]
-        _, grads = _one_row_backprop(layers, x, target)
-        _, doubled = _one_row_backprop(layers, x, 2 * target - pred)
+        pred = net.predict_batch(x[None])[0]
+        _, grads = _one_row_backprop(net, x, target)
+        _, doubled = _one_row_backprop(net, x, 2 * target - pred)
         for g, d in zip(grads, doubled):
             np.testing.assert_allclose(d, 2 * g, rtol=1e-12, atol=1e-15)
 
     def test_batch_matches_mean_of_per_sample(self):
-        layers, rng = self._random_net(9)
+        net, rng = self._random_net(9)
         X = rng.uniform(-1, 1, size=(8, 4))
         T = rng.uniform(0.1, 0.9, size=(8, 2))
-        batch_loss, batch_grads = batch_backprop(layers, X, T)
-        per = [_one_row_backprop(layers, x, t) for x, t in zip(X, T)]
+        batch_loss, batch_grads = net.batch_loss_and_grads(X, T)
+        per = [_one_row_backprop(net, x, t) for x, t in zip(X, T)]
         np.testing.assert_allclose(batch_loss, np.mean([p[0] for p in per]), rtol=1e-12)
         for i, bg in enumerate(batch_grads):
             mean_g = np.mean([p[1][i] for p in per], axis=0)
             np.testing.assert_allclose(bg, mean_g, rtol=1e-9, atol=1e-14)
 
     def test_batch_forward_matches_per_sample(self):
-        layers, rng = self._random_net(13)
+        net, rng = self._random_net(13)
         X = rng.uniform(-1, 1, size=(6, 4))
-        stacked = np.array([batch_forward(layers, x[None])[0] for x in X])
-        np.testing.assert_allclose(batch_forward(layers, X), stacked, rtol=1e-12)
+        stacked = np.array([net.predict_batch(x[None])[0] for x in X])
+        np.testing.assert_allclose(net.predict_batch(X), stacked, rtol=1e-12)
 
 
 class TestSgdMomentum:
@@ -427,14 +427,12 @@ class TestTrainLoop:
 
     def test_saturated_layers_stay_finite(self):
         # Pre-activations pinned at +/-700: forward and backward both finite.
-        layers = [
-            LayerParams(np.array([[700.0], [-700.0]]), np.zeros(2)),
-            LayerParams(np.array([[700.0, -700.0]]), np.zeros(1)),
-        ]
+        net = _net((np.array([[700.0], [-700.0]]), np.zeros(2)),
+                   (np.array([[700.0, -700.0]]), np.zeros(1)))
         with np.errstate(all="raise"):
-            act = batch_forward(layers[:1], np.array([[1.0]]))
+            act = net.predict_batch(np.array([[1.0]]))
             assert np.all(np.isfinite(act))
-            loss, grads = batch_backprop(layers, np.array([[1.0]]), np.array([[0.5]]))
+            loss, grads = net.batch_loss_and_grads(np.array([[1.0]]), np.array([[0.5]]))
             assert np.isfinite(loss)
             assert all(np.isfinite(g).all() for g in grads)
 
@@ -569,7 +567,7 @@ class TestWorkspace:
         return [np.asarray(a, dtype=float).tobytes() for a in arrays]
 
     @pytest.mark.parametrize("spec", ["ffnn", "narx", "elman-single-step",
-                                      "elman-feature-sequence", "dense-3-layer"])
+                                      "elman-feature-sequence"])
     def test_reused_workspace_matches_fresh_ones(self, spec):
         # One workspace serves 1, k and 1 rows again, and then parameters that
         # set_param_arrays rebound: every loss, gradient and output matches a
@@ -578,37 +576,16 @@ class TestWorkspace:
         rng = np.random.default_rng(3)
         k = 7
         X, T = rng.normal(size=(k, 9)), rng.uniform(size=(k, 3))
-        if spec == "dense-3-layer":
-            layers = [LayerParams(rng.normal(size=(o, i)), rng.normal(size=o))
-                      for i, o in ((9, 6), (6, 5), (5, 3))]
-
-            def loss_and_grads(X, T, *ws):
-                return batch_backprop(layers, X, T, *ws)
-
-            def outputs(X, *ws):
-                return batch_forward(layers, X, *ws)
-
-            def rebind(scale):
-                for layer in layers:
-                    layer.weights, layer.biases = layer.weights * scale, layer.biases * scale
-
-            workspace = layer_workspace(layers, k)
-            assert workspace.spare is not None
-        else:
-            family, _, mode = spec.partition("-")
-            net = build_model(family, 9, 6, 3, seed=4, **({"mode": mode} if mode else {}))
-            X, T = net.prepare_training(X, T)
-            loss_and_grads, outputs = net.batch_loss_and_grads, net.predict_batch
-            if family == "narx":
-                outputs = net.core.predict_batch
-
-            def rebind(scale):
-                net.set_param_arrays([a * scale for a in net.param_arrays()])
-
-            workspace = net.workspace(k)
+        family, _, mode = spec.partition("-")
+        net = build_model(family, 9, 6, 3, seed=4, **({"mode": mode} if mode else {}))
+        X, T = net.prepare_training(X, T)
+        loss_and_grads, outputs = net.batch_loss_and_grads, net.predict_batch
+        if family == "narx":
+            outputs = net.core.predict_batch
+        workspace = net.workspace(k)
         for n, scale in ((1, 1.0), (k, 1.0), (1, 1.0), (1, 1.5), (k, 1.0)):
             if scale != 1.0:
-                rebind(scale)
+                net.set_param_arrays([a * scale for a in net.param_arrays()])
             loss, grads = loss_and_grads(X[:n], T[:n], workspace)
             kept = self._bits(grads)
             fresh_loss, fresh_grads = loss_and_grads(X[:n], T[:n])
