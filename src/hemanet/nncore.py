@@ -190,7 +190,7 @@ def _bind(ws: Workspace, n: int) -> Kernel:
 
     Every choice is made here: whether a step reads the state before it (a
     net with wh, params[1]), which columns it reads, and where each delta
-    goes.  The bodies loop over what was chosen and do not branch on it.
+    goes.  The bodies loop over what was chosen; they never test the family.
     """
     grad, grads = ws.grad, ws.grads
     g_wx, g_b1, g_w2, g_b2 = grads[0], grads[-3], grads[-2], grads[-1]
