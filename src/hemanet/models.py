@@ -257,15 +257,6 @@ class ElmanModel:
     def steps(self) -> int:
         return 1 if self.mode == "single-step" else self.feature_count
 
-    def _as_steps(self, X) -> np.ndarray:
-        """(N, F) batch -> (N, steps, step_dim) per the sequence mode."""
-        X = as_rows(X)
-        if X.shape[1] != self.feature_count:
-            raise ValueError(
-                f"expected {self.feature_count} features per sample, got {X.shape[1]}"
-            )
-        return X[:, None, :] if self.mode == "single-step" else X[:, :, None]
-
     forward = _forward
     workspace = _workspace
     predict_batch = _predict_batch
@@ -354,6 +345,9 @@ class NarxModel:
 
     def predict_batch(self, X, workspace: Workspace | None = None) -> np.ndarray:
         X = as_rows(X)
+        if X.shape[1] != self.feature_count:  # before the taps widen it
+            raise ValueError(
+                f"expected {self.feature_count} features per sample, got {X.shape[1]}")
         return self.core.predict_batch(self._zero_taps(X), workspace)
 
     # Training interface: samples are composed vectors.

@@ -11,7 +11,8 @@ or one per feature.  NARX is FFNN on its zero-tapped input.
 A Workspace holds the kernel's buffers and binds the kernel to them once per
 row count: the views it writes, its product choices and its output-delta
 buffers are made on the first call with n rows, so that a later call, a
-one-row training update above all, runs only its ufuncs.
+one-row training update above all, runs only its ufuncs.  A batch of one
+binds vector forms of its elementwise steps.
 
 All math is float64.  Training is single-threaded and fully determined by
 (seed, data, config); the per-sample update mode shuffles with its own
@@ -50,6 +51,25 @@ def sigmoid_inplace(z: np.ndarray, e=None, nonnegative=None, f=None) -> np.ndarr
     np.add(z, ONE, out=e)
     np.maximum(z, nonnegative, out=f)
     return np.divide(f, e, out=z)
+
+
+def sigmoid_row(z: np.ndarray, e, f, g=None) -> np.ndarray:
+    """sigmoid_inplace of the 1-d float64 array ``z``, bit for bit, written over it.
+
+    The numerator is exp(min(z, 0)): where z < 0 it is exp(z), which is
+    exp(-|z|), and elsewhere exp(0) = 1.  A second exp costs less on one row
+    than max(e, z >= 0), which mixes bool and float.  ``e``, ``f`` and
+    ``g`` are float64 scratch arrays of z's shape; with ``g`` (z when not
+    given) distinct from z, no step runs into its own input.
+    """
+    g = z if g is None else g
+    np.abs(z, out=e)
+    np.minimum(z, ZERO, out=f)
+    np.negative(e, out=g)
+    np.exp(f, out=e)
+    np.exp(g, out=f)
+    np.add(f, ONE, out=g)
+    return np.divide(e, g, out=z)
 
 
 def as_rows(X) -> np.ndarray:
@@ -141,10 +161,12 @@ class Workspace:
     here, then each step's state, then the output.  ``scratch``/``masks``
     are a float64 and a bool array of the hidden and of the output width,
     views of one buffer each: the sigmoids' temporary, then the last step's
-    backward delta.  ``residual`` and ``square`` are two (rows, outputs)
-    arrays of their own for the output delta, which is written over the
-    output.  ``grads`` are views, in parameter order, into the flat gradient
-    vector ``grad``.  A batch of n rows uses the first n rows of each array.
+    backward delta.  ``numerator`` is one float64 row of the hidden width,
+    the one-row hidden sigmoid's third buffer.  ``residual`` and ``square``
+    are two (rows, outputs) arrays of their own for the output delta, which
+    is written over the output.  ``grads`` are views, in parameter order,
+    into the flat gradient vector ``grad``.  A batch of n rows uses the
+    first n rows of each array.
 
     ``kernel(n)`` is the Kernel bound on the first call with n, with every
     view and shape-dependent choice made, and later calls reuse.  It holds
@@ -165,6 +187,7 @@ class Workspace:
         size = rows * max(hidden, out)
         self.scratch = self._views(np.empty(size), rows, (hidden, out))
         self.masks = self._views(np.empty(size, dtype=bool), rows, (hidden, out))
+        self.numerator = np.empty(hidden)
         self.residual = np.empty((rows, out))
         self.square = np.empty((rows, out))
         self.grad = np.empty(sum(math.prod(s) for s in shapes))
@@ -189,8 +212,9 @@ def _bind(ws: Workspace, n: int) -> Kernel:
     reads the row's t-th run of wx.shape[1] columns (all of X in one step).
 
     Every choice is made here: whether a step reads the state before it (a
-    net with wh, params[1]), which columns it reads, and where each delta
-    goes.  The bodies loop over what was chosen; they never test the family.
+    net with wh, params[1]), which columns it reads, where each delta goes,
+    and, for a batch of one, the vector forms of the elementwise steps.  The
+    bodies loop over what was chosen; they never test the family.
     """
     grad, grads = ws.grad, ws.grads
     g_wx, g_b1, g_w2, g_b2 = grads[0], grads[-3], grads[-2], grads[-1]
@@ -201,19 +225,45 @@ def _bind(ws: Workspace, n: int) -> Kernel:
     last, columns = len(hs) - 1, width * len(hs)
     Y, residual, square = ws.acts[-1][:n], ws.residual[:n], ws.square[:n]
     e, e_out = ws.scratch[0][:n], ws.scratch[1][:n]
-    mask, mask_out = ws.masks[0][:n], ws.masks[1][:n]
-    # A one-element output takes its product in e_out and the sigmoid's
-    # third buffer in the output delta's square, which is free until then,
-    # so that no step runs into its own input; any other, Y itself.
-    pre_out, f_out = (e_out, square) if Y.size == 1 else (Y, Y)
+    scale = np.array(2.0 / Y.size)
+
+    def row(a):  # what the elementwise steps run on
+        return a[0] if n == 1 else a
+
+    if n == 1:
+        # A batch of one runs its bias adds, sigmoids, slopes and bias
+        # gradients on 1-d row views: on a (1, H) row numpy costs two to
+        # three times as much per call to broadcast, to mix in a bool
+        # operand or to reduce.  The output's product goes into e_out and
+        # its sigmoid's buffers are the output delta's, free until then, so
+        # that no step of the output layer runs into its own input, which
+        # is slow on one element.
+        pre_out, sigmoid = e_out, sigmoid_row
+        hidden_scratch = (e[0], ws.numerator)
+        out_scratch = (e_out[0], square[0], residual[0])
+        sum_rows_into = np.copyto
+
+        def add_row_sums(total, d):
+            np.add(total, d, out=total)
+    else:
+        pre_out, sigmoid = Y, sigmoid_inplace
+        hidden_scratch = (e, ws.masks[0][:n])
+        out_scratch = (e_out, ws.masks[1][:n])
+
+        def sum_rows_into(total, d):
+            np.add.reduce(d, axis=0, out=total)
+
+        def add_row_sums(total, d):
+            np.add(total, d.sum(axis=0), out=total)
+
     input_product, hidden_product = product_of(width), product_of(hidden)
     weight_product, delta_product = product_of(n), product_of(out)
-    Y_t, h_last = Y.T, hs[-1]
+    Y_t, h_last, e_z, Y_z, pre_z = Y.T, hs[-1], row(e), row(Y), row(pre_out)
     cols = ([None] if len(hs) == 1 else
             [(slice(None), slice(t * width, (t + 1) * width)) for t in range(len(hs))])
     # Step t reads, with wh, the state before it: the context at step 0.
     reads = [(states[t],) if recurrent else () for t in range(len(hs))]
-    steps = list(zip(cols, hs, reads))
+    steps = [(x, h, row(h), prevs) for x, h, prevs in zip(cols, hs, reads)]
     # Backward, from the last step: step t spends its own state, which no
     # earlier step reads, and then (with wh, after step 0) holds the delta
     # it sends back; the last step receives the output's delta in e and
@@ -221,27 +271,30 @@ def _bind(ws: Workspace, n: int) -> Kernel:
     backward = []
     for t in reversed(range(len(hs))):
         d = e if t == last else hs[t + 1]
-        sends = (hs[t],) if recurrent and t else ()
-        backward.append((cols[t], hs[t], d, d.T, tuple(zip(reads[t], recurrent)), sends,
-                         t == last))
+        sends = ((d, hs[t]),) if recurrent and t else ()
+        backward.append((cols[t], row(hs[t]), row(d), d.T, tuple(zip(reads[t], recurrent)),
+                         sends, t == last))
 
     def forward(params, X):
         if X.shape[1] != columns:
             raise ValueError(f"expected {columns} features per sample, got {X.shape[1]}")
         wx_t, b1 = params[0].T, params[-3]
-        for x, h, prevs in steps:
-            pre = input_product(X if x is None else X[x], wx_t, out=h)
+        for x, h, z, prevs in steps:
+            input_product(X if x is None else X[x], wx_t, out=h)
             for prev in prevs:
-                pre += hidden_product(prev, params[1].T, out=e)
-            pre += b1
-            sigmoid_inplace(pre, e, mask)
+                hidden_product(prev, params[1].T, out=e)
+                np.add(z, e_z, out=z)
+            np.add(z, b1, out=z)
+            sigmoid(z, *hidden_scratch)
         hidden_product(h_last, params[-2].T, out=pre_out)
-        return sigmoid_inplace(np.add(pre_out, params[-1], out=Y), e_out, mask_out, f_out)
+        np.add(pre_z, params[-1], out=Y_z)
+        sigmoid(Y_z, *out_scratch)
+        return Y
 
     def backprop(params, X, T):
-        loss = output_delta(forward(params, X), T, residual, square)[0]
+        loss = output_delta(forward(params, X), T, residual, square, scale)[0]
         weight_product(Y_t, h_last, out=g_w2)
-        np.add.reduce(Y, axis=0, out=g_b2)
+        sum_rows_into(g_b2, Y_z)
         delta_product(Y, params[-2], out=e)
         for x, spent, d, d_t, links, sends, writes in backward:
             times_sigmoid_slope(d, spent)
@@ -250,14 +303,14 @@ def _bind(ws: Workspace, n: int) -> Kernel:
                 weight_product(d_t, x, out=g_wx)
                 for prev, g in links:
                     weight_product(d_t, prev, out=g)
-                np.add.reduce(d, axis=0, out=g_b1)
+                sum_rows_into(g_b1, d)
             else:
                 np.add(g_wx, d_t @ x, out=g_wx)
                 for prev, g in links:
                     np.add(g, d_t @ prev, out=g)
-                np.add(g_b1, d.sum(axis=0), out=g_b1)
-            for into in sends:
-                hidden_product(d, params[1], out=into)
+                add_row_sums(g_b1, d)
+            for delta, into in sends:
+                hidden_product(delta, params[1], out=into)
         np.add(grad, ZERO, out=grad)
         return loss, grads
 
@@ -280,18 +333,19 @@ def output_residual(Y, T, out=None) -> np.ndarray:
     return np.subtract(Y, T, out=out)
 
 
-def output_delta(Y, T, residual=None, square=None):
+def output_delta(Y, T, residual=None, square=None, scale=None):
     """(mean squared error, its gradient at the output pre-activation) of
     outputs Y against targets T of the same shape.
 
     The gradient 2/size * (Y - T) * Y * (1 - Y), left to right, is written
     over Y (spent).  ``residual`` and ``square`` are float64 scratch of Y's
     shape (new when not given), so that no step writes into its own input.
+    ``scale`` is 2/size as a 0-d float64 array, made when not given.
     """
     residual = output_residual(Y, T, residual)
     square = np.square(residual, out=square)
-    loss = float(square.sum() / Y.size)
-    np.multiply(residual, 2.0 / Y.size, out=square)
+    loss = float(np.add.reduce(square, axis=None) / Y.size)
+    np.multiply(residual, np.array(2.0 / Y.size) if scale is None else scale, out=square)
     np.multiply(square, Y, out=residual)
     np.subtract(ONE, Y, out=square)
     return loss, np.multiply(residual, square, out=Y)
@@ -430,8 +484,9 @@ def train_loop(model, train, validation=None, config: TrainConfig | None = None)
     TrainingDivergedError.  One workspace (``model.workspace``), sized for
     the larger of the update batch and the validation set, holds every
     update's and validation pass's arrays and the flat gradient vector
-    (``workspace.grad``) the optimizer reads; the optimizer's step vector,
-    like the workspace, is allocated once per run.
+    (``workspace.grad``) the optimizer reads; the optimizer's step vector
+    and the per-sample mode's one-row views, like the workspace, are made
+    once per run.
     """
     config = config or TrainConfig()
     X, T = train
@@ -452,6 +507,8 @@ def train_loop(model, train, validation=None, config: TrainConfig | None = None)
     grad = workspace.grad
     loss_and_grads = model.batch_loss_and_grads
     lr, mu = np.array(config.learning_rate), np.array(config.momentum)  # 0-d, as ONE is
+    if config.update_mode == "per-sample":
+        samples = [(X[i : i + 1], T[i : i + 1]) for i in range(len(X))]
     rng = np.random.default_rng(config.seed)
     curve = LossCurve(validation=[] if validation is not None else None)
     best_val = np.inf
@@ -472,8 +529,7 @@ def train_loop(model, train, validation=None, config: TrainConfig | None = None)
         if config.update_mode == "full-batch":
             epoch_loss = update(X, T, epoch)
         else:
-            losses = [update(X[i : i + 1], T[i : i + 1], epoch)
-                      for i in rng.permutation(len(X)).tolist()]
+            losses = [update(*samples[i], epoch) for i in rng.permutation(len(X)).tolist()]
             epoch_loss = float(np.mean(losses))
         # Once per epoch: a non-finite parameter never becomes finite again.
         if not np.isfinite(flat).all():

@@ -15,13 +15,23 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hemanet.models import build_elman, build_ffnn, build_model, build_narx, encode_targets
-from hemanet.nncore import TrainConfig, sigmoid, train_loop
+from hemanet.nncore import TrainConfig, sigmoid, sigmoid_inplace, sigmoid_row, train_loop
 
 # Edge inputs overflow matmuls and subtract infinities, on both sides alike.
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 # ---------------------------------------------------------------------------
 # The replaced implementations.
+
+
+def as_steps(model, X):
+    """An Elman model's (N, F) batch -> (N, steps, step_dim) per its sequence mode."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != model.feature_count:
+        raise ValueError(
+            f"expected {model.feature_count} features per sample, got {X.shape[1]}"
+        )
+    return X[:, None, :] if model.mode == "single-step" else X[:, :, None]
 
 
 def reference_sigmoid(x):
@@ -58,7 +68,7 @@ def reference_batch_backprop(layers, X, T):
 
 
 def reference_elman_predict(model, X):
-    steps = model._as_steps(X)
+    steps = as_steps(model, X)
     n = steps.shape[0]
     context = np.full((n, model.hidden_dim), model.context_init)
     for t in range(steps.shape[1]):
@@ -72,7 +82,7 @@ def reference_batch_loss(predict, X, T):
 
 
 def reference_elman_bptt(model, X, T):
-    steps = model._as_steps(X)
+    steps = as_steps(model, X)
     T = np.atleast_2d(np.asarray(T, dtype=float))
     n, n_steps, _ = steps.shape
     context = np.full((n, model.hidden_dim), model.context_init)
@@ -165,6 +175,26 @@ def test_sigmoid_leaves_its_input_alone():
 @settings(max_examples=200, deadline=None)
 def test_sigmoid_property(x):
     assert_bitwise(sigmoid(x), reference_sigmoid(x))
+
+
+ROW_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+    st.floats(-TINY, TINY, allow_subnormal=True),  # zeros and subnormals
+    st.floats(745.0, allow_infinity=False).flatmap(lambda z: st.sampled_from([z, -z])),
+    st.floats(-745.0, 745.0),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+@given(z=hnp.arrays(float, st.integers(1, 60), elements=ROW_VALUES),
+       distinct_g=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_one_row_sigmoid_matches_sigmoid_inplace(z, distinct_g):
+    # exp(min(z, 0)) and max(exp(-|z|), z >= 0) are the same numerator: for
+    # z < 0 both are exp(z); NaN must stay NaN in the same places.
+    want = sigmoid_inplace(z.copy())
+    scratch = [np.empty_like(z) for _ in range(2 + distinct_g)]
+    assert_bitwise(sigmoid_row(z.copy(), *scratch), want)
 
 
 # ---------------------------------------------------------------------------

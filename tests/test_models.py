@@ -305,3 +305,12 @@ def test_batch_loss_refuses_targets_of_another_shape(family):
         net.batch_loss(Xn, T[:, 0])
     with pytest.raises(ValueError, match="do not match"):
         net.batch_loss_and_grads(Xn, T[:, 0])
+
+
+@pytest.mark.parametrize("family", ["ffnn", "elman", "narx"])
+@pytest.mark.parametrize("width", [8, 10])
+def test_predict_batch_names_the_feature_count_on_rows_of_another_width(family, width):
+    # NARX checks before its zero taps widen the rows to the core's width.
+    net = build_model(family, 9, 5, 1, seed=0)
+    with pytest.raises(ValueError, match=f"^expected 9 features per sample, got {width}$"):
+        net.predict_batch(np.zeros((3, width)))
