@@ -50,7 +50,6 @@ from .preprocess import (
     split_dataset,
 )
 from .nncore import (
-    LayerParams,
     LossCurve,
     NumericError,
     TrainConfig,
@@ -63,13 +62,8 @@ from .nncore import (
 from .models import (
     BAND_CENTERS,
     FAMILIES,
-    ElmanModel,
-    FfnnModel,
-    NarxModel,
-    build_elman,
-    build_ffnn,
+    Network,
     build_model,
-    build_narx,
     decode_subtype,
     encode_targets,
     output_width,

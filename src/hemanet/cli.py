@@ -72,7 +72,8 @@ def fit_stage(
     classification stage trains on the anemic subset only.  The normalizer
     is fitted on the stage's own training rows unless ``scaling_records``
     overrides that (joint-scaling fidelity mode).  ``options`` are the
-    family's (``FAMILIES[family].options``); a bad value raises UsageError.
+    family's (``FAMILIES[family].options``); a bad value raises UsageError,
+    and so does ``config.patience`` when the stage has no validation rows.
     """
     if stage == "diagnosis":
         encoding = "binary1"
@@ -106,6 +107,8 @@ def fit_stage(
         if len(val_subset):
             val_x = normalizer.apply(encode_batch(val_subset, spec))
             validation = net.prepare_training(val_x, encode_targets(val_subset.label, encoding))
+    if config.patience is not None and validation is None:
+        raise UsageError(f"patience needs validation rows, and the {stage} stage has none")
 
     net, curve = train_loop(net, net.prepare_training(X, T), validation, config)
     bundle = ModelBundle(

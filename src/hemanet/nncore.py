@@ -3,10 +3,10 @@ the steps of each row, then a sigmoid output layer, with MSE and backprop
 over a batch of rows; one sample is a batch of one), momentum SGD,
 finite-difference gradient checking, and the training loop.
 
-The kernel serves every family.  FFNN is (wx, b1, w2, b2), one step over
-all features.  Elman is (wx, wh, b1, w2, b2): each step also reads the
-previous hidden state, a constant context at step 0, and there is one step,
-or one per feature.  NARX is FFNN on its zero-tapped input.
+The kernel serves every family (see models): its parameters are
+(wx, b1, w2, b2), one step over all of a row, or (wx, wh, b1, w2, b2),
+where each step also reads the previous hidden state, a constant context
+at step 0, and there is one step, or one per feature.
 
 A Workspace holds the kernel's buffers and binds the kernel to them once per
 row count: the views it writes, its product choices and its output-delta
@@ -83,35 +83,6 @@ def sigmoid(x):
     """Logistic function of a copy of ``x``; a 0-d input gives a float."""
     x = np.array(x, dtype=float)
     return sigmoid_inplace(x) if x.shape else float(sigmoid_inplace(x[None])[0])
-
-
-@dataclass
-class LayerParams:
-    """One dense layer: weights (out_dim, in_dim) and biases (out_dim,)."""
-
-    weights: np.ndarray
-    biases: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.biases = np.asarray(self.biases, dtype=float)
-        if self.weights.ndim != 2 or self.biases.ndim != 1:
-            raise ValueError("weights must be 2-d and biases 1-d")
-        if self.weights.shape[0] != self.biases.shape[0]:
-            raise ValueError(
-                f"bias length {self.biases.shape[0]} does not match "
-                f"output dim {self.weights.shape[0]}"
-            )
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.biases).all()):
-            raise ValueError("layer parameters must be finite")
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[1]
 
 
 def product_of(inner: int):
@@ -352,19 +323,9 @@ def output_delta(Y, T, residual=None, square=None, scale=None):
 
 
 def sgd_momentum_step(params, grad, velocity, learning_rate: float, momentum: float,
-                      step=None) -> None:
-    """Classical momentum, in place on flat vectors: v <- mu*v - eta*g ; w <- w + v.
-
-    ``step`` receives eta*g; without it, the shapes are checked and a new
-    array is made.  A caller that gives it has made all four of one shape.
-    """
-    if step is None:
-        if grad.shape != params.shape or velocity.shape != params.shape:
-            raise ValueError(
-                f"gradient {grad.shape} and velocity {velocity.shape} must match "
-                f"parameters {params.shape}"
-            )
-        step = np.empty_like(params)
+                      step) -> None:
+    """Classical momentum, in place on flat vectors of one shape:
+    v <- mu*v - eta*g ; w <- w + v.  ``step``, a fifth, receives eta*g."""
     velocity *= momentum
     velocity -= np.multiply(learning_rate, grad, out=step)
     params += velocity

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import ENCODINGS, FAMILIES, ElmanModel, FfnnModel, NarxModel, output_width
+from .models import ENCODINGS, FAMILIES, Network, output_width
 from .preprocess import FEATURE_PRESETS, FeatureSpec, Normalizer
 
 FORMAT_VERSION = "1.0"
@@ -28,7 +28,7 @@ class ModelBundle:
     """A trained network plus everything needed to apply it to raw records."""
 
     family: str
-    net: FfnnModel | ElmanModel | NarxModel
+    net: Network
     feature_spec: FeatureSpec
     output_encoding: str
     normalizer: Normalizer
@@ -38,9 +38,9 @@ class ModelBundle:
     def __post_init__(self):
         if self.output_encoding not in ENCODINGS:
             raise ValueError(f"unknown output encoding {self.output_encoding!r}")
-        if self.net.in_dim != len(self.feature_spec):
+        if self.net.feature_count != len(self.feature_spec):
             raise ValueError(
-                f"network expects {self.net.in_dim} features but the feature spec "
+                f"network expects {self.net.feature_count} features but the feature spec "
                 f"provides {len(self.feature_spec)}"
             )
         if self.net.out_dim != output_width(self.output_encoding):
@@ -125,7 +125,7 @@ def bundle_from_doc(doc: dict, source: str | None = None) -> ModelBundle:
 
         if family not in FAMILIES:
             raise ModelFormatError(f"unknown model family {family!r}")
-        net = FAMILIES[family].model.from_doc(doc, len(spec), _finite)
+        net = Network.from_doc(family, doc, len(spec), _finite)
 
         return ModelBundle(
             family=family,

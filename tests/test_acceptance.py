@@ -10,14 +10,8 @@ import pytest
 
 from hemanet.cli import fit_stage, main
 from hemanet.metrics import DIAGNOSIS_LABELS, ConfusionMatrix, accuracy, f1_score
-from hemanet.models import (
-    FfnnModel,
-    build_elman,
-    build_ffnn,
-    build_model,
-    build_narx,
-)
-from hemanet.nncore import LayerParams, TrainConfig, gradient_check
+from hemanet.models import Network, build_model
+from hemanet.nncore import TrainConfig, gradient_check
 from hemanet.pipeline import evaluate_diagnosis, evaluate_pipeline
 from hemanet.preprocess import (
     FULL9,
@@ -134,19 +128,15 @@ def test_criterion_4_reduction_invariants():
     rng = np.random.default_rng(99)
 
     # Default single-step Elman: the constant context folds into the hidden bias.
-    elman = build_elman(6, 8, 2, seed=5)
-    context = np.full(elman.hidden_dim, elman.context_init)
-    as_ffnn = FfnnModel(LayerParams(elman.wx.copy(), elman.b1 + elman.wh @ context),
-                        LayerParams(elman.w2.copy(), elman.b2.copy()))
+    elman = build_model("elman", 6, 8, 2, seed=5)
+    wx, wh, b1, w2, b2 = (a.copy() for a in elman.param_arrays())
+    as_ffnn = Network("ffnn", [wx, b1 + wh @ np.full(8, elman.context_init), w2, b2], 6)
     X = rng.uniform(-1, 1, size=(100, 6))
     assert np.max(np.abs(elman.predict_batch(X) - as_ffnn.predict_batch(X))) <= 1e-12
 
     # Per-record NARX: the core on zero taps, which get exactly zero gradient.
-    narx = build_narx(6, 8, 2, seed=6, d_u=0, d_y=2)
-    core_net = FfnnModel(
-        LayerParams(narx.core.hidden.weights.copy(), narx.core.hidden.biases.copy()),
-        LayerParams(narx.core.output.weights.copy(), narx.core.output.biases.copy()),
-    )
+    narx = build_model("narx", 6, 8, 2, seed=6, d_u=0, d_y=2)
+    core_net = Network("ffnn", [a.copy() for a in narx.param_arrays()], 10)
     X = rng.uniform(-1, 1, size=(100, 6))
     padded = np.hstack([X, np.zeros((100, 4))])
     assert np.max(np.abs(narx.predict_batch(X) - core_net.predict_batch(padded))) <= 1e-12
@@ -207,23 +197,19 @@ def test_criterion_8_serialization_round_trip(tmp_path):
     rng = np.random.default_rng(8)
     normalizer = Normalizer(mins=np.full(9, -2.0), maxs=np.full(9, 2.0))
     nets = {
-        "ffnn": build_ffnn(9, 12, 1, seed=1),
-        "elman": build_elman(9, 12, 1, seed=2),
-        "narx": build_narx(9, 12, 1, seed=3, d_u=1, d_y=1),
+        "ffnn": build_model("ffnn", 9, 12, 1, seed=1),
+        "elman": build_model("elman", 9, 12, 1, seed=2),
+        "narx": build_model("narx", 9, 12, 1, seed=3, d_u=1, d_y=1),
     }
     for family, net in nets.items():
         bundle = ModelBundle(family, net, FULL9, "binary1", normalizer)
         path = tmp_path / f"{family}.json"
         save_model(bundle, path)
         loaded = load_model(path)
-        if family == "narx":
-            X = rng.uniform(-1, 1, size=(100, net.composed_dim))
-            before = net.core.predict_batch(X)
-            after = loaded.net.core.predict_batch(X)
-        else:
-            X = rng.uniform(-1, 1, size=(100, 9))
-            before = net.predict_batch(X)
-            after = loaded.net.predict_batch(X)
+        # Random inputs of the full width, NARX's taps included, so every weight counts.
+        X = rng.uniform(-1, 1, size=(100, net.feature_count + net.taps))
+        before, after = (n.workspace(100).kernel(100).forward(n.param_arrays(), X)
+                         for n in (net, loaded.net))
         assert np.array_equal(before, after), f"{family} predictions drifted"
     print("\nACCEPTANCE 8 serialization-round-trip: PASS (bit-identical predictions)")
 

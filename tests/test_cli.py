@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hemanet import cli
 from hemanet.cli import fit_stage
 from hemanet.dataio import load_csv, save_unlabeled_csv
-from hemanet.models import ElmanModel, FfnnModel, NarxModel
+from hemanet.models import Network
 from hemanet.nncore import TrainConfig, TrainingDivergedError
 from hemanet.records import AnemiaLabel, CbcRecord, Gender, rule_label, validate_record
 from hemanet.serialize import bundle_to_doc, load_model, save_model
@@ -134,6 +134,28 @@ class TestTrain:
         ])
         assert code == 0
         assert load_model(model_path).output_encoding == "onehot3"
+
+    @pytest.mark.parametrize("command,split", [("train", "none"), ("train", "paper-materials"),
+                                               ("compare", "paper-materials")])
+    def test_patience_without_validation_rows_is_a_usage_error(self, tmp_path, capsys,
+                                                               command, split):
+        data, out = synth_file(tmp_path), tmp_path / "out"
+        argv = (["train", "--family", "ffnn", "--stage", "diagnosis"] if command == "train"
+                else ["compare"])
+        capsys.readouterr()
+        assert cli.main([*argv, "--data", str(data), "--split", split, "--epochs", "3",
+                         "--patience", "1", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: patience needs validation rows, and the diagnosis stage has none\n")
+        assert not out.exists()
+
+    def test_patience_needs_anemic_validation_rows_for_the_classify_stage(self, tmp_path):
+        records = load_csv(synth_file(tmp_path))
+        non_anemic = records.take(np.flatnonzero(records.label == 0))
+        config = TrainConfig(epochs=3, hidden_size=4, patience=1)
+        fit_stage(records, "ffnn", "diagnosis", config, val_records=non_anemic)
+        with pytest.raises(cli.UsageError, match="the classify stage has none"):
+            fit_stage(records, "ffnn", "classify", config, val_records=non_anemic)
 
     def test_unknown_family_is_usage_error(self, tmp_path):
         data = synth_file(tmp_path)
@@ -406,7 +428,7 @@ def test_predict_with_non_finite_model_reports_errors(tmp_path, trained_models, 
     records = load_csv(data)
     config = TrainConfig(epochs=5, hidden_size=4)
     bundle, _ = fit_stage(records, "elman", "diagnosis", config)
-    bundle.net.wh[0, 0] = np.nan
+    bundle.net.param_arrays()[1][0, 0] = np.nan
     diag = tmp_path / "nan_diag.json"
     diag.write_text(json.dumps(bundle_to_doc(bundle)))
     unlabeled = tmp_path / "unlabeled.csv"
@@ -445,6 +467,26 @@ def test_stream_mode_narx_model_file_is_a_data_error(tmp_path, trained_models, c
     assert capsys.readouterr().err == (
         f"data error: {diag}: inconsistent model file: "
         "NARX delays.mode must be 'per-record', got 'stream'\n")
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_model_file_relabeled_to_another_family_is_a_data_error(tmp_path, trained_models,
+                                                                capsys, command):
+    data, _, clf = trained_models
+    records = load_csv(data)
+    unlabeled = tmp_path / "unlabeled.csv"
+    save_unlabeled_csv([item.record for item in records.records()], unlabeled)
+    bundle, _ = fit_stage(records, "elman", "diagnosis", TrainConfig(epochs=3, hidden_size=4))
+    diag, out = tmp_path / "elman.json", tmp_path / "out.txt"
+    diag.write_text(json.dumps({**bundle_to_doc(bundle), "family": "ffnn"}))
+    argv = (["predict", "--diagnosis", str(diag), "--classify", str(clf),
+             "--data", str(unlabeled)] if command == "predict"
+            else ["eval", "-m", str(diag), "--data", str(data)])
+    capsys.readouterr()
+    assert cli.main([*argv, "-o", str(out)]) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"data error: {diag}: inconsistent model file: ffnn models store no recurrent.weights\n")
 
 
 class TestHostileFiles:
@@ -522,7 +564,7 @@ def test_eval_with_non_finite_outputs_is_numeric_failure(tmp_path, trained_model
 
     def load_with_nan(p):
         loaded = load_model(p)
-        loaded.net.wh[0, 0] = np.nan
+        loaded.net.param_arrays()[1][0, 0] = np.nan
         return loaded
 
     monkeypatch.setattr(cli, "load_model", load_with_nan)
@@ -657,8 +699,7 @@ def test_train_parameter_divergence_is_numeric_failure(tmp_path, monkeypatch, ca
         workspace.grad.fill(np.inf)
         return 0.25, workspace.grads
 
-    cls = {"ffnn": FfnnModel, "elman": ElmanModel, "narx": NarxModel}[family]
-    monkeypatch.setattr(cls, "batch_loss_and_grads", inf_grads)
+    monkeypatch.setattr(Network, "batch_loss_and_grads", inf_grads)
     data = synth_file(tmp_path, n=20, mix="4,4,4,8", seed=3)
     out = tmp_path / "model.json"
     assert cli.main([

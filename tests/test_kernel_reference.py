@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hemanet.models import build_elman, build_ffnn, build_model, build_narx, encode_targets
+from hemanet.models import build_model, encode_targets
 from hemanet.nncore import TrainConfig, sigmoid, sigmoid_inplace, sigmoid_row, train_loop
 
 # Edge inputs overflow matmuls and subtract infinities, on both sides alike.
@@ -31,7 +31,7 @@ def as_steps(model, X):
         raise ValueError(
             f"expected {model.feature_count} features per sample, got {X.shape[1]}"
         )
-    return X[:, None, :] if model.mode == "single-step" else X[:, :, None]
+    return X[:, None, :] if model.options["mode"] == "single-step" else X[:, :, None]
 
 
 def reference_sigmoid(x):
@@ -41,19 +41,25 @@ def reference_sigmoid(x):
     return out if out.shape else float(out)
 
 
-def reference_batch_forward(layers, X):
+def _layers(params):
+    """The (weights, biases) pairs of a dense stack's parameters."""
+    return list(zip(params[::2], params[1::2]))
+
+
+def reference_batch_forward(params, X):
     act = np.atleast_2d(np.asarray(X, dtype=float))
-    for layer in layers:
-        act = reference_sigmoid(act @ layer.weights.T + layer.biases)
+    for weights, biases in _layers(params):
+        act = reference_sigmoid(act @ weights.T + biases)
     return act
 
 
-def reference_batch_backprop(layers, X, T):
+def reference_batch_backprop(params, X, T):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     T = np.atleast_2d(np.asarray(T, dtype=float))
+    layers = _layers(params)
     acts = [X]
-    for layer in layers:
-        acts.append(reference_sigmoid(acts[-1] @ layer.weights.T + layer.biases))
+    for weights, biases in layers:
+        acts.append(reference_sigmoid(acts[-1] @ weights.T + biases))
     Y = acts[-1]
     n, out = Y.shape
     loss = float(((Y - T) ** 2).sum() / Y.size)
@@ -63,18 +69,18 @@ def reference_batch_backprop(layers, X, T):
         grads[2 * i] = delta.T @ acts[i]
         grads[2 * i + 1] = delta.sum(axis=0)
         if i:
-            delta = (delta @ layers[i].weights) * acts[i] * (1.0 - acts[i])
+            delta = (delta @ layers[i][0]) * acts[i] * (1.0 - acts[i])
     return loss, grads
 
 
 def reference_elman_predict(model, X):
     steps = as_steps(model, X)
+    wx, wh, b1, w2, b2 = model.param_arrays()
     n = steps.shape[0]
-    context = np.full((n, model.hidden_dim), model.context_init)
+    context = np.full((n, len(b1)), model.context_init)
     for t in range(steps.shape[1]):
-        context = reference_sigmoid(
-            steps[:, t, :] @ model.wx.T + context @ model.wh.T + model.b1)
-    return reference_sigmoid(context @ model.w2.T + model.b2)
+        context = reference_sigmoid(steps[:, t, :] @ wx.T + context @ wh.T + b1)
+    return reference_sigmoid(context @ w2.T + b2)
 
 
 def reference_batch_loss(predict, X, T):
@@ -83,32 +89,32 @@ def reference_batch_loss(predict, X, T):
 
 def reference_elman_bptt(model, X, T):
     steps = as_steps(model, X)
+    wx, wh, b1, w2, b2 = model.param_arrays()
     T = np.atleast_2d(np.asarray(T, dtype=float))
     n, n_steps, _ = steps.shape
-    context = np.full((n, model.hidden_dim), model.context_init)
+    context = np.full((n, len(b1)), model.context_init)
     hiddens, contexts = [], []
     for t in range(n_steps):
         contexts.append(context)
-        context = reference_sigmoid(
-            steps[:, t, :] @ model.wx.T + context @ model.wh.T + model.b1)
+        context = reference_sigmoid(steps[:, t, :] @ wx.T + context @ wh.T + b1)
         hiddens.append(context)
-    Y = reference_sigmoid(hiddens[-1] @ model.w2.T + model.b2)
+    Y = reference_sigmoid(hiddens[-1] @ w2.T + b2)
     out = Y.shape[1]
     loss = float(((Y - T) ** 2).sum() / Y.size)
 
     d_out = 2.0 / (n * out) * (Y - T) * Y * (1.0 - Y)
     g_w2 = d_out.T @ hiddens[-1]
     g_b2 = d_out.sum(axis=0)
-    d_hidden = d_out @ model.w2
-    g_wx = np.zeros_like(model.wx)
-    g_wh = np.zeros_like(model.wh)
-    g_b1 = np.zeros_like(model.b1)
+    d_hidden = d_out @ w2
+    g_wx = np.zeros_like(wx)
+    g_wh = np.zeros_like(wh)
+    g_b1 = np.zeros_like(b1)
     for t in reversed(range(n_steps)):
         d_pre = d_hidden * hiddens[t] * (1.0 - hiddens[t])
         g_wx += d_pre.T @ steps[:, t, :]
         g_wh += d_pre.T @ contexts[t]
         g_b1 += d_pre.sum(axis=0)
-        d_hidden = d_pre @ model.wh
+        d_hidden = d_pre @ wh
     return loss, [g_wx, g_wh, g_b1, g_w2, g_b2]
 
 
@@ -225,13 +231,13 @@ def _scaled(model, scale):
 @settings(max_examples=12, deadline=None)
 def test_ffnn_kernels_match_reference(rows, out_dim, seed, scale, edges):
     rng = np.random.default_rng(seed)
-    model = _scaled(build_ffnn(FEATURES, 50, out_dim, seed=seed % 1000), scale)
+    model = _scaled(build_model("ffnn", FEATURES, 50, out_dim, seed=seed % 1000), scale)
     X, T = _data(rng, rows, out_dim, scale, edges)
-    layers = [model.hidden, model.output]
-    assert_bitwise(model.predict_batch(X), reference_batch_forward(layers, X))
-    assert_same_result(model.batch_loss_and_grads(X, T), reference_batch_backprop(layers, X, T))
+    params = model.param_arrays()
+    assert_bitwise(model.predict_batch(X), reference_batch_forward(params, X))
+    assert_same_result(model.batch_loss_and_grads(X, T), reference_batch_backprop(params, X, T))
     assert_bitwise(model.batch_loss(X, T),
-                   reference_batch_loss(lambda x: reference_batch_forward(layers, x), X, T))
+                   reference_batch_loss(lambda x: reference_batch_forward(params, x), X, T))
 
 
 @pytest.mark.parametrize("rows", [1, 920])
@@ -242,7 +248,7 @@ def test_ffnn_kernels_match_reference(rows, out_dim, seed, scale, edges):
 @settings(max_examples=8, deadline=None)
 def test_elman_kernels_match_reference(rows, out_dim, mode, seed, scale, edges, context_init):
     rng = np.random.default_rng(seed)
-    model = _scaled(build_elman(FEATURES, 20, out_dim, seed=seed % 1000, mode=mode,
+    model = _scaled(build_model("elman", FEATURES, 20, out_dim, seed=seed % 1000, mode=mode,
                                 context_init=context_init), scale)
     X, T = _data(rng, rows, out_dim, scale, edges)
     assert_bitwise(model.predict_batch(X), reference_elman_predict(model, X))
@@ -255,18 +261,19 @@ def test_elman_kernels_match_reference(rows, out_dim, mode, seed, scale, edges, 
 def test_narx_kernels_match_reference(rows):
     rng = np.random.default_rng(rows)
     # Random inputs of the core's full width, taps included, so every weight counts.
-    model = build_narx(FEATURES, 50, 3, seed=4, d_u=1, d_y=2)
-    X, T = _data(rng, rows, 3, 1.0, False, width=model.composed_dim)
-    layers = [model.core.hidden, model.core.output]
+    model = build_model("narx", FEATURES, 50, 3, seed=4, d_u=1, d_y=2)
+    X, T = _data(rng, rows, 3, 1.0, False, width=FEATURES + model.taps)
+    params = model.param_arrays()
     assert_same_result(model.batch_loss_and_grads(X, T),
-                       reference_batch_backprop(layers, X, T))
-    assert_bitwise(model.core.predict_batch(X), reference_batch_forward(layers, X))
+                       reference_batch_backprop(params, X, T))
+    assert_bitwise(model.workspace(rows).kernel(rows).forward(params, X),
+                   reference_batch_forward(params, X))
 
 
 def test_kernels_leave_inputs_and_parameters_alone():
     rng = np.random.default_rng(5)
-    for model in (build_ffnn(FEATURES, 8, 3, seed=1),
-                  build_elman(FEATURES, 8, 3, seed=1, mode="feature-sequence")):
+    for model in (build_model("ffnn", FEATURES, 8, 3, seed=1),
+                  build_model("elman", FEATURES, 8, 3, seed=1, mode="feature-sequence")):
         X, T = _data(rng, 40, 3, 1.0, False)
         saved = [a.copy() for a in (X, T, *model.param_arrays())]
         model.batch_loss_and_grads(X, T)
@@ -286,11 +293,10 @@ def reference_kernels(model):
         return (lambda X, T: reference_elman_bptt(model, X, T),
                 lambda X, T: reference_batch_loss(
                     lambda x: reference_elman_predict(model, x), X, T))
-    dense = model.core if model.family == "narx" else model
-    layers = [dense.hidden, dense.output]
-    return (lambda X, T: reference_batch_backprop(layers, X, T),
+    # The weights are read on every call: the reference trainer rebinds them.
+    return (lambda X, T: reference_batch_backprop(model.param_arrays(), X, T),
             lambda X, T: reference_batch_loss(
-                lambda x: reference_batch_forward(layers, x), X, T))
+                lambda x: reference_batch_forward(model.param_arrays(), x), X, T))
 
 
 def reference_train(model, train, validation, config):

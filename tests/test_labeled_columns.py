@@ -20,8 +20,8 @@ from hemanet.metrics import (
     SUBTYPE_LABELS,
     ConfusionMatrix,
 )
-from hemanet.models import BAND_CENTERS, FfnnModel, decode_subtype, encode_targets
-from hemanet.nncore import LayerParams, TrainConfig
+from hemanet.models import BAND_CENTERS, Network, decode_subtype, encode_targets
+from hemanet.nncore import TrainConfig
 from hemanet.pipeline import (
     evaluate_classification,
     evaluate_diagnosis,
@@ -155,8 +155,8 @@ def scored_batches(draw):
 
 def _bundle(encoding):
     width = 3 if encoding == "onehot3" else 1
-    net = FfnnModel(LayerParams(np.zeros((2, 9)), np.zeros(2)),
-                    LayerParams(np.zeros((width, 2)), np.zeros(width)))
+    net = Network("ffnn", [np.zeros((2, 9)), np.zeros(2), np.zeros((width, 2)), np.zeros(width)],
+                  9)
     return ModelBundle(family="ffnn", net=net, feature_spec=FULL9, output_encoding=encoding,
                        normalizer=Normalizer(np.zeros(9), np.ones(9)))
 

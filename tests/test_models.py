@@ -5,18 +5,14 @@ import pytest
 
 from hemanet.models import (
     BAND_CENTERS,
-    ElmanModel,
-    FfnnModel,
-    NarxModel,
-    build_elman,
-    build_ffnn,
+    FAMILIES,
+    Network,
     build_model,
-    build_narx,
     decode_subtype,
     encode_targets,
     output_width,
 )
-from hemanet.nncore import LayerParams, gradient_check
+from hemanet.nncore import gradient_check
 from hemanet.records import LABELS, AnemiaLabel
 
 
@@ -71,49 +67,52 @@ class TestEncodings:
         assert decode_subtype([0.95], "banded1") is AnemiaLabel.MACROCYTIC
 
 
+def _ffnn(*arrays) -> Network:
+    """The FFNN of (wx, b1, w2, b2)."""
+    return Network("ffnn", arrays, len(arrays[0][0]))
+
+
 class TestFfnn:
     def test_all_zero_params_give_half(self):
-        net = FfnnModel(LayerParams(np.zeros((4, 3)), np.zeros(4)),
-                        LayerParams(np.zeros((1, 4)), np.zeros(1)))
+        net = _ffnn(np.zeros((4, 3)), np.zeros(4), np.zeros((1, 4)), np.zeros(1))
         np.testing.assert_array_equal(net.forward(np.array([1.0, -5.0, 2.0])), [0.5])
 
     def test_outputs_strictly_inside_unit_interval(self):
-        net = build_ffnn(6, 10, 3, seed=0)
+        net = build_model("ffnn", 6, 10, 3, seed=0)
         rng = np.random.default_rng(1)
         for _ in range(10):
             y = net.forward(rng.uniform(-1, 1, size=6))
             assert np.all((y > 0) & (y < 1))
 
     def test_deterministic_forward(self):
-        net = build_ffnn(4, 5, 2, seed=9)
+        net = build_model("ffnn", 4, 5, 2, seed=9)
         x = np.array([0.1, -0.3, 0.8, 0.0])
         np.testing.assert_array_equal(net.forward(x), net.forward(x))
 
     def test_rejects_inconsistent_layers(self):
-        with pytest.raises(ValueError):
-            FfnnModel(LayerParams(np.zeros((4, 3)), np.zeros(4)),
-                      LayerParams(np.zeros((1, 5)), np.zeros(1)))
+        with pytest.raises(ValueError, match="must have shapes"):
+            _ffnn(np.zeros((4, 3)), np.zeros(4), np.zeros((1, 5)), np.zeros(1))
 
     def test_predict_batch_matches_forward(self):
-        net = build_ffnn(3, 6, 2, seed=2)
+        net = build_model("ffnn", 3, 6, 2, seed=2)
         X = np.random.default_rng(3).uniform(-1, 1, size=(7, 3))
         batched = net.predict_batch(X)
         for i, x in enumerate(X):
             np.testing.assert_allclose(batched[i], net.forward(x), rtol=1e-12)
 
     def test_builder_seed_determinism(self):
-        a = build_ffnn(5, 8, 2, seed=42)
-        b = build_ffnn(5, 8, 2, seed=42)
+        a = build_model("ffnn", 5, 8, 2, seed=42)
+        b = build_model("ffnn", 5, 8, 2, seed=42)
         for pa, pb in zip(a.param_arrays(), b.param_arrays()):
             np.testing.assert_array_equal(pa, pb)
 
 
-def _elman_as_ffnn(elman: ElmanModel) -> FfnnModel:
+def _elman_as_ffnn(elman: Network) -> Network:
     """The dense net a single-step Elman is: its constant context folds into
     the hidden bias."""
-    bias = elman.b1 + elman.wh @ np.full(elman.hidden_dim, elman.context_init)
-    return FfnnModel(LayerParams(elman.wx.copy(), bias),
-                     LayerParams(elman.w2.copy(), elman.b2.copy()))
+    wx, wh, b1, w2, b2 = elman.param_arrays()
+    bias = b1 + wh @ np.full(len(b1), elman.context_init)
+    return _ffnn(wx.copy(), bias, w2.copy(), b2.copy())
 
 
 def _one_row_grads(model, x, t):
@@ -124,8 +123,8 @@ def _one_row_grads(model, x, t):
 
 class TestElman:
     def test_reduces_to_ffnn_without_recurrence(self):
-        elman = build_elman(5, 7, 2, seed=1, mode="single-step", context_init=0.0)
-        elman.wh[:] = 0.0
+        elman = build_model("elman", 5, 7, 2, seed=1, mode="single-step", context_init=0.0)
+        elman.param_arrays()[1][:] = 0.0
         ffnn = _elman_as_ffnn(elman)
         rng = np.random.default_rng(2)
         for _ in range(100):
@@ -138,11 +137,11 @@ class TestElman:
         # Bit for bit: the kernel adds the recurrent term context @ wh.T,
         # exactly +0.0 here, only for the net that has wh.
         rng = np.random.default_rng(rows + out_dim)
-        ffnn = build_ffnn(9, 20, out_dim, seed=rows)
+        ffnn = build_model("ffnn", 9, 20, out_dim, seed=rows)
         ffnn.set_param_arrays([rng.normal(size=a.shape) for a in ffnn.param_arrays()])
         wx, b1, w2, b2 = (a.copy() for a in ffnn.param_arrays())
-        elman = ElmanModel(wx, np.zeros((20, 20)), b1, w2, b2, 9, mode="single-step",
-                           context_init=0.5)
+        elman = Network("elman", [wx, np.zeros((20, 20)), b1, w2, b2], 9, mode="single-step",
+                        context_init=0.5)
         X, T = rng.normal(size=(rows, 9)), rng.uniform(size=(rows, out_dim))
         assert ffnn.predict_batch(X).tobytes() == elman.predict_batch(X).tobytes()
         assert ffnn.batch_loss(X, T) == elman.batch_loss(X, T)
@@ -155,27 +154,27 @@ class TestElman:
     def test_default_single_step_equals_ffnn_with_context_in_bias(self):
         # With the default context of 0.5 and non-zero recurrent weights, a
         # single-step Elman is a dense net whose hidden bias is b1 + wh @ c0.
-        elman = build_elman(9, 50, 3, seed=4)
-        assert elman.context_init == 0.5 and np.abs(elman.wh).min() > 0.0
+        elman = build_model("elman", 9, 50, 3, seed=4)
+        assert elman.context_init == 0.5 and np.abs(elman.param_arrays()[1]).min() > 0.0
         X = np.random.default_rng(5).uniform(-1, 1, size=(200, 9))
         difference = np.abs(elman.predict_batch(X) - _elman_as_ffnn(elman).predict_batch(X))
         assert difference.max() <= 1e-12
 
     def test_zero_context_zeroes_recurrent_gradient(self):
-        elman = build_elman(4, 6, 1, seed=3, mode="single-step", context_init=0.0)
+        elman = build_model("elman", 4, 6, 1, seed=3, mode="single-step", context_init=0.0)
         x = np.random.default_rng(4).uniform(-1, 1, size=4)
         grads = _one_row_grads(elman, x, [0.8])
         np.testing.assert_array_equal(grads[1], 0.0)  # d wh
 
     def test_default_context_makes_recurrent_weights_trainable(self):
-        elman = build_elman(4, 6, 1, seed=3, mode="single-step")  # context_init=0.5
+        elman = build_model("elman", 4, 6, 1, seed=3, mode="single-step")  # context_init=0.5
         x = np.random.default_rng(4).uniform(-1, 1, size=4)
         grads = _one_row_grads(elman, x, [0.8])
         assert np.abs(grads[1]).max() > 0.0
 
     def test_non_recurrent_gradients_match_ffnn_when_reduced(self):
-        elman = build_elman(4, 5, 2, seed=5, mode="single-step", context_init=0.0)
-        elman.wh[:] = 0.0
+        elman = build_model("elman", 4, 5, 2, seed=5, mode="single-step", context_init=0.0)
+        elman.param_arrays()[1][:] = 0.0
         ffnn = _elman_as_ffnn(elman)
         rng = np.random.default_rng(6)
         x = rng.uniform(-1, 1, size=4)
@@ -188,26 +187,26 @@ class TestElman:
         np.testing.assert_allclose(eg[4], fg[3], atol=1e-12)  # b2
 
     def test_feature_sequence_runs_one_step_per_feature(self):
-        elman = build_elman(9, 4, 1, seed=7, mode="feature-sequence")
+        elman = build_model("elman", 9, 4, 1, seed=7, mode="feature-sequence")
         # The context, the hidden state after each of the 9 steps, the output.
         assert [a.shape for a in elman.workspace(1).acts] == [(1, 4)] * 10 + [(1, 1)]
         assert elman.forward(np.linspace(-1, 1, 9)).shape == (1,)
 
     def test_feature_sequence_step_width_is_one(self):
-        elman = build_elman(9, 4, 1, seed=7, mode="feature-sequence")
-        assert elman.wx.shape == (4, 1)
+        elman = build_model("elman", 9, 4, 1, seed=7, mode="feature-sequence")
+        assert elman.param_arrays()[0].shape == (4, 1)
 
     @pytest.mark.parametrize("mode", ["single-step", "feature-sequence"])
     def test_gradient_check(self, mode):
         rng = np.random.default_rng(8)
         for seed in range(5):
-            elman = build_elman(4, 5, 2, seed=seed, mode=mode)
+            elman = build_model("elman", 4, 5, 2, seed=seed, mode=mode)
             x = rng.uniform(0.1, 1.0, size=4) * rng.choice([-1, 1], size=4)
             t = rng.uniform(0.1, 0.9, size=2)
             assert gradient_check(elman, x, t) < 1e-4
 
     def test_prediction_invariant_under_batch_reordering(self):
-        elman = build_elman(5, 6, 1, seed=9)
+        elman = build_model("elman", 5, 6, 1, seed=9)
         X = np.random.default_rng(10).uniform(-1, 1, size=(8, 5))
         forward = elman.predict_batch(X)
         backward = elman.predict_batch(X[::-1])
@@ -215,17 +214,14 @@ class TestElman:
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
-            build_elman(4, 5, 1, mode="both")
+            build_model("elman", 4, 5, 1, mode="both")
 
 
 class TestNarx:
     @pytest.mark.parametrize("d_y", [1, 2])
     def test_reduces_to_ffnn_with_zero_taps(self, d_y):
-        narx = build_narx(5, 6, 2, seed=11, d_u=0, d_y=d_y)
-        ffnn = FfnnModel(LayerParams(narx.core.hidden.weights.copy(),
-                                     narx.core.hidden.biases.copy()),
-                         LayerParams(narx.core.output.weights.copy(),
-                                     narx.core.output.biases.copy()))
+        narx = build_model("narx", 5, 6, 2, seed=11, d_u=0, d_y=d_y)
+        ffnn = _ffnn(*(a.copy() for a in narx.param_arrays()))
         rng = np.random.default_rng(12)
         for _ in range(100):
             x = rng.uniform(-1, 1, size=5)
@@ -233,8 +229,8 @@ class TestNarx:
             np.testing.assert_allclose(narx.forward(x), ffnn.forward(padded), atol=1e-12)
 
     def test_composed_width(self):
-        narx = build_narx(5, 6, 2, d_u=3, d_y=2)
-        assert narx.composed_dim == 5 * 4 + 2 * 2
+        narx = build_model("narx", 5, 6, 2, d_u=3, d_y=2)
+        assert narx.param_arrays()[0].shape == (6, 5 * 4 + 2 * 2)
 
     @pytest.mark.parametrize("inputs", ["records", "full-width"])
     def test_gradient_check(self, inputs):
@@ -242,18 +238,18 @@ class TestNarx:
         # weights get gradient and are checked as well.
         rng = np.random.default_rng(17)
         for seed in range(5):
-            narx = build_narx(3, 5, 2, seed=seed, d_u=1, d_y=1)
+            narx = build_model("narx", 3, 5, 2, seed=seed, d_u=1, d_y=1)
             target = rng.uniform(0.1, 0.9, size=2)
             if inputs == "records":
                 x = rng.uniform(0.1, 1.0, size=3) * rng.choice([-1, 1], size=3)
                 sample = narx.prepare_training(x, target)[0][0]
             else:
-                width = narx.composed_dim
+                width = narx.param_arrays()[0].shape[1]
                 sample = rng.uniform(0.1, 1.0, size=width) * rng.choice([-1, 1], size=width)
             assert gradient_check(narx, sample, target) < 1e-4
 
     def test_per_record_predictions_order_invariant(self):
-        narx = build_narx(4, 5, 1, seed=18)
+        narx = build_model("narx", 4, 5, 1, seed=18)
         X = np.random.default_rng(19).uniform(-1, 1, size=(7, 4))
         forward = narx.predict_batch(X)
         backward = narx.predict_batch(X[::-1])
@@ -261,22 +257,22 @@ class TestNarx:
 
     def test_delay_order_validation(self):
         with pytest.raises(ValueError):
-            build_narx(3, 4, 1, d_u=-1)
+            build_model("narx", 3, 4, 1, d_u=-1)
         with pytest.raises(ValueError):
-            build_narx(3, 4, 1, d_y=0)
-        with pytest.raises(ValueError):
-            NarxModel(build_ffnn(5, 4, 1), feature_count=3, d_u=0, d_y=1)
+            build_model("narx", 3, 4, 1, d_y=0)
+        with pytest.raises(ValueError, match="must have shapes"):
+            Network("narx", build_model("ffnn", 5, 4, 1).param_arrays(), 3, d_u=0, d_y=1)
 
     def test_prepare_training_per_record_pads_zeros(self):
-        narx = build_narx(3, 4, 1, d_u=1, d_y=1)
+        narx = build_model("narx", 3, 4, 1, d_u=1, d_y=1)
         X = np.ones((4, 3))
         T = np.zeros((4, 1))
         Xc, _ = narx.prepare_training(X, T)
-        assert Xc.shape == (4, narx.composed_dim)
+        assert Xc.shape == (4, 3 + 3 + 1)
         np.testing.assert_array_equal(Xc[:, 3:], 0.0)
 
     def test_per_record_zero_tap_weights_get_exactly_zero_gradient(self):
-        narx = build_narx(9, 12, 3, seed=20, d_u=1, d_y=2)
+        narx = build_model("narx", 9, 12, 3, seed=20, d_u=1, d_y=2)
         rng = np.random.default_rng(21)
         X, T = narx.prepare_training(rng.uniform(-1, 1, size=(30, 9)),
                                      rng.uniform(0.1, 0.9, size=(30, 3)))
@@ -286,11 +282,13 @@ class TestNarx:
 
 
 def test_build_model_dispatch():
-    assert isinstance(build_model("ffnn", 4, 5, 1), FfnnModel)
-    assert isinstance(build_model("elman", 4, 5, 1), ElmanModel)
-    assert isinstance(build_model("narx", 4, 5, 1), NarxModel)
-    with pytest.raises(ValueError):
+    for family in FAMILIES:
+        net = build_model(family, 4, 5, 1)
+        assert net.family == family and net.options == FAMILIES[family].options
+    with pytest.raises(ValueError, match="unknown model family 'lstm'"):
         build_model("lstm", 4, 5, 1)
+    with pytest.raises(ValueError, match="ffnn has no option 'd_u'"):
+        build_model("ffnn", 4, 5, 1, d_u=1)
 
 
 @pytest.mark.parametrize("family", ["ffnn", "elman", "narx"])

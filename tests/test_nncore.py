@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hemanet.nncore import (
-    LayerParams,
     TrainConfig,
     TrainingDivergedError,
     gradient_check,
@@ -16,7 +15,7 @@ from hemanet.nncore import (
     times_sigmoid_slope,
     train_loop,
 )
-from hemanet.models import FfnnModel, build_ffnn, build_model
+from hemanet.models import Network, build_model
 
 
 class TestSigmoid:
@@ -59,9 +58,9 @@ class TestSigmoid:
         assert np.all(np.diff(sigmoid(x)) > 0)
 
 
-def _net(*layers) -> FfnnModel:
+def _net(*layers) -> Network:
     """A two-layer FFNN of (weights, biases) pairs."""
-    return FfnnModel(*(LayerParams(w, b) for w, b in layers))
+    return Network("ffnn", [a for layer in layers for a in layer], len(layers[0][0][0]))
 
 
 class TestBatchForward:
@@ -96,10 +95,10 @@ class TestBatchForward:
             net.batch_loss_and_grads(np.zeros((1, 2)), np.zeros((1, 1)))
 
     def test_layer_shape_validation(self):
-        with pytest.raises(ValueError):
-            LayerParams(np.zeros((2, 3)), np.zeros(3))
-        with pytest.raises(ValueError):
-            LayerParams(np.array([[np.nan, 0.0]]), np.zeros(1))
+        with pytest.raises(ValueError, match="must have shapes"):
+            _net((np.zeros((2, 3)), np.zeros(3)), (np.zeros((1, 2)), np.zeros(1)))
+        with pytest.raises(ValueError, match="must be finite"):
+            _net((np.array([[np.nan, 0.0]]), np.zeros(1)), (np.zeros((1, 1)), np.zeros(1)))
 
 
 class TestOutputDelta:
@@ -210,28 +209,24 @@ class TestBackprop:
 class TestSgdMomentum:
     def test_zero_momentum_is_plain_gradient_descent(self):
         params, vel = np.array([1.0]), np.array([0.0])
-        sgd_momentum_step(params, np.array([0.5]), vel, 0.1, 0.0)
+        sgd_momentum_step(params, np.array([0.5]), vel, 0.1, 0.0, np.empty(1))
         assert params[0] == pytest.approx(0.95)
 
     def test_zero_gradient_zero_velocity_is_identity(self):
         params = np.array([1.0, -2.0])
         vel = np.zeros(2)
-        sgd_momentum_step(params, np.zeros(2), vel, 0.1, 0.9)
+        sgd_momentum_step(params, np.zeros(2), vel, 0.1, 0.9, np.empty(2))
         np.testing.assert_array_equal(params, [1.0, -2.0])
         np.testing.assert_array_equal(vel, 0.0)
 
     def test_two_step_velocity_recurrence(self):
         # mu=0.9, eta=0.1, g=1: v1 = -0.1, v2 = 0.9*(-0.1) - 0.1 = -0.19
         params, vel = np.array([0.0]), np.array([0.0])
-        g = np.array([1.0])
-        sgd_momentum_step(params, g, vel, 0.1, 0.9)
+        g, step = np.array([1.0]), np.empty(1)
+        sgd_momentum_step(params, g, vel, 0.1, 0.9, step)
         assert vel[0] == pytest.approx(-0.1)
-        sgd_momentum_step(params, g, vel, 0.1, 0.9)
+        sgd_momentum_step(params, g, vel, 0.1, 0.9, step)
         assert vel[0] == pytest.approx(-0.19)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            sgd_momentum_step(np.zeros(2), np.zeros(3), np.zeros(2), 0.1, 0.9)
 
 
 class _OneLayerModel:
@@ -273,7 +268,7 @@ class TestGradientCheck:
         assert gradient_check(model, x, target) < 1e-6
 
     def test_full_network(self):
-        net = build_ffnn(5, 7, 2, seed=3)
+        net = build_model("ffnn", 5, 7, 2, seed=3)
         rng = np.random.default_rng(4)
         x = rng.uniform(-1, 1, size=5)
         target = rng.uniform(0.1, 0.9, size=2)
@@ -329,7 +324,7 @@ def _toy_problem(seed=0, n=40):
 class TestTrainLoop:
     def test_loss_decreases(self):
         X, T = _toy_problem()
-        net = build_ffnn(3, 8, 1, seed=1)
+        net = build_model("ffnn", 3, 8, 1, seed=1)
         _, curve = train_loop(net, (X, T), config=TrainConfig(epochs=300, hidden_size=8, seed=1))
         assert curve.train[-1] < curve.train[0]
         assert len(curve) == 300
@@ -338,7 +333,7 @@ class TestTrainLoop:
         X, T = _toy_problem()
         curves = []
         for _ in range(2):
-            net = build_ffnn(3, 6, 1, seed=2)
+            net = build_model("ffnn", 3, 6, 1, seed=2)
             _, curve = train_loop(
                 net, (X, T),
                 config=TrainConfig(epochs=50, update_mode="per-sample", seed=7),
@@ -350,7 +345,7 @@ class TestTrainLoop:
         X, T = _toy_problem()
         nets = []
         for _ in range(2):
-            net = build_ffnn(3, 6, 1, seed=2)
+            net = build_model("ffnn", 3, 6, 1, seed=2)
             train_loop(net, (X, T), config=TrainConfig(epochs=30, seed=7))
             nets.append(net)
         for a, b in zip(nets[0].param_arrays(), nets[1].param_arrays()):
@@ -358,10 +353,10 @@ class TestTrainLoop:
 
     def test_zero_momentum_identical_to_hand_rolled_gd(self):
         X, T = _toy_problem()
-        net = build_ffnn(3, 5, 1, seed=3)
+        net = build_model("ffnn", 3, 5, 1, seed=3)
         train_loop(net, (X, T), config=TrainConfig(epochs=25, momentum=0.0, seed=0))
 
-        reference = build_ffnn(3, 5, 1, seed=3)
+        reference = build_model("ffnn", 3, 5, 1, seed=3)
         lr = TrainConfig().learning_rate
         for _ in range(25):
             _, grads = reference.batch_loss_and_grads(X, T)
@@ -406,7 +401,7 @@ class TestTrainLoop:
 
     def test_validation_curve_and_patience(self):
         X, T = _toy_problem(1, n=60)
-        net = build_ffnn(3, 6, 1, seed=4)
+        net = build_model("ffnn", 3, 6, 1, seed=4)
         _, curve = train_loop(
             net, (X[:40], T[:40]), validation=(X[40:], T[40:]),
             config=TrainConfig(epochs=500, patience=5, seed=1),
@@ -418,7 +413,7 @@ class TestTrainLoop:
         # Validation targets are the training targets inverted, so the
         # validation loss rises as training fits; patience must kick in.
         X, T = _toy_problem(2, n=40)
-        net = build_ffnn(3, 6, 1, seed=4)
+        net = build_model("ffnn", 3, 6, 1, seed=4)
         _, curve = train_loop(
             net, (X, T), validation=(X, 1.0 - T),
             config=TrainConfig(epochs=400, patience=3, seed=1),
@@ -437,13 +432,13 @@ class TestTrainLoop:
             assert all(np.isfinite(g).all() for g in grads)
 
     def test_empty_training_data(self):
-        net = build_ffnn(3, 4, 1, seed=0)
+        net = build_model("ffnn", 3, 4, 1, seed=0)
         with pytest.raises(ValueError):
             train_loop(net, (np.zeros((0, 3)), np.zeros((0, 1))))
 
     def test_non_finite_loss_aborts_with_epoch(self):
         X, T = _toy_problem()
-        net = build_ffnn(3, 4, 1, seed=5)
+        net = build_model("ffnn", 3, 4, 1, seed=5)
         net.param_arrays()[0][0, 0] = np.nan  # live view into the weights
         with pytest.raises(TrainingDivergedError) as exc:
             train_loop(net, (X, T), config=TrainConfig(epochs=10))
@@ -469,7 +464,7 @@ class TestTrainLoop:
 
     def test_non_finite_starting_parameters_name_the_loss(self):
         X, T = _toy_problem()
-        net = build_ffnn(3, 4, 1, seed=5)
+        net = build_model("ffnn", 3, 4, 1, seed=5)
         net.param_arrays()[0][0, 0] = np.nan
         for update_mode in ("full-batch", "per-sample"):
             with pytest.raises(TrainingDivergedError) as exc:
@@ -507,7 +502,7 @@ class TestTrainLoop:
 
     def test_curve_csv_format(self):
         X, T = _toy_problem()
-        net = build_ffnn(3, 4, 1, seed=6)
+        net = build_model("ffnn", 3, 4, 1, seed=6)
         _, curve = train_loop(net, (X, T), validation=(X, T), config=TrainConfig(epochs=3))
         lines = curve.to_csv().splitlines()
         assert lines[0] == "epoch,train_loss,val_loss"
@@ -578,10 +573,9 @@ class TestWorkspace:
         X, T = rng.normal(size=(k, 9)), rng.uniform(size=(k, 3))
         family, _, mode = spec.partition("-")
         net = build_model(family, 9, 6, 3, seed=4, **({"mode": mode} if mode else {}))
+        features = X
         X, T = net.prepare_training(X, T)
         loss_and_grads, outputs = net.batch_loss_and_grads, net.predict_batch
-        if family == "narx":
-            outputs = net.core.predict_batch
         workspace = net.workspace(k)
         for n, scale in ((1, 1.0), (k, 1.0), (1, 1.0), (1, 1.5), (k, 1.0)):
             if scale != 1.0:
@@ -591,5 +585,6 @@ class TestWorkspace:
             fresh_loss, fresh_grads = loss_and_grads(X[:n], T[:n])
             assert self._bits([loss]) == self._bits([fresh_loss])
             assert kept == self._bits(fresh_grads)
-            assert self._bits([outputs(X[:n], workspace)]) == self._bits([outputs(X[:n])])
+            assert (self._bits([outputs(features[:n], workspace)])
+                    == self._bits([outputs(features[:n])]))
             assert self._bits(grads) == kept

@@ -12,9 +12,8 @@ from helpers import make_record
 from hemanet.cli import fit_stage
 from hemanet import pipeline
 from hemanet.metrics import DIAGNOSIS_LABELS, ConfusionMatrix, accuracy
-from hemanet.models import FAMILIES, build_elman, build_narx
-from hemanet.nncore import LayerParams, TrainConfig
-from hemanet.models import FfnnModel
+from hemanet.models import FAMILIES, Network, build_model
+from hemanet.nncore import TrainConfig
 from hemanet.pipeline import (
     NonFiniteOutputError,
     PatientReport,
@@ -37,10 +36,8 @@ def _identity_normalizer(width=9):
 
 def _constant_bundle(output_bias, out_dim=1, encoding="binary1"):
     """Zero-weight net whose output is sigmoid(bias): exact, input-independent."""
-    net = FfnnModel(
-        LayerParams(np.zeros((4, 9)), np.zeros(4)),
-        LayerParams(np.zeros((out_dim, 4)), np.asarray(output_bias, dtype=float)),
-    )
+    net = Network("ffnn", [np.zeros((4, 9)), np.zeros(4), np.zeros((out_dim, 4)),
+                           np.asarray(output_bias, dtype=float)], 9)
     return ModelBundle(
         family="ffnn", net=net, feature_spec=FULL9,
         output_encoding=encoding, normalizer=_identity_normalizer(),
@@ -84,10 +81,7 @@ def _hgb_gate_bundle(cutoff=12.5):
     """Diagnosis net whose output is >= 0.5 exactly when hgb <= cutoff."""
     hidden = np.zeros((1, 9))
     hidden[0, 3] = -1.0  # hgb; the identity normalizer leaves it unscaled
-    net = FfnnModel(
-        LayerParams(hidden, np.array([cutoff])),
-        LayerParams(np.array([[20.0]]), np.array([-10.0])),
-    )
+    net = Network("ffnn", [hidden, np.array([cutoff]), np.array([[20.0]]), np.array([-10.0])], 9)
     return ModelBundle(
         family="ffnn", net=net, feature_spec=FULL9,
         output_encoding="binary1", normalizer=_identity_normalizer(),
@@ -300,8 +294,8 @@ class TestScreening:
 
 class TestNonFiniteOutputs:
     def _nan_elman(self, encoding="binary1"):
-        net = build_elman(9, 4, 3 if encoding == "onehot3" else 1, seed=5)
-        net.wh[0, 0] = np.nan
+        net = build_model("elman", 9, 4, 3 if encoding == "onehot3" else 1, seed=5)
+        net.param_arrays()[1][0, 0] = np.nan
         return ModelBundle("elman", net, FULL9, encoding, _identity_normalizer())
 
     def test_diagnose_gives_no_verdict(self):

@@ -1,6 +1,7 @@
 """Model-file round trips and format guards."""
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hemanet.models import build_elman, build_ffnn, build_narx, output_width
+from hemanet.models import FAMILIES, build_model, output_width
 from hemanet.pipeline import run_pipeline
 from hemanet.preprocess import FULL9, PAPER7, Normalizer
 from hemanet.serialize import (
@@ -30,8 +31,7 @@ def _normalizer(width: int) -> Normalizer:
 
 def _bundle(family: str, encoding: str = "binary1", spec=FULL9, **kwargs) -> ModelBundle:
     out = output_width(encoding)
-    builders = {"ffnn": build_ffnn, "elman": build_elman, "narx": build_narx}
-    net = builders[family](len(spec), 6, out, seed=21, **kwargs)
+    net = build_model(family, len(spec), 6, out, seed=21, **kwargs)
     return ModelBundle(
         family=family,
         net=net,
@@ -61,16 +61,11 @@ def test_round_trip_bit_identical_predictions(tmp_path, family, kwargs):
     assert loaded.feature_spec.names == bundle.feature_spec.names
     assert loaded.output_encoding == bundle.output_encoding
 
-    rng = np.random.default_rng(22)
-    net, net2 = bundle.net, loaded.net
-    if family == "narx":
-        X = rng.uniform(-1, 1, size=(100, net.composed_dim))
-        a = net.core.predict_batch(X)
-        b = net2.core.predict_batch(X)
-    else:
-        X = rng.uniform(-1, 1, size=(100, len(FULL9)))
-        a = net.predict_batch(X)
-        b = net2.predict_batch(X)
+    # Random inputs of the full width, NARX's taps included, so every weight counts.
+    net = bundle.net
+    X = np.random.default_rng(22).uniform(-1, 1, size=(100, net.feature_count + net.taps))
+    a, b = (n.workspace(100).kernel(100).forward(n.param_arrays(), X)
+            for n in (net, loaded.net))
     np.testing.assert_array_equal(a, b)
 
 
@@ -147,7 +142,7 @@ def test_bundle_consistency_validation():
     with pytest.raises(ValueError, match="features"):
         ModelBundle(
             family="ffnn",
-            net=build_ffnn(5, 4, 1),
+            net=build_model("ffnn", 5, 4, 1),
             feature_spec=FULL9,
             output_encoding="binary1",
             normalizer=_normalizer(9),
@@ -155,7 +150,7 @@ def test_bundle_consistency_validation():
     with pytest.raises(ValueError, match="outputs"):
         ModelBundle(
             family="ffnn",
-            net=build_ffnn(7, 4, 2),
+            net=build_model("ffnn", 7, 4, 2),
             feature_spec=PAPER7,
             output_encoding="binary1",
             normalizer=_normalizer(7),
@@ -220,7 +215,7 @@ def test_non_finite_values_refused(tmp_path, family, keys):
 
 def test_save_refuses_non_finite_parameters(tmp_path):
     bundle = _bundle("elman")
-    bundle.net.wh[0, 0] = np.nan
+    bundle.net.param_arrays()[1][0, 0] = np.nan
     path = tmp_path / "model.json"
     with pytest.raises(ValueError, match="JSON compliant"):
         save_model(bundle, path)
@@ -271,8 +266,65 @@ def test_narx_document_without_delay_mode_loads_per_record(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
     loaded = load_model(path)
-    assert (loaded.net.d_u, loaded.net.d_y) == (1, 2)
+    assert loaded.net.options == {"d_u": 1, "d_y": 2}
     assert bundle_to_doc(loaded) == bundle_to_doc(bundle)
+
+
+#: A value other than its default for every family option.
+OTHER_OPTIONS = {"mode": "feature-sequence", "context_init": -0.25, "d_u": 2, "d_y": 3}
+#: Where a model document holds each parameter array, in parameter order;
+#: only a net with a context has recurrent weights.
+SLOTS = [("layers", 0, "weights"), ("recurrent", "weights"), ("layers", 0, "biases"),
+         ("layers", 1, "weights"), ("layers", 1, "biases")]
+
+
+def _parent(doc, slot):
+    for key in slot[:-1]:
+        doc = doc[key]
+    return doc
+
+
+@pytest.mark.parametrize("options", ["default", "other"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_family_round_trips_and_refuses_wrong_shapes(tmp_path, family, options):
+    defaults = FAMILIES[family].options
+    options = {name: OTHER_OPTIONS[name] for name in defaults} if options == "other" else {}
+    assert all(value != defaults[name] for name, value in options.items())
+    bundle = ModelBundle(family, build_model(family, 9, 5, 3, seed=4, **options), FULL9,
+                         "onehot3", _normalizer(9))
+    doc = bundle_to_doc(bundle)
+    loaded = bundle_from_doc(json.loads(json.dumps(doc)))
+    assert loaded.net.options == {**defaults, **options}
+    assert json.dumps(bundle_to_doc(loaded)) == json.dumps(doc)  # keys in the same order
+
+    slots = [slot for slot in SLOTS if slot[-1] in _parent(doc, slot)]
+    assert len(slots) == len(bundle.net.param_arrays())
+    path = tmp_path / "model.json"
+    for slot in slots:
+        value = _parent(doc, slot)[slot[-1]]
+        wider = ([row + row[:1] for row in value] if isinstance(value[0], list)
+                 else value + value[:1])
+        for wrong in (value[:-1], wider):
+            broken = json.loads(json.dumps(doc))
+            _parent(broken, slot)[slot[-1]] = wrong
+            path.write_text(json.dumps(broken))
+            with pytest.raises(ModelFormatError, match="must have shapes"):
+                load_model(path)
+
+
+@pytest.mark.parametrize("source,family", [("elman", "ffnn"), ("elman", "narx"),
+                                           ("narx", "ffnn"), ("narx", "elman")])
+def test_a_section_the_family_does_not_read_is_refused(tmp_path, source, family):
+    # A file whose "family" was edited would otherwise load without the
+    # entries only its true family reads, and predict with shifted outputs.
+    doc = bundle_to_doc(_bundle(source, d_u=1) if source == "narx" else _bundle(source))
+    doc["family"] = family
+    section = "recurrent" if source == "elman" else "delays"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    entry = f"{section}.{next(iter(doc[section]))}"
+    with pytest.raises(ModelFormatError, match=f"{family} models store no {re.escape(entry)}$"):
+        load_model(path)
 
 
 # ---------------------------------------------------------------------------
