@@ -4,7 +4,9 @@ with exogenous/output delay lines, as one Network over nncore's kernel.
 A family is a row of FAMILIES: its options with their defaults.  Every
 difference between the families follows from the options:
 - ``context_init`` gives the net recurrent weights wh and a context, the
-  previous hidden state, constant at step 0 (Elman 1990);
+  previous hidden state, constant at step 0 (Elman 1990): one row for
+  every sample, so at step 0 wh @ context is a second hidden bias, which
+  the kernel computes once per call;
 - ``mode`` "feature-sequence" runs one step per feature, where
   "single-step" runs one step over the whole feature vector;
 - ``d_u``/``d_y`` add F*d_u + O*d_y delay tap columns to the F features of

@@ -6,7 +6,9 @@ finite-difference gradient checking, and the training loop.
 The kernel serves every family (see models): its parameters are
 (wx, b1, w2, b2), one step over all of a row, or (wx, wh, b1, w2, b2),
 where each step also reads the previous hidden state, a constant context
-at step 0, and there is one step, or one per feature.
+at step 0, and there is one step, or one per feature.  The context is one
+row for the whole batch, so step 0 adds its product with wh as one row,
+computed once per call, as it adds b1.
 
 A Workspace holds the kernel's buffers and binds the kernel to them once per
 row count: the views it writes, its product choices and its output-delta
@@ -128,16 +130,18 @@ class Workspace:
     (wx, wh, b1, w2, b2) when each step also reads the previous hidden state
     through wh; step 0 reads the constant ``context``.
 
-    ``acts`` holds (rows, width) float64 arrays: with wh the context, filled
-    here, then each step's state, then the output.  ``scratch``/``masks``
-    are a float64 and a bool array of the hidden and of the output width,
-    views of one buffer each: the sigmoids' temporary, then the last step's
-    backward delta.  ``numerator`` is one float64 row of the hidden width,
-    the one-row hidden sigmoid's third buffer.  ``residual`` and ``square``
-    are two (rows, outputs) arrays of their own for the output delta, which
-    is written over the output.  ``grads`` are views, in parameter order,
-    into the flat gradient vector ``grad``.  A batch of n rows uses the
-    first n rows of each array.
+    ``acts`` holds float64 arrays: with wh first the context, one (1, hidden)
+    row filled here, then a (rows, width) array for each step's state and
+    one for the output.  ``scratch``/``masks`` are a float64 and a bool
+    array of the hidden and of the output width, views of one buffer each:
+    the sigmoids' temporary and wh's product with the context or a state,
+    then the last step's backward delta, then row sums of an earlier step's
+    delta.  ``numerator`` is one float64 row of the hidden width, the
+    one-row hidden sigmoid's third buffer.  ``residual`` and ``square`` are
+    two (rows, outputs) arrays of their own for the output delta, which is
+    written over the output.  ``grads`` are views, in parameter order, into
+    the flat gradient vector ``grad``.  A batch of n rows uses the first n
+    rows of each array.
 
     ``kernel(n)`` is the Kernel bound on the first call with n, with every
     view and shape-dependent choice made, and later calls reuse.  It holds
@@ -151,9 +155,8 @@ class Workspace:
 
     def __init__(self, rows: int, shapes, steps: int = 1, context: float = 0.0):
         (out, hidden), recurrent = shapes[-2], len(shapes) == 5
-        self.acts = [np.empty((rows, hidden)) for _ in range(recurrent + steps)]
-        if recurrent:
-            self.acts[0].fill(context)
+        self.acts = [np.full((1, hidden), context)] if recurrent else []
+        self.acts += [np.empty((rows, hidden)) for _ in range(steps)]
         self.acts.append(np.empty((rows, out)))
         size = rows * max(hidden, out)
         self.scratch = self._views(np.empty(size), rows, (hidden, out))
@@ -186,16 +189,25 @@ def _bind(ws: Workspace, n: int) -> Kernel:
     net with wh, params[1]), which columns it reads, where each delta goes,
     and, for a batch of one, the vector forms of the elementwise steps.  The
     bodies loop over what was chosen; they never test the family.
+
+    The context is one row for every row of the batch: step 0 adds wh @
+    context as one row, as it adds b1, and its share of wh's gradient is the
+    outer product of its delta's row sums (b1's gradient's) and the context.
+    A batch of one has the context's one row, and runs every step alike.
     """
     grad, grads = ws.grad, ws.grads
     g_wx, g_b1, g_w2, g_b2 = grads[0], grads[-3], grads[-2], grads[-1]
     recurrent = grads[1:-3]  # [wh's gradient] for a net with wh, else []
     (out, hidden), width = g_w2.shape, g_wx.shape[1]
-    states = [a[:n] for a in ws.acts[:-1]]  # with wh, the context first
+    states = [a[:n] for a in ws.acts[:-1]]  # with wh, the context row first
     hs = states[len(recurrent):]  # each step's state
     last, columns = len(hs) - 1, width * len(hs)
     Y, residual, square = ws.acts[-1][:n], ws.residual[:n], ws.square[:n]
     e, e_out = ws.scratch[0][:n], ws.scratch[1][:n]
+    # Backward, e holds the last step's delta, spent before any earlier
+    # step runs: an earlier step of a batch leaves its delta's row sums in
+    # e's first row.
+    sums = e[0]
     scale = np.array(2.0 / Y.size)
 
     def row(a):  # what the elementwise steps run on
@@ -225,16 +237,19 @@ def _bind(ws: Workspace, n: int) -> Kernel:
             np.add.reduce(d, axis=0, out=total)
 
         def add_row_sums(total, d):
-            np.add(total, d.sum(axis=0), out=total)
+            sum_rows_into(sums, d)
+            np.add(total, sums, out=total)
 
     input_product, hidden_product = product_of(width), product_of(hidden)
     weight_product, delta_product = product_of(n), product_of(out)
-    Y_t, h_last, e_z, Y_z, pre_z = Y.T, hs[-1], row(e), row(Y), row(pre_out)
+    Y_t, h_last, Y_z, pre_z = Y.T, hs[-1], row(Y), row(pre_out)
     cols = ([None] if len(hs) == 1 else
             [(slice(None), slice(t * width, (t + 1) * width)) for t in range(len(hs))])
-    # Step t reads, with wh, the state before it: the context at step 0.
+    # Step t reads, with wh, the state before it: the context row at step 0.
+    # Its product with wh goes into as many rows of e as it has.
     reads = [(states[t],) if recurrent else () for t in range(len(hs))]
-    steps = [(x, h, row(h), prevs) for x, h, prevs in zip(cols, hs, reads)]
+    steps = [(x, h, row(h), [(prev, e[:len(prev)], row(e[:len(prev)])) for prev in prevs])
+             for x, h, prevs in zip(cols, hs, reads)]
     # Backward, from the last step: step t spends its own state, which no
     # earlier step reads, and then (with wh, after step 0) holds the delta
     # it sends back; the last step receives the output's delta in e and
@@ -242,9 +257,13 @@ def _bind(ws: Workspace, n: int) -> Kernel:
     backward = []
     for t in reversed(range(len(hs))):
         d = e if t == last else hs[t + 1]
+        writes = t == last
+        links = tuple((weight_product if writes else np.matmul, d.T, prev, g)
+                      if len(prev) == n else
+                      (np.multiply, (g_b1 if writes else sums)[:, None], prev, g)
+                      for prev, g in zip(reads[t], recurrent))
         sends = ((d, hs[t]),) if recurrent and t else ()
-        backward.append((cols[t], row(hs[t]), row(d), d.T, tuple(zip(reads[t], recurrent)),
-                         sends, t == last))
+        backward.append((cols[t], row(hs[t]), row(d), d.T, links, sends, writes))
 
     def forward(params, X):
         if X.shape[1] != columns:
@@ -252,9 +271,9 @@ def _bind(ws: Workspace, n: int) -> Kernel:
         wx_t, b1 = params[0].T, params[-3]
         for x, h, z, prevs in steps:
             input_product(X if x is None else X[x], wx_t, out=h)
-            for prev in prevs:
-                hidden_product(prev, params[1].T, out=e)
-                np.add(z, e_z, out=z)
+            for prev, into, term in prevs:
+                hidden_product(prev, params[1].T, out=into)
+                np.add(z, term, out=z)
             np.add(z, b1, out=z)
             sigmoid(z, *hidden_scratch)
         hidden_product(h_last, params[-2].T, out=pre_out)
@@ -272,14 +291,14 @@ def _bind(ws: Workspace, n: int) -> Kernel:
             x = X if x is None else X[x]
             if writes:
                 weight_product(d_t, x, out=g_wx)
-                for prev, g in links:
-                    weight_product(d_t, prev, out=g)
                 sum_rows_into(g_b1, d)
+                for product, left, prev, g in links:
+                    product(left, prev, out=g)
             else:
                 np.add(g_wx, d_t @ x, out=g_wx)
-                for prev, g in links:
-                    np.add(g, d_t @ prev, out=g)
                 add_row_sums(g_b1, d)
+                for product, left, prev, g in links:
+                    np.add(g, product(left, prev), out=g)
             for delta, into in sends:
                 hidden_product(delta, params[1], out=into)
         np.add(grad, ZERO, out=grad)

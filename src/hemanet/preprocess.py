@@ -71,7 +71,7 @@ class Normalizer:
 
     apply is x -> 2(x - min)/(max - min) - 1, unclamped, so values outside
     the training range extrapolate linearly.  A constant feature maps to 0
-    everywhere (and inverts to its single training value).
+    everywhere.
     """
 
     mins: np.ndarray
@@ -86,28 +86,20 @@ class Normalizer:
     def __len__(self) -> int:
         return len(self.mins)
 
-    def _check(self, values: np.ndarray) -> np.ndarray:
+    def apply(self, values) -> np.ndarray:
         values = np.asarray(values, dtype=float)
         if values.shape[-1] != len(self.mins):
             raise ValueError(
                 f"vector length {values.shape[-1]} does not match fitted length {len(self.mins)}"
             )
-        return values
-
-    def apply(self, values) -> np.ndarray:
         span = self.maxs - self.mins
         varies = span > 0
-        out = self._check(values) - self.mins  # the one temporary, updated in place
+        out = values - self.mins  # the one temporary, updated in place
         out *= 2.0
         out /= np.where(varies, span, 1.0)
         out -= 1.0
         out[..., ~varies] = 0.0
         return out
-
-    def invert(self, normalized) -> np.ndarray:
-        normalized = self._check(normalized)
-        span = self.maxs - self.mins
-        return np.where(span > 0, (normalized + 1.0) / 2.0 * span + self.mins, self.mins)
 
 
 def fit_normalizer(train_vectors) -> Normalizer:

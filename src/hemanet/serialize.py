@@ -36,6 +36,9 @@ class ModelBundle:
     source: str | None = None
 
     def __post_init__(self):
+        if self.family != self.net.family:
+            raise ValueError(f"bundle family {self.family!r} does not match its network's "
+                             f"{self.net.family!r}")
         if self.output_encoding not in ENCODINGS:
             raise ValueError(f"unknown output encoding {self.output_encoding!r}")
         if self.net.feature_count != len(self.feature_spec):

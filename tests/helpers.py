@@ -1,4 +1,6 @@
 """Shared test fixtures and factories."""
+import numpy as np
+
 from hemanet.records import CbcRecord, Gender
 
 
@@ -9,3 +11,11 @@ def make_record(**overrides) -> CbcRecord:
     )
     base.update(overrides)
     return CbcRecord(**base)
+
+
+def invert(normalizer, normalized) -> np.ndarray:
+    """The raw values that ``normalizer.apply`` maps to ``normalized``; a
+    constant feature inverts to its single training value."""
+    span = normalizer.maxs - normalizer.mins
+    scaled = (np.asarray(normalized, dtype=float) + 1.0) / 2.0 * span + normalizer.mins
+    return np.where(span > 0, scaled, normalizer.mins)

@@ -7,6 +7,11 @@ forward/BPTT are kept below as references.  Activations, losses and
 gradients must match them exactly (same bits; NaN at the same positions),
 and so must the loss curves and parameters of ``train_loop`` against
 list-based momentum SGD over the references.
+
+The Elman references read the constant context as one row, broadcast over
+the batch, as the kernel does.  With ``legacy=True`` they hold one copy of
+it per row, as the kernel once did: one-row kernels and per-sample training
+still match that oracle bit for bit, and batches match it to rounding.
 """
 import numpy as np
 import pytest
@@ -73,11 +78,16 @@ def reference_batch_backprop(params, X, T):
     return loss, grads
 
 
-def reference_elman_predict(model, X):
+def reference_context(model, steps, legacy):
+    """The Elman context: one row, or with ``legacy`` one copy per row."""
+    rows = steps.shape[0] if legacy else 1
+    return np.full((rows, model.param_arrays()[1].shape[0]), model.context_init)
+
+
+def reference_elman_predict(model, X, legacy=False):
     steps = as_steps(model, X)
     wx, wh, b1, w2, b2 = model.param_arrays()
-    n = steps.shape[0]
-    context = np.full((n, len(b1)), model.context_init)
+    context = reference_context(model, steps, legacy)
     for t in range(steps.shape[1]):
         context = reference_sigmoid(steps[:, t, :] @ wx.T + context @ wh.T + b1)
     return reference_sigmoid(context @ w2.T + b2)
@@ -87,12 +97,12 @@ def reference_batch_loss(predict, X, T):
     return float(np.mean((predict(X) - np.atleast_2d(T)) ** 2))
 
 
-def reference_elman_bptt(model, X, T):
+def reference_elman_bptt(model, X, T, legacy=False):
     steps = as_steps(model, X)
     wx, wh, b1, w2, b2 = model.param_arrays()
     T = np.atleast_2d(np.asarray(T, dtype=float))
     n, n_steps, _ = steps.shape
-    context = np.full((n, len(b1)), model.context_init)
+    context = reference_context(model, steps, legacy)
     hiddens, contexts = [], []
     for t in range(n_steps):
         contexts.append(context)
@@ -112,8 +122,12 @@ def reference_elman_bptt(model, X, T):
     for t in reversed(range(n_steps)):
         d_pre = d_hidden * hiddens[t] * (1.0 - hiddens[t])
         g_wx += d_pre.T @ steps[:, t, :]
-        g_wh += d_pre.T @ contexts[t]
-        g_b1 += d_pre.sum(axis=0)
+        row_sums = d_pre.sum(axis=0)
+        # The one context row stands for every row: wh's gradient is the
+        # delta's row sums times the context.
+        g_wh += (d_pre.T @ contexts[t] if len(contexts[t]) == n
+                 else np.outer(row_sums, contexts[t]))
+        g_b1 += row_sums
         d_hidden = d_pre @ wh
     return loss, [g_wx, g_wh, g_b1, g_w2, g_b2]
 
@@ -139,12 +153,24 @@ def assert_bitwise(got, want):
     np.testing.assert_array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
 
 
-def assert_same_result(got, want):
+def assert_rounding_close(got, want, rtol=1e-12):
+    """got and want differ by at most rtol times want's largest finite
+    magnitude, with NaN and infinities in the same positions."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    finite = np.isfinite(want)
+    np.testing.assert_array_equal(np.isfinite(got), finite)
+    assert_bitwise(got[~finite], want[~finite])
+    bound = rtol * np.abs(want[finite]).max(initial=0.0)
+    assert np.abs(got[finite] - want[finite]).max(initial=0.0) <= bound
+
+
+def assert_same_result(got, want, same=assert_bitwise):
     (loss, grads), (ref_loss, ref_grads) = got, want
-    assert_bitwise(loss, ref_loss)
+    same(loss, ref_loss)
     assert len(grads) == len(ref_grads)
     for g, r in zip(grads, ref_grads):
-        assert_bitwise(g, r)
+        same(g, r)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +284,27 @@ def test_elman_kernels_match_reference(rows, out_dim, mode, seed, scale, edges, 
 
 
 @pytest.mark.parametrize("rows", [1, 920])
+@pytest.mark.parametrize("out_dim", [1, 3])
+@pytest.mark.parametrize("mode", ["single-step", "feature-sequence"])
+@given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.1, 1.0, 30.0]),
+       edges=st.booleans(), context_init=st.sampled_from([0.5, 0.0, -2.0, 0.3]))
+@settings(max_examples=8, deadline=None)
+def test_elman_kernels_match_legacy_reference(rows, out_dim, mode, seed, scale, edges,
+                                             context_init):
+    # A batch of one reads its one context row as it always did: the same
+    # bits.  A batch multiplies wh by one context row where it multiplied a
+    # copy per row: the same results up to rounding.
+    same = assert_bitwise if rows == 1 else assert_rounding_close
+    rng = np.random.default_rng(seed)
+    model = _scaled(build_model("elman", FEATURES, 20, out_dim, seed=seed % 1000, mode=mode,
+                                context_init=context_init), scale)
+    X, T = _data(rng, rows, out_dim, scale, edges)
+    same(model.predict_batch(X), reference_elman_predict(model, X, legacy=True))
+    assert_same_result(model.batch_loss_and_grads(X, T),
+                       reference_elman_bptt(model, X, T, legacy=True), same)
+
+
+@pytest.mark.parametrize("rows", [1, 920])
 def test_narx_kernels_match_reference(rows):
     rng = np.random.default_rng(rows)
     # Random inputs of the core's full width, taps included, so every weight counts.
@@ -287,21 +334,21 @@ def test_kernels_leave_inputs_and_parameters_alone():
 # train_loop on its workspace
 
 
-def reference_kernels(model):
+def reference_kernels(model, legacy=False):
     """(loss_and_grads, loss) of the reference kernels on a model's live weights."""
     if model.family == "elman":
-        return (lambda X, T: reference_elman_bptt(model, X, T),
+        return (lambda X, T: reference_elman_bptt(model, X, T, legacy),
                 lambda X, T: reference_batch_loss(
-                    lambda x: reference_elman_predict(model, x), X, T))
+                    lambda x: reference_elman_predict(model, x, legacy), X, T))
     # The weights are read on every call: the reference trainer rebinds them.
     return (lambda X, T: reference_batch_backprop(model.param_arrays(), X, T),
             lambda X, T: reference_batch_loss(
                 lambda x: reference_batch_forward(model.param_arrays(), x), X, T))
 
 
-def reference_train(model, train, validation, config):
+def reference_train(model, train, validation, config, legacy=False):
     """train_loop's curves as list-based momentum SGD over the reference kernels."""
-    loss_and_grads, loss_of = reference_kernels(model)
+    loss_and_grads, loss_of = reference_kernels(model, legacy)
     (X, T), lr, mu = train, config.learning_rate, config.momentum
     velocity = [np.zeros_like(p) for p in model.param_arrays()]
     rng = np.random.default_rng(config.seed)
@@ -316,7 +363,8 @@ def reference_train(model, train, validation, config):
             model.set_param_arrays([p + v for p, v in zip(model.param_arrays(), velocity)])
             losses.append(loss)
         train_curve.append(float(np.mean(losses)))
-        validation_curve.append(loss_of(*validation))
+        if validation is not None:
+            validation_curve.append(loss_of(*validation))
     return train_curve, validation_curve
 
 
@@ -329,28 +377,48 @@ SPECS = {
 }
 
 
-@pytest.mark.parametrize("validation_rows", [7, 40])  # the training set has 24
-@pytest.mark.parametrize("encoding", ["binary1", "onehot3"])
-@pytest.mark.parametrize("update_mode", ["full-batch", "per-sample"])
-@pytest.mark.parametrize("spec", list(SPECS))
-@pytest.mark.parametrize("scale", [1.0, 30.0])
-def test_train_loop_matches_reference(spec, update_mode, encoding, validation_rows, scale):
+def _training_case(spec, encoding, validation_rows, scale):
+    """(two equal nets, 24 training rows, validation rows) prepared for ``spec``."""
     family, kwargs = SPECS[spec]
     out_dim = 3 if encoding == "onehot3" else 1
     rng = np.random.default_rng(validation_rows + out_dim)
     codes = rng.integers(0 if encoding == "binary1" else 1, 4, size=24 + validation_rows)
     X = rng.normal(0.0, scale, size=(len(codes), FEATURES))
     T = encode_targets(codes, encoding)
-    config = TrainConfig(epochs=3 if update_mode == "per-sample" else 25,
-                         update_mode=update_mode, seed=9)
     nets = [_scaled(build_model(family, FEATURES, 20, out_dim, seed=3, **kwargs), scale)
             for _ in range(2)]
-    train = nets[0].prepare_training(X[:24], T[:24])
-    validation = nets[0].prepare_training(X[24:], T[24:])
+    return (nets, nets[0].prepare_training(X[:24], T[:24]),
+            nets[0].prepare_training(X[24:], T[24:]))
+
+
+@pytest.mark.parametrize("validation_rows", [7, 40])  # the training set has 24
+@pytest.mark.parametrize("encoding", ["binary1", "onehot3"])
+@pytest.mark.parametrize("update_mode", ["full-batch", "per-sample"])
+@pytest.mark.parametrize("spec", list(SPECS))
+@pytest.mark.parametrize("scale", [1.0, 30.0])
+def test_train_loop_matches_reference(spec, update_mode, encoding, validation_rows, scale):
+    nets, train, validation = _training_case(spec, encoding, validation_rows, scale)
+    config = TrainConfig(epochs=3 if update_mode == "per-sample" else 25,
+                         update_mode=update_mode, seed=9)
 
     _, curve = train_loop(nets[0], train, validation, config)
     train_curve, validation_curve = reference_train(nets[1], train, validation, config)
     assert_bitwise(curve.train, train_curve)
     assert_bitwise(curve.validation, validation_curve)
+    for got, want in zip(nets[0].param_arrays(), nets[1].param_arrays()):
+        assert_bitwise(got, want)
+
+
+@pytest.mark.parametrize("encoding", ["binary1", "onehot3"])
+@pytest.mark.parametrize("spec", ["elman-single-step", "elman-feature-sequence"])
+@pytest.mark.parametrize("scale", [1.0, 30.0])
+def test_per_sample_training_matches_legacy_reference(spec, encoding, scale):
+    # Every per-sample update is a batch of one, so with no validation pass
+    # the run is the one the n-row context gave, bit for bit.
+    nets, train, _ = _training_case(spec, encoding, 7, scale)
+    config = TrainConfig(epochs=3, update_mode="per-sample", seed=9)
+    _, curve = train_loop(nets[0], train, None, config)
+    train_curve, _ = reference_train(nets[1], train, None, config, legacy=True)
+    assert_bitwise(curve.train, train_curve)
     for got, want in zip(nets[0].param_arrays(), nets[1].param_arrays()):
         assert_bitwise(got, want)

@@ -544,6 +544,30 @@ class TestWorkspace:
         assert len(calls) == 6
         assert peak - base[0] < rows * hidden * 8
 
+    @staticmethod
+    def _held_bytes(workspace):
+        """Bytes of the arrays a workspace holds, each buffer counted once."""
+        held = {}
+        for value in vars(workspace).values():
+            for a in value if isinstance(value, list) else [value]:
+                if isinstance(a, np.ndarray):
+                    while a.base is not None:
+                        a = a.base
+                    held[id(a)] = a.nbytes
+        return sum(held.values())
+
+    def test_elman_context_is_one_row(self):
+        # Elman's buffers are FFNN's plus one context row and wh's gradient:
+        # no (rows x hidden) block holds the context.
+        rows, hidden = 300, 50
+        ffnn = build_model("ffnn", 9, hidden, 3, seed=0).workspace(rows)
+        elman = build_model("elman", 9, hidden, 3, seed=0, context_init=0.25).workspace(rows)
+        context, *acts = elman.acts
+        np.testing.assert_array_equal(context, np.full((1, hidden), 0.25))
+        assert [a.shape for a in acts] == [a.shape for a in ffnn.acts]
+        assert (self._held_bytes(elman)
+                == self._held_bytes(ffnn) + (hidden + hidden * hidden) * 8)
+
     @pytest.mark.parametrize("family", ["ffnn", "elman", "narx"])
     def test_results_without_a_workspace_survive_later_calls(self, family):
         rng = np.random.default_rng(1)

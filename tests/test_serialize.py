@@ -155,6 +155,9 @@ def test_bundle_consistency_validation():
             output_encoding="binary1",
             normalizer=_normalizer(7),
         )
+    # save_model would write such a bundle to a file that load_model refuses.
+    with pytest.raises(ValueError, match="bundle family 'ffnn' does not match"):
+        ModelBundle("ffnn", build_model("elman", 9, 4, 1), FULL9, "binary1", _normalizer(9))
 
 
 def test_paper7_spec_round_trip(tmp_path):
