@@ -9,6 +9,7 @@ round trip fixes the precision and every later round trip is exact.
 from __future__ import annotations
 
 import csv
+import warnings
 from collections import deque
 from functools import lru_cache
 from itertools import chain, islice
@@ -115,21 +116,16 @@ def _read_columns(path, columns):
     """CbcColumns of a CSV file, columns looked up by header; labeled if asked for.
 
     Blank lines are skipped and rows are numbered from 1 after the header.
-    Cells are parsed a column of READ_BLOCK_ROWS rows at a time; the first bad
-    cell in row-then-column order is reported once the whole file is read, so
-    a CSV syntax error or a byte that is not UTF-8 anywhere in it wins.
+    A file that numpy's reader parses exactly as the csv reader would is read
+    by numpy (_numpy_blocks).  Every other file, and every error, is left to
+    the csv reader, the reference (_csv_blocks).
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise CsvFormatError(f"{path}: empty file, expected a header row")
-            try:
-                blocks = _parse_blocks(path, header, filter(None, reader), columns)
-            except CsvFormatError:
-                deque(reader, maxlen=0)
-                raise
+            blocks = _numpy_blocks(fh, columns)
+            if blocks is None:
+                fh.seek(0)
+                blocks = _csv_blocks(path, fh, columns)
     except csv.Error as exc:
         raise CsvFormatError(f"{path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -137,7 +133,104 @@ def _read_columns(path, columns):
                              f"{exc.object[exc.start:exc.end]!r})") from None
     age, gender, analytes, labels = (
         None if parts[0] is None else np.concatenate(parts) for parts in zip(*blocks))
-    return CbcColumns(age_column(age), gender, analytes, labels)
+    return CbcColumns(age_column(age) if age.dtype == object else age, gender, analytes, labels)
+
+
+def _csv_blocks(path, fh, columns) -> list[tuple]:
+    """_parse_blocks of the file, read with csv.reader.  Cells are parsed a
+    column of READ_BLOCK_ROWS rows at a time; the first bad cell in
+    row-then-column order is reported once the whole file is read, so a CSV
+    syntax error or a byte that is not UTF-8 anywhere in it wins."""
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header is None:
+        raise CsvFormatError(f"{path}: empty file, expected a header row")
+    try:
+        return _parse_blocks(path, header, filter(None, reader), columns)
+    except CsvFormatError:
+        deque(reader, maxlen=0)
+        raise
+
+
+#: A quote or NUL, or one of \x1c-\x1f, which numpy's number parser skips as
+#: whitespace and int() and float() refuse: any of these leaves a file to
+#: the csv reader.
+_CSV_ONLY = ('"', "\0", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _csv_only(text, lines) -> bool:
+    """Whether these lines of a file hold anything that leaves it to the csv
+    reader: a _CSV_ONLY character, a lone CR or a line over the field limit."""
+    limit = csv.field_size_limit()
+    # Every line ends in "\n" but a lone-CR one and an unterminated last one.
+    lone_cr = "\r" in text and text.count("\n") + (not text.endswith(("\n", "\r"))) < len(lines)
+    return (any(c in text for c in _CSV_ONLY) or lone_cr
+            or len(text) > limit and max(map(len, lines)) > limit)
+
+
+#: numpy field type of each column.  A token as long as its field may have
+#: been cut short, so it leaves the file to the csv reader.
+_FIELDS = {"age": np.int64, "gender": "U8", **dict.fromkeys(ANALYTES, np.float64),
+           LABEL_COLUMN: "U12"}
+
+
+def _numpy_blocks(fh, columns) -> list[tuple] | None:
+    """The blocks _parse_blocks would give, parsed by np.loadtxt a block of
+    READ_BLOCK_ROWS lines at a time; None, with some of ``fh`` read, when
+    the file holds anything numpy's reader might not read as the csv reader
+    does, or anything the csv reader would refuse.  Ages are int64."""
+    try:
+        header = fh.readline()
+        if _csv_only(header, [header]):
+            return None
+        position = {name: i for i, name in enumerate(header.rstrip("\r\n").split(","))}
+        if not set(columns) <= position.keys():
+            return None
+        dtype = np.dtype([(name, _FIELDS[name]) for name in columns])
+        usecols = [position[name] for name in columns]
+        blocks = [_block_columns(np.empty(0, dtype), columns)]
+        while lines := list(islice(fh, READ_BLOCK_ROWS)):
+            text = "".join(lines)
+            if _csv_only(text, lines):
+                return None
+            rows = len(lines) - lines.count("\n") - lines.count("\r\n")  # blank lines skipped
+            if not rows:
+                continue
+            with warnings.catch_warnings():
+                # A numpy that takes a cell with a warning (an int written
+                # as a float, say) has read it unlike int() or float().
+                warnings.simplefilter("error")
+                table = np.loadtxt(lines, dtype, delimiter=",", comments=None,
+                                   quotechar=None, usecols=usecols, ndmin=1)
+            if len(table) != rows:
+                return None
+            blocks.append(_block_columns(table, columns))
+    except (KeyError, ValueError, Warning):  # a cell or token refused, a byte not UTF-8
+        return None
+    return blocks
+
+
+def _block_columns(table, columns) -> tuple:
+    """(age, gender, analytes, label or None) arrays copied out of a structured
+    block, in the layout _parse_block gives."""
+    labels = (_token_codes(table[LABEL_COLUMN], _LABEL_CODES, _label_code)
+              if LABEL_COLUMN in columns else None)
+    analytes = np.stack([table[name] for name in ANALYTES]).T
+    return (table["age"].copy(), _token_codes(table["gender"], _GENDER_CODES, _gender_code),
+            analytes, labels)
+
+
+def _token_codes(cells, canonical, code) -> np.ndarray:
+    """int8 codes of a token field; KeyError for an unknown token, ValueError
+    for one that may have been cut to the field's width."""
+    if (np.char.str_len(cells) >= cells.dtype.itemsize // 4).any():
+        raise ValueError("a token may be truncated")
+    out = np.full(len(cells), -1, np.int8)
+    for token, value in canonical.items():
+        out[cells == token] = value
+    rest = np.flatnonzero(out < 0)
+    out[rest] = [code(cell) for cell in cells[rest].tolist()]
+    return out
 
 
 def _parse_blocks(path, header, rows, columns) -> list[tuple]:

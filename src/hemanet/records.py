@@ -244,20 +244,6 @@ class CbcColumns:
         """The rows of a labeled batch whose label is an anemia subtype, in order."""
         return self.take(np.flatnonzero(self.label > 0))
 
-    def records(self) -> list:
-        """One CbcRecord per row (a LabeledRecord if the batch is labeled);
-        every gender code must be 0 or 1."""
-        genders = {0: Gender.MALE, 1: Gender.FEMALE}
-        records = [
-            CbcRecord(age, genders[code], *values)
-            for age, code, values in zip(
-                self.age.tolist(), self.gender.tolist(), self.analytes.tolist()
-            )
-        ]
-        if self.label is None:
-            return records
-        return [LabeledRecord(r, LABELS[code]) for r, code in zip(records, self.label.tolist())]
-
 
 def age_column(ages) -> np.ndarray:
     """Ages as int64, or as Python objects when one is not an int or exceeds int64."""

@@ -1,7 +1,7 @@
 """Shared test fixtures and factories."""
 import numpy as np
 
-from hemanet.records import CbcRecord, Gender
+from hemanet.records import LABELS, CbcRecord, Gender, LabeledRecord
 
 
 def make_record(**overrides) -> CbcRecord:
@@ -19,3 +19,18 @@ def invert(normalizer, normalized) -> np.ndarray:
     span = normalizer.maxs - normalizer.mins
     scaled = (np.asarray(normalized, dtype=float) + 1.0) / 2.0 * span + normalizer.mins
     return np.where(span > 0, scaled, normalizer.mins)
+
+
+def to_records(batch) -> list:
+    """One CbcRecord per row of a CbcColumns batch (a LabeledRecord if the
+    batch is labeled); every gender code must be 0 or 1."""
+    genders = {0: Gender.MALE, 1: Gender.FEMALE}
+    records = [
+        CbcRecord(age, genders[code], *values)
+        for age, code, values in zip(
+            batch.age.tolist(), batch.gender.tolist(), batch.analytes.tolist()
+        )
+    ]
+    if batch.label is None:
+        return records
+    return [LabeledRecord(r, LABELS[code]) for r, code in zip(records, batch.label.tolist())]

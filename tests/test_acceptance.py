@@ -25,7 +25,7 @@ from hemanet.records import AnemiaLabel, rule_label
 from hemanet.serialize import ModelBundle, load_model, save_model
 from hemanet.synth import synth_generate
 
-from helpers import invert
+from helpers import invert, to_records
 
 BASE_MIX = (26, 40, 39, 42)  # microcytic : normocytic : macrocytic : non-anemic
 MIX_ORDER = (
@@ -229,7 +229,7 @@ def test_criterion_9_split_arithmetic():
             (stratified.train, stratified.test, stratified.validation),
             stratified.fractions,
         ):
-            in_part = sum(1 for r in part.records() if r.label is label)
+            in_part = sum(1 for r in to_records(part) if r.label is label)
             assert abs(in_part - fraction * class_total) <= 1.0 + 1e-9
 
     materials = split_dataset(

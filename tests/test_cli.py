@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import to_records
 from hemanet import cli
 from hemanet.cli import fit_stage
 from hemanet.dataio import load_csv, save_unlabeled_csv
@@ -29,7 +30,7 @@ def synth_file(tmp_path, name="data.csv", n=100, mix="18,26,26,30", seed=5):
 class TestSynth:
     def test_writes_exact_class_counts(self, tmp_path, capsys):
         path = synth_file(tmp_path, n=147, mix="26,40,39,42", seed=7)
-        records = load_csv(path).records()
+        records = to_records(load_csv(path))
         assert len(records) == 147
         counts = {label: 0 for label in AnemiaLabel}
         for item in records:
@@ -67,7 +68,7 @@ class TestSynth:
         from hemanet.records import ReferenceRanges
 
         ranges = ReferenceRanges.from_json(ranges_path)
-        for item in load_csv(path).records():
+        for item in to_records(load_csv(path)):
             assert rule_label(item.record, ranges) is item.label
 
     def test_missing_output_flag(self):
@@ -308,7 +309,7 @@ class TestPredict:
         # strip the label column by rewriting via the data API
         from hemanet.dataio import save_unlabeled_csv
 
-        records = [item.record for item in load_csv(data).records()]
+        records = [item.record for item in to_records(load_csv(data))]
         path = tmp_path / "unlabeled.csv"
         save_unlabeled_csv(records, path)
         return path
@@ -432,7 +433,7 @@ def test_predict_with_non_finite_model_reports_errors(tmp_path, trained_models, 
     diag = tmp_path / "nan_diag.json"
     diag.write_text(json.dumps(bundle_to_doc(bundle)))
     unlabeled = tmp_path / "unlabeled.csv"
-    save_unlabeled_csv([item.record for item in records.records()], unlabeled)
+    save_unlabeled_csv([item.record for item in to_records(records)], unlabeled)
     out = tmp_path / "report.json"
     capsys.readouterr()
     assert cli.main([
@@ -449,7 +450,7 @@ def test_stream_mode_narx_model_file_is_a_data_error(tmp_path, trained_models, c
     data, _, clf = trained_models
     records = load_csv(data)
     unlabeled = tmp_path / "unlabeled.csv"
-    save_unlabeled_csv([item.record for item in records.records()], unlabeled)
+    save_unlabeled_csv([item.record for item in to_records(records)], unlabeled)
     bundle, _ = fit_stage(records, "narx", "diagnosis", TrainConfig(epochs=3, hidden_size=4),
                           d_u=1, d_y=2)
     doc = bundle_to_doc(bundle)
@@ -475,7 +476,7 @@ def test_model_file_relabeled_to_another_family_is_a_data_error(tmp_path, traine
     data, _, clf = trained_models
     records = load_csv(data)
     unlabeled = tmp_path / "unlabeled.csv"
-    save_unlabeled_csv([item.record for item in records.records()], unlabeled)
+    save_unlabeled_csv([item.record for item in to_records(records)], unlabeled)
     bundle, _ = fit_stage(records, "elman", "diagnosis", TrainConfig(epochs=3, hidden_size=4))
     diag, out = tmp_path / "elman.json", tmp_path / "out.txt"
     diag.write_text(json.dumps({**bundle_to_doc(bundle), "family": "ffnn"}))
@@ -577,7 +578,7 @@ def test_eval_with_non_finite_outputs_is_numeric_failure(tmp_path, trained_model
 def test_predict_csv_names_the_error(tmp_path, trained_models, capsys):
     data, diag, clf = trained_models
     unlabeled = tmp_path / "unlabeled.csv"
-    records = [item.record for item in load_csv(data).records()][:3]
+    records = [item.record for item in to_records(load_csv(data))][:3]
     records[1] = CbcRecord(**{**records[1].__dict__, "hgb": float("nan"), "age": 300})
     save_unlabeled_csv(records, unlabeled)
     capsys.readouterr()

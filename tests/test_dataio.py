@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import make_record, to_records
 from hemanet import dataio
 from hemanet.dataio import (
     COLUMNS,
@@ -22,6 +23,9 @@ from hemanet.dataio import (
 from hemanet.records import AnemiaLabel, CbcRecord, Gender, LabeledRecord, validate_record
 from hemanet.synth import synth_generate
 
+# The loaders must not warn: numpy's reader warns on a block of blank lines.
+pytestmark = pytest.mark.filterwarnings("error")
+
 HEADER = "age,gender,rbc,hgb,hct,mcv,mch,mchc,wbc,label"
 ROW = "40,female,4.5,13.5,40,90,30,34,7"
 
@@ -35,14 +39,14 @@ def test_round_trip_exact(tmp_path):
     }, seed=7)
     path = tmp_path / "data.csv"
     save_csv(records, path)
-    assert load_csv(path).records() == records
+    assert to_records(load_csv(path)) == records
 
 
 def test_save_is_stable_after_one_round_trip(tmp_path):
     records = synth_generate(20, {AnemiaLabel.NON_ANEMIC: 20}, seed=2)
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     save_csv(records, first)
-    save_csv(load_csv(first).records(), second)
+    save_csv(to_records(load_csv(first)), second)
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -52,7 +56,7 @@ def test_header_only_file(tmp_path, monkeypatch):
     for block in (1, READ_BLOCK_ROWS):
         monkeypatch.setattr(dataio, "READ_BLOCK_ROWS", block)
         batch = load_csv(path)
-        assert batch.records() == []
+        assert to_records(batch) == []
         assert (batch.age.dtype, batch.gender.dtype, batch.label.dtype) == (
             np.int64, np.int8, np.int8)
         assert batch.analytes.shape == (0, len(COLUMNS) - 2)
@@ -62,7 +66,7 @@ def test_header_only_file(tmp_path, monkeypatch):
 def test_label_tokens_are_case_insensitive(tmp_path):
     path = tmp_path / "mixed.csv"
     path.write_text(f"{HEADER}\n{ROW},Microcytic\n{ROW},MACROCYTIC\n{ROW},non_anemic\n")
-    labels = [item.label for item in load_csv(path).records()]
+    labels = [item.label for item in to_records(load_csv(path))]
     assert labels == [AnemiaLabel.MICROCYTIC, AnemiaLabel.MACROCYTIC, AnemiaLabel.NON_ANEMIC]
 
 
@@ -101,7 +105,7 @@ def test_unlabeled_round_trip(tmp_path):
     path = tmp_path / "unlabeled.csv"
     save_unlabeled_csv(records, path)
     assert path.read_text().splitlines()[0] == ",".join(HEADER.split(",")[:-1])
-    assert load_unlabeled_csv(path).records() == records
+    assert to_records(load_unlabeled_csv(path)) == records
 
 
 def test_labeled_file_loads_as_unlabeled(tmp_path):
@@ -109,7 +113,7 @@ def test_labeled_file_loads_as_unlabeled(tmp_path):
     records = synth_generate(5, {AnemiaLabel.NON_ANEMIC: 5}, seed=6)
     path = tmp_path / "labeled.csv"
     save_csv(records, path)
-    assert load_unlabeled_csv(path).records() == [item.record for item in records]
+    assert to_records(load_unlabeled_csv(path)) == [item.record for item in records]
 
 
 def test_unlabeled_file_rejected_by_labeled_loader(tmp_path):
@@ -153,7 +157,7 @@ def test_invalid_row_list_is_capped(tmp_path):
 def test_unlabeled_loader_keeps_invalid_rows(tmp_path):
     path = tmp_path / "unlabeled.csv"
     path.write_text(f"{HEADER}\n300,male,4.5,13.5,40,1e9,30,34,7,x\n")
-    [record] = load_unlabeled_csv(path).records()
+    [record] = to_records(load_unlabeled_csv(path))
     assert record.age == 300 and record.mcv == 1e9
 
 
@@ -187,10 +191,13 @@ def test_non_utf8_byte_is_a_format_error_naming_the_file(tmp_path, loader, where
 
 
 def reference_rows(path):
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-        fieldnames = reader.fieldnames
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+            fieldnames = reader.fieldnames
+    except csv.Error as exc:
+        raise CsvFormatError(f"{path}: {exc}") from None
     if fieldnames is None:
         raise CsvFormatError(f"{path}: empty file, expected a header row")
     return rows, tuple(fieldnames)
@@ -257,6 +264,12 @@ def outcome(load, path):
 TOKENS = ["", " ", "nan", "inf", "-inf", "1e308", "1e400", "-3", "0", "4_2", "1_3.5", "4.5.6",
           "0x10", "42.0", "99999999999999999999999", "male", "Female ", " MALE", "robot",
           "Microcytic", "non_anemic ", "sideways", "\t7"]
+# Cells at the boundary between numpy's reader and the csv reader: a stray
+# quote, NUL, a lone CR, \x1c (whitespace to numpy, not to float()), tokens
+# longer than numpy's string fields, a non-ASCII digit and \xa0 padding.
+BOUNDARY_TOKENS = ['fe"male', '"', "male\0", "3\r9", "\x1c7", " female xyz", "non_anemic_xx",
+                   "٣", "\xa07", "4.5\xa0"]
+TOKENS += BOUNDARY_TOKENS
 
 
 @st.composite
@@ -266,9 +279,10 @@ def mutated_csv(draw):
     rows = [["40", "female", "4.5", "13.5", "40", "90", "30", "34", "7", "non_anemic"],
             ["67", "male", "3.9", "10.1", "33", "72", "23", "29", "6.1", "microcytic"],
             ["25", "female", "3.1", "9.4", "34", "110", "36", "37", "8", "macrocytic"]]
+    eol = "\n"
     for _ in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(["token", "pad", "short", "long", "reorder", "extra",
-                                     "blank", "duplicate", "drop"]))
+                                     "blank", "duplicate", "drop", "quoted", "huge", "crlf"]))
         if kind in ("token", "pad", "short", "long") and not rows:
             continue
         r = draw(st.integers(0, len(rows) - 1)) if rows else 0
@@ -278,7 +292,7 @@ def mutated_csv(draw):
                 rows[r][c] = draw(st.sampled_from(TOKENS))
         elif kind == "pad" and rows[r]:
             c = draw(st.integers(0, len(rows[r]) - 1))
-            rows[r][c] = draw(st.sampled_from([" ", "  ", "\t"])) + rows[r][c] + " "
+            rows[r][c] = draw(st.sampled_from([" ", "  ", "\t", "\xa0"])) + rows[r][c] + " "
         elif kind == "short":
             rows[r] = rows[r][:draw(st.integers(1, max(1, len(rows[r]) - 1)))]
         elif kind == "long":
@@ -298,7 +312,15 @@ def mutated_csv(draw):
             rows = [row + [draw(st.sampled_from(TOKENS))] for row in rows]
         elif kind == "drop":
             header = [h for h in header if h != draw(st.sampled_from(header))]
-    return "\n".join(",".join(row) for row in [header] + rows) + "\n"
+        elif kind == "quoted":  # a quoted comma in a column before the used ones
+            header = ["note"] + header
+            rows = [['"a,b"'] + row for row in rows]
+        elif kind == "huge":  # a field over the csv module's limit, in an ignored column
+            header = header + ["note"]
+            rows = [row + ["9" * (csv.field_size_limit() + 1)] for row in rows]
+        elif kind == "crlf":
+            eol = "\r\n"
+    return eol.join(",".join(row) for row in [header] + rows) + eol
 
 
 class TestColumnarLoaderMatchesRowParser:
@@ -311,9 +333,9 @@ class TestColumnarLoaderMatchesRowParser:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_unlabeled(self, tmp_path, text):
         path = tmp_path / "mutated.csv"
-        path.write_text(text, encoding="utf-8")
+        path.write_text(text, encoding="utf-8", newline="")
         expected = outcome(reference_unlabeled, path)
-        got = outcome(lambda p: load_unlabeled_csv(p).records(), path)
+        got = outcome(lambda p: to_records(load_unlabeled_csv(p)), path)
         assert got == expected
 
     @given(mutated_csv())
@@ -321,16 +343,98 @@ class TestColumnarLoaderMatchesRowParser:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_labeled(self, tmp_path, text):
         path = tmp_path / "mutated.csv"
-        path.write_text(text, encoding="utf-8")
-        expected = outcome(reference_labeled, path)
-        got = outcome(lambda p: load_csv(p).records(), path)
-        parsed = reference_labeled(path) if isinstance(expected, list) else []
-        invalid = [n for n, item in enumerate(parsed, start=1) if validate_record(item.record)]
-        if invalid:
-            # The reference parsed the file; load_csv also refuses implausible rows.
-            assert got.startswith(f"{path}: {len(invalid)} invalid row(s): row {invalid[0]} (")
-        else:
-            assert got == expected
+        path.write_text(text, encoding="utf-8", newline="")
+        assert_labeled_matches_reference(path)
+
+    @given(mutated_csv())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_numpy_reader_matches_csv_reader(self, tmp_path, text):
+        path = tmp_path / "mutated.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert_readers_agree(path)
+
+
+def assert_labeled_matches_reference(path):
+    expected = outcome(reference_labeled, path)
+    got = outcome(lambda p: to_records(load_csv(p)), path)
+    parsed = reference_labeled(path) if isinstance(expected, list) else []
+    invalid = [n for n, item in enumerate(parsed, start=1) if validate_record(item.record)]
+    if invalid:
+        # The reference parsed the file; load_csv also refuses implausible rows.
+        assert got.startswith(f"{path}: {len(invalid)} invalid row(s): row {invalid[0]} (")
+    else:
+        assert got == expected
+
+
+def columns_outcome(load, path):
+    """Each column's dtype, shape, layout and contents, or the error text."""
+    try:
+        batch = load(path)
+    except CsvFormatError as exc:
+        return str(exc)
+    return [None if a is None else (a.dtype, a.shape, a.flags.f_contiguous,
+                                    a.tolist() if a.dtype == object else a.tobytes())
+            for a in (batch.age, batch.gender, batch.analytes, batch.label)]
+
+
+def assert_readers_agree(path):
+    """Both loaders give the same columns, bit for bit, or the same error,
+    whether or not numpy's reader may take the file."""
+    for load in (load_csv, load_unlabeled_csv):
+        got = columns_outcome(load, path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataio, "_numpy_blocks", lambda fh, columns: None)
+            assert got == columns_outcome(load, path)
+
+
+class TestReaderBoundary:
+    """Files numpy's reader must leave to the csv reader, and files it must take."""
+
+    @pytest.mark.parametrize("token", BOUNDARY_TOKENS)
+    def test_token_in_each_column(self, tmp_path, token):
+        for column in range(len(COLUMNS) + 1):
+            rows = [f"{ROW},non_anemic".split(",") for _ in range(3)]
+            rows[1][column] = token
+            path = write_lines(tmp_path, [",".join(row) for row in rows])
+            assert_labeled_matches_reference(path)
+            assert (outcome(lambda p: to_records(load_unlabeled_csv(p)), path)
+                    == outcome(reference_unlabeled, path))
+            assert_readers_agree(path)
+
+    @pytest.mark.parametrize("header, lines", [
+        (f"note,{HEADER}", [f'"a,b",{ROW},non_anemic'] * 2),
+        (f"{HEADER},note", [f"{ROW},non_anemic,{'9' * (csv.field_size_limit() + 1)}"]),
+        (HEADER, [f"{ROW},non_anemic\r{ROW},macrocytic\r\n{ROW},normocytic\r", "\r"]),
+        (HEADER, ["", "", f"{ROW},non_anemic", "", ""]),
+    ], ids=["quoted-comma", "huge-ignored-field", "lone-cr", "blank-lines"])
+    def test_file(self, tmp_path, monkeypatch, header, lines):
+        monkeypatch.setattr(dataio, "READ_BLOCK_ROWS", 2)
+        path = tmp_path / "boundary.csv"
+        path.write_text("\n".join([header] + lines) + "\n", encoding="utf-8", newline="")
+        assert_matches_reference(path)
+        assert_readers_agree(path)
+
+    @pytest.mark.parametrize("block", [4, READ_BLOCK_ROWS])
+    def test_saved_files_take_the_numpy_reader(self, tmp_path, monkeypatch, block):
+        # save_csv ends lines with CRLF.  Were its files left to the csv
+        # reader, the loaders would still work, only slower; this shows it.
+        monkeypatch.setattr(dataio, "READ_BLOCK_ROWS", block)
+        labeled = synth_generate(10, {AnemiaLabel.MICROCYTIC: 5, AnemiaLabel.NON_ANEMIC: 5},
+                                 seed=3)
+        records = [item.record for item in labeled] + [make_record(age=130, mcv=180.0)]
+        labeled_path, unlabeled_path = tmp_path / "labeled.csv", tmp_path / "unlabeled.csv"
+        save_csv(labeled, labeled_path)
+        save_unlabeled_csv(records, unlabeled_path)
+        assert b"\r\n" in labeled_path.read_bytes()
+
+        def refuse(*args):
+            raise AssertionError("the csv reader parsed a file save_csv wrote")
+
+        monkeypatch.setattr(dataio, "_parse_blocks", refuse)
+        assert to_records(load_csv(labeled_path)) == labeled
+        assert to_records(load_unlabeled_csv(unlabeled_path)) == records
+        assert to_records(load_unlabeled_csv(labeled_path)) == records[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +456,8 @@ def write_lines(tmp_path, lines):
 
 
 def assert_matches_reference(path):
-    assert outcome(lambda p: load_csv(p).records(), path) == outcome(reference_labeled, path)
-    assert (outcome(lambda p: load_unlabeled_csv(p).records(), path)
+    assert outcome(lambda p: to_records(load_csv(p)), path) == outcome(reference_labeled, path)
+    assert (outcome(lambda p: to_records(load_unlabeled_csv(p)), path)
             == outcome(reference_unlabeled, path))
 
 

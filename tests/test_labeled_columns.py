@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_record
+from helpers import make_record, to_records
 from hemanet import cli, pipeline
 from hemanet.cli import fit_stage
 from hemanet.dataio import load_csv, save_csv
@@ -306,7 +306,7 @@ class TestSplitMatchesPerRowReference:
         fractions = SPLIT_PRESETS[preset]
         split = split_dataset(dataset, fractions, seed=seed, stratified=stratified)
         expected = reference_split(dataset, fractions, seed, stratified)
-        got = [split.train.records(), split.test.records(), split.validation.records()]
+        got = [to_records(split.train), to_records(split.test), to_records(split.validation)]
         assert got == expected
 
     @given(st.lists(st.sampled_from(LABELS), min_size=3, max_size=50), st.integers(0, 2**32 - 1),
@@ -316,8 +316,8 @@ class TestSplitMatchesPerRowReference:
         labeled = [LabeledRecord(make_record(age=i), label) for i, label in enumerate(labels)]
         split = split_dataset(CbcColumns.of(labeled), (0.4, 0.4, 0.2), seed, stratified)
         expected = reference_split(labeled, (0.4, 0.4, 0.2), seed, stratified)
-        assert [split.train.records(), split.test.records(),
-                split.validation.records()] == expected
+        assert [to_records(split.train), to_records(split.test),
+                to_records(split.validation)] == expected
 
     def test_unlabeled_records_split_only_unstratified(self):
         records = [make_record(age=i) for i in range(10)]
@@ -332,9 +332,9 @@ class TestLabelColumn:
         labeled = [LabeledRecord(make_record(age=i), label) for i, label in enumerate(LABELS)]
         batch = CbcColumns.of(labeled)
         assert batch.label.dtype == np.int8 and batch.label.tolist() == [0, 1, 2, 3]
-        assert batch.records() == labeled
-        assert batch.take([3, 0]).records() == [labeled[3], labeled[0]]
-        assert batch.anemic().records() == labeled[1:]
+        assert to_records(batch) == labeled
+        assert to_records(batch.take([3, 0])) == [labeled[3], labeled[0]]
+        assert to_records(batch.anemic()) == labeled[1:]
         assert LABELS[1:] == SUBTYPES
 
     def test_unlabeled_and_mixed_batches_carry_no_labels(self):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_record
+from helpers import make_record, to_records
 from hemanet.cli import fit_stage
 from hemanet import pipeline
 from hemanet.metrics import DIAGNOSIS_LABELS, ConfusionMatrix, accuracy
@@ -196,7 +196,7 @@ class TestRunPipeline:
 
     def test_order_and_length_preserved(self, trained):
         diag, clf, split = trained
-        records = [item.record for item in split.test.records()]
+        records = [item.record for item in to_records(split.test)]
         reports = run_pipeline(diag, clf, records, ids=range(len(records)))
         assert [r.patient_id for r in reports] == list(range(len(records)))
 
@@ -220,7 +220,7 @@ class TestRunPipeline:
 
     def test_columns_and_record_lists_screen_alike(self, trained):
         diag, clf, split = trained
-        records = [item.record for item in split.test.records()]
+        records = [item.record for item in to_records(split.test)]
         records[3] = make_record(hgb=float("nan"), age=300)
         from_list = run_pipeline(diag, clf, records, deterministic=True)
         from_columns = run_pipeline(diag, clf, CbcColumns.of(records), deterministic=True)
@@ -581,7 +581,7 @@ class TestJsonWriter:
 
     def test_pipeline_reports(self, trained):
         diag, clf, split = trained
-        records = [item.record for item in split.test.records()] + [make_record(hgb=-1.0)]
+        records = [item.record for item in to_records(split.test)] + [make_record(hgb=-1.0)]
         reports = run_pipeline(diag, clf, records, deterministic=True)
         assert emit_reports(reports, "json", ["d", "c"], 0.5) == reference_json(
             reports, ["d", "c"], 0.5, None)
@@ -603,7 +603,7 @@ class TestEvaluation:
     def test_classification_matrix_covers_anemic_only(self, trained):
         _, clf, split = trained
         cm = evaluate_classification(clf, split.test)
-        assert cm.total == sum(1 for item in split.test.records() if item.label.is_anemic)
+        assert cm.total == sum(1 for item in to_records(split.test) if item.label.is_anemic)
 
     def test_perfect_constant_predictor_on_uniform_data(self):
         records = synth_generate(10, {AnemiaLabel.NON_ANEMIC: 10}, seed=40)
@@ -615,10 +615,10 @@ class TestEvaluation:
         diag, clf, split = trained
         cm = evaluate_pipeline(diag, clf, split.test, threshold=0.5)
         reports = run_pipeline(
-            diag, clf, [item.record for item in split.test.records()], deterministic=True
+            diag, clf, [item.record for item in to_records(split.test)], deterministic=True
         )
         correct = 0
-        for item, report in zip(split.test.records(), reports):
+        for item, report in zip(to_records(split.test), reports):
             predicted = (
                 AnemiaLabel.NON_ANEMIC if report.verdict == 0 else report.subtype
             )

@@ -20,7 +20,7 @@ from hemanet.preprocess import (
 from hemanet.records import AnemiaLabel, CbcColumns, Gender, LabeledRecord
 from hemanet.synth import synth_generate
 
-from helpers import invert, make_record
+from helpers import invert, make_record, to_records
 
 
 class TestFeatureSpec:
@@ -164,7 +164,7 @@ class TestSplitDataset:
         split = split_dataset(records, SPLIT_PRESETS["paper-materials"], seed=3, stratified=True)
         assert split.sizes() == (147, 83, 0)
         train_counts = {
-            label: sum(1 for r in split.train.records() if r.label is label)
+            label: sum(1 for r in to_records(split.train) if r.label is label)
             for label in AnemiaLabel
         }
         assert train_counts == {
@@ -178,7 +178,7 @@ class TestSplitDataset:
         records = synth_generate(101, _mix(101), seed=3)
         split = split_dataset(records, seed=5)
         combined = [r for part in (split.train, split.test, split.validation)
-                    for r in part.records()]
+                    for r in to_records(part)]
         assert sorted(map(repr, combined)) == sorted(map(repr, records))
 
     def test_stratified_per_class_deviation_at_most_one(self):
@@ -187,7 +187,7 @@ class TestSplitDataset:
         for label in AnemiaLabel:
             class_total = sum(1 for r in records if r.label is label)
             for part, fraction in zip((split.train, split.test, split.validation), split.fractions):
-                got = sum(1 for r in part.records() if r.label is label)
+                got = sum(1 for r in to_records(part) if r.label is label)
                 assert abs(got - fraction * class_total) < 1.0 + 1e-9
 
     def test_same_seed_same_membership(self):
@@ -195,13 +195,13 @@ class TestSplitDataset:
         a = split_dataset(records, seed=4)
         b = split_dataset(records, seed=4)
         for part in ("train", "test", "validation"):
-            assert getattr(a, part).records() == getattr(b, part).records()
+            assert to_records(getattr(a, part)) == to_records(getattr(b, part))
 
     def test_different_seed_different_membership(self):
         records = synth_generate(60, _mix(60), seed=9)
         a = split_dataset(records, seed=4)
         b = split_dataset(records, seed=5)
-        assert a.train.records() != b.train.records()
+        assert to_records(a.train) != to_records(b.train)
 
     def test_fraction_validation(self):
         records = synth_generate(10, {AnemiaLabel.NON_ANEMIC: 10}, seed=0)

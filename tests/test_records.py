@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_record
+from helpers import make_record, to_records
 from hemanet.records import (
     ANALYTES,
     DEFAULT_BOUNDS,
@@ -228,15 +228,15 @@ class TestCbcColumns:
     @given(st.lists(valid_records, max_size=8))
     @settings(max_examples=25, deadline=None)
     def test_records_round_trip(self, records):
-        assert CbcColumns.of(records).records() == records
+        assert to_records(CbcColumns.of(records)) == records
 
     def test_ages_beyond_int64_keep_their_value(self):
         records = [make_record(age=10**30), make_record(age=-(2**63) - 1), make_record()]
         batch = CbcColumns.of(records)
-        assert batch.records() == records
+        assert to_records(batch) == records
         assert validate_records(batch) == [["age out of [0, 120]"]] * 2 + [[]]
 
     def test_take_selects_rows_in_order(self):
         records = [make_record(age=a) for a in (10, 20, 30)]
-        assert CbcColumns.of(records).take([2, 0]).records() == [records[2], records[0]]
+        assert to_records(CbcColumns.of(records).take([2, 0])) == [records[2], records[0]]
         assert len(CbcColumns.of(records).take([])) == 0
