@@ -225,11 +225,10 @@ def _config_from(args) -> TrainConfig:
 
 
 def _family_options(args) -> dict:
-    """The options of ``--family`` that were given: ``--<family>-mode`` sets
-    its mode, and the flag named after each other option sets that one.
-    A flag of another family's option is a UsageError."""
+    """The options of ``--family`` that were given, each by the flag named
+    after it.  A flag of another family's option is a UsageError."""
     given = {(family, name): value for family, spec in FAMILIES.items() for name in spec.options
-             if (value := getattr(args, f"{family}_mode" if name == "mode" else name)) is not None}
+             if (value := getattr(args, name)) is not None}
     stray = [f"{family} option {name}" for family, name in given if family != args.family]
     if stray:
         raise UsageError(f"--family {args.family} takes no {', '.join(stray)}")
@@ -308,18 +307,16 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def gradcheck_trial(family: str, mode: str | None, seed: int, epsilon: float) -> float:
+def gradcheck_trial(family: str, seed: int, epsilon: float) -> float:
     """Max relative error of one random small-network gradient check, on the
     last of 3 random rows as training prepares them."""
     rng = np.random.default_rng(seed)
     features = int(rng.integers(3, 7))
     hidden = int(rng.integers(2, 9))
     out_dim = int(rng.integers(1, 4))
-    options = {"mode": mode} if mode else {}
     # Integer options are delay orders: draw each between its default and 2.
-    options.update({name: int(rng.integers(default, 3))
-                    for name, default in FAMILIES[family].options.items()
-                    if type(default) is int})
+    options = {name: int(rng.integers(default, 3))
+               for name, default in FAMILIES[family].options.items() if type(default) is int}
     net = build_model(family, features, hidden, out_dim, seed=seed, **options)
     # Keep inputs away from zero so no gradient is degenerately tiny.
     X = rng.uniform(0.1, 1.0, size=(3, features)) * rng.choice([-1.0, 1.0], size=(3, features))
@@ -330,11 +327,9 @@ def gradcheck_trial(family: str, mode: str | None, seed: int, epsilon: float) ->
 def cmd_gradcheck(args) -> int:
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
-    if args.mode is not None and args.mode not in FAMILIES[args.family].modes:
-        raise UsageError(f"mode {args.mode!r} is not valid for family {args.family!r}")
     try:
         errors = [
-            gradcheck_trial(args.family, args.mode, args.seed + t, args.epsilon)
+            gradcheck_trial(args.family, args.seed + t, args.epsilon)
             for t in range(args.trials)
         ]
     except ValueError as exc:
@@ -414,10 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     _add_train_flags(p)
     # Family options; one left out takes the family's default.
-    for family, spec in FAMILIES.items():
-        if spec.modes:
-            p.add_argument(f"--{family}-mode", choices=spec.modes,
-                           help=f"{family} mode (default {spec.options['mode']})")
     p.add_argument("--du", dest="d_u", type=int, help="NARX exogenous delay order")
     p.add_argument("--dy", dest="d_y", type=int, help="NARX output delay order")
     p.add_argument("--context-init", type=float, help="Elman initial context value per unit")
@@ -446,8 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p.add_argument("--family", choices=tuple(FAMILIES), required=True)
-    p.add_argument("--mode", default=None, help="; ".join(
-        f"{family}: {'|'.join(spec.modes)}" for family, spec in FAMILIES.items() if spec.modes))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=float, default=1e-5)
     p.add_argument("--trials", type=int, default=5)

@@ -33,6 +33,11 @@ LABEL_COLUMN = "label"
 #: Invalid rows named in a load_csv error message; the count covers the rest.
 MAX_ROWS_SHOWN = 10
 
+#: Characters of a cell an error message quotes.  A longer cell, such as
+#: the rest of the file after a stray quote, is quoted as its head and its
+#: length.
+MAX_CELL_SHOWN = 40
+
 #: Rows parsed per block.  Loading N rows holds the columns plus one block
 #: of row strings, not N rows of strings and a Python object per cell.
 READ_BLOCK_ROWS = 1024
@@ -278,6 +283,9 @@ def _first_bad_cell(path, rows, columns, position, start) -> CsvFormatError:
                 _PARSE[name](cell)
             except (KeyError, TypeError, ValueError):
                 problem = "unknown label" if name == LABEL_COLUMN else "cannot parse"
+                if cell is not None and len(cell) > MAX_CELL_SHOWN:
+                    problem += f" a cell of {len(cell)} characters starting"
+                    cell = cell[:MAX_CELL_SHOWN]
                 return CsvFormatError(
                     f"{path}: row {row_num}, column '{name}': {problem} {cell!r}"
                 )

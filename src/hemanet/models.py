@@ -3,16 +3,16 @@ with exogenous/output delay lines, as one Network over nncore's kernel.
 
 A family is a row of FAMILIES: its options with their defaults.  Every
 difference between the families follows from the options:
-- ``context_init`` gives the net recurrent weights wh and a context, the
-  previous hidden state, constant at step 0 (Elman 1990): one row for
-  every sample, so at step 0 wh @ context is a second hidden bias, which
-  the kernel computes once per call;
-- ``mode`` "feature-sequence" runs one step per feature, where
-  "single-step" runs one step over the whole feature vector;
+- ``context_init`` gives the net recurrent weights wh and a context,
+  Elman's copy of the previous hidden state (Elman 1990), here constant:
+  one row for every sample, so wh @ context is a second, trainable hidden
+  bias, which the kernel computes once per call;
 - ``d_u``/``d_y`` add F*d_u + O*d_y delay tap columns to the F features of
   a net of O outputs (NARX; Lin, Horne, Tino & Giles 1996).
-So FFNN is the kernel's (wx, b1, w2, b2) in one step, Elman adds wh after
-wx, and NARX is FFNN on its zero-tapped input.
+So FFNN is the kernel's (wx, b1, w2, b2), Elman adds wh after wx, and NARX
+is FFNN on its zero-tapped input.  Each family runs one hidden step over
+the whole feature vector: the nine CBC values are one input, not a
+sequence.
 
 Records are independent patients, so recurrent state never leaks between
 samples: the Elman context restarts from ``context_init`` for every sample,
@@ -91,12 +91,10 @@ def decode_subtype(output, encoding: str) -> AnemiaLabel:
 
 
 class Family(NamedTuple):
-    """One network family: its options with their defaults, the values of
-    its ``mode`` option, if it has one, and the entries its model documents
-    hold whatever the options, by their name in _STORED."""
+    """One network family: its options with their defaults, and the entries
+    its model documents hold whatever the options, by their name in _STORED."""
 
     options: dict
-    modes: tuple[str, ...] = ()
     fixed: dict = {}
 
 
@@ -104,8 +102,7 @@ class Family(NamedTuple):
 FAMILIES = {
     "ffnn": Family({}),
     "narx": Family({"d_u": 0, "d_y": 1}, fixed={"delay_mode": "per-record"}),
-    "elman": Family({"mode": "single-step", "context_init": 0.5},
-                    ("single-step", "feature-sequence")),
+    "elman": Family({"context_init": 0.5}, fixed={"mode": "single-step"}),
 }
 
 #: Where a model document stores each option, the recurrent weights (wh)
@@ -132,8 +129,6 @@ def _options(family: str, given: dict) -> dict:
         raise ValueError(f"{family} has no option {stray[0]!r}")
     options = {name: type(default)(given.get(name, default))
                for name, default in spec.options.items()}
-    if "mode" in options and options["mode"] not in spec.modes:
-        raise ValueError(f"mode must be one of {spec.modes}")
     if not math.isfinite(options.get("context_init", 0.0)):
         raise ValueError(f"context_init must be finite, got {options['context_init']!r}")
     if options.get("d_u", 0) < 0:
@@ -144,21 +139,19 @@ def _options(family: str, given: dict) -> dict:
 
 
 def _layout(options: dict, feature_count: int, hidden: int, out: int):
-    """(parameter shapes, steps per row, tap columns) of a net of ``options``:
-    the shapes of (wx, b1, w2, b2), with wh's after wx when there is a context."""
-    steps = feature_count if options.get("mode") == "feature-sequence" else 1
+    """(parameter shapes, tap columns) of a net of ``options``: the shapes of
+    (wx, b1, w2, b2), with wh's after wx when there is a context."""
     taps = feature_count * options.get("d_u", 0) + out * options.get("d_y", 0)
     recurrent = [(hidden, hidden)] if "context_init" in options else []
-    width = (feature_count + taps) // steps
-    return [(hidden, width), *recurrent, (hidden,), (out, hidden), (out,)], steps, taps
+    return [(hidden, feature_count + taps), *recurrent, (hidden,), (out, hidden), (out,)], taps
 
 
 class Network:
-    """A sigmoid hidden layer run over ``steps`` steps of each input row,
-    then a sigmoid output layer: nncore's kernel with the parameters
-    ``params`` of a net of ``family`` and its ``options`` over
-    ``feature_count`` features.  Raises ValueError on a bad option, or on
-    parameters not finite or not of the shapes the options give."""
+    """A sigmoid hidden layer, then a sigmoid output layer: nncore's kernel
+    with the parameters ``params`` of a net of ``family`` and its
+    ``options`` over ``feature_count`` features.  Raises ValueError on a bad
+    option, or on parameters not finite or not of the shapes the options
+    give."""
 
     def __init__(self, family: str, params, feature_count: int, **options):
         self.family = family
@@ -168,8 +161,7 @@ class Network:
         params = [np.asarray(a, dtype=float) for a in params]
         if params[-2].ndim != 2:
             raise ValueError(f"output weights must be 2-d, got shape {params[-2].shape}")
-        shapes, self.steps, self.taps = _layout(self.options, self.feature_count,
-                                                *params[-2].shape[::-1])
+        shapes, self.taps = _layout(self.options, self.feature_count, *params[-2].shape[::-1])
         if [a.shape for a in params] != shapes:
             raise ValueError(f"{family} parameters over {self.feature_count} features must "
                              f"have shapes {shapes}, got {[a.shape for a in params]}")
@@ -195,7 +187,7 @@ class Network:
 
     def workspace(self, rows: int) -> Workspace:
         """A Workspace for the network's kernel, for up to ``rows`` rows."""
-        return Workspace(rows, [a.shape for a in self.params], self.steps, self.context_init)
+        return Workspace(rows, [a.shape for a in self.params], self.context_init)
 
     def _with_taps(self, X) -> np.ndarray:
         """Feature rows with their delay taps, all zero."""
@@ -227,10 +219,10 @@ class Network:
 
     def batch_loss_and_grads(self, X, T, workspace: Workspace | None = None):
         """(mean squared error, gradients in parameter order) of the prepared
-        rows X against targets T of the output's shape, by backpropagation
-        (through time, over the steps), under ``workspace`` or a new one;
-        the gradients are the workspace's ``grads``.  Matches the mean over
-        its one-row batches up to summation order."""
+        rows X against targets T of the output's shape, by backpropagation,
+        under ``workspace`` or a new one; the gradients are the workspace's
+        ``grads``.  Matches the mean over its one-row batches up to
+        summation order."""
         n = len(X)
         return (workspace or self.workspace(n)).kernel(n).backprop(self.params, X, T)
 

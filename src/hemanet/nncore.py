@@ -1,14 +1,13 @@
-"""Network machinery: one batched kernel (a sigmoid hidden layer run over
-the steps of each row, then a sigmoid output layer, with MSE and backprop
-over a batch of rows; one sample is a batch of one), momentum SGD,
-finite-difference gradient checking, and the training loop.
+"""Network machinery: one batched kernel (a sigmoid hidden layer, then a
+sigmoid output layer, with MSE and backprop over a batch of rows; one
+sample is a batch of one), momentum SGD, finite-difference gradient
+checking, and the training loop.
 
 The kernel serves every family (see models): its parameters are
-(wx, b1, w2, b2), one step over all of a row, or (wx, wh, b1, w2, b2),
-where each step also reads the previous hidden state, a constant context
-at step 0, and there is one step, or one per feature.  The context is one
-row for the whole batch, so step 0 adds its product with wh as one row,
-computed once per call, as it adds b1.
+(wx, b1, w2, b2), or (wx, wh, b1, w2, b2), where the hidden layer also
+reads a constant context through wh.  The context is one row for the whole
+batch, so the kernel adds its product with wh as one row, computed once
+per call, as it adds b1.
 
 A Workspace holds the kernel's buffers and binds the kernel to them once per
 row count: the views it writes, its product choices and its output-delta
@@ -125,23 +124,21 @@ class Workspace:
     have ``shapes``, for up to ``rows`` rows, and the kernel bound to them
     once per row count.
 
-    The net runs a sigmoid hidden layer over ``steps`` steps of each row,
-    then a sigmoid output layer.  Its parameters are (wx, b1, w2, b2), or
-    (wx, wh, b1, w2, b2) when each step also reads the previous hidden state
-    through wh; step 0 reads the constant ``context``.
+    The net is a sigmoid hidden layer, then a sigmoid output layer.  Its
+    parameters are (wx, b1, w2, b2), or (wx, wh, b1, w2, b2) when the hidden
+    layer also reads the constant ``context`` through wh.
 
     ``acts`` holds float64 arrays: with wh first the context, one (1, hidden)
-    row filled here, then a (rows, width) array for each step's state and
-    one for the output.  ``scratch``/``masks`` are a float64 and a bool
-    array of the hidden and of the output width, views of one buffer each:
-    the sigmoids' temporary and wh's product with the context or a state,
-    then the last step's backward delta, then row sums of an earlier step's
-    delta.  ``numerator`` is one float64 row of the hidden width, the
-    one-row hidden sigmoid's third buffer.  ``residual`` and ``square`` are
-    two (rows, outputs) arrays of their own for the output delta, which is
-    written over the output.  ``grads`` are views, in parameter order, into
-    the flat gradient vector ``grad``.  A batch of n rows uses the first n
-    rows of each array.
+    row filled here, then a (rows, width) array for the hidden state and one
+    for the output.  ``scratch``/``masks`` are a float64 and a bool array of
+    the hidden and of the output width, views of one buffer each: the
+    sigmoids' temporary and wh's product with the context, then the
+    backward delta.  ``numerator`` is one float64 row of the hidden width,
+    the one-row hidden sigmoid's third buffer.  ``residual`` and ``square``
+    are two (rows, outputs) arrays of their own for the output delta, which
+    is written over the output.  ``grads`` are views, in parameter order,
+    into the flat gradient vector ``grad``.  A batch of n rows uses the
+    first n rows of each array.
 
     ``kernel(n)`` is the Kernel bound on the first call with n, with every
     view and shape-dependent choice made, and later calls reuse.  It holds
@@ -153,11 +150,10 @@ class Workspace:
     call under the same workspace.  Nothing is shared between workspaces.
     """
 
-    def __init__(self, rows: int, shapes, steps: int = 1, context: float = 0.0):
+    def __init__(self, rows: int, shapes, context: float = 0.0):
         (out, hidden), recurrent = shapes[-2], len(shapes) == 5
         self.acts = [np.full((1, hidden), context)] if recurrent else []
-        self.acts += [np.empty((rows, hidden)) for _ in range(steps)]
-        self.acts.append(np.empty((rows, out)))
+        self.acts += [np.empty((rows, hidden)), np.empty((rows, out))]
         size = rows * max(hidden, out)
         self.scratch = self._views(np.empty(size), rows, (hidden, out))
         self.masks = self._views(np.empty(size, dtype=bool), rows, (hidden, out))
@@ -182,32 +178,23 @@ class Workspace:
 
 def _bind(ws: Workspace, n: int) -> Kernel:
     """The Kernel over the first n rows of ``ws``.  Its ``params`` are the
-    net's (wx, b1, w2, b2) or (wx, wh, b1, w2, b2), and step t of a row of X
-    reads the row's t-th run of wx.shape[1] columns (all of X in one step).
+    net's (wx, b1, w2, b2) or (wx, wh, b1, w2, b2).
 
-    Every choice is made here: whether a step reads the state before it (a
-    net with wh, params[1]), which columns it reads, where each delta goes,
-    and, for a batch of one, the vector forms of the elementwise steps.  The
-    bodies loop over what was chosen; they never test the family.
+    Every choice is made here: the products' forms and, for a batch of one,
+    the vector forms of the elementwise steps.
 
-    The context is one row for every row of the batch: step 0 adds wh @
-    context as one row, as it adds b1, and its share of wh's gradient is the
-    outer product of its delta's row sums (b1's gradient's) and the context.
-    A batch of one has the context's one row, and runs every step alike.
+    The context is one row for every row of the batch: a net with wh adds
+    wh @ context as one row, as it adds b1, and wh's gradient is the outer
+    product of b1's gradient (the delta's row sums) and the context.
     """
     grad, grads = ws.grad, ws.grads
     g_wx, g_b1, g_w2, g_b2 = grads[0], grads[-3], grads[-2], grads[-1]
-    recurrent = grads[1:-3]  # [wh's gradient] for a net with wh, else []
+    recurrent = len(grads) == 5  # a net with wh
+    context, g_wh = (ws.acts[0], grads[1]) if recurrent else (None, None)
     (out, hidden), width = g_w2.shape, g_wx.shape[1]
-    states = [a[:n] for a in ws.acts[:-1]]  # with wh, the context row first
-    hs = states[len(recurrent):]  # each step's state
-    last, columns = len(hs) - 1, width * len(hs)
-    Y, residual, square = ws.acts[-1][:n], ws.residual[:n], ws.square[:n]
+    h, Y = ws.acts[-2][:n], ws.acts[-1][:n]
+    residual, square = ws.residual[:n], ws.square[:n]
     e, e_out = ws.scratch[0][:n], ws.scratch[1][:n]
-    # Backward, e holds the last step's delta, spent before any earlier
-    # step runs: an earlier step of a batch leaves its delta's row sums in
-    # e's first row.
-    sums = e[0]
     scale = np.array(2.0 / Y.size)
 
     def row(a):  # what the elementwise steps run on
@@ -225,9 +212,6 @@ def _bind(ws: Workspace, n: int) -> Kernel:
         hidden_scratch = (e[0], ws.numerator)
         out_scratch = (e_out[0], square[0], residual[0])
         sum_rows_into = np.copyto
-
-        def add_row_sums(total, d):
-            np.add(total, d, out=total)
     else:
         pre_out, sigmoid = Y, sigmoid_inplace
         hidden_scratch = (e, ws.masks[0][:n])
@@ -236,71 +220,37 @@ def _bind(ws: Workspace, n: int) -> Kernel:
         def sum_rows_into(total, d):
             np.add.reduce(d, axis=0, out=total)
 
-        def add_row_sums(total, d):
-            sum_rows_into(sums, d)
-            np.add(total, sums, out=total)
-
     input_product, hidden_product = product_of(width), product_of(hidden)
     weight_product, delta_product = product_of(n), product_of(out)
-    Y_t, h_last, Y_z, pre_z = Y.T, hs[-1], row(Y), row(pre_out)
-    cols = ([None] if len(hs) == 1 else
-            [(slice(None), slice(t * width, (t + 1) * width)) for t in range(len(hs))])
-    # Step t reads, with wh, the state before it: the context row at step 0.
-    # Its product with wh goes into as many rows of e as it has.
-    reads = [(states[t],) if recurrent else () for t in range(len(hs))]
-    steps = [(x, h, row(h), [(prev, e[:len(prev)], row(e[:len(prev)])) for prev in prevs])
-             for x, h, prevs in zip(cols, hs, reads)]
-    # Backward, from the last step: step t spends its own state, which no
-    # earlier step reads, and then (with wh, after step 0) holds the delta
-    # it sends back; the last step receives the output's delta in e and
-    # writes the hidden gradients, and each earlier one adds to them.
-    backward = []
-    for t in reversed(range(len(hs))):
-        d = e if t == last else hs[t + 1]
-        writes = t == last
-        links = tuple((weight_product if writes else np.matmul, d.T, prev, g)
-                      if len(prev) == n else
-                      (np.multiply, (g_b1 if writes else sums)[:, None], prev, g)
-                      for prev, g in zip(reads[t], recurrent))
-        sends = ((d, hs[t]),) if recurrent and t else ()
-        backward.append((cols[t], row(hs[t]), row(d), d.T, links, sends, writes))
+    Y_t, e_t, g_b1_col = Y.T, e.T, g_b1[:, None]
+    Y_z, pre_z, h_z, e_z = row(Y), row(pre_out), row(h), row(e)
+    # wh @ context goes into e's first row, free until the hidden sigmoid.
+    term, term_z = e[:1], row(e[:1])
 
     def forward(params, X):
-        if X.shape[1] != columns:
-            raise ValueError(f"expected {columns} features per sample, got {X.shape[1]}")
-        wx_t, b1 = params[0].T, params[-3]
-        for x, h, z, prevs in steps:
-            input_product(X if x is None else X[x], wx_t, out=h)
-            for prev, into, term in prevs:
-                hidden_product(prev, params[1].T, out=into)
-                np.add(z, term, out=z)
-            np.add(z, b1, out=z)
-            sigmoid(z, *hidden_scratch)
-        hidden_product(h_last, params[-2].T, out=pre_out)
+        if X.shape[1] != width:
+            raise ValueError(f"expected {width} features per sample, got {X.shape[1]}")
+        input_product(X, params[0].T, out=h)
+        if recurrent:
+            hidden_product(context, params[1].T, out=term)
+            np.add(h_z, term_z, out=h_z)
+        np.add(h_z, params[-3], out=h_z)
+        sigmoid(h_z, *hidden_scratch)
+        hidden_product(h, params[-2].T, out=pre_out)
         np.add(pre_z, params[-1], out=Y_z)
         sigmoid(Y_z, *out_scratch)
         return Y
 
     def backprop(params, X, T):
         loss = output_delta(forward(params, X), T, residual, square, scale)[0]
-        weight_product(Y_t, h_last, out=g_w2)
+        weight_product(Y_t, h, out=g_w2)
         sum_rows_into(g_b2, Y_z)
         delta_product(Y, params[-2], out=e)
-        for x, spent, d, d_t, links, sends, writes in backward:
-            times_sigmoid_slope(d, spent)
-            x = X if x is None else X[x]
-            if writes:
-                weight_product(d_t, x, out=g_wx)
-                sum_rows_into(g_b1, d)
-                for product, left, prev, g in links:
-                    product(left, prev, out=g)
-            else:
-                np.add(g_wx, d_t @ x, out=g_wx)
-                add_row_sums(g_b1, d)
-                for product, left, prev, g in links:
-                    np.add(g, product(left, prev), out=g)
-            for delta, into in sends:
-                hidden_product(delta, params[1], out=into)
+        times_sigmoid_slope(e_z, h_z)
+        weight_product(e_t, X, out=g_wx)
+        sum_rows_into(g_b1, e_z)
+        if recurrent:
+            np.multiply(g_b1_col, context, out=g_wh)
         np.add(grad, ZERO, out=grad)
         return loss, grads
 

@@ -2,13 +2,16 @@
 
     PYTHONPATH=src python tests/artifacts.py     # rewrite tests/data/artifacts.sha256
 
+A rewrite prints each file added, removed or changed against the old
+manifest, one per line, so a regeneration names its own changes.
+
 ``build`` runs a fixed matrix of hemanet commands in one directory and
 returns the digest of every file they write:
 
 - ``synth`` of 230 and 1 000 rows;
 - ``train`` of 3 families x 2 stages x 2 update modes (30 epochs,
-  ``--split 40-40-20``, patience and a loss curve), plus Elman
-  ``feature-sequence``, ``banded1`` and ``paper7`` with ``--joint-scaling``;
+  ``--split 40-40-20``, patience and a loss curve), plus FFNN ``banded1``
+  and ``paper7`` with ``--joint-scaling``;
 - one ``eval`` JSON of every model;
 - ``predict --deterministic`` in json, text and csv for each family, on
   ``synth1000.csv`` and on a copy with implausible cells injected
@@ -75,7 +78,6 @@ def commands() -> list:
                 cmds.append(_train(name, family, stage, "--update-mode", mode))
                 models.append(name)
     for name, family, stage, *extra in (
-        ("elman_sequence", "elman", "diagnosis", "--elman-mode", "feature-sequence"),
         ("ffnn_banded1", "ffnn", "classify", "--encoding", "banded1"),
         ("ffnn_paper7", "ffnn", "diagnosis", "--features", "paper7", "--joint-scaling"),
     ):
@@ -131,6 +133,17 @@ def read_manifest(path=MANIFEST) -> tuple[str, dict[str, str]]:
     return recorded, digests
 
 
+def manifest_changes(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """"added", "removed" or "changed", then the file name, for each file
+    whose digest differs from manifest ``old`` to ``new``, by name."""
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        if old.get(name) != new.get(name):
+            kind = "added" if name not in old else "removed" if name not in new else "changed"
+            lines.append(f"{kind}  {name}")
+    return lines
+
+
 def write_manifest(digests: dict[str, str], path=MANIFEST) -> None:
     lines = ["# hemanet fixed-seed CLI artifacts (tests/artifacts.py)",
              f"# built with {versions()}"]
@@ -143,5 +156,8 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         digests = build(tmp)
+    old = read_manifest()[1] if MANIFEST.exists() else {}
     write_manifest(digests)
+    for line in manifest_changes(old, digests):
+        print(line)
     print(f"wrote {len(digests)} digests to {MANIFEST}", file=sys.stderr)

@@ -44,8 +44,7 @@ def test_criterion_1_gradient_correctness():
     start = time.perf_counter()
     setups = [
         ("ffnn", {}),
-        ("elman", {"mode": "single-step"}),
-        ("elman", {"mode": "feature-sequence"}),
+        ("elman", {}),
         ("narx", {}),
     ]
     worst_overall = 0.0
@@ -129,7 +128,7 @@ def test_criterion_3_end_to_end_learning():
 def test_criterion_4_reduction_invariants():
     rng = np.random.default_rng(99)
 
-    # Default single-step Elman: the constant context folds into the hidden bias.
+    # Elman: the constant context folds into the hidden bias.
     elman = build_model("elman", 6, 8, 2, seed=5)
     wx, wh, b1, w2, b2 = (a.copy() for a in elman.param_arrays())
     as_ffnn = Network("ffnn", [wx, b1 + wh @ np.full(8, elman.context_init), w2, b2], 6)

@@ -185,10 +185,8 @@ class TestTrain:
         ("elman", ["--context-init", "nan"], "context_init must be finite, got nan"),
         # A flag of another family's option is refused, not ignored.
         ("ffnn", ["--du", "1"], "--family ffnn takes no narx option d_u"),
-        ("narx", ["--elman-mode", "feature-sequence"], "--family narx takes no elman option mode"),
         ("narx", ["--context-init", "0.3"], "--family narx takes no elman option context_init"),
-    ], ids=["narx-flags0", "narx-flags1", "elman-flags2", "ffnn-du", "narx-elman-mode",
-            "narx-context-init"])
+    ], ids=["narx-flags0", "narx-flags1", "elman-flags2", "ffnn-du", "narx-context-init"])
     def test_bad_family_options_are_usage_errors(self, tmp_path, capsys, family, flags, message):
         data = synth_file(tmp_path)
         out = tmp_path / "m.json"
@@ -211,14 +209,17 @@ class TestTrain:
             f"error: learning_rate must be finite and positive, got {float(lr)!r}\n")
         assert not out.exists()
 
-    def test_narx_has_no_mode_flag(self, tmp_path, capsys):
+    @pytest.mark.parametrize("family,flag,mode", [("narx", "--narx-mode", "stream"),
+                                                  ("elman", "--elman-mode", "feature-sequence")],
+                             ids=["narx", "elman"])
+    def test_no_family_has_a_mode_flag(self, tmp_path, capsys, family, flag, mode):
         data = synth_file(tmp_path)
         out = tmp_path / "m.json"
         assert cli.main([
-            "train", "--data", str(data), "--family", "narx", "--stage", "diagnosis",
-            "--epochs", "3", "--narx-mode", "stream", "-o", str(out),
+            "train", "--data", str(data), "--family", family, "--stage", "diagnosis",
+            "--epochs", "3", flag, mode, "-o", str(out),
         ]) == 2
-        assert "unrecognized arguments: --narx-mode stream" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {mode}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_identical_seeds_write_identical_model_files(self, tmp_path):
@@ -444,22 +445,30 @@ def test_predict_with_non_finite_model_reports_errors(tmp_path, trained_models, 
     assert not out.exists()
 
 
+#: family -> (training options, the section of its fixed mode entry, the
+#: value the entry must hold, another value).
+FIXED_MODES = {"narx": ({"d_u": 1, "d_y": 2}, "delays", "per-record", "stream"),
+               "elman": ({}, "recurrent", "single-step", "feature-sequence")}
+
+
+@pytest.mark.parametrize("family", list(FIXED_MODES))
 @pytest.mark.parametrize("command", ["predict", "eval"])
-def test_stream_mode_narx_model_file_is_a_data_error(tmp_path, trained_models, capsys,
-                                                      command):
+def test_model_file_with_another_mode_is_a_data_error(tmp_path, trained_models, capsys,
+                                                      command, family):
     data, _, clf = trained_models
+    options, section, mode, other = FIXED_MODES[family]
     records = load_csv(data)
     unlabeled = tmp_path / "unlabeled.csv"
     save_unlabeled_csv([item.record for item in to_records(records)], unlabeled)
-    bundle, _ = fit_stage(records, "narx", "diagnosis", TrainConfig(epochs=3, hidden_size=4),
-                          d_u=1, d_y=2)
+    bundle, _ = fit_stage(records, family, "diagnosis", TrainConfig(epochs=3, hidden_size=4),
+                          **options)
     doc = bundle_to_doc(bundle)
-    diag, out = tmp_path / "narx.json", tmp_path / "out.txt"
+    diag, out = tmp_path / f"{family}.json", tmp_path / "out.txt"
     argv = (["predict", "--diagnosis", str(diag), "--classify", str(clf),
              "--data", str(unlabeled)] if command == "predict"
             else ["eval", "-m", str(diag), "--data", str(data)])
-    for mode, code in (("per-record", 0), ("stream", 3)):
-        doc["delays"]["mode"] = mode
+    for value, code in ((mode, 0), (other, 3)):
+        doc[section]["mode"] = value
         diag.write_text(json.dumps(doc))
         out.unlink(missing_ok=True)
         capsys.readouterr()
@@ -467,7 +476,7 @@ def test_stream_mode_narx_model_file_is_a_data_error(tmp_path, trained_models, c
         assert out.exists() is (code == 0)
     assert capsys.readouterr().err == (
         f"data error: {diag}: inconsistent model file: "
-        "NARX delays.mode must be 'per-record', got 'stream'\n")
+        f"{family.upper()} {section}.mode must be {mode!r}, got {other!r}\n")
 
 
 @pytest.mark.parametrize("command", ["predict", "eval"])
@@ -717,29 +726,18 @@ class TestGradcheck:
         assert cli.main(["gradcheck", "--family", family, "--trials", "3"]) == 0
         assert "PASS" in capsys.readouterr().out
 
-    @pytest.mark.parametrize(
-        "family,mode",
-        [("elman", "feature-sequence")],
-    )
-    def test_alternate_modes_pass(self, family, mode, capsys):
-        assert cli.main(["gradcheck", "--family", family, "--mode", mode,
-                         "--trials", "3"]) == 0
-        assert "PASS" in capsys.readouterr().out
-
     def test_coarse_epsilon_still_passes(self, capsys):
         assert cli.main(["gradcheck", "--family", "ffnn", "--epsilon", "1e-3",
                          "--trials", "3"]) == 0
 
-    def test_invalid_mode_for_family(self, capsys):
-        assert cli.main(["gradcheck", "--family", "ffnn", "--mode", "stream"]) == 2
-
-    @pytest.mark.parametrize("mode", ["per-record", "stream"])
-    def test_narx_takes_no_mode(self, capsys, mode):
-        assert cli.main(["gradcheck", "--family", "narx", "--mode", mode]) == 2
-        assert f"mode {mode!r} is not valid for family 'narx'" in capsys.readouterr().err
-
-    def test_unknown_family(self):
-        assert cli.main(["gradcheck", "--family", "lstm"]) == 2
+    @pytest.mark.parametrize("argv,message", [
+        (["--family", "lstm"], "invalid choice: 'lstm'"),
+        (["--family", "elman", "--mode", "feature-sequence"],
+         "unrecognized arguments: --mode feature-sequence"),
+    ], ids=["family", "mode"])
+    def test_unknown_family_or_flag(self, capsys, argv, message):
+        assert cli.main(["gradcheck", *argv]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("trials", ["0", "-2"])
     def test_no_trials_is_usage_error(self, trials, capsys):

@@ -8,10 +8,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import make_record, to_records
-from hemanet import dataio
+from hemanet import cli, dataio
 from hemanet.dataio import (
     COLUMNS,
     LABEL_COLUMN,
+    MAX_CELL_SHOWN,
     MAX_ROWS_SHOWN,
     READ_BLOCK_ROWS,
     CsvFormatError,
@@ -168,6 +169,25 @@ def test_csv_syntax_error_is_a_format_error(tmp_path):
         load_unlabeled_csv(path)
 
 
+def test_stray_quote_error_quotes_a_bounded_cell(tmp_path, capsys):
+    # csv reads the rest of the file after a stray quote as one cell.
+    rows = [f"{ROW},non_anemic"] * 52
+    rows[0] = rows[0].replace("female", '"female')
+    path = tmp_path / "stray_quote.csv"
+    path.write_text("\n".join([HEADER, *rows, ""]))
+    cell = path.read_text().split('"', 1)[1]
+    want = (f"{path}: row 1, column 'gender': cannot parse a cell of {len(cell)} characters "
+            f"starting {cell[:MAX_CELL_SHOWN]!r}")
+    for load in (load_csv, load_unlabeled_csv):
+        with pytest.raises(CsvFormatError) as exc:
+            load(path)
+        assert str(exc.value) == want
+    assert cli.main(["train", "--data", str(path), "--family", "ffnn", "--stage", "diagnosis",
+                     "-o", str(tmp_path / "m.json")]) == 3
+    err = capsys.readouterr().err
+    assert err == f"data error: {want}\n" and len(err) < len(str(path)) + 200
+
+
 @pytest.mark.parametrize("loader", [load_csv, load_unlabeled_csv])
 @pytest.mark.parametrize("where", ["header", "first row", "last block"])
 def test_non_utf8_byte_is_a_format_error_naming_the_file(tmp_path, loader, where):
@@ -209,9 +229,18 @@ def reference_require(path, fieldnames, expected):
         raise CsvFormatError(f"{path}: missing column(s): {', '.join(missing)}")
 
 
+def reference_cell(value):
+    """A cell as a load error quotes it: whole up to MAX_CELL_SHOWN characters,
+    else its length and its head."""
+    if value is not None and len(value) > MAX_CELL_SHOWN:
+        return f"a cell of {len(value)} characters starting {value[:MAX_CELL_SHOWN]!r}"
+    return repr(value)
+
+
 def reference_record(path, row_num, row):
     def bad(column, value):
-        return CsvFormatError(f"{path}: row {row_num}, column '{column}': cannot parse {value!r}")
+        return CsvFormatError(
+            f"{path}: row {row_num}, column '{column}': cannot parse {reference_cell(value)}")
 
     try:
         age = int(row["age"])
@@ -247,7 +276,8 @@ def reference_labeled(path):
             label = AnemiaLabel((row[LABEL_COLUMN] or "").strip().lower())
         except ValueError:
             raise CsvFormatError(
-                f"{path}: row {i}, column 'label': unknown label {row[LABEL_COLUMN]!r}"
+                f"{path}: row {i}, column 'label': unknown label "
+                f"{reference_cell(row[LABEL_COLUMN])}"
             ) from None
         out.append(LabeledRecord(record, label))
     return out

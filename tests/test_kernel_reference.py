@@ -30,13 +30,13 @@ pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
 def as_steps(model, X):
-    """An Elman model's (N, F) batch -> (N, steps, step_dim) per its sequence mode."""
+    """An Elman model's (N, F) batch -> (N, 1, F): one step over the whole row."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.feature_count:
         raise ValueError(
             f"expected {model.feature_count} features per sample, got {X.shape[1]}"
         )
-    return X[:, None, :] if model.options["mode"] == "single-step" else X[:, :, None]
+    return X[:, None, :]
 
 
 def reference_sigmoid(x):
@@ -268,13 +268,12 @@ def test_ffnn_kernels_match_reference(rows, out_dim, seed, scale, edges):
 
 @pytest.mark.parametrize("rows", [1, 920])
 @pytest.mark.parametrize("out_dim", [1, 3])
-@pytest.mark.parametrize("mode", ["single-step", "feature-sequence"])
 @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.1, 1.0, 30.0]),
        edges=st.booleans(), context_init=st.sampled_from([0.5, 0.0, -2.0]))
 @settings(max_examples=8, deadline=None)
-def test_elman_kernels_match_reference(rows, out_dim, mode, seed, scale, edges, context_init):
+def test_elman_kernels_match_reference(rows, out_dim, seed, scale, edges, context_init):
     rng = np.random.default_rng(seed)
-    model = _scaled(build_model("elman", FEATURES, 20, out_dim, seed=seed % 1000, mode=mode,
+    model = _scaled(build_model("elman", FEATURES, 20, out_dim, seed=seed % 1000,
                                 context_init=context_init), scale)
     X, T = _data(rng, rows, out_dim, scale, edges)
     assert_bitwise(model.predict_batch(X), reference_elman_predict(model, X))
@@ -285,18 +284,16 @@ def test_elman_kernels_match_reference(rows, out_dim, mode, seed, scale, edges, 
 
 @pytest.mark.parametrize("rows", [1, 920])
 @pytest.mark.parametrize("out_dim", [1, 3])
-@pytest.mark.parametrize("mode", ["single-step", "feature-sequence"])
 @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.1, 1.0, 30.0]),
        edges=st.booleans(), context_init=st.sampled_from([0.5, 0.0, -2.0, 0.3]))
 @settings(max_examples=8, deadline=None)
-def test_elman_kernels_match_legacy_reference(rows, out_dim, mode, seed, scale, edges,
-                                             context_init):
+def test_elman_kernels_match_legacy_reference(rows, out_dim, seed, scale, edges, context_init):
     # A batch of one reads its one context row as it always did: the same
     # bits.  A batch multiplies wh by one context row where it multiplied a
     # copy per row: the same results up to rounding.
     same = assert_bitwise if rows == 1 else assert_rounding_close
     rng = np.random.default_rng(seed)
-    model = _scaled(build_model("elman", FEATURES, 20, out_dim, seed=seed % 1000, mode=mode,
+    model = _scaled(build_model("elman", FEATURES, 20, out_dim, seed=seed % 1000,
                                 context_init=context_init), scale)
     X, T = _data(rng, rows, out_dim, scale, edges)
     same(model.predict_batch(X), reference_elman_predict(model, X, legacy=True))
@@ -320,7 +317,7 @@ def test_narx_kernels_match_reference(rows):
 def test_kernels_leave_inputs_and_parameters_alone():
     rng = np.random.default_rng(5)
     for model in (build_model("ffnn", FEATURES, 8, 3, seed=1),
-                  build_model("elman", FEATURES, 8, 3, seed=1, mode="feature-sequence")):
+                  build_model("elman", FEATURES, 8, 3, seed=1)):
         X, T = _data(rng, 40, 3, 1.0, False)
         saved = [a.copy() for a in (X, T, *model.param_arrays())]
         model.batch_loss_and_grads(X, T)
@@ -370,8 +367,7 @@ def reference_train(model, train, validation, config, legacy=False):
 
 SPECS = {
     "ffnn": ("ffnn", {}),
-    "elman-single-step": ("elman", {"mode": "single-step"}),
-    "elman-feature-sequence": ("elman", {"mode": "feature-sequence"}),
+    "elman-single-step": ("elman", {}),
     "narx-per-record": ("narx", {}),
     "narx-delays": ("narx", {"d_u": 1, "d_y": 2}),
 }
@@ -410,12 +406,11 @@ def test_train_loop_matches_reference(spec, update_mode, encoding, validation_ro
 
 
 @pytest.mark.parametrize("encoding", ["binary1", "onehot3"])
-@pytest.mark.parametrize("spec", ["elman-single-step", "elman-feature-sequence"])
 @pytest.mark.parametrize("scale", [1.0, 30.0])
-def test_per_sample_training_matches_legacy_reference(spec, encoding, scale):
+def test_per_sample_training_matches_legacy_reference(encoding, scale):
     # Every per-sample update is a batch of one, so with no validation pass
     # the run is the one the n-row context gave, bit for bit.
-    nets, train, _ = _training_case(spec, encoding, 7, scale)
+    nets, train, _ = _training_case("elman-single-step", encoding, 7, scale)
     config = TrainConfig(epochs=3, update_mode="per-sample", seed=9)
     _, curve = train_loop(nets[0], train, None, config)
     train_curve, _ = reference_train(nets[1], train, None, config, legacy=True)

@@ -217,7 +217,6 @@ class TestEvaluationMatchesPerRowReference:
 
     @pytest.mark.parametrize("family,kwargs", [
         ("ffnn", {}), ("elman", {}), ("narx", {}),
-        ("elman", {"mode": "feature-sequence"}),
         ("narx", {"d_u": 1, "d_y": 2}),
     ])
     @pytest.mark.parametrize("encoding", ["onehot3", "banded1"])

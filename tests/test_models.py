@@ -108,8 +108,8 @@ class TestFfnn:
 
 
 def _elman_as_ffnn(elman: Network) -> Network:
-    """The dense net a single-step Elman is: its constant context folds into
-    the hidden bias."""
+    """The dense net an Elman net is: its constant context folds into the
+    hidden bias."""
     wx, wh, b1, w2, b2 = elman.param_arrays()
     bias = b1 + wh @ np.full(len(b1), elman.context_init)
     return _ffnn(wx.copy(), bias, w2.copy(), b2.copy())
@@ -123,7 +123,7 @@ def _one_row_grads(model, x, t):
 
 class TestElman:
     def test_reduces_to_ffnn_without_recurrence(self):
-        elman = build_model("elman", 5, 7, 2, seed=1, mode="single-step", context_init=0.0)
+        elman = build_model("elman", 5, 7, 2, seed=1, context_init=0.0)
         elman.param_arrays()[1][:] = 0.0
         ffnn = _elman_as_ffnn(elman)
         rng = np.random.default_rng(2)
@@ -140,8 +140,7 @@ class TestElman:
         ffnn = build_model("ffnn", 9, 20, out_dim, seed=rows)
         ffnn.set_param_arrays([rng.normal(size=a.shape) for a in ffnn.param_arrays()])
         wx, b1, w2, b2 = (a.copy() for a in ffnn.param_arrays())
-        elman = Network("elman", [wx, np.zeros((20, 20)), b1, w2, b2], 9, mode="single-step",
-                        context_init=0.5)
+        elman = Network("elman", [wx, np.zeros((20, 20)), b1, w2, b2], 9, context_init=0.5)
         X, T = rng.normal(size=(rows, 9)), rng.uniform(size=(rows, out_dim))
         assert ffnn.predict_batch(X).tobytes() == elman.predict_batch(X).tobytes()
         assert ffnn.batch_loss(X, T) == elman.batch_loss(X, T)
@@ -152,8 +151,8 @@ class TestElman:
             assert got.tobytes() == want.tobytes()
 
     def test_default_single_step_equals_ffnn_with_context_in_bias(self):
-        # With the default context of 0.5 and non-zero recurrent weights, a
-        # single-step Elman is a dense net whose hidden bias is b1 + wh @ c0.
+        # With the default context of 0.5 and non-zero recurrent weights, an
+        # Elman net is a dense net whose hidden bias is b1 + wh @ c0.
         elman = build_model("elman", 9, 50, 3, seed=4)
         assert elman.context_init == 0.5 and np.abs(elman.param_arrays()[1]).min() > 0.0
         X = np.random.default_rng(5).uniform(-1, 1, size=(200, 9))
@@ -161,19 +160,19 @@ class TestElman:
         assert difference.max() <= 1e-12
 
     def test_zero_context_zeroes_recurrent_gradient(self):
-        elman = build_model("elman", 4, 6, 1, seed=3, mode="single-step", context_init=0.0)
+        elman = build_model("elman", 4, 6, 1, seed=3, context_init=0.0)
         x = np.random.default_rng(4).uniform(-1, 1, size=4)
         grads = _one_row_grads(elman, x, [0.8])
         np.testing.assert_array_equal(grads[1], 0.0)  # d wh
 
     def test_default_context_makes_recurrent_weights_trainable(self):
-        elman = build_model("elman", 4, 6, 1, seed=3, mode="single-step")  # context_init=0.5
+        elman = build_model("elman", 4, 6, 1, seed=3)  # context_init=0.5
         x = np.random.default_rng(4).uniform(-1, 1, size=4)
         grads = _one_row_grads(elman, x, [0.8])
         assert np.abs(grads[1]).max() > 0.0
 
     def test_non_recurrent_gradients_match_ffnn_when_reduced(self):
-        elman = build_model("elman", 4, 5, 2, seed=5, mode="single-step", context_init=0.0)
+        elman = build_model("elman", 4, 5, 2, seed=5, context_init=0.0)
         elman.param_arrays()[1][:] = 0.0
         ffnn = _elman_as_ffnn(elman)
         rng = np.random.default_rng(6)
@@ -186,21 +185,10 @@ class TestElman:
         np.testing.assert_allclose(eg[3], fg[2], atol=1e-12)  # w2
         np.testing.assert_allclose(eg[4], fg[3], atol=1e-12)  # b2
 
-    def test_feature_sequence_runs_one_step_per_feature(self):
-        elman = build_model("elman", 9, 4, 1, seed=7, mode="feature-sequence")
-        # The context, the hidden state after each of the 9 steps, the output.
-        assert [a.shape for a in elman.workspace(1).acts] == [(1, 4)] * 10 + [(1, 1)]
-        assert elman.forward(np.linspace(-1, 1, 9)).shape == (1,)
-
-    def test_feature_sequence_step_width_is_one(self):
-        elman = build_model("elman", 9, 4, 1, seed=7, mode="feature-sequence")
-        assert elman.param_arrays()[0].shape == (4, 1)
-
-    @pytest.mark.parametrize("mode", ["single-step", "feature-sequence"])
-    def test_gradient_check(self, mode):
+    def test_gradient_check(self):
         rng = np.random.default_rng(8)
         for seed in range(5):
-            elman = build_model("elman", 4, 5, 2, seed=seed, mode=mode)
+            elman = build_model("elman", 4, 5, 2, seed=seed)
             x = rng.uniform(0.1, 1.0, size=4) * rng.choice([-1, 1], size=4)
             t = rng.uniform(0.1, 0.9, size=2)
             assert gradient_check(elman, x, t) < 1e-4
@@ -213,7 +201,7 @@ class TestElman:
         np.testing.assert_array_equal(forward, backward[::-1])
 
     def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="elman has no option 'mode'"):
             build_model("elman", 4, 5, 1, mode="both")
 
 

@@ -511,18 +511,15 @@ class TestTrainLoop:
 
 
 class TestWorkspace:
-    SPECS = [("ffnn", {}), ("elman", {}), ("elman", {"mode": "feature-sequence"}),
-             ("narx", {})]
-
-    @pytest.mark.parametrize("family,kwargs", SPECS)
-    def test_full_batch_epochs_allocate_no_batch_sized_block(self, family, kwargs):
+    @pytest.mark.parametrize("family", ["ffnn", "elman", "narx"])
+    def test_full_batch_epochs_allocate_no_batch_sized_block(self, family):
         # Once the first epoch has run, an epoch's update and validation pass
         # write into the run's workspace: no block the size of one (rows x
         # hidden) float64 array is live above what was live when epoch 2 began.
         rows, hidden = 400, 50
         rng = np.random.default_rng(0)
         X, T = rng.normal(size=(rows + 100, 9)), rng.uniform(size=(rows + 100, 1))
-        net = build_model(family, 9, hidden, 1, seed=0, **kwargs)
+        net = build_model(family, 9, hidden, 1, seed=0)
         train = net.prepare_training(X[:rows], T[:rows])
         validation = net.prepare_training(X[rows:], T[rows:])
         inner, calls, base = net.batch_loss_and_grads, [], []
@@ -585,8 +582,7 @@ class TestWorkspace:
     def _bits(arrays):
         return [np.asarray(a, dtype=float).tobytes() for a in arrays]
 
-    @pytest.mark.parametrize("spec", ["ffnn", "narx", "elman-single-step",
-                                      "elman-feature-sequence"])
+    @pytest.mark.parametrize("spec", ["ffnn", "narx", "elman-single-step"])
     def test_reused_workspace_matches_fresh_ones(self, spec):
         # One workspace serves 1, k and 1 rows again, and then parameters that
         # set_param_arrays rebound: every loss, gradient and output matches a
@@ -595,8 +591,7 @@ class TestWorkspace:
         rng = np.random.default_rng(3)
         k = 7
         X, T = rng.normal(size=(k, 9)), rng.uniform(size=(k, 3))
-        family, _, mode = spec.partition("-")
-        net = build_model(family, 9, 6, 3, seed=4, **({"mode": mode} if mode else {}))
+        net = build_model(spec.partition("-")[0], 9, 6, 3, seed=4)
         features = X
         X, T = net.prepare_training(X, T)
         loss_and_grads, outputs = net.batch_loss_and_grads, net.predict_batch

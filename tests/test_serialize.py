@@ -46,8 +46,7 @@ def _bundle(family: str, encoding: str = "binary1", spec=FULL9, **kwargs) -> Mod
     "family,kwargs",
     [
         ("ffnn", {}),
-        ("elman", {"mode": "single-step", "context_init": 0.5}),
-        ("elman", {"mode": "feature-sequence", "context_init": 0.0}),
+        ("elman", {"context_init": 0.5}),
         ("narx", {"d_u": 2, "d_y": 2}),
         ("narx", {"d_u": 0, "d_y": 1}),
     ],
@@ -252,29 +251,47 @@ def test_malformed_documents_raise_model_format_error(tmp_path, field, value):
         load_model(path)
 
 
-@pytest.mark.parametrize("mode", ["stream", "per_record", None])
-def test_narx_delay_mode_other_than_per_record_refused(tmp_path, mode):
-    doc = bundle_to_doc(_bundle("narx", d_u=1, d_y=2))
-    doc["delays"]["mode"] = mode
+#: Where a model document holds each family's fixed entry (FAMILIES[...].fixed),
+#: and values other than the one it must hold.
+FIXED_ENTRIES = {"delay_mode": ("delays", "mode", ["stream", "per_record", None]),
+                 "mode": ("recurrent", "mode", ["feature-sequence", "single_step", None])}
+#: (family, fixed entry) of every family's fixed entries.
+FIXED = [(family, name) for family, spec in FAMILIES.items() for name in spec.fixed]
+#: Options other than the defaults, for a bundle whose every entry counts.
+BUNDLE_OPTIONS = {"narx": {"d_u": 1, "d_y": 2}}
+
+
+@pytest.mark.parametrize("family,name,value", [
+    (family, name, value) for family, name in FIXED for value in FIXED_ENTRIES[name][2]])
+def test_fixed_entry_other_than_its_value_refused(tmp_path, family, name, value):
+    section, key, _ = FIXED_ENTRIES[name]
+    doc = bundle_to_doc(_bundle(family, **BUNDLE_OPTIONS.get(family, {})))
+    doc[section][key] = value
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ModelFormatError, match="delays.mode must be 'per-record'"):
+    fixed = FAMILIES[family].fixed[name]
+    with pytest.raises(ModelFormatError, match=re.escape(
+            f"{family.upper()} {section}.{key} must be {fixed!r}, got {value!r}")):
         load_model(path)
 
 
-def test_narx_document_without_delay_mode_loads_per_record(tmp_path):
-    bundle = _bundle("narx", d_u=1, d_y=2)
+@pytest.mark.parametrize("family,name", FIXED)
+def test_document_without_fixed_entry_loads_with_its_value(tmp_path, family, name):
+    section, key, _ = FIXED_ENTRIES[name]
+    options = BUNDLE_OPTIONS.get(family, {})
+    bundle = _bundle(family, **options)
     doc = bundle_to_doc(bundle)
-    del doc["delays"]["mode"]
+    assert doc[section][key] == FAMILIES[family].fixed[name]
+    del doc[section][key]
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
     loaded = load_model(path)
-    assert loaded.net.options == {"d_u": 1, "d_y": 2}
+    assert loaded.net.options == {**FAMILIES[family].options, **options}
     assert bundle_to_doc(loaded) == bundle_to_doc(bundle)
 
 
 #: A value other than its default for every family option.
-OTHER_OPTIONS = {"mode": "feature-sequence", "context_init": -0.25, "d_u": 2, "d_y": 3}
+OTHER_OPTIONS = {"context_init": -0.25, "d_u": 2, "d_y": 3}
 #: Where a model document holds each parameter array, in parameter order;
 #: only a net with a context has recurrent weights.
 SLOTS = [("layers", 0, "weights"), ("recurrent", "weights"), ("layers", 0, "biases"),
