@@ -1,5 +1,6 @@
 """CSV schema, parse errors, and exact round trips."""
 import csv
+import string
 import tracemalloc
 
 import numpy as np
@@ -186,6 +187,23 @@ def test_stray_quote_error_quotes_a_bounded_cell(tmp_path, capsys):
                      "-o", str(tmp_path / "m.json")]) == 3
     err = capsys.readouterr().err
     assert err == f"data error: {want}\n" and len(err) < len(str(path)) + 200
+
+
+@pytest.mark.parametrize("column,problem", [("gender", "cannot parse"),
+                                            ("label", "unknown label")])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_cell_longer_than_the_cap_is_quoted_as_length_and_head(tmp_path, column, problem, extra):
+    # A cell of MAX_CELL_SHOWN characters is quoted whole, as every message
+    # quoted it; one character more and the message gives its length and head.
+    cell = string.ascii_letters[:MAX_CELL_SHOWN + extra]
+    cells = dict(zip(HEADER.split(","), f"{ROW},non_anemic".split(",")))
+    cells[column] = cell
+    path = tmp_path / "long_cell.csv"
+    path.write_text(f"{HEADER}\n{','.join(cells.values())}\n")
+    quoted = (f"a cell of {len(cell)} characters starting {cell[:MAX_CELL_SHOWN]!r}"
+              if extra else repr(cell))
+    message = str(pytest.raises(CsvFormatError, load_csv, path).value)
+    assert message == f"{path}: row 1, column '{column}': {problem} {quoted}"
 
 
 @pytest.mark.parametrize("loader", [load_csv, load_unlabeled_csv])

@@ -266,7 +266,7 @@ def test_ffnn_kernels_match_reference(rows, out_dim, seed, scale, edges):
                    reference_batch_loss(lambda x: reference_batch_forward(params, x), X, T))
 
 
-@pytest.mark.parametrize("rows", [1, 920])
+@pytest.mark.parametrize("rows", [1, 2, 920])  # 2: the least batch g_b1 sums
 @pytest.mark.parametrize("out_dim", [1, 3])
 @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.1, 1.0, 30.0]),
        edges=st.booleans(), context_init=st.sampled_from([0.5, 0.0, -2.0]))
@@ -282,7 +282,7 @@ def test_elman_kernels_match_reference(rows, out_dim, seed, scale, edges, contex
                    reference_batch_loss(lambda x: reference_elman_predict(model, x), X, T))
 
 
-@pytest.mark.parametrize("rows", [1, 920])
+@pytest.mark.parametrize("rows", [1, 2, 920])  # 2: the least batch g_b1 sums
 @pytest.mark.parametrize("out_dim", [1, 3])
 @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.1, 1.0, 30.0]),
        edges=st.booleans(), context_init=st.sampled_from([0.5, 0.0, -2.0, 0.3]))
@@ -368,6 +368,8 @@ def reference_train(model, train, validation, config, legacy=False):
 SPECS = {
     "ffnn": ("ffnn", {}),
     "elman-single-step": ("elman", {}),
+    # A negative context flips the sign of every wh gradient, g_b1 * c0.
+    "elman-negative-context": ("elman", {"context_init": -2.0}),
     "narx-per-record": ("narx", {}),
     "narx-delays": ("narx", {"d_u": 1, "d_y": 2}),
 }
@@ -406,11 +408,12 @@ def test_train_loop_matches_reference(spec, update_mode, encoding, validation_ro
 
 
 @pytest.mark.parametrize("encoding", ["binary1", "onehot3"])
+@pytest.mark.parametrize("spec", ["elman-single-step", "elman-negative-context"])
 @pytest.mark.parametrize("scale", [1.0, 30.0])
-def test_per_sample_training_matches_legacy_reference(encoding, scale):
+def test_per_sample_training_matches_legacy_reference(spec, encoding, scale):
     # Every per-sample update is a batch of one, so with no validation pass
     # the run is the one the n-row context gave, bit for bit.
-    nets, train, _ = _training_case("elman-single-step", encoding, 7, scale)
+    nets, train, _ = _training_case(spec, encoding, 7, scale)
     config = TrainConfig(epochs=3, update_mode="per-sample", seed=9)
     _, curve = train_loop(nets[0], train, None, config)
     train_curve, _ = reference_train(nets[1], train, None, config, legacy=True)

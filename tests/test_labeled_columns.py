@@ -217,6 +217,7 @@ class TestEvaluationMatchesPerRowReference:
 
     @pytest.mark.parametrize("family,kwargs", [
         ("ffnn", {}), ("elman", {}), ("narx", {}),
+        ("elman", {"context_init": -0.25}),
         ("narx", {"d_u": 1, "d_y": 2}),
     ])
     @pytest.mark.parametrize("encoding", ["onehot3", "banded1"])

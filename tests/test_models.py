@@ -185,10 +185,11 @@ class TestElman:
         np.testing.assert_allclose(eg[3], fg[2], atol=1e-12)  # w2
         np.testing.assert_allclose(eg[4], fg[3], atol=1e-12)  # b2
 
-    def test_gradient_check(self):
+    @pytest.mark.parametrize("context_init", [0.5, 0.0, -2.0])
+    def test_gradient_check(self, context_init):
         rng = np.random.default_rng(8)
         for seed in range(5):
-            elman = build_model("elman", 4, 5, 2, seed=seed)
+            elman = build_model("elman", 4, 5, 2, seed=seed, context_init=context_init)
             x = rng.uniform(0.1, 1.0, size=4) * rng.choice([-1, 1], size=4)
             t = rng.uniform(0.1, 0.9, size=2)
             assert gradient_check(elman, x, t) < 1e-4

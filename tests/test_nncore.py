@@ -511,15 +511,19 @@ class TestTrainLoop:
 
 
 class TestWorkspace:
-    @pytest.mark.parametrize("family", ["ffnn", "elman", "narx"])
-    def test_full_batch_epochs_allocate_no_batch_sized_block(self, family):
+    #: spec -> (family, options); NARX with delays widens its input by the taps.
+    SPECS = {"ffnn": ("ffnn", {}), "elman-single-step": ("elman", {}),
+             "narx-delays": ("narx", {"d_u": 1, "d_y": 2}), "narx": ("narx", {})}
+
+    @pytest.mark.parametrize("family,kwargs", list(SPECS.values()))
+    def test_full_batch_epochs_allocate_no_batch_sized_block(self, family, kwargs):
         # Once the first epoch has run, an epoch's update and validation pass
         # write into the run's workspace: no block the size of one (rows x
         # hidden) float64 array is live above what was live when epoch 2 began.
         rows, hidden = 400, 50
         rng = np.random.default_rng(0)
         X, T = rng.normal(size=(rows + 100, 9)), rng.uniform(size=(rows + 100, 1))
-        net = build_model(family, 9, hidden, 1, seed=0)
+        net = build_model(family, 9, hidden, 1, seed=0, **kwargs)
         train = net.prepare_training(X[:rows], T[:rows])
         validation = net.prepare_training(X[rows:], T[rows:])
         inner, calls, base = net.batch_loss_and_grads, [], []
@@ -582,7 +586,7 @@ class TestWorkspace:
     def _bits(arrays):
         return [np.asarray(a, dtype=float).tobytes() for a in arrays]
 
-    @pytest.mark.parametrize("spec", ["ffnn", "narx", "elman-single-step"])
+    @pytest.mark.parametrize("spec", list(SPECS))
     def test_reused_workspace_matches_fresh_ones(self, spec):
         # One workspace serves 1, k and 1 rows again, and then parameters that
         # set_param_arrays rebound: every loss, gradient and output matches a
@@ -591,7 +595,8 @@ class TestWorkspace:
         rng = np.random.default_rng(3)
         k = 7
         X, T = rng.normal(size=(k, 9)), rng.uniform(size=(k, 3))
-        net = build_model(spec.partition("-")[0], 9, 6, 3, seed=4)
+        family, kwargs = self.SPECS[spec]
+        net = build_model(family, 9, 6, 3, seed=4, **kwargs)
         features = X
         X, T = net.prepare_training(X, T)
         loss_and_grads, outputs = net.batch_loss_and_grads, net.predict_batch

@@ -47,6 +47,7 @@ def _bundle(family: str, encoding: str = "binary1", spec=FULL9, **kwargs) -> Mod
     [
         ("ffnn", {}),
         ("elman", {"context_init": 0.5}),
+        ("elman", {"context_init": 0.0}),
         ("narx", {"d_u": 2, "d_y": 2}),
         ("narx", {"d_u": 0, "d_y": 1}),
     ],
