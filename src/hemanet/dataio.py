@@ -248,12 +248,13 @@ def _parse_blocks(path, header, rows, columns) -> list[tuple]:
     width = max(position[c] for c in columns) + 1
     blocks, start = [_parse_block([()] * width, columns, position)], 1
     while block := list(islice(rows, READ_BLOCK_ROWS)):
+        padded = block
         if min(map(len, block)) < width:
-            block = [row + [None] * (width - len(row)) for row in block]
+            padded = [row + [None] * (width - len(row)) for row in block]
         try:
-            blocks.append(_parse_block(list(zip(*block)), columns, position))
+            blocks.append(_parse_block(list(zip(*padded)), columns, position))
         except (KeyError, TypeError, ValueError):
-            raise _first_bad_cell(path, block, columns, position, start) from None
+            raise _first_bad_cell(path, header, block, columns, position, start) from None
         start += len(block)
     return blocks
 
@@ -274,16 +275,20 @@ def _parse_block(table, columns, position) -> tuple:
     return cells("age", object), cells("gender", np.int8), analytes, labels
 
 
-def _first_bad_cell(path, rows, columns, position, start) -> CsvFormatError:
-    """The error for the first cell, row then column, that fails; rows count from start."""
+def _first_bad_cell(path, header, rows, columns, position, start) -> CsvFormatError:
+    """The error for the first cell, row then column, that fails or that a
+    short row lacks; rows count from start."""
     for row_num, row in enumerate(rows, start=start):
         for name in columns:
+            if position[name] >= len(row):
+                return CsvFormatError(f"{path}: row {row_num} has {len(row)} of the "
+                                      f"header's {len(header)} cells")
             cell = row[position[name]]
             try:
                 _PARSE[name](cell)
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, ValueError):
                 problem = "unknown label" if name == LABEL_COLUMN else "cannot parse"
-                if cell is not None and len(cell) > MAX_CELL_SHOWN:
+                if len(cell) > MAX_CELL_SHOWN:
                     problem += f" a cell of {len(cell)} characters starting"
                     cell = cell[:MAX_CELL_SHOWN]
                 return CsvFormatError(

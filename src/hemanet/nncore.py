@@ -13,7 +13,9 @@ A Workspace holds the kernel's buffers and binds the kernel to them once per
 row count: the views it writes, its product choices and its output-delta
 buffers are made on the first call with n rows, so that a later call, a
 one-row training update above all, runs only its ufuncs.  A batch of one
-binds vector forms of its elementwise steps.
+has its own straight-line binding, with the same arithmetic in half the
+numpy calls: vector forms of the elementwise steps, a five-call sigmoid,
+and for a net of one output, the output neuron in Python floats.
 
 All math is float64.  Training is single-threaded and fully determined by
 (seed, data, config); the per-sample update mode shuffles with its own
@@ -30,8 +32,8 @@ import numpy as np
 # Constant operands of the kernels, as read-only 0-d float64 arrays: numpy
 # converts a Python float operand on every call, which costs about a third
 # of a one-row operation.  The values, and so every result, are the same.
-ZERO, ONE = np.array(0.0), np.array(1.0)
-ZERO.flags.writeable = ONE.flags.writeable = False
+ZERO, ONE, MINUS_ONE = np.array(0.0), np.array(1.0), np.array(-1.0)
+ZERO.flags.writeable = ONE.flags.writeable = MINUS_ONE.flags.writeable = False
 
 
 def sigmoid_inplace(z: np.ndarray, e=None, nonnegative=None, f=None) -> np.ndarray:
@@ -54,23 +56,21 @@ def sigmoid_inplace(z: np.ndarray, e=None, nonnegative=None, f=None) -> np.ndarr
     return np.divide(f, e, out=z)
 
 
-def sigmoid_row(z: np.ndarray, e, f, g=None) -> np.ndarray:
+def sigmoid_row(z: np.ndarray, pair, num, den) -> np.ndarray:
     """sigmoid_inplace of the 1-d float64 array ``z``, bit for bit, written over it.
 
     The numerator is exp(min(z, 0)): where z < 0 it is exp(z), which is
-    exp(-|z|), and elsewhere exp(0) = 1.  A second exp costs less on one row
-    than max(e, z >= 0), which mixes bool and float.  ``e``, ``f`` and
-    ``g`` are float64 scratch arrays of z's shape; with ``g`` (z when not
-    given) distinct from z, no step runs into its own input.
+    exp(-|z|), and elsewhere exp(0) = 1.  ``pair`` is a (2, z.size) float64
+    buffer and ``num``, ``den`` its two rows: one exp over the pair turns
+    min(z, 0) and copysign(z, -1) = -|z| into the numerator and exp(-|z|),
+    so the sigmoid takes five calls, none mixing in a bool operand, which
+    costs more than a call on one row.
     """
-    g = z if g is None else g
-    np.abs(z, out=e)
-    np.minimum(z, ZERO, out=f)
-    np.negative(e, out=g)
-    np.exp(f, out=e)
-    np.exp(g, out=f)
-    np.add(f, ONE, out=g)
-    return np.divide(e, g, out=z)
+    np.minimum(z, ZERO, out=num)
+    np.copysign(z, MINUS_ONE, out=den)
+    np.exp(pair, out=pair)
+    np.add(den, ONE, out=den)
+    return np.divide(num, den, out=z)
 
 
 def as_rows(X) -> np.ndarray:
@@ -90,9 +90,9 @@ def product_of(inner: int):
     """The ufunc for a matrix product whose inner dimension is ``inner``.
 
     With an inner dimension of 1 the product is an outer product, computed as
-    a broadcast multiply.  Its zeros keep their sign, where a BLAS product,
-    which accumulates from zero, gives +0.0: kernels add 0.0 to the
-    gradients they write this way.
+    a broadcast multiply.  Its exact zeros keep their sign, where a BLAS
+    product, which accumulates from +0.0, gives +0.0: kernels add 0.0 to
+    the gradients they write this way.
     """
     return np.multiply if inner == 1 else np.matmul
 
@@ -133,17 +133,18 @@ class Workspace:
     for the output.  ``scratch``/``masks`` are a float64 and a bool array of
     the hidden and of the output width, views of one buffer each: the
     sigmoids' temporary and wh's product with the context, then the
-    backward delta.  ``numerator`` is one float64 row of the hidden width,
-    the one-row hidden sigmoid's third buffer.  ``residual`` and ``square``
-    are two (rows, outputs) arrays of their own for the output delta, which
-    is written over the output.  ``grads`` are views, in parameter order,
-    into the flat gradient vector ``grad``.  A batch of n rows uses the
-    first n rows of each array.
+    backward delta; a batch of one writes its output product into the
+    second.  ``pair`` is a float64 buffer of two rows of the hidden or the
+    output width, the one-row sigmoids' numerators and denominators.
+    ``residual`` and ``square`` are two (rows, outputs) arrays of their own
+    for the output delta.  ``grads`` are views, in parameter order, into
+    the flat gradient vector ``grad``.  A batch of n rows uses the first n
+    rows of each array.
 
     ``kernel(n)`` is the Kernel bound on the first call with n, with every
-    view and shape-dependent choice made, and later calls reuse.  It holds
-    buffers, not parameters, so it stays valid when they change or are
-    rebound.
+    view and shape-dependent choice made, and later calls reuse: _bind_row's
+    for one row, _bind's for more.  It holds buffers, not parameters, so it
+    stays valid when they change or are rebound.
 
     A kernel run under a workspace writes its activations, deltas and
     gradients into it, so the arrays it returns are overwritten by the next
@@ -157,7 +158,7 @@ class Workspace:
         size = rows * max(hidden, out)
         self.scratch = self._views(np.empty(size), rows, (hidden, out))
         self.masks = self._views(np.empty(size, dtype=bool), rows, (hidden, out))
-        self.numerator = np.empty(hidden)
+        self.pair = np.empty(2 * max(hidden, out))
         self.residual = np.empty((rows, out))
         self.square = np.empty((rows, out))
         self.grad = np.empty(sum(math.prod(s) for s in shapes))
@@ -172,16 +173,16 @@ class Workspace:
         """The kernel over the first n rows, bound on the first call with n."""
         kernel = self._kernels.get(n)
         if kernel is None:
-            kernel = self._kernels[n] = _bind(self, n)
+            kernel = self._kernels[n] = _bind_row(self) if n == 1 else _bind(self, n)
         return kernel
 
 
 def _bind(ws: Workspace, n: int) -> Kernel:
-    """The Kernel over the first n rows of ``ws``.  Its ``params`` are the
-    net's (wx, b1, w2, b2) or (wx, wh, b1, w2, b2).
+    """The Kernel over the first n rows of ``ws``, n > 1.  Its ``params``
+    are the net's (wx, b1, w2, b2) or (wx, wh, b1, w2, b2).
 
-    Every choice is made here: the products' forms and, for a batch of one,
-    the vector forms of the elementwise steps.
+    Every choice is made here: the products' forms and the views the steps
+    write.  The output delta is written over the output.
 
     The context is one row for every row of the batch: a net with wh adds
     wh @ context as one row, as it adds b1, and wh's gradient is the outer
@@ -195,37 +196,17 @@ def _bind(ws: Workspace, n: int) -> Kernel:
     h, Y = ws.acts[-2][:n], ws.acts[-1][:n]
     residual, square = ws.residual[:n], ws.square[:n]
     e, e_out = ws.scratch[0][:n], ws.scratch[1][:n]
+    hidden_scratch, out_scratch = (e, ws.masks[0][:n]), (e_out, ws.masks[1][:n])
     scale = np.array(2.0 / Y.size)
-
-    def row(a):  # what the elementwise steps run on
-        return a[0] if n == 1 else a
-
-    if n == 1:
-        # A batch of one runs its bias adds, sigmoids, slopes and bias
-        # gradients on 1-d row views: on a (1, H) row numpy costs two to
-        # three times as much per call to broadcast, to mix in a bool
-        # operand or to reduce.  The output's product goes into e_out and
-        # its sigmoid's buffers are the output delta's, free until then, so
-        # that no step of the output layer runs into its own input, which
-        # is slow on one element.
-        pre_out, sigmoid = e_out, sigmoid_row
-        hidden_scratch = (e[0], ws.numerator)
-        out_scratch = (e_out[0], square[0], residual[0])
-        sum_rows_into = np.copyto
-    else:
-        pre_out, sigmoid = Y, sigmoid_inplace
-        hidden_scratch = (e, ws.masks[0][:n])
-        out_scratch = (e_out, ws.masks[1][:n])
-
-        def sum_rows_into(total, d):
-            np.add.reduce(d, axis=0, out=total)
-
     input_product, hidden_product = product_of(width), product_of(hidden)
-    weight_product, delta_product = product_of(n), product_of(out)
+    delta_product = product_of(out)
     Y_t, e_t, g_b1_col = Y.T, e.T, g_b1[:, None]
-    Y_z, pre_z, h_z, e_z = row(Y), row(pre_out), row(h), row(e)
-    # wh @ context goes into e's first row, free until the hidden sigmoid.
-    term, term_z = e[:1], row(e[:1])
+    term = e[:1]  # wh @ context, free until the hidden sigmoid
+    # The output layer's gradients are a BLAS product and a row sum and keep
+    # their bits: BLAS gives -0.0 where a negative product underflows.  The
+    # hidden layer's get 0.0 added: a one-output net's hidden delta is a
+    # broadcast multiply (see product_of).
+    hidden_grad = grad[:grad.size - g_w2.size - g_b2.size]
 
     def forward(params, X):
         if X.shape[1] != width:
@@ -233,28 +214,114 @@ def _bind(ws: Workspace, n: int) -> Kernel:
         input_product(X, params[0].T, out=h)
         if recurrent:
             hidden_product(context, params[1].T, out=term)
-            np.add(h_z, term_z, out=h_z)
-        np.add(h_z, params[-3], out=h_z)
-        sigmoid(h_z, *hidden_scratch)
-        hidden_product(h, params[-2].T, out=pre_out)
-        np.add(pre_z, params[-1], out=Y_z)
-        sigmoid(Y_z, *out_scratch)
+            np.add(h, term, out=h)
+        np.add(h, params[-3], out=h)
+        sigmoid_inplace(h, *hidden_scratch)
+        hidden_product(h, params[-2].T, out=Y)
+        np.add(Y, params[-1], out=Y)
+        sigmoid_inplace(Y, *out_scratch)
         return Y
 
     def backprop(params, X, T):
         loss = output_delta(forward(params, X), T, residual, square, scale)[0]
-        weight_product(Y_t, h, out=g_w2)
-        sum_rows_into(g_b2, Y_z)
+        np.matmul(Y_t, h, out=g_w2)
+        np.add.reduce(Y, axis=0, out=g_b2)
         delta_product(Y, params[-2], out=e)
-        times_sigmoid_slope(e_z, h_z)
-        weight_product(e_t, X, out=g_wx)
-        sum_rows_into(g_b1, e_z)
+        times_sigmoid_slope(e, h)
+        np.matmul(e_t, X, out=g_wx)
+        np.add.reduce(e, axis=0, out=g_b1)
         if recurrent:
             np.multiply(g_b1_col, context, out=g_wh)
-        np.add(grad, ZERO, out=grad)
+        np.add(hidden_grad, ZERO, out=hidden_grad)
         return loss, grads
 
     return Kernel(forward, backprop)
+
+
+def _bind_row(ws: Workspace) -> Kernel:
+    """The Kernel over the first row of ``ws``: _bind's arithmetic, bit for
+    bit, in fewer numpy calls, since a one-row call costs numpy's dispatch
+    more than its arithmetic.
+
+    Elementwise steps run on 1-d row views, on which numpy costs two to
+    three times less per call than on a (1, H) row to broadcast or to
+    reduce, and the sigmoids are sigmoid_row over ``ws.pair``.  The output
+    delta is written into b2's gradient, which is then the delta, so the
+    backward steps read it from there and no copy is made.
+
+    A net of one output computes its output neuron in Python floats, which
+    make the same IEEE operations: z + b2, the sigmoid, the loss r * r and
+    the delta ((r * 2) * y) * (1 - y), each in _bind's order.  Its two
+    exponentials come from one np.exp over two elements of ``ws.pair``:
+    math.exp is not np.exp's function, and would change the bits.  The
+    delta goes to the backward steps as a 0-d view of b2's gradient, which
+    numpy reads faster than a Python float.
+    """
+    grad, grads = ws.grad, ws.grads
+    g_wx, g_b1, g_w2, g_b2 = grads[0], grads[-3], grads[-2], grads[-1]
+    recurrent = len(grads) == 5  # a net with wh
+    context, g_wh = (ws.acts[0], grads[1]) if recurrent else (None, None)
+    (out, hidden), width = g_w2.shape, g_wx.shape[1]
+    h, Y = ws.acts[-2][:1], ws.acts[-1][:1]
+    h_z, Y_z = h[0], Y[0]
+    residual, square = ws.residual[:1], ws.square[:1]
+    term, pre = ws.scratch[0][:1], ws.scratch[1][:1]  # wh @ context; the output product
+    term_z, pre_z = term[0], pre[0]
+    pairs = [ws.pair[:2 * size].reshape(2, size) for size in (hidden, out)]
+    hidden_pair, out_pair = [(pair, pair[0], pair[1]) for pair in pairs]
+    exps = ws.pair[:2]  # one output's min(z, 0) and -|z|
+    scale = np.array(2.0 / out)
+    input_product, hidden_product = product_of(width), product_of(hidden)
+    delta_product = product_of(out)
+    g_b1_row, g_b1_col, g_b2_row = g_b1[None], g_b1[:, None], g_b2[None]
+    # The output delta as the backward products read it: a column and a
+    # row, or for one output a 0-d view.
+    delta_col, delta_row = (g_b2.reshape(()),) * 2 if out == 1 else (g_b2[:, None], g_b2_row)
+
+    def hidden_layer(params, X):  # the hidden state and the output product
+        if X.shape[1] != width:
+            raise ValueError(f"expected {width} features per sample, got {X.shape[1]}")
+        input_product(X, params[0].T, out=h)
+        if recurrent:
+            hidden_product(context, params[1].T, out=term)
+            np.add(h_z, term_z, out=h_z)
+        np.add(h_z, params[-3], out=h_z)
+        sigmoid_row(h_z, *hidden_pair)
+        hidden_product(h, params[-2].T, out=pre)
+
+    def forward(params, X):
+        hidden_layer(params, X)
+        np.add(pre_z, params[-1], out=Y_z)
+        sigmoid_row(Y_z, *out_pair)
+        return Y
+
+    def backward(params, X):  # from the output delta in g_b2
+        np.multiply(delta_col, h, out=g_w2)
+        delta_product(delta_row, params[-2], out=g_b1_row)
+        times_sigmoid_slope(g_b1, h_z)
+        np.multiply(g_b1_col, X, out=g_wx)
+        if recurrent:
+            np.multiply(g_b1_col, context, out=g_wh)
+        np.add(grad, ZERO, out=grad)
+        return grads
+
+    def backprop(params, X, T):
+        loss = output_delta(forward(params, X), T, residual, square, scale, g_b2_row)[0]
+        return loss, backward(params, X)
+
+    def backprop_one_output(params, X, T):
+        hidden_layer(params, X)
+        check_targets(Y, T)
+        z = pre.item() + params[-1].item()
+        exps[0], exps[1] = min(z, 0.0), -abs(z)
+        np.exp(exps, out=exps)
+        numerator, e = exps.tolist()
+        y = numerator / (e + 1.0)
+        r = y - T.item()
+        g_b2[0] = r * 2.0 * y * (1.0 - y)
+        return r * r, backward(params, X)
+
+    return Kernel(forward, backprop_one_output if out == 1 else backprop)
 
 
 def times_sigmoid_slope(delta, s) -> np.ndarray:
@@ -265,20 +332,25 @@ def times_sigmoid_slope(delta, s) -> np.ndarray:
     return delta
 
 
+def check_targets(Y, T) -> None:
+    """ValueError unless targets T have the shape of outputs Y."""
+    if Y.shape != T.shape:
+        raise ValueError(f"targets of shape {T.shape} do not match outputs {Y.shape}")
+
+
 def output_residual(Y, T, out=None) -> np.ndarray:
     """Y - T for outputs Y and targets T, into ``out`` when it is given;
     ValueError unless their shapes match."""
-    if Y.shape != T.shape:
-        raise ValueError(f"targets of shape {T.shape} do not match outputs {Y.shape}")
+    check_targets(Y, T)
     return np.subtract(Y, T, out=out)
 
 
-def output_delta(Y, T, residual=None, square=None, scale=None):
+def output_delta(Y, T, residual=None, square=None, scale=None, out=None):
     """(mean squared error, its gradient at the output pre-activation) of
     outputs Y against targets T of the same shape.
 
     The gradient 2/size * (Y - T) * Y * (1 - Y), left to right, is written
-    over Y (spent).  ``residual`` and ``square`` are float64 scratch of Y's
+    into ``out``, or over Y (spent) when it is not given.  ``residual`` and ``square`` are float64 scratch of Y's
     shape (new when not given), so that no step writes into its own input.
     ``scale`` is 2/size as a 0-d float64 array, made when not given.
     """
@@ -288,7 +360,7 @@ def output_delta(Y, T, residual=None, square=None, scale=None):
     np.multiply(residual, np.array(2.0 / Y.size) if scale is None else scale, out=square)
     np.multiply(square, Y, out=residual)
     np.subtract(ONE, Y, out=square)
-    return loss, np.multiply(residual, square, out=Y)
+    return loss, np.multiply(residual, square, out=Y if out is None else out)
 
 
 def sgd_momentum_step(params, grad, velocity, learning_rate: float, momentum: float,

@@ -4,6 +4,7 @@ Each criterion is asserted at its stated tolerance and prints one PASS
 line, so `pytest tests/test_acceptance.py -v -s` doubles as a checklist.
 """
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -50,7 +51,8 @@ def test_criterion_1_gradient_correctness():
     worst_overall = 0.0
     for family, kwargs in setups:
         for trial in range(20):
-            seed = 1000 * trial + hash(family + str(kwargs)) % 997
+            # crc32, unlike hash(), is the same in every process.
+            seed = 1000 * trial + zlib.crc32((family + str(kwargs)).encode()) % 997
             rng = np.random.default_rng(seed)
             features = int(rng.integers(2, 7))
             hidden = int(rng.integers(2, 9))

@@ -189,6 +189,23 @@ def test_stray_quote_error_quotes_a_bounded_cell(tmp_path, capsys):
     assert err == f"data error: {want}\n" and len(err) < len(str(path)) + 200
 
 
+@pytest.mark.parametrize("labeled", [True, False])
+def test_short_row_error_names_its_width(tmp_path, capsys, labeled):
+    # The second row stops after rbc: it is named with its count of cells
+    # against the header's, where hgb's missing cell was quoted as None.
+    header = HEADER if labeled else HEADER.removesuffix(",label")
+    label = ",non_anemic" if labeled else ""
+    path = tmp_path / "short_row.csv"
+    path.write_text(f"{header}\n{ROW}{label}\n41,male,4.5\n{ROW}{label}\n")
+    want = f"{path}: row 2 has 3 of the header's {len(header.split(','))} cells"
+    load = load_csv if labeled else load_unlabeled_csv
+    assert str(pytest.raises(CsvFormatError, load, path).value) == want
+    if labeled:
+        assert cli.main(["train", "--data", str(path), "--family", "ffnn",
+                         "--stage", "diagnosis", "-o", str(tmp_path / "m.json")]) == 3
+        assert capsys.readouterr().err == f"data error: {want}\n"
+
+
 @pytest.mark.parametrize("column,problem", [("gender", "cannot parse"),
                                             ("label", "unknown label")])
 @pytest.mark.parametrize("extra", [0, 1])
@@ -229,11 +246,14 @@ def test_non_utf8_byte_is_a_format_error_naming_the_file(tmp_path, loader, where
 
 
 def reference_rows(path):
+    """(rows, header): each non-blank row as (its cells by column name, as
+    csv.DictReader gives them, a missing cell None; its count of cells)."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            rows = list(reader)
-            fieldnames = reader.fieldnames
+            reader = csv.reader(fh)
+            fieldnames = next(reader, None)
+            rows = [(dict(zip(fieldnames, row)) | dict.fromkeys(fieldnames[len(row):]), len(row))
+                    for row in reader if row]
     except csv.Error as exc:
         raise CsvFormatError(f"{path}: {exc}") from None
     if fieldnames is None:
@@ -250,37 +270,47 @@ def reference_require(path, fieldnames, expected):
 def reference_cell(value):
     """A cell as a load error quotes it: whole up to MAX_CELL_SHOWN characters,
     else its length and its head."""
-    if value is not None and len(value) > MAX_CELL_SHOWN:
+    if len(value) > MAX_CELL_SHOWN:
         return f"a cell of {len(value)} characters starting {value[:MAX_CELL_SHOWN]!r}"
     return repr(value)
 
 
-def reference_record(path, row_num, row):
-    def bad(column, value):
+def reference_bad(path, row_num, row, fieldnames, column, problem="cannot parse"):
+    """The error for the cell of ``column`` that fails, or that the row is too short to hold."""
+    values, cells = row
+    if values[column] is None:
         return CsvFormatError(
-            f"{path}: row {row_num}, column '{column}': cannot parse {reference_cell(value)}")
+            f"{path}: row {row_num} has {cells} of the header's {len(fieldnames)} cells")
+    return CsvFormatError(
+        f"{path}: row {row_num}, column '{column}': {problem} {reference_cell(values[column])}")
 
+
+def reference_record(path, row_num, row, fieldnames):
+    def bad(column):
+        return reference_bad(path, row_num, row, fieldnames, column)
+
+    values = row[0]
     try:
-        age = int(row["age"])
+        age = int(values["age"])
     except (TypeError, ValueError):
-        raise bad("age", row["age"]) from None
+        raise bad("age") from None
     try:
-        gender = Gender((row["gender"] or "").strip().lower())
+        gender = Gender((values["gender"] or "").strip().lower())
     except ValueError:
-        raise bad("gender", row["gender"]) from None
-    values = {}
+        raise bad("gender") from None
+    analytes = {}
     for name in COLUMNS[2:]:
         try:
-            values[name] = float(row[name])
+            analytes[name] = float(values[name])
         except (TypeError, ValueError):
-            raise bad(name, row[name]) from None
-    return CbcRecord(age=age, gender=gender, **values)
+            raise bad(name) from None
+    return CbcRecord(age=age, gender=gender, **analytes)
 
 
 def reference_unlabeled(path):
     rows, fieldnames = reference_rows(path)
     reference_require(path, fieldnames, COLUMNS)
-    return [reference_record(path, i, row) for i, row in enumerate(rows, start=1)]
+    return [reference_record(path, i, row, fieldnames) for i, row in enumerate(rows, start=1)]
 
 
 def reference_labeled(path):
@@ -289,14 +319,11 @@ def reference_labeled(path):
     reference_require(path, fieldnames, COLUMNS + (LABEL_COLUMN,))
     out = []
     for i, row in enumerate(rows, start=1):
-        record = reference_record(path, i, row)
+        record = reference_record(path, i, row, fieldnames)
         try:
-            label = AnemiaLabel((row[LABEL_COLUMN] or "").strip().lower())
+            label = AnemiaLabel((row[0][LABEL_COLUMN] or "").strip().lower())
         except ValueError:
-            raise CsvFormatError(
-                f"{path}: row {i}, column 'label': unknown label "
-                f"{reference_cell(row[LABEL_COLUMN])}"
-            ) from None
+            raise reference_bad(path, i, row, fieldnames, LABEL_COLUMN, "unknown label") from None
         out.append(LabeledRecord(record, label))
     return out
 

@@ -218,15 +218,19 @@ ROW_VALUES = st.one_of(
 )
 
 
-@given(z=hnp.arrays(float, st.integers(1, 60), elements=ROW_VALUES),
-       distinct_g=st.booleans())
+@given(z=hnp.arrays(float, st.integers(1, 60), elements=ROW_VALUES))
 @settings(max_examples=300, deadline=None)
-def test_one_row_sigmoid_matches_sigmoid_inplace(z, distinct_g):
+def test_one_row_sigmoid_matches_sigmoid_inplace(z):
     # exp(min(z, 0)) and max(exp(-|z|), z >= 0) are the same numerator: for
     # z < 0 both are exp(z); NaN must stay NaN in the same places.
     want = sigmoid_inplace(z.copy())
-    scratch = [np.empty_like(z) for _ in range(2 + distinct_g)]
-    assert_bitwise(sigmoid_row(z.copy(), *scratch), want)
+    pair = np.empty((2, z.size))
+    assert_bitwise(sigmoid_row(z.copy(), pair, *pair), want)
+
+
+def test_one_row_sigmoid_edge_values():
+    pair = np.empty((2, EDGES.size))
+    assert_bitwise(sigmoid_row(EDGES.copy(), pair, *pair), reference_sigmoid(EDGES))
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +306,12 @@ def test_elman_kernels_match_legacy_reference(rows, out_dim, seed, scale, edges,
 
 
 @pytest.mark.parametrize("rows", [1, 920])
-def test_narx_kernels_match_reference(rows):
+@pytest.mark.parametrize("out_dim", [1, 3])
+def test_narx_kernels_match_reference(rows, out_dim):
     rng = np.random.default_rng(rows)
     # Random inputs of the core's full width, taps included, so every weight counts.
-    model = build_model("narx", FEATURES, 50, 3, seed=4, d_u=1, d_y=2)
-    X, T = _data(rng, rows, 3, 1.0, False, width=FEATURES + model.taps)
+    model = build_model("narx", FEATURES, 50, out_dim, seed=4, d_u=1, d_y=2)
+    X, T = _data(rng, rows, out_dim, 1.0, False, width=FEATURES + model.taps)
     params = model.param_arrays()
     assert_same_result(model.batch_loss_and_grads(X, T),
                        reference_batch_backprop(params, X, T))
@@ -390,7 +395,7 @@ def _training_case(spec, encoding, validation_rows, scale):
 
 
 @pytest.mark.parametrize("validation_rows", [7, 40])  # the training set has 24
-@pytest.mark.parametrize("encoding", ["binary1", "onehot3"])
+@pytest.mark.parametrize("encoding", ["binary1", "onehot3", "banded1"])
 @pytest.mark.parametrize("update_mode", ["full-batch", "per-sample"])
 @pytest.mark.parametrize("spec", list(SPECS))
 @pytest.mark.parametrize("scale", [1.0, 30.0])

@@ -1,5 +1,7 @@
 """Model families: reductions to the plain feedforward net, recurrent
 gradients, NARX delay-line composition, and output encodings."""
+import re
+
 import numpy as np
 import pytest
 
@@ -292,6 +294,28 @@ def test_batch_loss_refuses_targets_of_another_shape(family):
         net.batch_loss(Xn, T[:, 0])
     with pytest.raises(ValueError, match="do not match"):
         net.batch_loss_and_grads(Xn, T[:, 0])
+
+
+@pytest.mark.parametrize("family", ["ffnn", "elman", "narx"])
+@pytest.mark.parametrize("out_dim", [1, 3])
+@pytest.mark.parametrize("rows", [1, 2])
+def test_one_row_and_batch_kernels_refuse_alike(family, out_dim, rows):
+    # A batch of one is bound apart from larger ones, and a one-output net
+    # computes its output neuron in floats: both keep the batch's refusals.
+    net = build_model(family, 4, 3, out_dim, seed=0)
+    X, T = net.prepare_training(np.zeros((rows, 4)), np.zeros((rows, out_dim)))
+    kernel = net.workspace(rows).kernel(rows)
+    for bad in (np.zeros((rows, out_dim + 1)), T.ravel(), np.zeros(())):
+        message = re.escape(f"targets of shape {bad.shape} do not match outputs {T.shape}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            kernel.backprop(net.params, X, bad)
+    for width in (X.shape[1] - 1, X.shape[1] + 1):
+        wrong = np.zeros((rows, width))
+        message = f"^expected {X.shape[1]} features per sample, got {width}$"
+        with pytest.raises(ValueError, match=message):
+            kernel.forward(net.params, wrong)
+        with pytest.raises(ValueError, match=message):
+            kernel.backprop(net.params, wrong, T)
 
 
 @pytest.mark.parametrize("family", ["ffnn", "elman", "narx"])
