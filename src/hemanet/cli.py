@@ -105,12 +105,12 @@ def fit_stage(
         if stage == "classify":
             val_subset = val_subset.anemic()
         if len(val_subset):
-            val_x = normalizer.apply(encode_batch(val_subset, spec))
-            validation = net.prepare_training(val_x, encode_targets(val_subset.label, encoding))
+            validation = (normalizer.apply(encode_batch(val_subset, spec)),
+                          encode_targets(val_subset.label, encoding))
     if config.patience is not None and validation is None:
         raise UsageError(f"patience needs validation rows, and the {stage} stage has none")
 
-    net, curve = train_loop(net, net.prepare_training(X, T), validation, config)
+    net, curve = train_loop(net, (X, T), validation, config)
     bundle = ModelBundle(
         family=family,
         net=net,
@@ -309,7 +309,7 @@ def cmd_predict(args) -> int:
 
 def gradcheck_trial(family: str, seed: int, epsilon: float) -> float:
     """Max relative error of one random small-network gradient check, on the
-    last of 3 random rows as training prepares them."""
+    last of 3 random rows."""
     rng = np.random.default_rng(seed)
     features = int(rng.integers(3, 7))
     hidden = int(rng.integers(2, 9))
@@ -320,8 +320,7 @@ def gradcheck_trial(family: str, seed: int, epsilon: float) -> float:
     net = build_model(family, features, hidden, out_dim, seed=seed, **options)
     # Keep inputs away from zero so no gradient is degenerately tiny.
     X = rng.uniform(0.1, 1.0, size=(3, features)) * rng.choice([-1.0, 1.0], size=(3, features))
-    inputs, targets = net.prepare_training(X, rng.uniform(0.1, 0.9, size=(3, out_dim)))
-    return gradient_check(net, inputs[-1], targets[-1], epsilon)
+    return gradient_check(net, X[-1], rng.uniform(0.1, 0.9, size=(3, out_dim))[-1], epsilon)
 
 
 def cmd_gradcheck(args) -> int:

@@ -7,26 +7,28 @@ difference between the families follows from the options:
   Elman's copy of the previous hidden state (Elman 1990), here constant:
   one row for every sample, so wh @ context is a second, trainable hidden
   bias, which the kernel computes once per call;
-- ``d_u``/``d_y`` add F*d_u + O*d_y delay tap columns to the F features of
-  a net of O outputs (NARX; Lin, Horne, Tino & Giles 1996).
+- ``d_u``/``d_y`` give F*d_u + O*d_y delay taps beside the F features of a
+  net of O outputs (NARX; Lin, Horne, Tino & Giles 1996).
 So FFNN is the kernel's (wx, b1, w2, b2), Elman adds wh after wx, and NARX
-is FFNN on its zero-tapped input.  Each family runs one hidden step over
-the whole feature vector: the nine CBC values are one input, not a
-sequence.
+is the FFNN kernel on its feature columns.  Each family runs one hidden
+step over the whole feature vector: the nine CBC values are one input, not
+a sequence.
 
 Records are independent patients, so recurrent state never leaks between
 samples: the Elman context restarts from ``context_init`` for every sample,
-and every NARX delay tap is zero.  d_u and d_y set the input width, and with
-it the initialisation's fan-in; the tap weights get exactly zero gradient.
+and every NARX delay tap is zero, so its weight gets exactly zero gradient.
+A net keeps those weights apart from its parameters, as ``tap_weights``, a
+constant (hidden, taps) array that no kernel reads, for the model file,
+whose input weights are one (hidden, F + taps) matrix.  The initial draw's
+fan-in counts the taps.
 
 The trainer, the gradient checker and the pipeline use param_arrays /
 set_param_arrays, workspace, batch_loss, batch_loss_and_grads, predict_batch
-and its batch of one, forward.  The training methods take rows as
-prepare_training gives them, taps included; predict_batch takes feature
-rows.  The batch methods take an optional nncore.Workspace from the
-network's workspace(rows) and write into it; without one they build their
-own for the call.  to_doc gives a network's model-document fields, where
-_STORED places each option, and from_doc rebuilds it.
+and its batch of one, forward; every one of them takes feature rows.  The
+batch methods take an optional nncore.Workspace from the network's
+workspace(rows) and write into it; without one they build their own for
+the call.  to_doc gives a network's model-document fields, where _STORED
+places each option, and from_doc rebuilds it.
 """
 from __future__ import annotations
 
@@ -143,17 +145,17 @@ def _layout(options: dict, feature_count: int, hidden: int, out: int):
     (wx, b1, w2, b2), with wh's after wx when there is a context."""
     taps = feature_count * options.get("d_u", 0) + out * options.get("d_y", 0)
     recurrent = [(hidden, hidden)] if "context_init" in options else []
-    return [(hidden, feature_count + taps), *recurrent, (hidden,), (out, hidden), (out,)], taps
+    return [(hidden, feature_count), *recurrent, (hidden,), (out, hidden), (out,)], taps
 
 
 class Network:
     """A sigmoid hidden layer, then a sigmoid output layer: nncore's kernel
     with the parameters ``params`` of a net of ``family`` and its
-    ``options`` over ``feature_count`` features.  Raises ValueError on a bad
-    option, or on parameters not finite or not of the shapes the options
-    give."""
+    ``options`` over ``feature_count`` features, beside the (hidden, taps)
+    ``tap_weights``, kept read-only (none when not given).  Raises ValueError
+    on a bad option, or on arrays not finite or not of the shapes it gives."""
 
-    def __init__(self, family: str, params, feature_count: int, **options):
+    def __init__(self, family: str, params, feature_count: int, tap_weights=None, **options):
         self.family = family
         self.options = _options(family, options)
         self.feature_count = int(feature_count)
@@ -161,13 +163,25 @@ class Network:
         params = [np.asarray(a, dtype=float) for a in params]
         if params[-2].ndim != 2:
             raise ValueError(f"output weights must be 2-d, got shape {params[-2].shape}")
-        shapes, self.taps = _layout(self.options, self.feature_count, *params[-2].shape[::-1])
-        if [a.shape for a in params] != shapes:
+        out, hidden = params[-2].shape
+        shapes, taps = _layout(self.options, self.feature_count, hidden, out)
+        tap_weights = np.array(np.zeros((hidden, 0)) if tap_weights is None else tap_weights, float)
+        if [a.shape for a in params] != shapes or tap_weights.shape != (hidden, taps):
             raise ValueError(f"{family} parameters over {self.feature_count} features must "
-                             f"have shapes {shapes}, got {[a.shape for a in params]}")
-        if not all(np.isfinite(a).all() for a in params):
+                             f"have shapes {shapes} and tap weights {(hidden, taps)}, got "
+                             f"{[a.shape for a in params]} and {tap_weights.shape}")
+        if not all(np.isfinite(a).all() for a in (*params, tap_weights)):
             raise ValueError("parameters must be finite")
-        self.params = params
+        tap_weights.flags.writeable = False
+        self.params, self.tap_weights = params, tap_weights
+
+    @classmethod
+    def _of_input_matrix(cls, family: str, params, feature_count: int, **options) -> Network:
+        """The network whose input weights params[0] are the model file's one
+        (hidden, features + taps) matrix, its tap weights after the features."""
+        wx, tap_weights = np.hsplit(np.asarray(params[0], dtype=float), [feature_count])
+        return cls(family, [np.ascontiguousarray(wx), *params[1:]], feature_count,
+                   tap_weights, **options)
 
     @property
     def out_dim(self) -> int:
@@ -189,36 +203,24 @@ class Network:
         """A Workspace for the network's kernel, for up to ``rows`` rows."""
         return Workspace(rows, [a.shape for a in self.params], self.context_init)
 
-    def _with_taps(self, X) -> np.ndarray:
-        """Feature rows with their delay taps, all zero."""
-        return np.hstack([X, np.zeros((len(X), self.taps))]) if self.taps else X
-
-    def prepare_training(self, X, T):
-        """(network inputs, targets) of feature rows and their targets, in the
-        form the training methods take: 2-d float arrays, with the taps."""
-        return self._with_taps(as_rows(X)), as_rows(T)
-
     def predict_batch(self, X, workspace: Workspace | None = None) -> np.ndarray:
         """Outputs of the feature rows X, under ``workspace`` or a new one."""
         X = as_rows(X)
-        if X.shape[1] != self.feature_count:  # before the taps widen it
-            raise ValueError(
-                f"expected {self.feature_count} features per sample, got {X.shape[1]}")
         n = len(X)
-        return (workspace or self.workspace(n)).kernel(n).forward(self.params, self._with_taps(X))
+        return (workspace or self.workspace(n)).kernel(n).forward(self.params, X)
 
     def forward(self, x) -> np.ndarray:
         """Output of one feature vector: predict_batch on a batch of one."""
         return self.predict_batch(np.asarray(x, dtype=float)[None])[0]
 
     def batch_loss(self, X, T, workspace: Workspace | None = None) -> float:
-        """Mean squared error of the prepared rows X against T of the output's shape."""
+        """Mean squared error of the feature rows X against T of the output's shape."""
         n = len(X)
         Y = (workspace or self.workspace(n)).kernel(n).forward(self.params, X)
         return float(np.mean(output_residual(Y, np.atleast_2d(T)) ** 2))
 
     def batch_loss_and_grads(self, X, T, workspace: Workspace | None = None):
-        """(mean squared error, gradients in parameter order) of the prepared
+        """(mean squared error, gradients in parameter order) of the feature
         rows X against targets T of the output's shape, by backpropagation,
         under ``workspace`` or a new one; the gradients are the workspace's
         ``grads``.  Matches the mean over its one-row batches up to
@@ -229,6 +231,7 @@ class Network:
     def to_doc(self) -> dict:
         """The network's model-document fields."""
         wx, *wh, b1, w2, b2 = self.params
+        wx = np.hstack([wx, self.tap_weights])
         doc = {"layers": [{"weights": wx.tolist(), "biases": b1.tolist()},
                           {"weights": w2.tolist(), "biases": b2.tolist()}],
                "recurrent": {}, "delays": {}}
@@ -270,7 +273,7 @@ class Network:
                   read(hidden["biases"], "hidden layer biases"),
                   read(output["weights"], "output layer weights"),
                   read(output["biases"], "output layer biases")]
-        return cls(family, params, feature_count, **values)
+        return cls._of_input_matrix(family, params, feature_count, **values)
 
 
 def build_model(family: str, feature_count: int, hidden_size: int, out_dim: int,
@@ -281,8 +284,10 @@ def build_model(family: str, feature_count: int, hidden_size: int, out_dim: int,
     saturation, in parameter order; biases start at zero."""
     options = _options(family, options)
     rng = np.random.default_rng(seed)
+    shapes, taps = _layout(options, feature_count, hidden_size, out_dim)
+    shapes[0] = (hidden_size, feature_count + taps)  # the model file's input matrix
     params = []
-    for shape in _layout(options, feature_count, hidden_size, out_dim)[0]:
+    for shape in shapes:
         r = np.sqrt(6.0 / sum(shape))
         params.append(rng.uniform(-r, r, size=shape) if len(shape) == 2 else np.zeros(shape))
-    return Network(family, params, feature_count, **options)
+    return Network._of_input_matrix(family, params, feature_count, **options)

@@ -90,9 +90,9 @@ def product_of(inner: int):
     """The ufunc for a matrix product whose inner dimension is ``inner``.
 
     With an inner dimension of 1 the product is an outer product, computed as
-    a broadcast multiply.  Its exact zeros keep their sign, where a BLAS
-    product, which accumulates from +0.0, gives +0.0: kernels add 0.0 to
-    the gradients they write this way.
+    a broadcast multiply.  Its zeros keep their sign, where a BLAS product
+    gives +0.0 or -0.0 by how it sums.  Kernels add 0.0 to every gradient,
+    so a zero gradient reads +0.0 whichever way it was made.
     """
     return np.multiply if inner == 1 else np.matmul
 
@@ -202,11 +202,6 @@ def _bind(ws: Workspace, n: int) -> Kernel:
     delta_product = product_of(out)
     Y_t, e_t, g_b1_col = Y.T, e.T, g_b1[:, None]
     term = e[:1]  # wh @ context, free until the hidden sigmoid
-    # The output layer's gradients are a BLAS product and a row sum and keep
-    # their bits: BLAS gives -0.0 where a negative product underflows.  The
-    # hidden layer's get 0.0 added: a one-output net's hidden delta is a
-    # broadcast multiply (see product_of).
-    hidden_grad = grad[:grad.size - g_w2.size - g_b2.size]
 
     def forward(params, X):
         if X.shape[1] != width:
@@ -232,7 +227,7 @@ def _bind(ws: Workspace, n: int) -> Kernel:
         np.add.reduce(e, axis=0, out=g_b1)
         if recurrent:
             np.multiply(g_b1_col, context, out=g_wh)
-        np.add(hidden_grad, ZERO, out=hidden_grad)
+        np.add(grad, ZERO, out=grad)  # a zero reads +0.0 (see product_of)
         return loss, grads
 
     return Kernel(forward, backprop)
@@ -478,8 +473,8 @@ def _bind_flat(model) -> np.ndarray:
 def train_loop(model, train, validation=None, config: TrainConfig | None = None):
     """Run momentum SGD for config.epochs epochs (or stop early on patience).
 
-    ``train`` and ``validation`` are (X, T) pairs of prepared sample and
-    target matrices.  The recorded training loss is the loss the optimizer
+    ``train`` and ``validation`` are (X, T) pairs of feature rows and their
+    targets.  The recorded training loss is the loss the optimizer
     saw before each update; validation loss is evaluated after the epoch's
     updates.  All parameters live in one flat vector, which every update
     changes in place; a non-finite loss or parameter raises

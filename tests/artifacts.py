@@ -21,13 +21,21 @@ returns the digest of every file they write:
 ``tests/test_artifacts.py`` rebuilds the matrix and compares digests.  A
 change that alters artifact bytes on purpose regenerates the manifest and
 names each changed artifact, and why, in CHANGES.md.
+
+The bytes hold on the BLAS kernels the manifest header names: another
+OpenBLAS core sums products in another order, so trained weights, curves
+and raw outputs move at rounding level.  The decision tier holds on every
+core: the files matching ``BYTE_TIER`` byte for byte, and every other
+file once ``floats_apart`` has taken its floating-point numbers out.
 """
 from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
 import hashlib
 import io
+import json
 import os
 import platform
 import sys
@@ -98,6 +106,38 @@ def commands() -> list:
     return cmds
 
 
+#: Artifacts no BLAS product reaches, or that round or threshold its results:
+#: the synth CSVs, the text reports and the metrics.
+BYTE_TIER = ("synth*.csv", "implausible1000.csv", "predict_*.text", "eval.json", "compare.json")
+
+
+def floats_apart(path) -> tuple[list, list[float]]:
+    """(the JSON or CSV file at ``path`` with each floating-point number left
+    out, those numbers in order).  A CSV cell holds one when it reads as a
+    float and has a point or an exponent."""
+    floats = []
+
+    def walk(value):
+        if isinstance(value, float):
+            floats.append(value)
+            return None
+        if isinstance(value, dict):
+            return {key: walk(v) for key, v in value.items()}
+        return [walk(v) for v in value] if isinstance(value, list) else value
+
+    def cell(text):
+        try:
+            number = float(text)
+        except ValueError:
+            return text
+        return number if "." in text or "e" in text.lower() else text
+
+    text = Path(path).read_text(encoding="utf-8")
+    if Path(path).suffix == ".json":
+        return walk(json.loads(text)), floats
+    return walk([[cell(c) for c in row] for row in csv.reader(io.StringIO(text))]), floats
+
+
 def build(out_dir) -> dict[str, str]:
     """Run the matrix in ``out_dir``; return {file name: sha256} of what it wrote."""
     out_dir = Path(out_dir)
@@ -117,8 +157,23 @@ def build(out_dir) -> dict[str, str]:
             for path in sorted(out_dir.iterdir())}
 
 
+def blas_core() -> str:
+    """The OpenBLAS kernels numpy's bundled library picked at start-up (its
+    CPU, or ``OPENBLAS_CORETYPE``), or ``unknown`` when it does not name them."""
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def versions() -> str:
-    return f"python {platform.python_version()}, numpy {np.__version__}"
+    """The versions and the BLAS kernels the artifact bytes depend on."""
+    return (f"python {platform.python_version()}, numpy {np.__version__}, "
+            f"OpenBLAS core {blas_core()}")
 
 
 def read_manifest(path=MANIFEST) -> tuple[str, dict[str, str]]:

@@ -65,11 +65,7 @@ def test_criterion_1_gradient_correctness():
             signs = rng.choice([-1.0, 1.0], size=features)
             x = rng.uniform(0.1, 1.0, size=features) * signs
             target = rng.uniform(0.1, 0.9, size=out_dim)
-            if family == "narx":
-                sample = net.prepare_training(x, target)[0][0]
-            else:
-                sample = x
-            err = gradient_check(net, sample, target, epsilon=1e-5)
+            err = gradient_check(net, x, target, epsilon=1e-5)
             worst_overall = max(worst_overall, err)
             assert err < 1e-4, f"{family} {kwargs} seed {seed}: {err}"
     elapsed = time.perf_counter() - start
@@ -137,14 +133,15 @@ def test_criterion_4_reduction_invariants():
     X = rng.uniform(-1, 1, size=(100, 6))
     assert np.max(np.abs(elman.predict_batch(X) - as_ffnn.predict_batch(X))) <= 1e-12
 
-    # Per-record NARX: the core on zero taps, which get exactly zero gradient.
+    # Per-record NARX: the core on its feature columns; its taps are zero, and
+    # their weights are kept apart from the parameters.
     narx = build_model("narx", 6, 8, 2, seed=6, d_u=0, d_y=2)
-    core_net = Network("ffnn", [a.copy() for a in narx.param_arrays()], 10)
-    X = rng.uniform(-1, 1, size=(100, 6))
-    padded = np.hstack([X, np.zeros((100, 4))])
-    assert np.max(np.abs(narx.predict_batch(X) - core_net.predict_batch(padded))) <= 1e-12
-    _, grads = narx.batch_loss_and_grads(*narx.prepare_training(X, rng.uniform(size=(100, 2))))
-    assert not grads[0][:, 6:].any()
+    core_net = Network("ffnn", [a.copy() for a in narx.param_arrays()], 6)
+    X, T = rng.uniform(-1, 1, size=(100, 6)), rng.uniform(size=(100, 2))
+    assert narx.tap_weights.shape == (8, 4)
+    assert np.array_equal(narx.predict_batch(X), core_net.predict_batch(X))
+    _, grads = narx.batch_loss_and_grads(X, T)
+    assert all(map(np.array_equal, grads, core_net.batch_loss_and_grads(X, T)[1]))
     print("\nACCEPTANCE 4 reduction-invariants: PASS")
 
 
@@ -209,11 +206,10 @@ def test_criterion_8_serialization_round_trip(tmp_path):
         path = tmp_path / f"{family}.json"
         save_model(bundle, path)
         loaded = load_model(path)
-        # Random inputs of the full width, NARX's taps included, so every weight counts.
-        X = rng.uniform(-1, 1, size=(100, net.feature_count + net.taps))
-        before, after = (n.workspace(100).kernel(100).forward(n.param_arrays(), X)
-                         for n in (net, loaded.net))
+        X = rng.uniform(-1, 1, size=(100, net.feature_count))
+        before, after = (n.predict_batch(X) for n in (net, loaded.net))
         assert np.array_equal(before, after), f"{family} predictions drifted"
+        assert np.array_equal(net.tap_weights, loaded.net.tap_weights), f"{family} tap weights"
     print("\nACCEPTANCE 8 serialization-round-trip: PASS (bit-identical predictions)")
 
 

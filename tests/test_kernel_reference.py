@@ -8,6 +8,11 @@ gradients must match them exactly (same bits; NaN at the same positions),
 and so must the loss curves and parameters of ``train_loop`` against
 list-based momentum SGD over the references.
 
+Every reference gradient is a sum from +0.0: a zero gradient reads +0.0,
+as the kernels give it, however its products round.  (A BLAS product may
+give -0.0 where negative products underflow; a broadcast multiply keeps
+the sign of each product.)
+
 The Elman references read the constant context as one row, broadcast over
 the batch, as the kernel does.  With ``legacy=True`` they hold one copy of
 it per row, as the kernel once did: one-row kernels and per-sample training
@@ -71,8 +76,8 @@ def reference_batch_backprop(params, X, T):
     delta = 2.0 / (n * out) * (Y - T) * Y * (1.0 - Y)
     grads = [None] * (2 * len(layers))
     for i in reversed(range(len(layers))):
-        grads[2 * i] = delta.T @ acts[i]
-        grads[2 * i + 1] = delta.sum(axis=0)
+        grads[2 * i] = 0.0 + delta.T @ acts[i]
+        grads[2 * i + 1] = 0.0 + delta.sum(axis=0)
         if i:
             delta = (delta @ layers[i][0]) * acts[i] * (1.0 - acts[i])
     return loss, grads
@@ -113,8 +118,8 @@ def reference_elman_bptt(model, X, T, legacy=False):
     loss = float(((Y - T) ** 2).sum() / Y.size)
 
     d_out = 2.0 / (n * out) * (Y - T) * Y * (1.0 - Y)
-    g_w2 = d_out.T @ hiddens[-1]
-    g_b2 = d_out.sum(axis=0)
+    g_w2 = 0.0 + d_out.T @ hiddens[-1]
+    g_b2 = 0.0 + d_out.sum(axis=0)
     d_hidden = d_out @ w2
     g_wx = np.zeros_like(wx)
     g_wh = np.zeros_like(wh)
@@ -239,8 +244,8 @@ def test_one_row_sigmoid_edge_values():
 FEATURES = 9
 
 
-def _data(rng, rows, out_dim, scale, edges, width=FEATURES):
-    X = rng.normal(0.0, scale, size=(rows, width))
+def _data(rng, rows, out_dim, scale, edges):
+    X = rng.normal(0.0, scale, size=(rows, FEATURES))
     if edges:
         flat = X.ravel()
         flat[: len(EDGES)] = EDGES[: flat.size]
@@ -254,7 +259,7 @@ def _scaled(model, scale):
     return model
 
 
-@pytest.mark.parametrize("rows", [1, 920])
+@pytest.mark.parametrize("rows", [1, 2, 920])  # 2: the least batch whose products sum
 @pytest.mark.parametrize("out_dim", [1, 3])
 @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.1, 1.0, 30.0]),
        edges=st.booleans())
@@ -309,9 +314,9 @@ def test_elman_kernels_match_legacy_reference(rows, out_dim, seed, scale, edges,
 @pytest.mark.parametrize("out_dim", [1, 3])
 def test_narx_kernels_match_reference(rows, out_dim):
     rng = np.random.default_rng(rows)
-    # Random inputs of the core's full width, taps included, so every weight counts.
+    # The dense stack on the feature columns: the tap weights are no parameter.
     model = build_model("narx", FEATURES, 50, out_dim, seed=4, d_u=1, d_y=2)
-    X, T = _data(rng, rows, out_dim, 1.0, False, width=FEATURES + model.taps)
+    X, T = _data(rng, rows, out_dim, 1.0, False)
     params = model.param_arrays()
     assert_same_result(model.batch_loss_and_grads(X, T),
                        reference_batch_backprop(params, X, T))
@@ -381,7 +386,7 @@ SPECS = {
 
 
 def _training_case(spec, encoding, validation_rows, scale):
-    """(two equal nets, 24 training rows, validation rows) prepared for ``spec``."""
+    """(two equal nets, 24 training rows, validation rows) for ``spec``."""
     family, kwargs = SPECS[spec]
     out_dim = 3 if encoding == "onehot3" else 1
     rng = np.random.default_rng(validation_rows + out_dim)
@@ -390,8 +395,7 @@ def _training_case(spec, encoding, validation_rows, scale):
     T = encode_targets(codes, encoding)
     nets = [_scaled(build_model(family, FEATURES, 20, out_dim, seed=3, **kwargs), scale)
             for _ in range(2)]
-    return (nets, nets[0].prepare_training(X[:24], T[:24]),
-            nets[0].prepare_training(X[24:], T[24:]))
+    return nets, (X[:24], T[:24]), (X[24:], T[24:])
 
 
 @pytest.mark.parametrize("validation_rows", [7, 40])  # the training set has 24

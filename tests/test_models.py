@@ -14,7 +14,7 @@ from hemanet.models import (
     encode_targets,
     output_width,
 )
-from hemanet.nncore import gradient_check
+from hemanet.nncore import TrainConfig, gradient_check, train_loop
 from hemanet.records import LABELS, AnemiaLabel
 
 
@@ -208,6 +208,14 @@ class TestElman:
             build_model("elman", 4, 5, 1, mode="both")
 
 
+#: (d_u, d_y): the default, and exogenous and output taps both.
+DELAYS = [(0, 1), (2, 2)]
+
+
+def _bits(*arrays):
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
 class TestNarx:
     @pytest.mark.parametrize("d_y", [1, 2])
     def test_reduces_to_ffnn_with_zero_taps(self, d_y):
@@ -216,28 +224,21 @@ class TestNarx:
         rng = np.random.default_rng(12)
         for _ in range(100):
             x = rng.uniform(-1, 1, size=5)
-            padded = np.concatenate([x, np.zeros(2 * d_y)])
-            np.testing.assert_allclose(narx.forward(x), ffnn.forward(padded), atol=1e-12)
+            np.testing.assert_array_equal(narx.forward(x), ffnn.forward(x))
 
     def test_composed_width(self):
         narx = build_model("narx", 5, 6, 2, d_u=3, d_y=2)
-        assert narx.param_arrays()[0].shape == (6, 5 * 4 + 2 * 2)
+        assert narx.param_arrays()[0].shape == (6, 5)
+        assert narx.tap_weights.shape == (6, 5 * 3 + 2 * 2)
+        assert not narx.tap_weights.flags.writeable
 
-    @pytest.mark.parametrize("inputs", ["records", "full-width"])
-    def test_gradient_check(self, inputs):
-        # full-width: random values in the tap columns too, so the core's tap
-        # weights get gradient and are checked as well.
+    def test_gradient_check(self):
         rng = np.random.default_rng(17)
         for seed in range(5):
             narx = build_model("narx", 3, 5, 2, seed=seed, d_u=1, d_y=1)
             target = rng.uniform(0.1, 0.9, size=2)
-            if inputs == "records":
-                x = rng.uniform(0.1, 1.0, size=3) * rng.choice([-1, 1], size=3)
-                sample = narx.prepare_training(x, target)[0][0]
-            else:
-                width = narx.param_arrays()[0].shape[1]
-                sample = rng.uniform(0.1, 1.0, size=width) * rng.choice([-1, 1], size=width)
-            assert gradient_check(narx, sample, target) < 1e-4
+            x = rng.uniform(0.1, 1.0, size=3) * rng.choice([-1, 1], size=3)
+            assert gradient_check(narx, x, target) < 1e-4
 
     def test_per_record_predictions_order_invariant(self):
         narx = build_model("narx", 4, 5, 1, seed=18)
@@ -253,23 +254,63 @@ class TestNarx:
             build_model("narx", 3, 4, 1, d_y=0)
         with pytest.raises(ValueError, match="must have shapes"):
             Network("narx", build_model("ffnn", 5, 4, 1).param_arrays(), 3, d_u=0, d_y=1)
+        ffnn = build_model("ffnn", 3, 4, 1).param_arrays()
+        for taps in (None, np.zeros((4, 2)), np.zeros((3, 1))):
+            with pytest.raises(ValueError, match=r"and tap weights \(4, 1\), got"):
+                Network("narx", ffnn, 3, taps, d_u=0, d_y=1)
+        with pytest.raises(ValueError, match="parameters must be finite"):
+            Network("narx", ffnn, 3, np.full((4, 1), np.nan), d_u=0, d_y=1)
 
-    def test_prepare_training_per_record_pads_zeros(self):
-        narx = build_model("narx", 3, 4, 1, d_u=1, d_y=1)
-        X = np.ones((4, 3))
-        T = np.zeros((4, 1))
-        Xc, _ = narx.prepare_training(X, T)
-        assert Xc.shape == (4, 3 + 3 + 1)
-        np.testing.assert_array_equal(Xc[:, 3:], 0.0)
+    @pytest.mark.parametrize("delays", DELAYS, ids=["du0-dy1", "du2-dy2"])
+    def test_initial_draw_is_the_input_matrix_taps_included(self, delays):
+        # One (hidden, F + taps) draw, fan-in counting the taps, then w2's.
+        d_u, d_y = delays
+        narx = build_model("narx", 9, 7, 3, seed=13, d_u=d_u, d_y=d_y)
+        width = 9 * (1 + d_u) + 3 * d_y
+        rng = np.random.default_rng(13)
+        r = np.sqrt(6.0 / (7 + width))
+        wx = rng.uniform(-r, r, size=(7, width))
+        w2 = rng.uniform(-np.sqrt(6.0 / 10), np.sqrt(6.0 / 10), size=(3, 7))
+        assert _bits(narx.params[0], narx.tap_weights) == _bits(wx[:, :9], wx[:, 9:])
+        assert _bits(narx.params[2]) == _bits(w2)
+        assert narx.params[0].flags.c_contiguous
 
-    def test_per_record_zero_tap_weights_get_exactly_zero_gradient(self):
-        narx = build_model("narx", 9, 12, 3, seed=20, d_u=1, d_y=2)
-        rng = np.random.default_rng(21)
-        X, T = narx.prepare_training(rng.uniform(-1, 1, size=(30, 9)),
-                                     rng.uniform(0.1, 0.9, size=(30, 3)))
-        _, grads = narx.batch_loss_and_grads(X, T)
-        assert np.abs(grads[0][:, :9]).min() > 0.0
-        np.testing.assert_array_equal(grads[0][:, 9:], 0.0)
+    @pytest.mark.parametrize("delays", DELAYS, ids=["du0-dy1", "du2-dy2"])
+    @pytest.mark.parametrize("out_dim", [1, 3])
+    @pytest.mark.parametrize("rows", [1, 2, 7, 920])
+    def test_is_exactly_the_ffnn_on_its_features(self, rows, out_dim, delays):
+        d_u, d_y = delays
+        narx = build_model("narx", 9, 8, out_dim, seed=rows, d_u=d_u, d_y=d_y)
+        ffnn = _ffnn(*(a.copy() for a in narx.param_arrays()))
+        rng = np.random.default_rng(rows + out_dim)
+        X, T = rng.normal(size=(rows, 9)), rng.uniform(size=(rows, out_dim))
+        loss, grads = narx.batch_loss_and_grads(X, T)
+        ffnn_loss, ffnn_grads = ffnn.batch_loss_and_grads(X, T)
+        assert _bits(loss, *grads) == _bits(ffnn_loss, *ffnn_grads)
+        assert _bits(narx.predict_batch(X), narx.batch_loss(X, T)) == _bits(
+            ffnn.predict_batch(X), ffnn.batch_loss(X, T))
+
+    @pytest.mark.parametrize("update_mode", ["full-batch", "per-sample"])
+    @pytest.mark.parametrize("delays", DELAYS, ids=["du0-dy1", "du2-dy2"])
+    @pytest.mark.parametrize("out_dim", [1, 3])
+    @pytest.mark.parametrize("rows", [1, 2, 7, 920])
+    def test_training_keeps_the_tap_weights(self, rows, out_dim, delays, update_mode):
+        # The tap weights end bit for bit as drawn; every parameter, loss and
+        # output ends as the FFNN's trained from the same feature weights.
+        d_u, d_y = delays
+        narx = build_model("narx", 9, 8, out_dim, seed=rows, d_u=d_u, d_y=d_y)
+        drawn = narx.tap_weights.copy()
+        ffnn = _ffnn(*(a.copy() for a in narx.param_arrays()))
+        rng = np.random.default_rng(rows + out_dim)
+        X, T = rng.normal(size=(rows, 9)), rng.uniform(size=(rows, out_dim))
+        config = TrainConfig(epochs=2 if update_mode == "per-sample" else 20,
+                             update_mode=update_mode, seed=rows)
+        got, want = (train_loop(net, (X, T), (X, T), config)[1] for net in (narx, ffnn))
+        assert _bits(narx.tap_weights) == _bits(drawn)
+        assert _bits(*narx.param_arrays()) == _bits(*ffnn.param_arrays())
+        assert _bits(got.train, got.validation) == _bits(want.train, want.validation)
+        tapped = np.asarray(narx.to_doc()["layers"][0]["weights"])
+        assert _bits(tapped[:, 9:]) == _bits(drawn)
 
 
 def test_build_model_dispatch():
@@ -287,13 +328,12 @@ def test_batch_loss_refuses_targets_of_another_shape(family):
     net = build_model(family, 4, 3, 1, seed=0)
     X = np.random.default_rng(0).normal(size=(5, 4))
     T = np.full((5, 1), 0.25)
-    Xn, Tn = net.prepare_training(X, T)
-    assert net.batch_loss(Xn, Tn) == net.batch_loss_and_grads(Xn, Tn)[0]
+    assert net.batch_loss(X, T) == net.batch_loss_and_grads(X, T)[0]
     message = r"targets of shape \(1, 5\) do not match outputs \(5, 1\)"
     with pytest.raises(ValueError, match=message):
-        net.batch_loss(Xn, T[:, 0])
+        net.batch_loss(X, T[:, 0])
     with pytest.raises(ValueError, match="do not match"):
-        net.batch_loss_and_grads(Xn, T[:, 0])
+        net.batch_loss_and_grads(X, T[:, 0])
 
 
 @pytest.mark.parametrize("family", ["ffnn", "elman", "narx"])
@@ -303,7 +343,7 @@ def test_one_row_and_batch_kernels_refuse_alike(family, out_dim, rows):
     # A batch of one is bound apart from larger ones, and a one-output net
     # computes its output neuron in floats: both keep the batch's refusals.
     net = build_model(family, 4, 3, out_dim, seed=0)
-    X, T = net.prepare_training(np.zeros((rows, 4)), np.zeros((rows, out_dim)))
+    X, T = np.zeros((rows, 4)), np.zeros((rows, out_dim))
     kernel = net.workspace(rows).kernel(rows)
     for bad in (np.zeros((rows, out_dim + 1)), T.ravel(), np.zeros(())):
         message = re.escape(f"targets of shape {bad.shape} do not match outputs {T.shape}")
@@ -321,7 +361,6 @@ def test_one_row_and_batch_kernels_refuse_alike(family, out_dim, rows):
 @pytest.mark.parametrize("family", ["ffnn", "elman", "narx"])
 @pytest.mark.parametrize("width", [8, 10])
 def test_predict_batch_names_the_feature_count_on_rows_of_another_width(family, width):
-    # NARX checks before its zero taps widen the rows to the core's width.
     net = build_model(family, 9, 5, 1, seed=0)
     with pytest.raises(ValueError, match=f"^expected 9 features per sample, got {width}$"):
         net.predict_batch(np.zeros((3, width)))

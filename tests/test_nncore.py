@@ -375,20 +375,19 @@ class TestTrainLoop:
         config = TrainConfig(epochs=8 if update_mode == "per-sample" else 40,
                              momentum=0.9, update_mode=update_mode, seed=3)
         net = build_model(family, 3, 5, 1, seed=4)
-        _, curve = train_loop(net, net.prepare_training(X, T), config=config)
+        _, curve = train_loop(net, (X, T), config=config)
 
         reference = build_model(family, 3, 5, 1, seed=4)
-        Xp, Tp = reference.prepare_training(X, T)
         lr, mu = config.learning_rate, config.momentum
         velocity = [np.zeros_like(p) for p in reference.param_arrays()]
         rng = np.random.default_rng(config.seed)
         losses = []
         for _ in range(config.epochs):
             rows = ([slice(None)] if update_mode == "full-batch"
-                    else [slice(i, i + 1) for i in rng.permutation(len(Xp))])
+                    else [slice(i, i + 1) for i in rng.permutation(len(X))])
             epoch = []
             for row in rows:
-                loss, grads = reference.batch_loss_and_grads(Xp[row], Tp[row])
+                loss, grads = reference.batch_loss_and_grads(X[row], T[row])
                 velocity = [mu * v - lr * g for v, g in zip(velocity, grads)]
                 reference.set_param_arrays(
                     [p + v for p, v in zip(reference.param_arrays(), velocity)]
@@ -458,7 +457,7 @@ class TestTrainLoop:
         X, T = _toy_problem()
         config = TrainConfig(epochs=3, update_mode=update_mode)
         with pytest.raises(TrainingDivergedError) as exc:
-            train_loop(net, net.prepare_training(X, T), config=config)
+            train_loop(net, (X, T), config=config)
         assert exc.value.epoch == 1
         assert "non-finite parameters at epoch 1" in str(exc.value)
 
@@ -495,7 +494,7 @@ class TestTrainLoop:
         X, T = _toy_problem()
         config = TrainConfig(epochs=4, update_mode="per-sample")
         with pytest.raises(TrainingDivergedError) as exc:
-            train_loop(net, net.prepare_training(X, T), config=config)
+            train_loop(net, (X, T), config=config)
         assert exc.value.epoch == 2
         assert str(exc.value) == "non-finite parameters at epoch 2"
         assert 47 <= len(calls) <= 80
@@ -511,7 +510,7 @@ class TestTrainLoop:
 
 
 class TestWorkspace:
-    #: spec -> (family, options); NARX with delays widens its input by the taps.
+    #: spec -> (family, options); NARX with delays has tap weights the kernel never reads.
     SPECS = {"ffnn": ("ffnn", {}), "elman-single-step": ("elman", {}),
              "narx-delays": ("narx", {"d_u": 1, "d_y": 2}), "narx": ("narx", {})}
 
@@ -524,8 +523,7 @@ class TestWorkspace:
         rng = np.random.default_rng(0)
         X, T = rng.normal(size=(rows + 100, 9)), rng.uniform(size=(rows + 100, 1))
         net = build_model(family, 9, hidden, 1, seed=0, **kwargs)
-        train = net.prepare_training(X[:rows], T[:rows])
-        validation = net.prepare_training(X[rows:], T[rows:])
+        train, validation = (X[:rows], T[:rows]), (X[rows:], T[rows:])
         inner, calls, base = net.batch_loss_and_grads, [], []
 
         def update(*args):
@@ -573,11 +571,11 @@ class TestWorkspace:
     def test_results_without_a_workspace_survive_later_calls(self, family):
         rng = np.random.default_rng(1)
         net = build_model(family, 9, 6, 3, seed=2)
-        X, T = net.prepare_training(rng.normal(size=(5, 9)), rng.uniform(size=(5, 3)))
-        Y = net.predict_batch(X[:, :9])
+        X, T = rng.normal(size=(5, 9)), rng.uniform(size=(5, 3))
+        Y = net.predict_batch(X)
         _, grads = net.batch_loss_and_grads(X, T)
         kept = [Y.copy()] + [g.copy() for g in grads]
-        net.predict_batch(-X[:, :9])
+        net.predict_batch(-X)
         net.batch_loss_and_grads(-X, 1.0 - T)
         for now, before in zip([Y, *grads], kept):
             np.testing.assert_array_equal(now, before)
@@ -597,8 +595,6 @@ class TestWorkspace:
         X, T = rng.normal(size=(k, 9)), rng.uniform(size=(k, 3))
         family, kwargs = self.SPECS[spec]
         net = build_model(family, 9, 6, 3, seed=4, **kwargs)
-        features = X
-        X, T = net.prepare_training(X, T)
         loss_and_grads, outputs = net.batch_loss_and_grads, net.predict_batch
         workspace = net.workspace(k)
         for n, scale in ((1, 1.0), (k, 1.0), (1, 1.0), (1, 1.5), (k, 1.0)):
@@ -609,6 +605,5 @@ class TestWorkspace:
             fresh_loss, fresh_grads = loss_and_grads(X[:n], T[:n])
             assert self._bits([loss]) == self._bits([fresh_loss])
             assert kept == self._bits(fresh_grads)
-            assert (self._bits([outputs(features[:n], workspace)])
-                    == self._bits([outputs(features[:n])]))
+            assert self._bits([outputs(X[:n], workspace)]) == self._bits([outputs(X[:n])])
             assert self._bits(grads) == kept

@@ -38,8 +38,6 @@ def test_flops_counted_for_each_family(tracer, family):
     macs = _macs_per_row(model)
     assert macs == sum(p.size for p in model.param_arrays() if p.ndim == 2) > 0
     X = np.random.default_rng(2).uniform(-1, 1, size=(4, 9))
-    if family == "narx":
-        X = model.prepare_training(X, np.zeros((4, 3)))[0]
     model.batch_loss_and_grads(X, np.full((4, 3), 0.5))
     model.batch_loss(X, np.full((4, 3), 0.5))
     assert tracer.absent == []
@@ -57,8 +55,7 @@ def test_per_sample_training_keeps_hook_counts(tracer, family):
     model = build_model(family, 9, 5, 3, seed=1)
     rng = np.random.default_rng(3)
     X, T = rng.uniform(-1, 1, size=(rows + val_rows, 9)), rng.uniform(size=(rows + val_rows, 3))
-    train = model.prepare_training(X[:rows], T[:rows])
-    validation = model.prepare_training(X[rows:], T[rows:])
+    train, validation = (X[:rows], T[:rows]), (X[rows:], T[rows:])
     train_loop(model, train, validation, TrainConfig(epochs=epochs, update_mode="per-sample"))
     updates, macs = rows * epochs, _macs_per_row(model)
     assert tracer.absent == []

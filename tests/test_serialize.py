@@ -61,12 +61,23 @@ def test_round_trip_bit_identical_predictions(tmp_path, family, kwargs):
     assert loaded.feature_spec.names == bundle.feature_spec.names
     assert loaded.output_encoding == bundle.output_encoding
 
-    # Random inputs of the full width, NARX's taps included, so every weight counts.
     net = bundle.net
-    X = np.random.default_rng(22).uniform(-1, 1, size=(100, net.feature_count + net.taps))
-    a, b = (n.workspace(100).kernel(100).forward(n.param_arrays(), X)
-            for n in (net, loaded.net))
-    np.testing.assert_array_equal(a, b)
+    X = np.random.default_rng(22).uniform(-1, 1, size=(100, net.feature_count))
+    np.testing.assert_array_equal(net.predict_batch(X), loaded.net.predict_batch(X))
+    np.testing.assert_array_equal(net.tap_weights, loaded.net.tap_weights)
+
+
+def test_narx_document_keeps_the_tap_columns_it_holds():
+    # A file's (hidden, F + taps) input matrix loads whatever its tap columns
+    # hold: the feature columns become the kernel's wx, and the tap columns
+    # are written back where they were.
+    doc = bundle_to_doc(_bundle("narx", d_u=1, d_y=2))
+    wx = np.random.default_rng(23).normal(size=(6, 9 + 9 + 2))
+    doc["layers"][0]["weights"] = wx.tolist()
+    loaded = bundle_from_doc(json.loads(json.dumps(doc)))
+    np.testing.assert_array_equal(loaded.net.param_arrays()[0], wx[:, :9])
+    np.testing.assert_array_equal(loaded.net.tap_weights, wx[:, 9:])
+    assert bundle_to_doc(loaded)["layers"][0]["weights"] == wx.tolist()
 
 
 def test_bundle_predict_survives_round_trip(tmp_path):
