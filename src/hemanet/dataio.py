@@ -19,6 +19,7 @@ import numpy as np
 from .records import (
     ANALYTES,
     LABELS,
+    PANEL_FIELDS,
     CbcColumns,
     CbcRecord,
     LabeledRecord,
@@ -27,7 +28,7 @@ from .records import (
     validate_records,
 )
 
-COLUMNS = ("age", "gender", "rbc", "hgb", "hct", "mcv", "mch", "mchc", "wbc")
+COLUMNS = PANEL_FIELDS
 LABEL_COLUMN = "label"
 
 #: Invalid rows named in a load_csv error message; the count covers the rest.

@@ -36,24 +36,21 @@ ZERO, ONE, MINUS_ONE = np.array(0.0), np.array(1.0), np.array(-1.0)
 ZERO.flags.writeable = ONE.flags.writeable = MINUS_ONE.flags.writeable = False
 
 
-def sigmoid_inplace(z: np.ndarray, e=None, nonnegative=None, f=None) -> np.ndarray:
+def sigmoid_inplace(z: np.ndarray, e=None, nonnegative=None) -> np.ndarray:
     """Logistic function of the float64 array ``z`` (at least 1-d), written over it.
 
     Branch-free: with e = exp(-|z|), the numerator max(e, z >= 0) is exactly 1
     where z >= 0 and e elsewhere, so every value, NaN too, is 1/(1+e) | e/(1+e).
     ``e`` and ``nonnegative`` are float64 and bool scratch arrays of z's
-    shape, allocated when not given.  Three steps run into their own input
-    unless ``f``, a third float64 array of z's shape, is given: numpy does
-    that slowly on a one-element array and fastest on a large one.
+    shape, allocated when not given.
     """
-    f = z if f is None else f
     nonnegative = np.greater_equal(z, ZERO, out=nonnegative)
     e = np.abs(z, out=e)
-    np.negative(e, out=f)
-    np.exp(f, out=z)
+    np.negative(e, out=z)
+    np.exp(z, out=z)
     np.add(z, ONE, out=e)
-    np.maximum(z, nonnegative, out=f)
-    return np.divide(f, e, out=z)
+    np.maximum(z, nonnegative, out=z)
+    return np.divide(z, e, out=z)
 
 
 def sigmoid_row(z: np.ndarray, pair, num, den) -> np.ndarray:

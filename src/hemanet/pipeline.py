@@ -3,9 +3,10 @@ positives only, and report emission.
 
 Per-record failures are isolated into error entries so one bad row never
 kills a batch.  The classification network is never evaluated for a
-record diagnosed healthy.  Screening and evaluation run the networks
-through one batched helper, so they compute bit-identical raw outputs for
-the same rows.
+record diagnosed healthy.  The two-stage evaluation scores the Screening
+that run_pipeline returns, and every stage runs the networks through one
+batched helper, so screening and evaluation compute bit-identical raw
+outputs for the same rows.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ import io
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from itertools import repeat
 
 import numpy as np
@@ -45,37 +45,32 @@ ERROR = -1
 
 @dataclass
 class PatientReport:
-    patient_id: int | str
+    patient_id: int
     verdict: int | None = None
     subtype: AnemiaLabel | None = None
     raw_diagnosis: float | None = None
     raw_classify: list[float] | None = None
-    models: str = ""
-    timestamp: str | None = None
     error: str | None = None
 
 
 @dataclass(eq=False)
 class Screening(Sequence):
-    """A screening run as columns, row i for input row i.
+    """A screening run as columns, row i for input row i, whose id is i.
 
-    ``ids`` is an int64 array or an object array of str.  ``verdict`` holds
-    int8 codes 0 (healthy), 1 (anemic) and ERROR; ``error`` the message of
-    each failed row, None elsewhere.  ``raw_diagnosis`` and the (n, width)
-    ``raw_classify`` hold NaN where a row has no output; ``subtype`` holds
-    SUBTYPES indices, read on rows neither failed nor healthy.  Its rows, as
-    PatientReports built on demand, serve only the benchmark's positives counter
-    and the tests; they go when that counter reads ``verdict`` (ROADMAP item A).
+    ``verdict`` holds int8 codes 0 (healthy), 1 (anemic) and ERROR; ``error``
+    the message of each failed row, None elsewhere.  ``raw_diagnosis`` and the
+    (n, width) ``raw_classify`` hold NaN where a row has no output; ``subtype``
+    holds SUBTYPES indices, read on rows neither failed nor healthy.  Its rows,
+    as PatientReports built on demand, serve only the benchmark's positives
+    counter and the tests; they go when that counter reads ``verdict``
+    (ROADMAP item A).
     """
 
-    ids: np.ndarray
     verdict: np.ndarray
     raw_diagnosis: np.ndarray
     subtype: np.ndarray
     raw_classify: np.ndarray
     error: np.ndarray
-    models: str = ""
-    timestamp: str | None = None
 
     def __len__(self) -> int:
         return len(self.verdict)
@@ -84,8 +79,7 @@ class Screening(Sequence):
         if isinstance(row, slice):
             return [self[i] for i in range(len(self))[row]]
         row = range(len(self))[row]
-        report = PatientReport(self.ids.item(row), models=self.models,
-                               timestamp=self.timestamp, error=self.error.item(row))
+        report = PatientReport(row, error=self.error.item(row))
         if report.error is None:
             report.verdict = self.verdict.item(row)
             report.raw_diagnosis = self.raw_diagnosis.item(row)
@@ -119,22 +113,21 @@ def _classify(clf: ModelBundle, records):
 
 
 def run_pipeline(
-    diag: ModelBundle, clf: ModelBundle, records, threshold: float = 0.5, ids=None,
-    deterministic: bool = False,
+    diag: ModelBundle, clf: ModelBundle, records, threshold: float = 0.5
 ) -> Screening:
     """Diagnose every record, classify positives, and report in input order.
 
-    Records come as CbcColumns or as a sequence of CbcRecord, ids as one int or
-    one str per record (the row numbers by default).  The valid records go
-    through one diagnosis pass and the positives through one classification
-    pass.  An invalid record, or a non-finite raw output, makes an error row.
+    Records come as CbcColumns or as a sequence of CbcRecord.  The valid
+    records go through one diagnosis pass and the positives through one
+    classification pass.  An invalid record, or a non-finite raw output,
+    makes an error row.
     """
     batch = CbcColumns.of(records)
     n = len(batch)
-    ids = _id_column(ids, n)
     bad = invalid_rows(batch)
     error = np.full(n, None, object)
-    error[bad] = list(map("; ".join, validate_records(batch.take(bad))))
+    if bad.size:
+        error[bad] = list(map("; ".join, validate_records(batch.take(bad))))
     valid = np.delete(np.arange(n), bad)
     verdict, raw_diagnosis = np.full(n, ERROR, np.int8), np.full(n, np.nan)
 
@@ -150,24 +143,7 @@ def run_pipeline(
     verdict[lost], raw_diagnosis[lost] = ERROR, np.nan
     raw_classify = np.full((n, raw.shape[1]), np.nan)
     raw_classify[positives[finite]] = raw[finite]
-    stamp = None if deterministic else datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return Screening(ids, verdict, raw_diagnosis, subtype, raw_classify, error,
-                     f"{diag.identity}|{clf.identity}", stamp)
-
-
-def _id_column(ids, n: int) -> np.ndarray:
-    """The ids as an int64 array or an object array of str, or ValueError."""
-    if ids is None:
-        return np.arange(n)
-    ids = list(ids)
-    types = set(map(type, ids))
-    ints = all(issubclass(t, (int, np.integer)) and t is not bool for t in types)
-    try:
-        if len(ids) == n and (ints or all(issubclass(t, str) for t in types)):
-            return np.array(ids, np.int64 if ints else object)
-    except OverflowError:
-        pass
-    raise ValueError(f"ids must be {n} ints within int64 or {n} strs, one per record")
+    return Screening(verdict, raw_diagnosis, subtype, raw_classify, error)
 
 
 def emit_reports(s: Screening, fmt: str = "text", model_files=(), threshold: float = 0.5,
@@ -188,7 +164,8 @@ def emit_reports(s: Screening, fmt: str = "text", model_files=(), threshold: flo
         subtype = _CSV_LABELS[np.where(kind == 2, s.subtype, len(SUBTYPES))]
         writer = csv.writer(out := io.StringIO())
         writer.writerow(["id", "verdict", "subtype", "raw_diagnosis", "error"])
-        writer.writerows(zip(*(c.tolist() for c in (s.ids, verdict, subtype, raw, s.error))))
+        rows = zip(range(len(s)), *(c.tolist() for c in (verdict, subtype, raw, s.error)))
+        writer.writerows(rows)
         return out.getvalue()
     lines = ["# anemia screening report"]
     if model_files:
@@ -199,10 +176,10 @@ def emit_reports(s: Screening, fmt: str = "text", model_files=(), threshold: flo
     kind, (failed, healthy, typed) = _kinds(s, s.verdict != 0)
     lines += _interleave(
         kind,
-        _fill("#%s: ERROR (%s)", map(str, s.ids[failed].tolist()), s.error[failed].tolist()),
-        _fill("#%s: NON-ANEMIC (p=%s)", map(str, s.ids[healthy].tolist()),
+        _fill("#%s: ERROR (%s)", map(str, failed.tolist()), s.error[failed].tolist()),
+        _fill("#%s: NON-ANEMIC (p=%s)", map(str, healthy.tolist()),
               map("%.2f".__mod__, s.raw_diagnosis[healthy].tolist())),
-        _fill("#%s: %s (p=%s)", map(str, s.ids[typed].tolist()),
+        _fill("#%s: %s (p=%s)", map(str, typed.tolist()),
               map(_TEXT_LABELS.__getitem__, s.subtype[typed].tolist()),
               map("%.2f".__mod__, s.raw_diagnosis[typed].tolist())),
     )
@@ -245,12 +222,12 @@ def _render_json(meta: dict, s: Screening) -> str:
     if not len(s):
         return head + ',\n "patients": []\n}\n'
     kind, (failed, other, positive) = _kinds(s, s.verdict == 1)
-    scored = [s.ids, s.verdict, s.raw_diagnosis]
+    scored = [s.verdict, s.raw_diagnosis]
     patients = _interleave(
         kind,
-        _fill(_JSON_ERROR, _json_texts(s.ids[failed]), map(_json_str, s.error[failed].tolist())),
-        _fill(_JSON_HEALTHY, *(_json_texts(c[other]) for c in scored)),
-        _fill(_JSON_POSITIVE, *(_json_texts(c[positive]) for c in scored),
+        _fill(_JSON_ERROR, _json_texts(failed), map(_json_str, s.error[failed].tolist())),
+        _fill(_JSON_HEALTHY, _json_texts(other), *(_json_texts(c[other]) for c in scored)),
+        _fill(_JSON_POSITIVE, _json_texts(positive), *(_json_texts(c[positive]) for c in scored),
               _json_classify(s.raw_classify, positive),
               map(_JSON_LABELS.__getitem__, s.subtype[positive].tolist())),
     )
@@ -258,12 +235,12 @@ def _render_json(meta: dict, s: Screening) -> str:
 
 
 def _json_texts(column: np.ndarray) -> list[str]:
-    """json's text for each value of an int, str or float column: by its
-    type's encoder, or value by value where a float is not finite."""
+    """json's text for each value of an int or float column: by its type's
+    encoder, or value by value where a float is not finite."""
     values, kind = column.tolist(), column.dtype.kind
     if kind == "f" and not np.isfinite(column).all():
         return list(map(json.dumps, values))
-    return list(map({"i": int.__repr__, "f": float.__repr__}.get(kind, _json_str), values))
+    return list(map({"i": int.__repr__, "f": float.__repr__}[kind], values))
 
 
 def _json_classify(raw: np.ndarray, rows: np.ndarray) -> list[str]:
@@ -321,17 +298,14 @@ def evaluate_classification(clf: ModelBundle, labeled) -> ConfusionMatrix:
 def evaluate_pipeline(
     diag: ModelBundle, clf: ModelBundle, labeled, threshold: float = 0.5
 ) -> ConfusionMatrix:
-    """4x4 confusion matrix of the gated two-stage flow.
+    """4x4 confusion matrix of the gated two-stage flow: run_pipeline's
+    Screening of the records, scored against their labels.
 
     An invalid record raises ValidationError; a non-finite network output
     raises NonFiniteOutputError.
     """
     batch = check_records(labeled)
-    _, positive, finite = _diagnose(diag, batch, threshold)
-    positives = np.flatnonzero(positive & finite)
-    index, classified, _ = _classify(clf, batch.take(positives))
-    finite[positives] = classified
-    _require_finite(f"models {diag.identity}|{clf.identity}", finite)
-    predictions = np.zeros(len(batch), dtype=np.intp)
-    predictions[positives] = index + 1
+    s = run_pipeline(diag, clf, batch, threshold)
+    _require_finite(f"models {diag.identity}|{clf.identity}", s.verdict != ERROR)
+    predictions = np.where(s.verdict == 1, s.subtype + 1, 0)
     return ConfusionMatrix.from_codes(batch.label, predictions, FOURWAY_LABELS)

@@ -1,13 +1,11 @@
 """Feature encoding, [-1, 1] min-max scaling, and deterministic splits."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .records import ANALYTES, LABELS, CbcColumns, CbcRecord
-
-_ALLOWED_FEATURES = ("age", "gender", "rbc", "hgb", "hct", "mcv", "mch", "mchc", "wbc")
+from .records import ANALYTES, LABELS, PANEL_FIELDS, CbcColumns, CbcRecord
 
 
 @dataclass(frozen=True)
@@ -20,7 +18,7 @@ class FeatureSpec:
     def __post_init__(self):
         if not self.names:
             raise ValueError("feature spec must name at least one feature")
-        unknown = [n for n in self.names if n not in _ALLOWED_FEATURES]
+        unknown = [n for n in self.names if n not in PANEL_FIELDS]
         if unknown:
             raise ValueError(f"unknown feature(s): {', '.join(unknown)}")
         if len(set(self.names)) != len(self.names):
@@ -30,7 +28,7 @@ class FeatureSpec:
         return len(self.names)
 
 
-FULL9 = FeatureSpec(_ALLOWED_FEATURES, preset="full9")
+FULL9 = FeatureSpec(PANEL_FIELDS, preset="full9")
 PAPER7 = FeatureSpec(("age", "gender", "hgb", "hct", "mcv", "mch", "mchc"), preset="paper7")
 
 FEATURE_PRESETS = {"full9": FULL9, "paper7": PAPER7}

@@ -42,6 +42,8 @@ SUBTYPES = (AnemiaLabel.MICROCYTIC, AnemiaLabel.NORMOCYTIC, AnemiaLabel.MACROCYT
 LABELS = tuple(AnemiaLabel)
 
 ANALYTES = ("rbc", "hgb", "hct", "mcv", "mch", "mchc", "wbc")
+#: The nine fields of a panel, in CSV column and full9 feature order.
+PANEL_FIELDS = ("age", "gender", *ANALYTES)
 
 #: Plausibility gates: values outside these are data errors, not clinical findings.
 DEFAULT_BOUNDS: dict[str, tuple[float, float]] = {
@@ -200,7 +202,7 @@ class CbcColumns:
     analytes: np.ndarray
     label: np.ndarray | None = None
     # Set once every row has passed validate_records (in load_csv or
-    # check_records), so check_records does not run the checks again; take()
+    # check_records), so invalid_rows does not run the checks again; take()
     # passes it on.  The arrays are not changed after that.
     _checked: bool = field(default=False, init=False, repr=False)
 
@@ -288,19 +290,17 @@ def validate_records(records) -> list[list[str]]:
 
 
 def invalid_rows(records) -> np.ndarray:
-    """Indices of the rows validate_records finds violations in, without its lists."""
-    return np.flatnonzero(_faults(CbcColumns.of(records)).any(axis=1))
+    """Indices of the rows validate_records finds violations in, without its
+    lists; none for columns that load_csv or check_records validated."""
+    batch = CbcColumns.of(records)
+    if batch._checked:
+        return np.empty(0, np.intp)
+    return np.flatnonzero(_faults(batch).any(axis=1))
 
 
 def check_records(records) -> CbcColumns:
-    """The records as columns; raises ValidationError for the first invalid row.
-
-    Columns that load_csv or an earlier check_records call validated are
-    returned without checking them again.
-    """
+    """The records as columns; raises ValidationError for the first invalid row."""
     batch = CbcColumns.of(records)
-    if batch._checked:
-        return batch
     bad = invalid_rows(batch)
     if bad.size:
         raise ValidationError(validate_records(batch.take(bad[:1]))[0])

@@ -93,7 +93,7 @@ def _onehot_bundle(outputs=(0.0, 0.0, 0.0)):
 
 
 def _empty_screening():
-    return run_pipeline(_constant_bundle([0.0]), _onehot_bundle(), [], deterministic=True)
+    return run_pipeline(_constant_bundle([0.0]), _onehot_bundle(), [])
 
 
 class TestDiagnose:
@@ -197,7 +197,7 @@ class TestRunPipeline:
     def test_order_and_length_preserved(self, trained):
         diag, clf, split = trained
         records = [item.record for item in to_records(split.test)]
-        reports = run_pipeline(diag, clf, records, ids=range(len(records)))
+        reports = run_pipeline(diag, clf, records)
         assert [r.patient_id for r in reports] == list(range(len(records)))
 
     def test_bad_record_is_isolated(self):
@@ -222,39 +222,16 @@ class TestRunPipeline:
         diag, clf, split = trained
         records = [item.record for item in to_records(split.test)]
         records[3] = make_record(hgb=float("nan"), age=300)
-        from_list = run_pipeline(diag, clf, records, deterministic=True)
-        from_columns = run_pipeline(diag, clf, CbcColumns.of(records), deterministic=True)
+        from_list = run_pipeline(diag, clf, records)
+        from_columns = run_pipeline(diag, clf, CbcColumns.of(records))
         assert list(from_columns) == list(from_list)
         assert from_list[3].error == "age out of [0, 120]; hgb must be finite"
 
-    def test_deterministic_mode_suppresses_timestamps(self):
-        diag = _constant_bundle([3.0])
-        clf = _constant_bundle([1.0, 0.0, 0.0], out_dim=3, encoding="onehot3")
-        reports = run_pipeline(diag, clf, [make_record()], deterministic=True)
-        assert reports[0].timestamp is None
-
-    @pytest.mark.parametrize("ids", [[0.0, 1.0], [True, False], [None, 1], [0, "b"],
-                                     [2**63, 0], [0], [0, 1, 2]],
-                             ids=["float", "bool", "none", "mixed", "past-int64", "short", "long"])
-    def test_ids_other_than_ints_or_strs_per_record_are_refused(self, ids):
-        with pytest.raises(ValueError, match="ids must be 2 ints"):
-            run_pipeline(_constant_bundle([0.0]), _onehot_bundle(),
-                         [make_record(), make_record()], ids=ids)
-
-    def test_ids_keep_their_values(self):
-        diag, clf, records = _constant_bundle([0.0]), _onehot_bundle(), [make_record()] * 2
-        extremes = run_pipeline(diag, clf, records, ids=np.array([-2**63, 2**63 - 1]))
-        assert extremes.ids.dtype == np.int64
-        assert extremes.ids.tolist() == [-2**63, 2**63 - 1]
-        names = run_pipeline(diag, clf, records, ids=iter(["a\x00", "\u00e9"]))
-        assert names.ids.tolist() == ["a\x00", "\u00e9"]
-
 
 class TestScreening:
-    def _screening(self, **kwargs):
+    def _screening(self):
         records = [make_record(hgb=h) for h in (10.0, 14.0, -1.0, 12.0)]
-        return run_pipeline(_hgb_gate_bundle(), _onehot_bundle([0.0, 1.0, 0.0]), records,
-                            **kwargs)
+        return run_pipeline(_hgb_gate_bundle(), _onehot_bundle([0.0, 1.0, 0.0]), records)
 
     def test_columns(self):
         screening = self._screening()
@@ -263,33 +240,25 @@ class TestScreening:
         assert screening.raw_classify.shape == (4, 3)
         assert np.isnan(screening.raw_classify[[1, 2]]).all()
         assert screening.error.tolist() == [None, None, "hgb must be positive", None]
-        assert screening.ids.tolist() == [0, 1, 2, 3]
 
     def test_rows_are_built_on_demand(self):
-        screening = self._screening(ids="abcd")
+        screening = self._screening()
         assert len(screening) == 4
         assert screening[-1] == screening[3]
         assert screening[1:3] == [screening[1], screening[2]]
         assert list(screening) == [screening[i] for i in range(4)]
-        assert screening[2] == PatientReport("c", models=screening.models,
-                                             timestamp=screening.timestamp,
-                                             error="hgb must be positive")
+        assert screening[2] == PatientReport(2, error="hgb must be positive")
         assert screening[0].subtype is AnemiaLabel.NORMOCYTIC
         with pytest.raises(IndexError):
             screening[4]
 
     def test_non_finite_float_columns_render_as_json_dumps(self):
         screening = Screening(
-            ids=np.arange(3), verdict=np.array([0, 1, 1], np.int8),
+            verdict=np.array([0, 1, 1], np.int8),
             raw_diagnosis=np.array([np.inf, 0.75, np.nan]), subtype=np.array([0, 1, 2]),
             raw_classify=np.array([[np.nan] * 3, [0.1, np.nan, -np.inf], [0.2, 0.3, 0.5]]),
             error=np.full(3, None, object))
         assert emit_reports(screening, "json") == reference_json(screening, (), 0.5, None)
-
-    def test_empty_screening_carries_one_timestamp(self):
-        diag, clf = _constant_bundle([0.0]), _onehot_bundle()
-        assert run_pipeline(diag, clf, []).timestamp is not None
-        assert run_pipeline(diag, clf, [], deterministic=True).timestamp is None
 
 
 class TestNonFiniteOutputs:
@@ -325,18 +294,19 @@ class TestNonFiniteOutputs:
     @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
     def test_screening_renders_as_its_rows(self, fmt):
         # Both error kinds in one batch: invalid rows, and positives whose
-        # classification output is NaN; a clean classifier and string ids too.
+        # classification output is NaN; a clean classifier too, with and
+        # without a created stamp.
         records = [make_record(hgb=h) for h in (10.0, 14.0, -1.0, 11.0, 15.0, 9.0)]
         records.append(make_record(hgb=float("nan"), age=300))
         runs = [
             run_pipeline(_hgb_gate_bundle(), self._nan_elman("onehot3"), records),
             run_pipeline(self._nan_elman(), _onehot_bundle(), records),
-            run_pipeline(_hgb_gate_bundle(), _onehot_bundle([1.0, -1.0, 3.0]), records,
-                         ids=[f"p,{i}" for i in range(len(records))], deterministic=True),
+            run_pipeline(_hgb_gate_bundle(), _onehot_bundle([1.0, -1.0, 3.0]), records),
         ]
-        for screening in runs:
-            assert (emit_reports(screening, fmt, ["d", "c"], 0.5, screening.timestamp)
-                    == REFERENCES[fmt](list(screening), ["d", "c"], 0.5, screening.timestamp))
+        stamps = ["2026-01-01T00:00:00+00:00"] * 2 + [None]
+        for screening, created in zip(runs, stamps):
+            assert (emit_reports(screening, fmt, ["d", "c"], 0.5, created)
+                    == REFERENCES[fmt](list(screening), ["d", "c"], 0.5, created))
         assert {r.error for r in runs[0]} >= {"non-finite classification output",
                                               "hgb must be positive"}
 
@@ -413,7 +383,7 @@ class TestPredictEvalAgreement:
         monkeypatch.setattr(pipeline, "ConfusionMatrix", RecordingMatrix)
         evaluate_diagnosis(diag, dataset)
         [eval_outputs] = outputs
-        reports = run_pipeline(diag, clf, [item.record for item in dataset], deterministic=True)
+        reports = run_pipeline(diag, clf, [item.record for item in dataset])
         assert [r.raw_diagnosis for r in reports] == eval_outputs[:, 0].tolist()
         assert [DIAGNOSIS_LABELS[r.verdict] for r in reports] == preds
         assert set(preds) == set(DIAGNOSIS_LABELS)
@@ -437,7 +407,7 @@ class TestEmitReports:
     def _reports(self):
         clf = _constant_bundle([2.0, -1.0, -1.0], out_dim=3, encoding="onehot3")
         records = [make_record(hgb=12.95), make_record(hgb=12.05), make_record(hgb=-1.0)]
-        return run_pipeline(_hgb_gate_bundle(), clf, records, ids=[0, 1, 2], deterministic=True)
+        return run_pipeline(_hgb_gate_bundle(), clf, records)
 
     def test_text_format(self):
         text = emit_reports(self._reports(), "text", model_files=["d.json", "c.json"])
@@ -489,8 +459,8 @@ class TestEmitReports:
         diag = _constant_bundle([1.0])
         clf = _constant_bundle([0.0, 2.0, 0.0], out_dim=3, encoding="onehot3")
         records = [make_record(), make_record(hgb=10.0)]
-        a = emit_reports(run_pipeline(diag, clf, records, deterministic=True), "json")
-        b = emit_reports(run_pipeline(diag, clf, records, deterministic=True), "json")
+        a = emit_reports(run_pipeline(diag, clf, records), "json")
+        b = emit_reports(run_pipeline(diag, clf, records), "json")
         assert a == b
 
 
@@ -539,30 +509,28 @@ def reference_csv(reports, model_files, threshold, created):
 
 REFERENCES = {"json": reference_json, "text": reference_text, "csv": reference_csv}
 
-int_ids = st.one_of(st.sampled_from([-2**63, 2**63 - 1]), st.integers(-2**63, 2**63 - 1))
-str_ids = st.one_of(st.text(), st.just('q"uote\\ \x00\x1f\u00e9\u2028\U0001f600'))
+messages = st.one_of(st.text(), st.just('q"uote\\ \x00\x1f\u00e9\u2028\U0001f600'))
 outputs = st.one_of(st.floats(0.0, 1.0), st.floats())
 
 
 @st.composite
 def screenings(draw):
-    """A Screening with error, healthy and positive rows in any order, int64
-    or str ids, and a classify width of 1 or 3."""
+    """A Screening with error, healthy and positive rows in any order, and a
+    classify width of 1 or 3."""
     extra = draw(st.lists(st.sampled_from([pipeline.ERROR, 0, 1]), max_size=6))
     verdict = np.array(draw(st.permutations([pipeline.ERROR, 0, 1, *extra])), np.int8)
-    n, width, ints = len(verdict), draw(st.sampled_from([1, 3])), draw(st.booleans())
+    n, width = len(verdict), draw(st.sampled_from([1, 3]))
 
     def column(values, size=n):
         return draw(st.lists(values, min_size=size, max_size=size))
 
     return Screening(
-        ids=np.array(column(int_ids if ints else str_ids), np.int64 if ints else object),
         verdict=verdict,
         raw_diagnosis=np.array(column(outputs), float),
         subtype=np.array(column(st.integers(0, len(SUBTYPES) - 1)), np.intp),
         raw_classify=np.array(column(outputs, n * width), float).reshape(n, width),
-        error=np.array([draw(st.text()) if v == pipeline.ERROR else None for v in verdict.tolist()],
-                       object),
+        error=np.array([draw(messages) if v == pipeline.ERROR else None
+                        for v in verdict.tolist()], object),
     )
 
 
@@ -582,7 +550,7 @@ class TestJsonWriter:
     def test_pipeline_reports(self, trained):
         diag, clf, split = trained
         records = [item.record for item in to_records(split.test)] + [make_record(hgb=-1.0)]
-        reports = run_pipeline(diag, clf, records, deterministic=True)
+        reports = run_pipeline(diag, clf, records)
         assert emit_reports(reports, "json", ["d", "c"], 0.5) == reference_json(
             reports, ["d", "c"], 0.5, None)
 
@@ -614,9 +582,7 @@ class TestEvaluation:
     def test_pipeline_matrix_matches_recount(self, trained):
         diag, clf, split = trained
         cm = evaluate_pipeline(diag, clf, split.test, threshold=0.5)
-        reports = run_pipeline(
-            diag, clf, [item.record for item in to_records(split.test)], deterministic=True
-        )
+        reports = run_pipeline(diag, clf, [item.record for item in to_records(split.test)])
         correct = 0
         for item, report in zip(to_records(split.test), reports):
             predicted = (
