@@ -25,7 +25,8 @@ from hemanet.pipeline import (
     run_pipeline,
 )
 from hemanet.preprocess import FULL9, Normalizer, encode, encode_batch, split_dataset
-from hemanet.records import SUBTYPES, AnemiaLabel, CbcColumns, LabeledRecord
+from hemanet.records import (SUBTYPES, AnemiaLabel, CbcColumns, LabeledRecord,
+                             ValidationError)
 from hemanet.serialize import ModelBundle
 from hemanet.synth import synth_generate
 
@@ -227,6 +228,18 @@ class TestRunPipeline:
         assert list(from_columns) == list(from_list)
         assert from_list[3].error == "age out of [0, 120]; hgb must be finite"
 
+    def test_only_bad_rows_are_listed_by_validate_records(self, monkeypatch):
+        calls, validate = [], pipeline.validate_records
+        monkeypatch.setattr(pipeline, "validate_records",
+                            lambda batch: calls.append(len(batch)) or validate(batch))
+        run_pipeline(_hgb_gate_bundle(), _onehot_bundle(), [make_record(), make_record(hgb=9.0)])
+        assert calls == []
+        records = [make_record(), make_record(hgb=-1.0), make_record(), make_record(age=300)]
+        reports = run_pipeline(_hgb_gate_bundle(), _onehot_bundle(), records)
+        assert calls == [2]
+        assert [r.error for r in reports] == [None, "hgb must be positive", None,
+                                             "age out of [0, 120]"]
+
 
 class TestScreening:
     def _screening(self):
@@ -251,6 +264,20 @@ class TestScreening:
         assert screening[0].subtype is AnemiaLabel.NORMOCYTIC
         with pytest.raises(IndexError):
             screening[4]
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_report_ids_are_row_numbers(self, fmt):
+        records = [make_record(hgb=h) for h in (-1.0, -1.0, 10.0, 14.0, -1.0, 12.0)]
+        screening = run_pipeline(_hgb_gate_bundle(), _onehot_bundle([0.0, 1.0, 0.0]), records)
+        report = emit_reports(screening, fmt, ["d", "c"], 0.5, "2026-01-01T00:00:00+00:00")
+        if fmt == "json":
+            ids = [p["id"] for p in json.loads(report)["patients"]]
+        elif fmt == "text":
+            ids = [int(line[1:line.index(":")]) for line in report.splitlines()[4:]]
+        else:
+            ids = [int(row[0]) for row in list(csv.reader(io.StringIO(report)))[1:]]
+        assert ids == list(range(len(records)))
+        assert [r.patient_id for r in screening] == ids
 
     def test_non_finite_float_columns_render_as_json_dumps(self):
         screening = Screening(
@@ -578,6 +605,52 @@ class TestEvaluation:
         diag = _constant_bundle([-3.0])
         cm = evaluate_diagnosis(diag, records)
         assert accuracy(cm) == 1.0
+
+    @pytest.mark.parametrize("outputs, subtype", [
+        ([2.0, -2.0, -2.0], AnemiaLabel.MICROCYTIC),
+        ([-2.0, 2.0, -2.0], AnemiaLabel.NORMOCYTIC),
+        ([-2.0, -2.0, 2.0], AnemiaLabel.MACROCYTIC),
+    ], ids=["microcytic", "normocytic", "macrocytic"])
+    def test_pipeline_scores_positives_as_their_subtype(self, outputs, subtype):
+        labeled = synth_generate(12, {AnemiaLabel.MICROCYTIC: 5,
+                                      AnemiaLabel.NON_ANEMIC: 7}, seed=42)
+        cm = evaluate_pipeline(_constant_bundle([3.0]), _onehot_bundle(outputs), labeled)
+        column = list(AnemiaLabel).index(subtype)
+        assert cm.counts[:, column].tolist() == [7, 5, 0, 0]
+        assert cm.total == cm.counts[:, column].sum() == 12
+
+    def test_pipeline_threshold_gates_the_classifier(self):
+        labeled = synth_generate(12, {AnemiaLabel.NORMOCYTIC: 4,
+                                      AnemiaLabel.NON_ANEMIC: 8}, seed=43)
+        diag, clf = _constant_bundle([0.0]), _onehot_bundle([-2.0, 2.0, -2.0])  # raw 0.5
+        healthy = evaluate_pipeline(diag, clf, labeled, threshold=1.0)
+        assert healthy.counts[:, 0].tolist() == [8, 0, 4, 0]
+        assert healthy.correct == 8
+        positive = evaluate_pipeline(diag, clf, labeled, threshold=0.5)
+        assert positive.counts[:, 2].tolist() == [8, 0, 4, 0]
+        assert positive.correct == 4
+
+    def test_pipeline_evaluation_refuses_invalid_records_before_any_network(self):
+        diag, clf = _constant_bundle([3.0]), _onehot_bundle()
+        seen = [_count_forward_rows(diag), _count_forward_rows(clf)]
+        labeled = [LabeledRecord(make_record(), AnemiaLabel.NON_ANEMIC),
+                   LabeledRecord(make_record(hgb=-1.0, age=300), AnemiaLabel.MICROCYTIC)]
+        with pytest.raises(ValidationError, match=r"^age out of \[0, 120\]; hgb must be positive$"):
+            evaluate_pipeline(diag, clf, labeled)
+        assert seen == [[], []]
+
+    @pytest.mark.parametrize("stage, match", [("diagnosis", "binary1"),
+                                              ("classify", "onehot3 or banded1")],
+                             ids=["diagnosis", "classify"])
+    def test_pipeline_evaluation_checks_each_encoding(self, stage, match):
+        labeled = synth_generate(4, {AnemiaLabel.MICROCYTIC: 4}, seed=44)
+        diag, clf = _constant_bundle([3.0]), _onehot_bundle()
+        if stage == "diagnosis":
+            diag = clf
+        else:
+            clf = diag
+        with pytest.raises(ValueError, match=match):
+            evaluate_pipeline(diag, clf, labeled)
 
     def test_pipeline_matrix_matches_recount(self, trained):
         diag, clf, split = trained

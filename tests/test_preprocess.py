@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from hemanet import dataio
 from hemanet.preprocess import (
     FULL9,
     PAPER7,
@@ -43,6 +44,12 @@ class TestFeatureSpec:
             FeatureSpec(("hgb", "platelets"))
         with pytest.raises(ValueError):
             FeatureSpec(())
+
+    def test_features_are_the_csv_columns(self):
+        # One tuple names the panel: the CSV columns and the allowed features.
+        assert dataio.COLUMNS == FULL9.names
+        for name in dataio.COLUMNS:
+            assert FeatureSpec((name,)).names == (name,)
 
 
 class TestEncode:
