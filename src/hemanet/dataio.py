@@ -12,7 +12,7 @@ import csv
 import warnings
 from collections import deque
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .records import (
     CbcColumns,
     CbcRecord,
     LabeledRecord,
-    age_column,
+    int64_ages,
     invalid_rows,
     validate_records,
 )
@@ -104,16 +104,15 @@ _LABEL_CODES = {label.value: code for code, label in enumerate(LABELS)}
 
 @lru_cache(maxsize=64)  # a token column repeats a handful of distinct cells
 def _gender_code(cell) -> int:
-    return _GENDER_CODES[(cell or "").strip().lower()]
+    return _GENDER_CODES[cell.strip().lower()]
 
 
 @lru_cache(maxsize=64)
 def _label_code(cell) -> int:
-    return _LABEL_CODES[(cell or "").strip().lower()]
+    return _LABEL_CODES[cell.strip().lower()]
 
 
-#: How each cell is read.  A cell missing from a short row is None, so it
-#: fails like a bad token.
+#: How each cell is read; a cell that cannot be read raises KeyError or ValueError.
 _PARSE = {"age": int, "gender": _gender_code, **dict.fromkeys(ANALYTES, float),
           LABEL_COLUMN: _label_code}
 
@@ -137,16 +136,14 @@ def _read_columns(path, columns):
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason} "
                              f"{exc.object[exc.start:exc.end]!r})") from None
-    age, gender, analytes, labels = (
-        None if parts[0] is None else np.concatenate(parts) for parts in zip(*blocks))
-    return CbcColumns(age_column(age) if age.dtype == object else age, gender, analytes, labels)
+    return CbcColumns(*(None if parts[0] is None else np.concatenate(parts)
+                        for parts in zip(*blocks)))
 
 
 def _csv_blocks(path, fh, columns) -> list[tuple]:
-    """_parse_blocks of the file, read with csv.reader.  Cells are parsed a
-    column of READ_BLOCK_ROWS rows at a time; the first bad cell in
-    row-then-column order is reported once the whole file is read, so a CSV
-    syntax error or a byte that is not UTF-8 anywhere in it wins."""
+    """_parse_blocks of the file, read with csv.reader.  A bad cell is
+    reported once the whole file is read, so a CSV syntax error or a byte
+    that is not UTF-8 anywhere in it wins."""
     reader = csv.reader(fh)
     header = next(reader, None)
     if header is None:
@@ -181,10 +178,10 @@ _FIELDS = {"age": np.int64, "gender": "U8", **dict.fromkeys(ANALYTES, np.float64
 
 
 def _numpy_blocks(fh, columns) -> list[tuple] | None:
-    """The blocks _parse_blocks would give, parsed by np.loadtxt a block of
-    READ_BLOCK_ROWS lines at a time; None, with some of ``fh`` read, when
-    the file holds anything numpy's reader might not read as the csv reader
-    does, or anything the csv reader would refuse.  Ages are int64."""
+    """Blocks that join to what _parse_blocks gives, parsed by np.loadtxt a
+    block of READ_BLOCK_ROWS lines at a time; None, with some of ``fh`` read,
+    when the file holds anything numpy's reader might not read as the csv
+    reader does, or anything the csv reader would refuse.  Ages are int64."""
     try:
         header = fh.readline()
         if _csv_only(header, [header]):
@@ -218,7 +215,7 @@ def _numpy_blocks(fh, columns) -> list[tuple] | None:
 
 def _block_columns(table, columns) -> tuple:
     """(age, gender, analytes, label or None) arrays copied out of a structured
-    block, in the layout _parse_block gives."""
+    block, in the layout _parse_blocks gives."""
     labels = (_token_codes(table[LABEL_COLUMN], _LABEL_CODES, _label_code)
               if LABEL_COLUMN in columns else None)
     analytes = np.stack([table[name] for name in ANALYTES]).T
@@ -240,59 +237,48 @@ def _token_codes(cells, canonical, code) -> np.ndarray:
 
 
 def _parse_blocks(path, header, rows, columns) -> list[tuple]:
-    """(age, gender, analytes, label) arrays of an empty block, then of each
-    READ_BLOCK_ROWS of ``rows`` in turn."""
+    """(age, gender, analytes, label or None) arrays of each READ_BLOCK_ROWS of
+    ``rows`` in turn, the last block short, perhaps empty.  Each row's cells
+    are parsed in ``columns`` order; the first that fails, or that a short
+    row lacks, raises CsvFormatError.  Ages are int64."""
     missing = [c for c in columns if c not in header]
     if missing:
         raise CsvFormatError(f"{path}: missing column(s): {', '.join(missing)}")
     position = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
-    width = max(position[c] for c in columns) + 1
-    blocks, start = [_parse_block([()] * width, columns, position)], 1
-    while block := list(islice(rows, READ_BLOCK_ROWS)):
-        padded = block
-        if min(map(len, block)) < width:
-            padded = [row + [None] * (width - len(row)) for row in block]
-        try:
-            blocks.append(_parse_block(list(zip(*padded)), columns, position))
-        except (KeyError, TypeError, ValueError):
-            raise _first_bad_cell(path, header, block, columns, position, start) from None
-        start += len(block)
-    return blocks
-
-
-def _parse_block(table, columns, position) -> tuple:
-    """(age, gender, analytes, label or None) arrays of a block's cells, column
-    by column (``table[i]`` holds column i of the padded rows); ages are
-    Python ints."""
-    n = len(table[0])
-
-    def cells(name, dtype):
-        return np.fromiter(map(_PARSE[name], table[position[name]]), dtype, count=n)
-
-    analytes = np.fromiter(map(float, chain.from_iterable(table[position[name]]
-                                                          for name in ANALYTES)),
-                           float, count=n * len(ANALYTES)).reshape(len(ANALYTES), n).T
-    labels = cells(LABEL_COLUMN, np.int8) if LABEL_COLUMN in columns else None
-    return cells("age", object), cells("gender", np.int8), analytes, labels
-
-
-def _first_bad_cell(path, header, rows, columns, position, start) -> CsvFormatError:
-    """The error for the first cell, row then column, that fails or that a
-    short row lacks; rows count from start."""
-    for row_num, row in enumerate(rows, start=start):
-        for name in columns:
-            if position[name] >= len(row):
-                return CsvFormatError(f"{path}: row {row_num} has {len(row)} of the "
-                                      f"header's {len(header)} cells")
-            cell = row[position[name]]
+    cells = [(position[name], _PARSE[name]) for name in columns]
+    blocks, row_num = [], 0
+    while True:
+        block = []
+        for row_num, row in enumerate(islice(rows, READ_BLOCK_ROWS), start=row_num + 1):
+            values = []
             try:
-                _PARSE[name](cell)
-            except (KeyError, ValueError):
-                problem = "unknown label" if name == LABEL_COLUMN else "cannot parse"
-                if len(cell) > MAX_CELL_SHOWN:
-                    problem += f" a cell of {len(cell)} characters starting"
-                    cell = cell[:MAX_CELL_SHOWN]
-                return CsvFormatError(
-                    f"{path}: row {row_num}, column '{name}': {problem} {cell!r}"
-                )
-    raise AssertionError("a column failed to parse but no cell does")
+                for index, parse in cells:
+                    values.append(parse(row[index]))
+            except (IndexError, KeyError, ValueError):
+                failed = len(values)
+                raise _bad_cell(path, len(header), row_num, row, columns[failed],
+                                cells[failed][0]) from None
+            block.append(values)
+        n = len(block)
+        analytes = np.array([row[2:2 + len(ANALYTES)] for row in block], float)
+        labels = (np.fromiter((row[-1] for row in block), np.int8, n)
+                  if LABEL_COLUMN in columns else None)
+        blocks.append((int64_ages([row[0] for row in block]),
+                       np.fromiter((row[1] for row in block), np.int8, n),
+                       analytes.reshape(n, len(ANALYTES)), labels))
+        if n < READ_BLOCK_ROWS:
+            return blocks
+
+
+def _bad_cell(path, width, row_num, row, name, index) -> CsvFormatError:
+    """The error for column ``name``'s cell, row[index], that failed to parse
+    or that the row is too short to hold; the header has ``width`` cells."""
+    if index >= len(row):
+        return CsvFormatError(f"{path}: row {row_num} has {len(row)} of the "
+                              f"header's {width} cells")
+    cell = row[index]
+    problem = "unknown label" if name == LABEL_COLUMN else "cannot parse"
+    if len(cell) > MAX_CELL_SHOWN:
+        problem += f" a cell of {len(cell)} characters starting"
+        cell = cell[:MAX_CELL_SHOWN]
+    return CsvFormatError(f"{path}: row {row_num}, column '{name}': {problem} {cell!r}")

@@ -129,6 +129,10 @@ def _options(family: str, given: dict) -> dict:
     spec = FAMILIES[family]
     if stray := sorted(given.keys() - spec.options.keys()):
         raise ValueError(f"{family} has no option {stray[0]!r}")
+    for name, value in given.items():
+        kind = type(spec.options[name])  # a float option takes an int too, never a bool
+        if isinstance(value, bool) or not isinstance(value, (int, kind)):
+            raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
     options = {name: type(default)(given.get(name, default))
                for name, default in spec.options.items()}
     if not math.isfinite(options.get("context_init", 0.0)):

@@ -95,7 +95,8 @@ class ReferenceRanges:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+                    and math.isfinite(value) and value > 0):
                 raise ValueError(f"{f.name} must be a positive finite number, got {value!r}")
         for name in ("mcv", "mch", "mchc"):
             low, high = getattr(self, f"{name}_low"), getattr(self, f"{name}_high")
@@ -153,16 +154,13 @@ class UnclassifiableError(ValueError):
 
 def validate_record(record: CbcRecord) -> list[str]:
     """Return every violated DEFAULT_BOUNDS bound (empty list means the record is valid)."""
+    check_types(record)
     violations = []
-    if not isinstance(record.age, int) or isinstance(record.age, bool):
-        violations.append("age must be an integer")
-    elif not 0 <= record.age <= 120:
+    if not 0 <= record.age <= 120:
         violations.append("age out of [0, 120]")
-    if not isinstance(record.gender, Gender):
-        violations.append("gender must be male or female")
     for name in ANALYTES:
         value = getattr(record, name)
-        if not (isinstance(value, (int, float)) and math.isfinite(value)):
+        if not math.isfinite(value):
             violations.append(f"{name} must be finite")
             continue
         if value <= 0:
@@ -185,16 +183,34 @@ def check_record(record: CbcRecord) -> None:
         raise ValidationError(violations)
 
 
+def int64_ages(ages: list[int]) -> np.ndarray:
+    """The ages as an int64 array, one past int64 held at its nearest end:
+    out of [0, 120] either way."""
+    low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    return np.array([min(max(age, low), high) for age in ages], np.int64)
+
+
+def check_types(record: CbcRecord) -> None:
+    """Raise TypeError unless the record holds what a CSV row can: an int age,
+    a Gender and int or float analytes, none of them a bool."""
+    if not isinstance(record.age, int) or isinstance(record.age, bool):
+        raise TypeError(f"age must be an integer, got {record.age!r}")
+    if not isinstance(record.gender, Gender):
+        raise TypeError(f"gender must be male or female, got {record.gender!r}")
+    for name in ANALYTES:
+        value = getattr(record, name)
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise TypeError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class CbcColumns:
     """A batch of CBC panels held as columns, the form screening works on.
 
-    ``age`` is an int64 array; it holds Python objects instead when an age
-    does not fit int64 or is not an int.  ``gender`` is 0 for male, 1 for
-    female and -1 for a value that is not a Gender.  ``analytes`` is an
-    (N, 7) float matrix in ANALYTES order, NaN where a value is neither
-    an int nor a float.  Only in-memory records carry these odd cases.
-    ``label`` holds int8 LABELS codes, or is None for an unlabeled batch.
+    ``age`` is an int64 array, an age past int64 held at its nearest end.
+    ``gender`` is int8, 0 for male and 1 for female.  ``analytes`` is an
+    (N, 7) float matrix in ANALYTES order.  ``label`` holds int8 LABELS
+    codes, or is None for an unlabeled batch.
     """
 
     age: np.ndarray
@@ -211,25 +227,21 @@ class CbcColumns:
 
     @classmethod
     def of(cls, records) -> "CbcColumns":
-        """The columns themselves, or those of a sequence of (labeled) records;
-        labeled when every item is a LabeledRecord."""
+        """The columns themselves, or those of a sequence of (labeled) records,
+        each checked by check_types; labeled when every item is a LabeledRecord."""
         if isinstance(records, cls):
             return records
         records = list(records)
         labeled = all(isinstance(r, LabeledRecord) for r in records)
         labels = np.array([LABELS.index(r.label) for r in records], np.int8) if labeled else None
         records = [r.record if isinstance(r, LabeledRecord) else r for r in records]
+        for record in records:
+            check_types(record)
         n = len(records)
-        genders = [0 if g is Gender.MALE else 1 if g is Gender.FEMALE else -1
-                   for g in map(attrgetter("gender"), records)]
-        analytes = np.empty((n, len(ANALYTES)))
-        for column, name in enumerate(ANALYTES):
-            values = list(map(attrgetter(name), records))
-            if not set(map(type, values)) <= {float, int}:
-                values = [v if isinstance(v, (int, float)) else math.nan for v in values]
-            analytes[:, column] = np.fromiter(values, float, n)
-        ages = age_column([r.age for r in records])
-        return cls(ages, np.array(genders, dtype=np.int8), analytes, labels)
+        analytes = np.array(list(map(attrgetter(*ANALYTES), records)), float)
+        genders = np.fromiter((r.gender is Gender.FEMALE for r in records), np.int8, n)
+        return cls(int64_ages([r.age for r in records]), genders,
+                   analytes.reshape(n, len(ANALYTES)), labels)
 
     def take(self, rows) -> "CbcColumns":
         """The batch of the given row indices, in that order."""
@@ -247,22 +259,12 @@ class CbcColumns:
         return self.take(np.flatnonzero(self.label > 0))
 
 
-def age_column(ages) -> np.ndarray:
-    """Ages as int64, or as Python objects when one is not an int or exceeds int64."""
-    if set(map(type, ages)) <= {int}:
-        try:
-            return np.array(ages, dtype=np.int64)
-        except OverflowError:
-            pass
-    return np.fromiter(ages, dtype=object, count=len(ages))
-
-
 # validate_record's checks as columns: each analyte's DEFAULT_BOUNDS range
 # (hct's is the open (0, 100)) and the message of each check, in its order.
 _LOW = np.array([DEFAULT_BOUNDS.get(n, (-np.inf, np.inf))[0] for n in ANALYTES])
 _HIGH = np.array([DEFAULT_BOUNDS.get(n, (-np.inf, np.inf))[1] for n in ANALYTES])
 _HCT = ANALYTES.index("hct")
-_MESSAGES = ["age must be an integer", "age out of [0, 120]", "gender must be male or female"]
+_MESSAGES = ["age out of [0, 120]"]
 _MESSAGES += [
     message
     for name, low, high in zip(ANALYTES, _LOW, _HIGH)
@@ -279,7 +281,7 @@ def validate_records(records) -> list[list[str]]:
 
     Accepts CbcColumns or a sequence of (labeled) records and returns, per
     row, its violation strings under DEFAULT_BOUNDS in a fixed order: age,
-    gender, then each analyte's finiteness, sign and range.
+    then each analyte's finiteness, sign and range.
     """
     batch = CbcColumns.of(records)
     out = [[] for _ in range(len(batch))]
@@ -308,21 +310,15 @@ def check_records(records) -> CbcColumns:
 
 
 def _faults(batch: CbcColumns) -> np.ndarray:
-    """(N, 24) bool matrix: row r fails check c, in _MESSAGES order."""
+    """(N, 22) bool matrix: row r fails check c, in _MESSAGES order."""
     age, values = batch.age, batch.analytes
-    if age.dtype == object:
-        is_int = np.array([isinstance(a, int) and not isinstance(a, bool) for a in age], bool)
-        in_range = np.array([ok and 0 <= a <= 120 for a, ok in zip(age, is_int)], bool)
-    else:
-        is_int = np.ones(len(age), bool)
-        in_range = (age >= 0) & (age <= 120)
     inside = (_LOW <= values) & (values <= _HIGH)
     inside[:, _HCT] = values[:, _HCT] < 100
     finite = np.isfinite(values)
     positive = finite & (values > 0)
     analyte_faults = np.stack([~finite, finite & ~positive, positive & ~inside], axis=2)
     return np.concatenate([
-        np.stack([~is_int, is_int & ~in_range, batch.gender < 0], axis=1),
+        ((age < 0) | (age > 120))[:, None],
         analyte_faults.reshape(len(batch), 3 * len(ANALYTES)),
     ], axis=1)
 

@@ -550,6 +550,37 @@ class TestHostileFiles:
                              ranges, "not a valid JSON file")
         assert not out.exists()
 
+    def test_synth_ranges_boolean(self, tmp_path, capsys):
+        ranges = tmp_path / "ranges.json"
+        ranges.write_text('{"hgb_low_male": true}')
+        out = tmp_path / "out.csv"
+        self._exits_3_naming(capsys, ["synth", "-n", "4", "--mix", "1,1,1,1", "--ranges",
+                                      str(ranges), "-o", str(out)],
+                             ranges, "hgb_low_male must be a positive finite number, got True\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family, section, key, value, kind", [
+        ("narx", "delays", "output", 1.7, "int"),
+        ("narx", "delays", "output", True, "int"),
+        ("narx", "delays", "output", "1", "int"),
+        ("elman", "recurrent", "context_init", "0.5", "float"),
+        ("elman", "recurrent", "context_init", True, "float"),
+    ], ids=["narx-float", "narx-bool", "narx-str", "elman-str", "elman-bool"])
+    def test_model_option_of_the_wrong_type(self, tmp_path, trained_models, capsys,
+                                            family, section, key, value, kind):
+        data, good, _ = trained_models
+        bundle, _ = fit_stage(load_csv(data), family, "diagnosis",
+                              TrainConfig(epochs=1, hidden_size=4))
+        doc = bundle_to_doc(bundle)
+        doc[section][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        name = "d_y" if key == "output" else key
+        self._exits_3_naming(capsys, ["eval", "-m", str(good), "-m", str(bad),
+                                      "--data", str(data)],
+                             bad, f"inconsistent model file: {name} must be of type {kind}, "
+                                  f"got {value!r}\n")
+
     @pytest.mark.parametrize("command", ["predict", "eval", "train"])
     def test_non_utf8_data_file(self, tmp_path, trained_models, capsys, command):
         data, diag, clf = trained_models

@@ -22,7 +22,11 @@ from hemanet.dataio import (
     save_csv,
     save_unlabeled_csv,
 )
+from hemanet.models import build_model
+from hemanet.pipeline import run_pipeline
+from hemanet.preprocess import FULL9, Normalizer
 from hemanet.records import AnemiaLabel, CbcRecord, Gender, LabeledRecord, validate_record
+from hemanet.serialize import ModelBundle
 from hemanet.synth import synth_generate
 
 # The loaders must not warn: numpy's reader warns on a block of blank lines.
@@ -291,7 +295,7 @@ def reference_record(path, row_num, row, fieldnames):
 
     values = row[0]
     try:
-        age = int(values["age"])
+        age = min(max(int(values["age"]), -2**63), 2**63 - 1)  # held at int64's ends
     except (TypeError, ValueError):
         raise bad("age") from None
     try:
@@ -448,8 +452,7 @@ def columns_outcome(load, path):
         batch = load(path)
     except CsvFormatError as exc:
         return str(exc)
-    return [None if a is None else (a.dtype, a.shape, a.flags.f_contiguous,
-                                    a.tolist() if a.dtype == object else a.tobytes())
+    return [None if a is None else (a.dtype, a.shape, a.flags.f_contiguous, a.tobytes())
             for a in (batch.age, batch.gender, batch.analytes, batch.label)]
 
 
@@ -497,7 +500,11 @@ class TestReaderBoundary:
         monkeypatch.setattr(dataio, "READ_BLOCK_ROWS", block)
         labeled = synth_generate(10, {AnemiaLabel.MICROCYTIC: 5, AnemiaLabel.NON_ANEMIC: 5},
                                  seed=3)
-        records = [item.record for item in labeled] + [make_record(age=130, mcv=180.0)]
+        # One row of each implausible kind that perfbench's screen workload injects.
+        injected = [("hgb", 1.5), ("mcv", 180.0), ("wbc", 0.4), ("mchc", 50.0), ("rbc", 9.5),
+                    ("age", 130), ("hct", 120.0), ("hgb", float("nan"))]
+        records = ([item.record for item in labeled]
+                   + [make_record(**{name: value}) for name, value in injected])
         labeled_path, unlabeled_path = tmp_path / "labeled.csv", tmp_path / "unlabeled.csv"
         save_csv(labeled, labeled_path)
         save_unlabeled_csv(records, unlabeled_path)
@@ -508,8 +515,9 @@ class TestReaderBoundary:
 
         monkeypatch.setattr(dataio, "_parse_blocks", refuse)
         assert to_records(load_csv(labeled_path)) == labeled
-        assert to_records(load_unlabeled_csv(unlabeled_path)) == records
-        assert to_records(load_unlabeled_csv(labeled_path)) == records[:-1]
+        assert (outcome(lambda p: to_records(load_unlabeled_csv(p)), unlabeled_path)
+                == [repr(r) for r in records])
+        assert to_records(load_unlabeled_csv(labeled_path)) == records[:len(labeled)]
 
 
 # ---------------------------------------------------------------------------
@@ -583,14 +591,26 @@ class TestBlockBoundaries:
         with pytest.raises(CsvFormatError, match="field larger than field limit"):
             load_csv(path)
 
-    def test_one_overflowing_age_makes_the_whole_column_objects(self, tmp_path, monkeypatch):
+    def test_a_23_digit_age_is_held_at_int64s_end(self, tmp_path, monkeypatch):
         monkeypatch.setattr(dataio, "READ_BLOCK_ROWS", 2)
         lines = varied_rows(5)
         lines[3] = "99999999999999999999999" + lines[3][2:]
-        batch = load_unlabeled_csv(write_lines(tmp_path, lines))
-        assert batch.age.dtype == object
-        assert batch.age.tolist() == [18, 19, 20, 99999999999999999999999, 22]
-        assert load_unlabeled_csv(write_lines(tmp_path, varied_rows(5))).age.dtype == np.int64
+        path = write_lines(tmp_path, lines)
+        for numpy_reader in (True, False):
+            with pytest.MonkeyPatch.context() as patch:
+                if not numpy_reader:
+                    patch.setattr(dataio, "_numpy_blocks", lambda fh, columns: None)
+                batch = load_unlabeled_csv(path)
+                assert batch.age.dtype == np.int64
+                assert batch.age.tolist() == [18, 19, 20, 2**63 - 1, 22]
+                message = str(pytest.raises(CsvFormatError, load_csv, path).value)
+                assert message == f"{path}: 1 invalid row(s): row 4 (age out of [0, 120])"
+        diag = ModelBundle("ffnn", build_model("ffnn", 9, 4, 1), FULL9, "binary1",
+                           Normalizer(np.zeros(9), np.ones(9)))
+        clf = ModelBundle("ffnn", build_model("ffnn", 9, 4, 3), FULL9, "onehot3",
+                          Normalizer(np.zeros(9), np.ones(9)))
+        error = run_pipeline(diag, clf, load_unlabeled_csv(path)).error
+        assert error.tolist() == [None] * 3 + ["age out of [0, 120]", None]
 
 
 class TestLoaderMemory:

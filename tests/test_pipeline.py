@@ -26,7 +26,7 @@ from hemanet.pipeline import (
 )
 from hemanet.preprocess import FULL9, Normalizer, encode, encode_batch, split_dataset
 from hemanet.records import (SUBTYPES, AnemiaLabel, CbcColumns, LabeledRecord,
-                             ValidationError)
+                             ValidationError, validate_record)
 from hemanet.serialize import ModelBundle
 from hemanet.synth import synth_generate
 
@@ -121,6 +121,21 @@ class TestDiagnose:
         labeled = [LabeledRecord(make_record(hgb=-1.0), AnemiaLabel.NON_ANEMIC)]
         with pytest.raises(ValueError, match="hgb"):
             evaluate_diagnosis(bundle, labeled)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("age", None, "age must be an integer, got None"),
+        ("gender", "female", "gender must be male or female, got 'female'"),
+        ("rbc", True, "rbc must be a number, got True"),
+        ("hgb", np.float32(12.5), "hgb must be a number, got np.float32(12.5)"),
+        ("age", np.int64(40), "age must be an integer, got np.int64(40)"),
+    ], ids=["none", "str", "bool", "float32", "int64-age"])
+    def test_wrongly_typed_record_raises_type_error(self, field, value, message):
+        records = [make_record(), make_record(**{field: value})]
+        for call in (lambda: validate_record(records[1]), lambda: CbcColumns.of(records),
+                     lambda: run_pipeline(_constant_bundle([0.0]), _onehot_bundle(), records)):
+            with pytest.raises(TypeError) as info:
+                call()
+            assert str(info.value) == message
 
     def test_requires_binary_encoding(self):
         clf_bundle = _onehot_bundle()

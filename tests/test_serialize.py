@@ -104,6 +104,15 @@ def test_document_shape(tmp_path):
     assert len(doc["layers"]) == 2
 
 
+def test_integer_context_init_loads_as_a_float(tmp_path):
+    doc = bundle_to_doc(_bundle("elman"))
+    doc["recurrent"]["context_init"] = 1
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    context_init = load_model(path).net.context_init
+    assert context_init == 1.0 and type(context_init) is float
+
+
 def test_truncated_file(tmp_path):
     bundle = _bundle("ffnn")
     path = tmp_path / "model.json"
