@@ -238,10 +238,9 @@ class CbcColumns:
         for record in records:
             check_types(record)
         n = len(records)
-        analytes = np.array(list(map(attrgetter(*ANALYTES), records)), float)
+        analytes = np.fromiter(map(attrgetter(*ANALYTES), records), (float, len(ANALYTES)), n)
         genders = np.fromiter((r.gender is Gender.FEMALE for r in records), np.int8, n)
-        return cls(int64_ages([r.age for r in records]), genders,
-                   analytes.reshape(n, len(ANALYTES)), labels)
+        return cls(int64_ages([r.age for r in records]), genders, analytes, labels)
 
     def take(self, rows) -> "CbcColumns":
         """The batch of the given row indices, in that order."""
