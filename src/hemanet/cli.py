@@ -17,11 +17,12 @@ import numpy as np
 
 from .dataio import load_csv, load_unlabeled_csv, save_csv
 from .metrics import EvalReport, compare_report
-from .models import FAMILIES, build_model, encode_targets, output_width
-from .nncore import NumericError, TrainConfig, gradient_check, train_loop
-from .pipeline import (check_threshold, emit_reports, evaluate_classification,
-                       evaluate_diagnosis, run_pipeline)
+from .models import FAMILIES, SUBTYPE_ENCODINGS, build_model, encode_targets, output_width
+from .nncore import UPDATE_MODES, NumericError, TrainConfig, gradient_check, train_loop
+from .pipeline import (DEFAULT_THRESHOLD, REPORT_FORMATS, check_threshold, emit_reports,
+                       evaluate_classification, evaluate_diagnosis, run_pipeline)
 from .preprocess import (
+    FEATURE_PRESETS,
     FULL9,
     SPLIT_PRESETS,
     encode_batch,
@@ -61,7 +62,7 @@ def fit_stage(
     stage: str,
     config: TrainConfig,
     spec=FULL9,
-    encoding: str = "onehot3",
+    encoding: str = SUBTYPE_ENCODINGS[0],
     val_records=None,
     scaling_records=None,
     **options,
@@ -79,8 +80,9 @@ def fit_stage(
         encoding = "binary1"
         subset = CbcColumns.of(train_records)
     elif stage == "classify":
-        if encoding not in ("onehot3", "banded1"):
-            raise UsageError(f"classification encoding must be onehot3 or banded1, got {encoding!r}")
+        if encoding not in SUBTYPE_ENCODINGS:
+            raise UsageError(f"classification encoding must be {' or '.join(SUBTYPE_ENCODINGS)}, "
+                             f"got {encoding!r}")
         subset = CbcColumns.of(train_records).anemic()
         if not len(subset):
             raise ValueError("no anemic records to train the classification stage on")
@@ -139,7 +141,7 @@ def run_compare(
     stratified: bool = True,
     config: TrainConfig | None = None,
     spec=FULL9,
-    threshold: float = 0.5,
+    threshold: float = DEFAULT_THRESHOLD,
 ):
     """Train a diagnosis model per family and evaluate all on the test part.
 
@@ -368,11 +370,12 @@ def cmd_compare(args) -> int:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--hidden", type=int, default=50, help="hidden layer width")
-    p.add_argument("--lr", type=float, default=0.05, help="learning rate")
-    p.add_argument("--momentum", type=float, default=0.9, help="momentum coefficient")
-    p.add_argument("--epochs", type=int, default=1000)
-    p.add_argument("--update-mode", choices=("full-batch", "per-sample"), default="full-batch")
+    defaults = TrainConfig()
+    p.add_argument("--hidden", type=int, default=defaults.hidden_size, help="hidden layer width")
+    p.add_argument("--lr", type=float, default=defaults.learning_rate, help="learning rate")
+    p.add_argument("--momentum", type=float, default=defaults.momentum, help="momentum coefficient")
+    p.add_argument("--epochs", type=int, default=defaults.epochs)
+    p.add_argument("--update-mode", choices=UPDATE_MODES, default=defaults.update_mode)
     p.add_argument("--patience", type=int, default=None,
                    help="early stop after this many epochs without validation improvement")
 
@@ -400,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--family", choices=tuple(FAMILIES), required=True)
     p.add_argument("--stage", choices=("diagnosis", "classify"), required=True)
-    p.add_argument("--features", choices=("full9", "paper7"), default="full9")
-    p.add_argument("--encoding", choices=("onehot3", "banded1"), default="onehot3",
+    p.add_argument("--features", choices=tuple(FEATURE_PRESETS), default=FULL9.preset)
+    p.add_argument("--encoding", choices=SUBTYPE_ENCODINGS, default=SUBTYPE_ENCODINGS[0],
                    help="classification output encoding (classify stage only)")
     p.add_argument("--split", choices=("none",) + tuple(SPLIT_PRESETS), default="none",
                    help="train on a split's training part instead of the whole file")
@@ -420,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate model(s) on a labeled dataset")
     p.add_argument("-m", "--model", action="append", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_eval)
@@ -429,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diagnosis", required=True, help="diagnosis model file")
     p.add_argument("--classify", required=True, help="classification model file")
     p.add_argument("--data", required=True, help="unlabeled CSV")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    p.add_argument("--format", choices=REPORT_FORMATS, default="text")
     p.add_argument("--deterministic", action="store_true",
                    help="suppress timestamps for byte-comparable output")
     p.add_argument("-o", "--out", default=None)
@@ -447,9 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=tuple(SPLIT_PRESETS), default="40-40-20")
     p.add_argument("--no-stratify", action="store_true")
-    p.add_argument("--features", choices=("full9", "paper7"), default="full9")
+    p.add_argument("--features", choices=tuple(FEATURE_PRESETS), default=FULL9.preset)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     _add_train_flags(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--curves", default=None,

@@ -28,7 +28,6 @@ from .records import (
     validate_records,
 )
 
-COLUMNS = PANEL_FIELDS
 LABEL_COLUMN = "label"
 
 #: Invalid rows named in a load_csv error message; the count covers the rest.
@@ -55,7 +54,7 @@ def _fmt(value: float) -> str:
 def save_csv(records: list[LabeledRecord], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(COLUMNS + (LABEL_COLUMN,))
+        writer.writerow(PANEL_FIELDS + (LABEL_COLUMN,))
         for item in records:
             writer.writerow(_record_row(item.record) + [item.label.value])
 
@@ -63,7 +62,7 @@ def save_csv(records: list[LabeledRecord], path) -> None:
 def save_unlabeled_csv(records: list[CbcRecord], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(COLUMNS)
+        writer.writerow(PANEL_FIELDS)
         for record in records:
             writer.writerow(_record_row(record))
 
@@ -80,7 +79,7 @@ def load_csv(path) -> CbcColumns:
     Every row must also pass validate_records: a labeled set trains and
     scores models, so an implausible row is refused, not skipped.
     """
-    batch = _read_columns(path, COLUMNS + (LABEL_COLUMN,))
+    batch = _read_columns(path, PANEL_FIELDS + (LABEL_COLUMN,))
     invalid = invalid_rows(batch)
     if invalid.size:
         shown = ", ".join(f"row {row + 1} ({'; '.join(v)})" for row, v in zip(
@@ -95,7 +94,7 @@ def load_csv(path) -> CbcColumns:
 
 def load_unlabeled_csv(path) -> CbcColumns:
     """Load records for screening as columns; rows are not validated here."""
-    return _read_columns(path, COLUMNS)
+    return _read_columns(path, PANEL_FIELDS)
 
 
 _GENDER_CODES = {"male": 0, "female": 1}

@@ -6,10 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .records import AnemiaLabel
+from .records import SUBTYPES, AnemiaLabel
 
 DIAGNOSIS_LABELS = ("non_anemic", "anemic")
-SUBTYPE_LABELS = ("microcytic", "normocytic", "macrocytic")
+SUBTYPE_LABELS = tuple(label.value for label in SUBTYPES)
 FOURWAY_LABELS = tuple(label.value for label in AnemiaLabel)
 
 

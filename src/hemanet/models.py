@@ -41,9 +41,10 @@ from .nncore import Workspace, as_rows, output_residual
 from .records import SUBTYPES, AnemiaLabel
 
 # Output encodings.  Diagnosis uses a single thresholded sigmoid; the
-# classification stage defaults to one-hot over the three subtypes, with a
-# single-output banded encoding available as an alternative.
-ENCODINGS = ("binary1", "onehot3", "banded1")
+# classification stage defaults to the first subtype encoding, one-hot over
+# the three subtypes, with a single-output banded one as the alternative.
+SUBTYPE_ENCODINGS = ("onehot3", "banded1")
+ENCODINGS = ("binary1", *SUBTYPE_ENCODINGS)
 BAND_CENTERS = np.array([1.0 / 6.0, 0.5, 5.0 / 6.0])
 
 
@@ -74,7 +75,7 @@ def subtype_indices(outputs, encoding: str) -> np.ndarray:
     picks the nearest band center.
     """
     outputs = np.asarray(outputs, dtype=float)
-    if encoding not in ("onehot3", "banded1"):
+    if encoding not in SUBTYPE_ENCODINGS:
         raise ValueError(f"cannot decode a subtype from encoding {encoding!r}")
     width = output_width(encoding)
     if outputs.ndim != 2 or outputs.shape[1] != width:

@@ -20,7 +20,7 @@ from itertools import repeat
 import numpy as np
 
 from .metrics import DIAGNOSIS_LABELS, FOURWAY_LABELS, SUBTYPE_LABELS, ConfusionMatrix
-from .models import subtype_indices
+from .models import SUBTYPE_ENCODINGS, subtype_indices
 from .nncore import NumericError
 from .preprocess import encode_batch
 from .records import (SUBTYPES, AnemiaLabel, CbcColumns, check_records, invalid_rows,
@@ -28,6 +28,9 @@ from .records import (SUBTYPES, AnemiaLabel, CbcColumns, check_records, invalid_
 from .serialize import ModelBundle
 
 REPORT_FORMATS = ("text", "json", "csv")
+
+#: The diagnosis threshold a screen and an evaluation use unless given one.
+DEFAULT_THRESHOLD = 0.5
 
 #: Rows per network call.  A whole-batch forward holds the (rows, hidden)
 #: activations and the in-place sigmoid's numerators of every row at once;
@@ -106,14 +109,14 @@ def _diagnose(diag: ModelBundle, records, threshold: float):
 
 def _classify(clf: ModelBundle, records):
     """(SUBTYPES index, finite, raw outputs) arrays for already-validated records."""
-    if clf.output_encoding not in ("onehot3", "banded1"):
-        raise ValueError("classification requires an onehot3 or banded1 model")
+    if clf.output_encoding not in SUBTYPE_ENCODINGS:
+        raise ValueError(f"classification requires an {' or '.join(SUBTYPE_ENCODINGS)} model")
     raw = _bundle_outputs(clf, records)
     return subtype_indices(raw, clf.output_encoding), np.isfinite(raw).all(axis=1), raw
 
 
 def run_pipeline(
-    diag: ModelBundle, clf: ModelBundle, records, threshold: float = 0.5
+    diag: ModelBundle, clf: ModelBundle, records, threshold: float = DEFAULT_THRESHOLD
 ) -> Screening:
     """Diagnose every record, classify positives, and report in input order.
 
@@ -146,8 +149,8 @@ def run_pipeline(
     return Screening(verdict, raw_diagnosis, subtype, raw_classify, error)
 
 
-def emit_reports(s: Screening, fmt: str = "text", model_files=(), threshold: float = 0.5,
-                 created: str | None = None) -> str:
+def emit_reports(s: Screening, fmt: str = "text", model_files=(),
+                 threshold: float = DEFAULT_THRESHOLD, created: str | None = None) -> str:
     """Render the Screening s as text, JSON, or CSV: each field formatted a
     column at a time, one template per kind of row, the rows joined once."""
     if fmt not in REPORT_FORMATS:
@@ -271,7 +274,8 @@ def _require_finite(models: str, finite: np.ndarray) -> None:
             f"{models} gave non-finite outputs on {bad} of {len(finite)} rows")
 
 
-def evaluate_diagnosis(diag: ModelBundle, labeled, threshold: float = 0.5) -> ConfusionMatrix:
+def evaluate_diagnosis(diag: ModelBundle, labeled,
+                       threshold: float = DEFAULT_THRESHOLD) -> ConfusionMatrix:
     """2x2 confusion matrix of the binary stage over labeled records.
 
     An invalid record raises ValidationError; a non-finite raw output
@@ -296,7 +300,7 @@ def evaluate_classification(clf: ModelBundle, labeled) -> ConfusionMatrix:
 
 
 def evaluate_pipeline(
-    diag: ModelBundle, clf: ModelBundle, labeled, threshold: float = 0.5
+    diag: ModelBundle, clf: ModelBundle, labeled, threshold: float = DEFAULT_THRESHOLD
 ) -> ConfusionMatrix:
     """4x4 confusion matrix of the gated two-stage flow: run_pipeline's
     Screening of the records, scored against their labels.

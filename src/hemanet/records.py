@@ -187,7 +187,7 @@ def int64_ages(ages: list[int]) -> np.ndarray:
     """The ages as an int64 array, one past int64 held at its nearest end:
     out of [0, 120] either way."""
     low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
-    return np.array([min(max(age, low), high) for age in ages], np.int64)
+    return np.array(ages, dtype=object).clip(low, high).astype(np.int64)
 
 
 def check_types(record: CbcRecord) -> None:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from helpers import make_record, to_records
 from hemanet import cli, dataio
 from hemanet.dataio import (
-    COLUMNS,
     LABEL_COLUMN,
     MAX_CELL_SHOWN,
     MAX_ROWS_SHOWN,
@@ -25,7 +24,8 @@ from hemanet.dataio import (
 from hemanet.models import build_model
 from hemanet.pipeline import run_pipeline
 from hemanet.preprocess import FULL9, Normalizer
-from hemanet.records import AnemiaLabel, CbcRecord, Gender, LabeledRecord, validate_record
+from hemanet.records import (PANEL_FIELDS, AnemiaLabel, CbcRecord, Gender, LabeledRecord,
+                             validate_record)
 from hemanet.serialize import ModelBundle
 from hemanet.synth import synth_generate
 
@@ -65,7 +65,7 @@ def test_header_only_file(tmp_path, monkeypatch):
         assert to_records(batch) == []
         assert (batch.age.dtype, batch.gender.dtype, batch.label.dtype) == (
             np.int64, np.int8, np.int8)
-        assert batch.analytes.shape == (0, len(COLUMNS) - 2)
+        assert batch.analytes.shape == (0, len(PANEL_FIELDS) - 2)
         assert load_unlabeled_csv(path).label is None
 
 
@@ -303,7 +303,7 @@ def reference_record(path, row_num, row, fieldnames):
     except ValueError:
         raise bad("gender") from None
     analytes = {}
-    for name in COLUMNS[2:]:
+    for name in PANEL_FIELDS[2:]:
         try:
             analytes[name] = float(values[name])
         except (TypeError, ValueError):
@@ -313,14 +313,14 @@ def reference_record(path, row_num, row, fieldnames):
 
 def reference_unlabeled(path):
     rows, fieldnames = reference_rows(path)
-    reference_require(path, fieldnames, COLUMNS)
+    reference_require(path, fieldnames, PANEL_FIELDS)
     return [reference_record(path, i, row, fieldnames) for i, row in enumerate(rows, start=1)]
 
 
 def reference_labeled(path):
     """The old load_csv, which did not validate rows."""
     rows, fieldnames = reference_rows(path)
-    reference_require(path, fieldnames, COLUMNS + (LABEL_COLUMN,))
+    reference_require(path, fieldnames, PANEL_FIELDS + (LABEL_COLUMN,))
     out = []
     for i, row in enumerate(rows, start=1):
         record = reference_record(path, i, row, fieldnames)
@@ -354,7 +354,7 @@ TOKENS += BOUNDARY_TOKENS
 @st.composite
 def mutated_csv(draw):
     """A small valid labeled CSV with a few edits of the kinds real files show."""
-    header = list(COLUMNS) + [LABEL_COLUMN]
+    header = list(PANEL_FIELDS) + [LABEL_COLUMN]
     rows = [["40", "female", "4.5", "13.5", "40", "90", "30", "34", "7", "non_anemic"],
             ["67", "male", "3.9", "10.1", "33", "72", "23", "29", "6.1", "microcytic"],
             ["25", "female", "3.1", "9.4", "34", "110", "36", "37", "8", "macrocytic"]]
@@ -471,7 +471,7 @@ class TestReaderBoundary:
 
     @pytest.mark.parametrize("token", BOUNDARY_TOKENS)
     def test_token_in_each_column(self, tmp_path, token):
-        for column in range(len(COLUMNS) + 1):
+        for column in range(len(PANEL_FIELDS) + 1):
             rows = [f"{ROW},non_anemic".split(",") for _ in range(3)]
             rows[1][column] = token
             path = write_lines(tmp_path, [",".join(row) for row in rows])

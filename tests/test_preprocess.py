@@ -18,7 +18,7 @@ from hemanet.preprocess import (
     largest_remainder,
     split_dataset,
 )
-from hemanet.records import AnemiaLabel, CbcColumns, Gender, LabeledRecord
+from hemanet.records import PANEL_FIELDS, AnemiaLabel, CbcColumns, Gender, LabeledRecord
 from hemanet.synth import synth_generate
 
 from helpers import invert, make_record, to_records
@@ -45,10 +45,12 @@ class TestFeatureSpec:
         with pytest.raises(ValueError):
             FeatureSpec(())
 
-    def test_features_are_the_csv_columns(self):
+    def test_features_are_the_csv_columns(self, tmp_path):
         # One tuple names the panel: the CSV columns and the allowed features.
-        assert dataio.COLUMNS == FULL9.names
-        for name in dataio.COLUMNS:
+        dataio.save_unlabeled_csv([], tmp_path / "empty.csv")
+        header = (tmp_path / "empty.csv").read_text(encoding="utf-8").rstrip("\r\n")
+        assert tuple(header.split(",")) == FULL9.names
+        for name in PANEL_FIELDS:
             assert FeatureSpec((name,)).names == (name,)
 
 

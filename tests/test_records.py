@@ -197,6 +197,23 @@ any_records = st.lists(
               **{name: any_analyte for name in ANALYTES}),
     max_size=8,
 )
+# Well-typed values only, so validation reaches its bounds: Python int ages
+# past int64, and int, float and np.float64 analytes at every bound edge, its
+# neighbours, NaN and +-inf.
+typed_age = st.one_of(st.integers(-5, 130), st.integers(-10**30, 10**30),
+                      st.sampled_from([-(2**63) - 1, -(2**63), 2**63 - 1, 2**63]))
+typed_analyte = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.floats(-5.0, 200.0),
+    st.sampled_from(edges).flatmap(lambda x: st.sampled_from(
+        [np.nextafter(x, -1.0), x, np.nextafter(x, 1000.0)])),
+    st.integers(-5, 200), st.integers(-10**300, 10**300),
+    st.builds(np.float64, st.floats(allow_nan=True, allow_infinity=True)),
+)
+typed_records = st.lists(
+    st.builds(make_record, age=typed_age, gender=st.sampled_from(list(Gender)),
+              **{name: typed_analyte for name in ANALYTES}),
+    max_size=8,
+)
 
 
 def violations_or_type_error(validate, records):
@@ -208,10 +225,11 @@ def violations_or_type_error(validate, records):
 
 
 class TestValidateRecords:
-    @given(any_records)
+    @given(st.one_of(any_records, typed_records))
     @settings(max_examples=40, deadline=None)
     def test_same_strings_as_validate_record(self, records):
-        # Both refuse the first wrongly typed record with the same TypeError.
+        # Both refuse the first wrongly typed record with the same TypeError,
+        # and give well-typed records the same violation lists.
         assert (violations_or_type_error(validate_records, records)
                 == violations_or_type_error(lambda rs: [validate_record(r) for r in rs], records))
 
