@@ -284,13 +284,12 @@ def cmd_eval(args) -> int:
     rows = []
     for path in args.model:
         bundle = load_model(path)
-        name = Path(path).stem
-        if bundle.output_encoding == "binary1":
-            cm = evaluate_diagnosis(bundle, records, args.threshold)
-            rows.extend(compare_report([(name, cm)], positive="anemic").rows)
-        else:
-            cm = evaluate_classification(bundle, records)
-            rows.extend(compare_report([(name, cm)]).rows)
+        diagnosis = bundle.output_encoding == "binary1"
+        cm = (evaluate_diagnosis(bundle, records, args.threshold) if diagnosis
+              else evaluate_classification(bundle, records))
+        if not cm.total:  # a file with no rows, or no anemic rows to type
+            raise ValueError(f"{path}: no {'' if diagnosis else 'anemic '}rows in {args.data} to score")
+        rows.extend(compare_report([(Path(path).stem, cm)], "anemic" if diagnosis else None).rows)
     report = EvalReport(rows)
     text = report.render_json() if args.format == "json" else report.render_text()
     _write_or_print(text, args.out)

@@ -25,7 +25,6 @@ from .records import (
     LabeledRecord,
     int64_ages,
     invalid_rows,
-    validate_records,
 )
 
 LABEL_COLUMN = "label"
@@ -76,14 +75,14 @@ def _record_row(record: CbcRecord) -> list[str]:
 def load_csv(path) -> CbcColumns:
     """Load a labeled dataset as columns; every row must carry a recognizable label.
 
-    Every row must also pass validate_records: a labeled set trains and
-    scores models, so an implausible row is refused, not skipped.
+    Every row must also pass the plausibility checks (invalid_rows): a labeled
+    set trains and scores models, so an implausible row is refused, not skipped.
     """
     batch = _read_columns(path, PANEL_FIELDS + (LABEL_COLUMN,))
-    invalid = invalid_rows(batch)
+    invalid, violations = invalid_rows(batch)
     if invalid.size:
         shown = ", ".join(f"row {row + 1} ({'; '.join(v)})" for row, v in zip(
-            invalid.tolist(), validate_records(batch.take(invalid[:MAX_ROWS_SHOWN]))))
+            invalid.tolist(), violations[:MAX_ROWS_SHOWN]))
         more = invalid.size - MAX_ROWS_SHOWN
         raise CsvFormatError(
             f"{path}: {invalid.size} invalid row(s): {shown}"

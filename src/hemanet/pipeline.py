@@ -23,8 +23,7 @@ from .metrics import DIAGNOSIS_LABELS, FOURWAY_LABELS, SUBTYPE_LABELS, Confusion
 from .models import SUBTYPE_ENCODINGS, subtype_indices
 from .nncore import NumericError
 from .preprocess import encode_batch
-from .records import (SUBTYPES, AnemiaLabel, CbcColumns, check_records, invalid_rows,
-                      validate_records)
+from .records import SUBTYPES, AnemiaLabel, CbcColumns, check_records, invalid_rows
 from .serialize import ModelBundle
 
 REPORT_FORMATS = ("text", "json", "csv")
@@ -127,10 +126,9 @@ def run_pipeline(
     """
     batch = CbcColumns.of(records)
     n = len(batch)
-    bad = invalid_rows(batch)
+    bad, violations = invalid_rows(batch)
     error = np.full(n, None, object)
-    if bad.size:
-        error[bad] = list(map("; ".join, validate_records(batch.take(bad))))
+    error[bad] = list(map("; ".join, violations))
     valid = np.delete(np.arange(n), bad)
     verdict, raw_diagnosis = np.full(n, ERROR, np.int8), np.full(n, np.nan)
 

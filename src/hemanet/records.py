@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+from itertools import compress
 from operator import attrgetter
 
 import numpy as np
@@ -152,28 +153,39 @@ class UnclassifiableError(ValueError):
     """Raised in strict mode when the three typing indices disagree."""
 
 
+# Each field's plausible range in check order, age then ANALYTES: the closed
+# bounds the checks test, and the brackets its message writes.  hct's open
+# (0, 100) ends at the float below 100, and its low end is left to the sign
+# check that every analyte has.
+_RANGES = {"age": (0, 120, "[]"), **{name: (*ends, "[]") for name, ends in DEFAULT_BOUNDS.items()},
+           "hct": (0.0, math.nextafter(100.0, 0.0), "()")}
+_LOW, _HIGH, _BRACKETS = zip(*(_RANGES[name] for name in ("age", *ANALYTES)))
+_OUT_OF = [f"{name} out of {left}{low:g}, {high:g}{right}"
+           for name, low, high, (left, right) in zip(("age", *ANALYTES), _LOW, _HIGH, _BRACKETS)]
+#: The message of each of _checks' flags, in its order.
+_MESSAGES = _OUT_OF[:1] + [message for name, out_of in zip(ANALYTES, _OUT_OF[1:]) for message in
+                           (f"{name} must be finite", f"{name} must be positive", out_of)]
+
+
+def _checks(age, values) -> list:
+    """The 22 fault flags of an age and the seven ANALYTES values in _MESSAGES
+    order: the age out of range, then each analyte's non-finite, non-positive
+    and out-of-range flags.  Comparisons, & and | alone build them, so the same
+    code checks one record's Python numbers and a batch's numpy columns."""
+    flags = [(age < _LOW[0]) | (age > _HIGH[0])]
+    for value, low, high in zip(values, _LOW[1:], _HIGH[1:]):
+        finite = (value < math.inf) & (value > -math.inf)
+        flags += [(value != value) | (value == math.inf) | (value == -math.inf),
+                  finite & (value <= 0),
+                  finite & (value > 0) & ((value < low) | (value > high))]
+    return flags
+
+
 def validate_record(record: CbcRecord) -> list[str]:
-    """Return every violated DEFAULT_BOUNDS bound (empty list means the record is valid)."""
+    """The record's violation strings in _MESSAGES order (empty means valid), after check_types."""
     check_types(record)
-    violations = []
-    if not 0 <= record.age <= 120:
-        violations.append("age out of [0, 120]")
-    for name in ANALYTES:
-        value = getattr(record, name)
-        if not math.isfinite(value):
-            violations.append(f"{name} must be finite")
-            continue
-        if value <= 0:
-            violations.append(f"{name} must be positive")
-            continue
-        if name == "hct":
-            if not 0 < value < 100:
-                violations.append("hct out of (0, 100)")
-        elif name in DEFAULT_BOUNDS:
-            low, high = DEFAULT_BOUNDS[name]
-            if not low <= value <= high:
-                violations.append(f"{name} out of [{low:g}, {high:g}]")
-    return violations
+    return list(compress(_MESSAGES, _checks(record.age,
+                                            [float(getattr(record, n)) for n in ANALYTES])))
 
 
 def check_record(record: CbcRecord) -> None:
@@ -217,7 +229,7 @@ class CbcColumns:
     gender: np.ndarray
     analytes: np.ndarray
     label: np.ndarray | None = None
-    # Set once every row has passed validate_records (in load_csv or
+    # Set once every row has passed invalid_rows (in load_csv or
     # check_records), so invalid_rows does not run the checks again; take()
     # passes it on.  The arrays are not changed after that.
     _checked: bool = field(default=False, init=False, repr=False)
@@ -258,68 +270,44 @@ class CbcColumns:
         return self.take(np.flatnonzero(self.label > 0))
 
 
-# validate_record's checks as columns: each analyte's DEFAULT_BOUNDS range
-# (hct's is the open (0, 100)) and the message of each check, in its order.
-_LOW = np.array([DEFAULT_BOUNDS.get(n, (-np.inf, np.inf))[0] for n in ANALYTES])
-_HIGH = np.array([DEFAULT_BOUNDS.get(n, (-np.inf, np.inf))[1] for n in ANALYTES])
-_HCT = ANALYTES.index("hct")
-_MESSAGES = ["age out of [0, 120]"]
-_MESSAGES += [
-    message
-    for name, low, high in zip(ANALYTES, _LOW, _HIGH)
-    for message in (
-        f"{name} must be finite",
-        f"{name} must be positive",
-        "hct out of (0, 100)" if name == "hct" else f"{name} out of [{low:g}, {high:g}]",
-    )
-]
-
-
 def validate_records(records) -> list[list[str]]:
     """validate_record for every row of a batch, computed column by column.
 
     Accepts CbcColumns or a sequence of (labeled) records and returns, per
-    row, its violation strings under DEFAULT_BOUNDS in a fixed order: age,
-    then each analyte's finiteness, sign and range.
+    row, its violation strings in validate_record's order.
     """
     batch = CbcColumns.of(records)
     out = [[] for _ in range(len(batch))]
-    rows, checks = np.nonzero(_faults(batch))
-    for row, check in zip(rows.tolist(), checks.tolist()):
-        out[row].append(_MESSAGES[check])
+    rows, violations = invalid_rows(batch)
+    for row, row_violations in zip(rows.tolist(), violations):
+        out[row] = row_violations
     return out
 
 
-def invalid_rows(records) -> np.ndarray:
-    """Indices of the rows validate_records finds violations in, without its
-    lists; none for columns that load_csv or check_records validated."""
+def invalid_rows(records) -> tuple[np.ndarray, list[list[str]]]:
+    """The indices of the rows that fail validation, in order, and each one's
+    violation strings, from one pass over the batch; none for columns that
+    load_csv or check_records validated."""
     batch = CbcColumns.of(records)
     if batch._checked:
-        return np.empty(0, np.intp)
-    return np.flatnonzero(_faults(batch).any(axis=1))
+        return np.empty(0, np.intp), []
+    faults = _faults(batch)
+    rows = np.flatnonzero(faults.any(axis=1))
+    return rows, [list(compress(_MESSAGES, row)) for row in faults[rows].tolist()]
 
 
 def check_records(records) -> CbcColumns:
     """The records as columns; raises ValidationError for the first invalid row."""
     batch = CbcColumns.of(records)
-    bad = invalid_rows(batch)
-    if bad.size:
-        raise ValidationError(validate_records(batch.take(bad[:1]))[0])
+    violations = invalid_rows(batch)[1]
+    if violations:
+        raise ValidationError(violations[0])
     return batch._mark_checked()
 
 
 def _faults(batch: CbcColumns) -> np.ndarray:
     """(N, 22) bool matrix: row r fails check c, in _MESSAGES order."""
-    age, values = batch.age, batch.analytes
-    inside = (_LOW <= values) & (values <= _HIGH)
-    inside[:, _HCT] = values[:, _HCT] < 100
-    finite = np.isfinite(values)
-    positive = finite & (values > 0)
-    analyte_faults = np.stack([~finite, finite & ~positive, positive & ~inside], axis=2)
-    return np.concatenate([
-        ((age < 0) | (age > 120))[:, None],
-        analyte_faults.reshape(len(batch), 3 * len(ANALYTES)),
-    ], axis=1)
+    return np.stack(_checks(batch.age, batch.analytes.T), axis=1)
 
 
 def rule_label(

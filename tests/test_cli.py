@@ -91,6 +91,20 @@ class TestSynth:
                          "-o", str(tmp_path / "x.csv")]) == 3
         assert "leaves no" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ranges,message", [
+        ("[14.5]", "expected a JSON object of range overrides"),
+        ('{"hgb_low_male": 21.9}', "margin 0.05 leaves no healthy hgb window for male"),
+    ])
+    def test_ranges_that_cannot_be_drawn_from_are_data_errors(self, tmp_path, capsys, ranges,
+                                                               message):
+        ranges_path, out = tmp_path / "ranges.json", tmp_path / "x.csv"
+        ranges_path.write_text(ranges)
+        capsys.readouterr()
+        assert cli.main(["synth", "-n", "20", "--mix", "0,0,0,20", "--ranges", str(ranges_path),
+                         "-o", str(out)]) == 3
+        assert capsys.readouterr().err.endswith(f"{message}\n")
+        assert not out.exists()
+
 
 class TestTrain:
     def test_trains_and_saves(self, tmp_path, capsys):
@@ -157,6 +171,15 @@ class TestTrain:
         fit_stage(records, "ffnn", "diagnosis", config, val_records=non_anemic)
         with pytest.raises(cli.UsageError, match="the classify stage has none"):
             fit_stage(records, "ffnn", "classify", config, val_records=non_anemic)
+
+    def test_classify_stage_without_anemic_rows_is_a_data_error(self, tmp_path, capsys):
+        data, out = synth_file(tmp_path, n=6, mix="0,0,0,6"), tmp_path / "m.json"
+        capsys.readouterr()
+        assert cli.main(["train", "--data", str(data), "--family", "ffnn", "--stage", "classify",
+                         "--epochs", "3", "-o", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "data error: no anemic records to train the classification stage on\n")
+        assert not out.exists()
 
     def test_unknown_family_is_usage_error(self, tmp_path):
         data = synth_file(tmp_path)

@@ -493,6 +493,16 @@ class TestReaderBoundary:
         assert_matches_reference(path)
         assert_readers_agree(path)
 
+    def test_quote_in_the_header_alone_takes_the_csv_reader(self, tmp_path, monkeypatch):
+        path = write_lines(tmp_path, varied_rows(5))
+        plain = columns_outcome(load_csv, path)
+        path.write_text(path.read_text().replace("age", '"age"', 1))
+        parsed, parse = [], dataio._parse_blocks
+        monkeypatch.setattr(dataio, "_parse_blocks",
+                            lambda *args: parsed.append(1) or parse(*args))
+        assert columns_outcome(load_csv, path) == plain
+        assert parsed == [1]
+
     @pytest.mark.parametrize("block", [4, READ_BLOCK_ROWS])
     def test_saved_files_take_the_numpy_reader(self, tmp_path, monkeypatch, block):
         # save_csv ends lines with CRLF.  Were its files left to the csv

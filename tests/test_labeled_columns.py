@@ -426,24 +426,31 @@ class TestEmptyConfusionMatrixExits:
                 save_model(bundle, paths[family, stage])
         return paths
 
-    def _eval(self, capsys, model, data):
+    def _eval(self, capsys, data, *models):
         capsys.readouterr()
-        code = cli.main(["eval", "-m", str(model), "--data", str(data)])
+        code = cli.main(["eval", *(f"-m{model}" for model in models), "--data", str(data)])
         return code, capsys.readouterr()
 
     def test_empty_labeled_file(self, tmp_path, models, capsys):
         data = tmp_path / "empty.csv"
         save_csv([], data)
-        for model in models.values():
-            code, out = self._eval(capsys, model, data)
+        for (_, stage), model in models.items():
+            code, out = self._eval(capsys, data, model)
+            rows = "rows" if stage == "diagnosis" else "anemic rows"
             assert code == 3 and out.out == ""
-            assert out.err == "data error: empty confusion matrix\n"
+            assert out.err == f"data error: {model}: no {rows} in {data} to score\n"
 
     def test_no_anemic_rows(self, tmp_path, models, capsys):
         data = tmp_path / "healthy.csv"
         save_csv(synth_generate(12, {AnemiaLabel.NON_ANEMIC: 12}, seed=53), data)
         for family in ("ffnn", "narx"):
-            code, out = self._eval(capsys, models[family, "classify"], data)
-            assert code == 3 and out.err == "data error: empty confusion matrix\n"
-            code, out = self._eval(capsys, models[family, "diagnosis"], data)
+            diagnosis, classify = models[family, "diagnosis"], models[family, "classify"]
+            message = f"data error: {classify}: no anemic rows in {data} to score\n"
+            code, out = self._eval(capsys, data, classify)
+            assert code == 3 and out.err == message
+            # With a diagnosis model first, the message still names the one
+            # that has nothing to score.
+            code, out = self._eval(capsys, data, diagnosis, classify)
+            assert code == 3 and out.out == "" and out.err == message
+            code, out = self._eval(capsys, data, diagnosis)
             assert code == 0 and "no anemic truths" in out.out

@@ -244,14 +244,27 @@ class TestRunPipeline:
         assert from_list[3].error == "age out of [0, 120]; hgb must be finite"
 
     def test_only_bad_rows_are_listed_by_validate_records(self, monkeypatch):
-        calls, validate = [], pipeline.validate_records
-        monkeypatch.setattr(pipeline, "validate_records",
-                            lambda batch: calls.append(len(batch)) or validate(batch))
-        run_pipeline(_hgb_gate_bundle(), _onehot_bundle(), [make_record(), make_record(hgb=9.0)])
-        assert calls == []
+        # One pass over the batch finds the bad rows and their messages, and
+        # only a bad row's messages are built.
+        import hemanet.records
+
+        calls, reads, faults = [], [], hemanet.records._faults
+
+        class Messages(list):
+            def __iter__(self):
+                reads.append(1)
+                return super().__iter__()
+
+        monkeypatch.setattr(hemanet.records, "_faults",
+                            lambda batch: calls.append(len(batch)) or faults(batch))
+        monkeypatch.setattr(hemanet.records, "_MESSAGES", Messages(hemanet.records._MESSAGES))
+        reports = run_pipeline(_hgb_gate_bundle(), _onehot_bundle(),
+                               [make_record(), make_record(hgb=9.0)])
+        assert (calls, reads) == ([2], [])
+        assert [r.error for r in reports] == [None, None]
         records = [make_record(), make_record(hgb=-1.0), make_record(), make_record(age=300)]
         reports = run_pipeline(_hgb_gate_bundle(), _onehot_bundle(), records)
-        assert calls == [2]
+        assert (calls, reads) == ([2, 4], [1, 1])
         assert [r.error for r in reports] == [None, "hgb must be positive", None,
                                              "age out of [0, 120]"]
 

@@ -234,11 +234,25 @@ class TestValidateRecords:
                 == violations_or_type_error(lambda rs: [validate_record(r) for r in rs], records))
 
     def test_every_bound_edge_and_its_neighbours(self):
-        values = [v for edge in edges for v in (np.nextafter(edge, -1.0), edge,
-                                                np.nextafter(edge, 1000.0))]
-        records = [make_record(**{name: float(v)}) for name in ANALYTES for v in values]
-        records += [make_record(age=a) for a in (-1, 0, 120, 121)]
-        assert validate_records(records) == [validate_record(r) for r in records]
+        # Expectations from the documented ranges, not from the checks: each
+        # analyte's closed DEFAULT_BOUNDS range, hct's open (0, 100) and the
+        # age's [0, 120]; a value at or below 0 fails the sign check instead.
+        ranges = {name: (low, high, "[]") for name, (low, high) in DEFAULT_BOUNDS.items()}
+        ranges["hct"] = (0.0, 100.0, "()")
+        records, expected = [], []
+        for name, (low, high, brackets) in ranges.items():
+            for edge in (low, high):
+                for value in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
+                    inside = low <= value <= high if brackets == "[]" else low < value < high
+                    records.append(make_record(**{name: float(value)}))
+                    expected.append([] if inside else [f"{name} must be positive"] if value <= 0
+                                    else [f"{name} out of {brackets[0]}{low:g}, {high:g}"
+                                          f"{brackets[1]}"])
+        for age in (-1, 0, 1, 119, 120, 121):
+            records.append(make_record(age=age))
+            expected.append([] if 0 <= age <= 120 else ["age out of [0, 120]"])
+        assert [validate_record(r) for r in records] == expected
+        assert validate_records(records) == expected
 
     def test_labeled_records_and_columns_validate_alike(self):
         records = [make_record(), make_record(hgb=-1.0, age=300)]

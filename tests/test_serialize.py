@@ -272,6 +272,37 @@ def test_malformed_documents_raise_model_format_error(tmp_path, field, value):
         load_model(path)
 
 
+def _drop_last_feature_bound(doc):
+    doc["normalizer"] = {key: bounds[:-1] for key, bounds in doc["normalizer"].items()}
+
+
+def _swap_bounds(doc):
+    norm = doc["normalizer"]
+    norm["mins"], norm["maxs"] = norm["maxs"], norm["mins"]
+
+
+@pytest.mark.parametrize("family,edit,message", [
+    ("ffnn", _drop_last_feature_bound, "normalizer length does not match the feature spec"),
+    ("ffnn", lambda doc: doc["feature_spec"]["features"].reverse(),
+     "feature list does not match preset 'full9'"),
+    ("ffnn", lambda doc: doc["layers"].append(doc["layers"][1]), "expected 2 layers, found 3"),
+    ("ffnn", lambda doc: doc["layers"][1].update(weights=doc["layers"][1]["weights"][0]),
+     "output weights must be 2-d, got shape (6,)"),
+    ("ffnn", _swap_bounds, "fitted max below min"),
+    ("elman", lambda doc: doc["recurrent"].pop("weights"), "elman models need recurrent.weights"),
+], ids=["short-normalizer", "feature-list", "three-layers", "1-d-output", "max-below-min",
+        "no-recurrent-weights"])
+def test_inconsistent_document_refused_with_its_path(tmp_path, family, edit, message):
+    doc = bundle_to_doc(_bundle(family))
+    edit(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError) as exc:
+        load_model(path)
+    assert str(exc.value).startswith(f"{path}: ")
+    assert str(exc.value).endswith(message)
+
+
 #: Where a model document holds each family's fixed entry (FAMILIES[...].fixed),
 #: and values other than the one it must hold.
 FIXED_ENTRIES = {"delay_mode": ("delays", "mode", ["stream", "per_record", None]),
